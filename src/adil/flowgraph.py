@@ -111,6 +111,9 @@ class FlowGraph:
     _consumers: dict[tuple[int, int], list[tuple[int, int]]] = field(default_factory=dict, repr=False)
     _ctrl_out: dict[int, list[tuple[int, str]]] = field(default_factory=dict, repr=False)
     _ctrl_in: dict[int, list[tuple[int, str]]] = field(default_factory=dict, repr=False)
+    # derived views, built on first use by node_index / value_chains
+    _node_index: dict[tuple[NodeKind, OpCode | None], list[int]] | None = field(default=None, repr=False)
+    _value_chains: dict[int, int] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         for (src, op), (dst, ip) in sorted(self.data_edges):
@@ -448,9 +451,19 @@ def build_flow_graph(ast: fe.Ast, function: str | None = None) -> FlowGraph:
 
 # ---------------------------------------------------------------------------
 # Derived views
+#
+# A FlowGraph is never mutated once build_flow_graph returns it, so each view
+# is computed on first use and cached on the graph: the matcher asks for them
+# once per plan and once per match result. Callers must not mutate them.
 
 def node_index(g: FlowGraph) -> dict[tuple[NodeKind, OpCode | None], list[int]]:
     """Index nodes by (kind, opcode); id lists ascending. Seeds matcher anchoring."""
+    if g._node_index is None:
+        g._node_index = _index_nodes(g)
+    return g._node_index
+
+
+def _index_nodes(g: FlowGraph) -> dict[tuple[NodeKind, OpCode | None], list[int]]:
     index: dict[tuple[NodeKind, OpCode | None], list[int]] = {}
     for nid in sorted(g.nodes):
         node = g.nodes[nid]
@@ -465,6 +478,13 @@ def value_chains(g: FlowGraph) -> dict[int, int]:
     of JOIN merges (or AWRITE array updates) connects them; textual names
     play no part.
     """
+    if g._value_chains is None:
+        g._value_chains = _thread_values(g)
+    return g._value_chains
+
+
+def _thread_values(g: FlowGraph) -> dict[int, int]:
+    """Union-find over JOIN inputs and AWRITE array inputs."""
     parent = {nid: nid for nid in g.nodes}
 
     def find(x: int) -> int:

@@ -40,11 +40,13 @@ class CSyntaxError(Exception):
 class CSubsetConfig:
     allow_for: bool = True
     allow_functions: bool = True
-    max_array_dims: int = 1
 
-    def __post_init__(self) -> None:
-        if self.max_array_dims < 1:
-            raise ValueError("max_array_dims must be >= 1")
+
+# Deepest nesting the parser accepts, counting bracketed sub-expressions
+# (parentheses, call arguments, array indices) and nested statement bodies
+# together. Every later stage recurses over the same structure, so this
+# keeps the whole pipeline well inside Python's recursion limit.
+MAX_NESTING = 100
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +312,7 @@ class _Parser:
         self.pos = 0
         self.scopes: list[_Scope] = []
         self.functions: dict[str, FunctionDecl] = {}
+        self.depth = 0  # current nesting level, see MAX_NESTING
 
     # -- token plumbing
 
@@ -341,6 +344,15 @@ class _Parser:
             raise CSyntaxError(tok.span, expected or repr(kind), repr(tok.text))
         self.pos += 1
         return tok
+
+    def nest(self, tok: Token | None) -> None:
+        """Enter one nesting level at tok; leave it with `self.depth -= 1`."""
+        if self.depth >= MAX_NESTING:
+            span = tok.span if tok is not None else self._eof_span()
+            found = repr(tok.text) if tok is not None else "end of file"
+            raise CSyntaxError(span, f"at most {MAX_NESTING} levels of nested parentheses and blocks",
+                               found)
+        self.depth += 1
 
     # -- scopes
 
@@ -414,7 +426,10 @@ class _Parser:
         if tok.kind == "int":
             return self.parse_declaration()
         if tok.kind == "{":
-            return [self.parse_block()]
+            self.nest(tok)
+            block = self.parse_block()
+            self.depth -= 1
+            return [block]
         if tok.kind == "if":
             return [self.parse_if()]
         if tok.kind == "while":
@@ -479,9 +494,10 @@ class _Parser:
         if self.at("["):
             if not is_array:
                 raise CSyntaxError(name.span, "an array variable", repr(name.text))
-            self.advance()
+            self.nest(self.advance())
             index = self.parse_expr()
             close = self.expect("]")
+            self.depth -= 1
             return ArrayRef(name.text, index, span_hull([name.span, close.span]))
         if is_array:
             raise CSyntaxError(name.span, "an indexed array access", repr(name.text))
@@ -502,12 +518,14 @@ class _Parser:
         return If(cond, then, orelse, span_hull([start.span, end_span]))
 
     def parse_branch_body(self) -> Stmt:
+        self.nest(self.peek())
         if self.at("{"):
-            return self.parse_block()
-        stmts = self.parse_statement()
-        if len(stmts) == 1:
-            return stmts[0]
-        return Block(tuple(stmts), span_hull([s.span for s in stmts]))
+            body: Stmt = self.parse_block()
+        else:
+            stmts = self.parse_statement()
+            body = stmts[0] if len(stmts) == 1 else Block(tuple(stmts), span_hull([s.span for s in stmts]))
+        self.depth -= 1
+        return body
 
     def parse_while(self) -> While:
         start = self.expect("while")
@@ -574,7 +592,7 @@ class _Parser:
             raise CSyntaxError(name.span, "an expression (calls are disabled)", repr(name.text))
         if name.text not in self.functions:
             raise CSyntaxError(name.span, "a previously defined function", repr(name.text))
-        self.expect("(")
+        self.nest(self.expect("("))
         args: list[Expr] = []
         if not self.at(")"):
             while True:
@@ -584,6 +602,7 @@ class _Parser:
                     continue
                 break
         close = self.expect(")")
+        self.depth -= 1
         return Call(name.text, tuple(args), span_hull([name.span, close.span]))
 
     # Precedence climbing: || < && < relational < additive < multiplicative < unary.
@@ -647,9 +666,10 @@ class _Parser:
             self.advance()
             return IntLit(int(tok.text), tok.span)
         if tok.kind == "(":
-            self.advance()
+            self.nest(self.advance())
             inner = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if tok.kind == "ident":
             nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None

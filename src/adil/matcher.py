@@ -7,6 +7,12 @@ Subgraph matching is NP-hard in general, so every attempted assignment
 burns one step of an explicit budget; hitting the ceiling raises
 BudgetExceeded with the results found so far attached.
 
+The search records bare bindings. Only when it ends (or the budget runs
+out) does an exact maximality filter drop every binding that another one
+strictly contains; MatchResults, with their constraint checks, are built
+for the survivors alone. Each candidate assignment is checked only against
+the pattern edges incident to its pattern node, precomputed per plan.
+
 Hierarchy is bottom-up: accepted matches of a sub-plan become bindable
 pseudo-nodes for the plans that contain it, and `recognize` orders plans so
 sub-plans always run first.
@@ -140,22 +146,29 @@ class _Unifier:
             self.pseudos[sub_name] = entries
         self.pseudo_by_id = {p.pseudo_id: p for entries in self.pseudos.values() for p in entries}
 
-        # pattern adjacency: data edges first, then ctrl, in declaration order
-        self.adj: dict[str, list[tuple[str, str]]] = {pid: [] for pid in self.pid_order}
-        for k, ((a, _), (b, _)) in enumerate(plan.pdata):
-            self.adj[a].append(("d", b))
-            self.adj[b].append(("d", a))
-        for a, b, _ in plan.pctrl:
-            self.adj[a].append(("c", b))
-            self.adj[b].append(("c", a))
+        # per pattern node: its incident data and ctrl edges in declaration
+        # order, each paired with the pattern node at the other end
+        self.pnodes = {pn.pid: pn for pn in plan.pnodes}
+        self.data_at: dict[str, list] = {pid: [] for pid in self.pid_order}
+        self.ctrl_at: dict[str, list] = {pid: [] for pid in self.pid_order}
+        for edge in plan.pdata:
+            (a, _), (b, _) = edge
+            self.data_at[a].append((b, edge))
+            if b != a:
+                self.data_at[b].append((a, edge))
+        for edge in plan.pctrl:
+            a, b, _ = edge
+            self.ctrl_at[a].append((b, edge))
+            if b != a:
+                self.ctrl_at[b].append((a, edge))
 
-        self.results: list[MatchResult] = []
+        self.recorded: list[dict[str, int]] = []  # bindings at or above theta
         self.seen: set[frozenset] = set()
 
     # -- candidate enumeration
 
     def node_candidates(self, pid: str) -> list[int]:
-        pn = self.plan.pnode(pid)
+        pn = self.pnodes[pid]
         if pn.is_sub:
             return [p.pseudo_id for p in self.pseudos[pn.subplan]]
         if pn.kind is NodeKind.OP and pn.opcode is None:
@@ -164,7 +177,7 @@ class _Unifier:
         return list(self.index.get((pn.kind, pn.opcode), []))
 
     def node_matches(self, pid: str, nid: int) -> bool:
-        pn = self.plan.pnode(pid)
+        pn = self.pnodes[pid]
         if pn.is_sub:
             return nid < 0 and self.pseudo_by_id[nid].match.plan == pn.subplan
         if nid < 0:
@@ -231,25 +244,21 @@ class _Unifier:
             return False  # injectivity
         trial = dict(binding)
         trial[pid] = nid
-        for edge in self.plan.pdata:
-            (a, _), (b, _) = edge
-            if pid in (a, b) and a in trial and b in trial:
-                if not self.data_edge_ok(edge, trial):
-                    return False
-        for edge in self.plan.pctrl:
-            a, b, _ = edge
-            if pid in (a, b) and a in trial and b in trial:
-                if not self.ctrl_edge_ok(edge, trial):
-                    return False
+        for other, edge in self.data_at[pid]:
+            if other in trial and not self.data_edge_ok(edge, trial):
+                return False
+        for other, edge in self.ctrl_at[pid]:
+            if other in trial and not self.ctrl_edge_ok(edge, trial):
+                return False
         return True
 
     def candidates_via_edges(self, pid: str, binding: dict[str, int]) -> list[int]:
         """Nodes adjacent in the graph to pid's bound pattern neighbors."""
-        pn = self.plan.pnode(pid)
+        pn = self.pnodes[pid]
         if pn.is_sub:
             return [p.pseudo_id for p in self.pseudos[pn.subplan]]
         out: list[int] = []
-        for edge in self.plan.pdata:
+        for _, edge in self.data_at[pid]:
             (a, po), (b, pi) = edge
             if a == pid and b in binding:
                 nb = binding[b]
@@ -273,7 +282,7 @@ class _Unifier:
                     for op in range(node.out_ports):
                         out.extend(dst for dst, _ in self.g.consumers(src_node, op))
         if not out:
-            for edge in self.plan.pctrl:
+            for _, edge in self.ctrl_at[pid]:
                 a, b, label = edge
                 if a == pid and b in binding:
                     for t in self._ctrl_nodes(binding[b]):
@@ -318,11 +327,11 @@ class _Unifier:
             raise BudgetExceeded(self.plan.name, self.finish())
 
     def next_pid(self, binding: dict[str, int], skipped: frozenset) -> str | None:
-        for via in ("d", "c"):
+        for incident in (self.data_at, self.ctrl_at):
             for pid in self.pid_order:
                 if pid in binding or pid in skipped:
                     continue
-                if any(kind == via and other in binding for kind, other in self.adj[pid]):
+                if any(other in binding for other, _ in incident[pid]):
                     return pid
         return None
 
@@ -352,7 +361,7 @@ class _Unifier:
         score = Fraction(len(binding), len(self.plan.pnodes))
         if score < 1 and score < self.theta:
             return
-        self.results.append(self.build_result(binding))
+        self.recorded.append(binding)
 
     def build_result(self, binding: dict[str, int]) -> MatchResult:
         subs = {pid: self.pseudo_by_id[nid].match for pid, nid in binding.items() if nid < 0}
@@ -368,11 +377,35 @@ class _Unifier:
         return check_constraints(result, self.plan, self.g)
 
     def finish(self) -> list[MatchResult]:
-        results = [r for r in self.results
-                   if not any(set(r.binding.items()) < set(o.binding.items()) for o in self.results)]
+        # Drop every recorded binding that another one strictly contains,
+        # then build results (and check constraints) for the survivors only.
+        # Also runs on BudgetExceeded, so a truncated search keeps its
+        # partial results.
+        results = [self.build_result(b) for b in maximal_bindings(self.recorded)]
         results.sort(key=lambda r: (-r.score, min(r.real_nodes(), default=0),
                                     tuple(r.binding.get(pid, -10**9) for pid in self.pid_order)))
         return results
+
+
+def maximal_bindings(bindings: list[dict[str, int]]) -> list[dict[str, int]]:
+    """The bindings that no other binding strictly contains, in input order.
+
+    A strict superset of b holds every (pid, node) pair of b, so it appears
+    in the posting list of each of those pairs. Testing b only against the
+    shortest of its lists is therefore exact, and costs far less than
+    comparing every pair of bindings.
+    """
+    keys = [frozenset(b.items()) for b in bindings]
+    postings: dict[tuple[str, int], list[frozenset]] = {}
+    for key in keys:
+        for pair in key:
+            postings.setdefault(pair, []).append(key)
+    kept = []
+    for b, key in zip(bindings, keys):
+        pool = min((postings[pair] for pair in key), key=len, default=keys)
+        if not any(key < other for other in pool):
+            kept.append(b)
+    return kept
 
 
 def unify(g: FlowGraph, plan: Plan, budget: SearchBudget | None = None,

@@ -9,6 +9,7 @@ import pytest
 from adil.cli import main
 
 from conftest import SUM_SOURCE
+from test_frontend import _nested_ifs, _nested_parens
 
 
 @pytest.fixture()
@@ -54,6 +55,14 @@ def test_exit_2_on_syntax_error(work, tmp_path, capsys):
 def test_exit_2_on_bad_usage(capsys):
     assert main(["analyze"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("shape", [_nested_parens, _nested_ifs])
+def test_nesting_limit_exit_codes(work, capsys, shape):
+    for levels, codes in ((100, {0, 1}), (101, {2})):
+        (work / "deep.c").write_text(shape(levels))
+        assert _analyze(work, "deep.c") in codes
+    assert "at most 100 levels" in capsys.readouterr().err
 
 
 def test_exit_3_on_truncation_without_findings(work, tmp_path, capsys):

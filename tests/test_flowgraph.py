@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adil import flowgraph
 from adil import frontend as fe
+from adil.debugger import diagnose, parse_spec
 from adil.flowgraph import (
     NodeKind,
     OpCode,
@@ -239,3 +241,24 @@ def test_corpus_graphs_are_well_formed(corpus_dir):
     for path in programs:
         g = graph_of(path.read_text(), filename=str(path))
         assert validate(g) == [], path.name
+
+
+def test_derived_views_are_built_once_per_graph(monkeypatch, corpus_dir, base):
+    built = {"index": 0, "chains": 0}
+
+    def counted(name, fn):
+        def wrapper(g):
+            built[name] += 1
+            return fn(g)
+        return wrapper
+
+    monkeypatch.setattr(flowgraph, "_index_nodes", counted("index", flowgraph._index_nodes))
+    monkeypatch.setattr(flowgraph, "_thread_values", counted("chains", flowgraph._thread_values))
+    spec = parse_spec((corpus_dir / "correct/sum.spec").read_text())
+    programs = [corpus_dir / "correct/sum.c", corpus_dir / "bugs/sum__off_by_one.c"]
+    for count, path in enumerate(programs, start=1):
+        g = graph_of(path.read_text(), str(path))
+        diagnose(g, spec, base)
+        assert built == {"index": count, "chains": count}
+        assert node_index(g) is node_index(g)
+        assert value_chains(g) is value_chains(g)

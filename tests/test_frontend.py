@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adil.frontend import (
+    MAX_NESTING,
     Assign,
     Block,
     CSubsetConfig,
@@ -165,3 +166,34 @@ def test_property_desugar_idempotent(seed):
 def test_parse_is_deterministic():
     src = random_program(random.Random(7))
     assert parse_c(src) == parse_c(src)
+
+
+def _nested_parens(levels: int) -> str:
+    return "int main() { int x; x = " + "(" * levels + "1" + ")" * levels + "; return x; }\n"
+
+
+def _nested_ifs(levels: int) -> str:
+    return ("int main() { int x; x = 0;\n" + "if (x < 1) {\n" * levels + "x = 1;\n"
+            + "}\n" * levels + "return x; }\n")
+
+
+@pytest.mark.parametrize("shape, line, col", [
+    (_nested_parens, 1, len("int main() { int x; x = ") + MAX_NESTING + 1),  # the 101st '('
+    (_nested_ifs, MAX_NESTING + 2, len("if (x < 1) {")),  # the '{' of the 101st if
+])
+def test_nesting_limit_reports_the_offending_token(shape, line, col):
+    parse_c(shape(MAX_NESTING))
+    with pytest.raises(CSyntaxError) as err:
+        parse_c(shape(MAX_NESTING + 1))
+    assert err.value.span == SourceSpan("<source>", line, col, line, col)
+
+
+def test_nesting_limit_counts_parentheses_and_blocks_together():
+    half = MAX_NESTING // 2
+    ifs, closes = "if (x < 1) { " * half, " }" * half
+    parens = MAX_NESTING - half
+    parse_c("int main() { int x; x = 0; " + ifs + "x = " + "(" * parens + "1" + ")" * parens
+            + ";" + closes + " return x; }")
+    with pytest.raises(CSyntaxError):
+        parse_c("int main() { int x; x = 0; " + ifs + "x = " + "(" * (parens + 1) + "1"
+                + ")" * (parens + 1) + ";" + closes + " return x; }")

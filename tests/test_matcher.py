@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adil.matcher import (
     BudgetExceeded,
     SearchBudget,
     check_constraints,
+    maximal_bindings,
     recognize,
     unify,
 )
@@ -244,3 +247,32 @@ def test_oracle_equivalence_sample():
         g, p = random_instance(seed)
         got = {frozenset(r.binding.items()) for r in unify(g, p) if r.accepted}
         assert got == brute_force_accepted(g, p), f"seed {seed}"
+
+
+# -- maximality filter
+
+
+def _maximal_by_definition(bindings):
+    """Reference: drop r iff some recorded binding strictly contains it (O(R^2))."""
+    return [r for r in bindings
+            if not any(set(r.items()) < set(o.items()) for o in bindings)]
+
+
+_binding = st.dictionaries(st.sampled_from("abcde"), st.integers(-2, 3), max_size=5)
+_single_pair = st.dictionaries(st.sampled_from("abcde"), st.integers(-2, 3), min_size=1, max_size=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_property_maximality_filter_matches_definition(data):
+    family = data.draw(st.lists(_binding, max_size=25))
+    if family:  # equal-size duplicates, which independent draws rarely produce
+        family += [dict(b) for b in data.draw(st.lists(st.sampled_from(family), max_size=5))]
+    family += data.draw(st.lists(_single_pair, max_size=4))
+    family = data.draw(st.permutations(family))
+    assert maximal_bindings(family) == _maximal_by_definition(family)
+
+
+def test_maximality_filter_keeps_duplicates_and_drops_strict_subsets():
+    family = [{"a": 1}, {"a": 1, "b": 2}, {"a": 1, "b": 2}, {"b": 2, "c": 0}, {"c": 0}, {}]
+    assert maximal_bindings(family) == [{"a": 1, "b": 2}, {"a": 1, "b": 2}, {"b": 2, "c": 0}]
