@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from . import explain
 from .flowgraph import FlowGraph, UnboundVariable
-from .matcher import MatchResult, Recognition, SearchBudget, binding_values, recognize
+from .matcher import (MatchResult, Recognition, SearchBudget, binding_values, recognize,
+                      theta_fraction)
 from .planlib import Plan, PlanBase, strip_comment
 from .source import SourceSpan, span_hull
 
@@ -145,7 +146,7 @@ def diagnose(g: FlowGraph, spec: ProgramSpec, base: PlanBase,
         base.get(name)  # unresolvable goals are a caller error, not a finding
     rec = recognize(g, base, goal_names if use_filtering else None, budget, jobs=jobs)
 
-    theta = Fraction(budget.theta).limit_denominator(10**6)
+    theta = theta_fraction(budget.theta)
     findings: list[Finding] = []
     verdicts: dict[str, str] = {}
     recognized: dict[str, MatchResult] = {}

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .matcher import MatchResult, binding_values
-from .planlib import PlanBase
+from .planlib import MARKER_RE, PlanBase
 from .source import SourceSpan
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -30,8 +30,6 @@ class TemplateError(Exception):
         self.plan = plan
         self.marker = marker
 
-
-_MARKER_RE = re.compile(r"([$@])([A-Za-z_][A-Za-z0-9_]*)")
 
 _SEVERITY = {
     "BUG_CLICHE": "Error",
@@ -58,7 +56,7 @@ def interpolate(template: str, slots: dict[str, str], roles: dict[str, str], pla
             raise TemplateError(plan_name, sigil + name)
         return table[name]
 
-    return _MARKER_RE.sub(expand, template)
+    return MARKER_RE.sub(expand, template)
 
 
 def compose_meaning(goal_matches: list[tuple[str, MatchResult]], base: PlanBase,

@@ -570,13 +570,39 @@ def to_json(g: FlowGraph) -> str:
 # ---------------------------------------------------------------------------
 # Well-formedness (exercised by tests; cheap enough to run after every build)
 
+def _has_cycle(succs: dict[int, list[int]]) -> bool:
+    """Depth-first search for a back edge, with an explicit stack."""
+    state: dict[int, int] = {}  # 1 on the current path, 2 finished
+    for root in succs:
+        if root in state:
+            continue
+        state[root] = 1
+        stack = [(root, iter(succs[root]))]
+        while stack:
+            v, todo = stack[-1]
+            for w in todo:
+                if state.get(w) == 1:
+                    return True
+                if w not in state:
+                    state[w] = 1
+                    stack.append((w, iter(succs[w])))
+                    break
+            else:
+                state[v] = 2
+                stack.pop()
+    return False
+
+
 def validate(g: FlowGraph) -> list[str]:
     problems: list[str] = []
+    producers: dict[tuple[int, int], int] = {}
+    for _, dst in g.data_edges:
+        producers[dst] = producers.get(dst, 0) + 1
     for nid, n in g.nodes.items():
         for port in range(n.in_ports):
-            incoming = [e for e in g.data_edges if e[1] == (nid, port)]
-            if len(incoming) != 1:
-                problems.append(f"node {nid} in_port {port} has {len(incoming)} producers")
+            count = producers.get((nid, port), 0)
+            if count != 1:
+                problems.append(f"node {nid} in_port {port} has {count} producers")
     for (src, op), (dst, ip) in g.data_edges:
         if op >= g.nodes[src].out_ports or ip >= g.nodes[dst].in_ports:
             problems.append(f"edge ({src}:{op})->({dst}:{ip}) out of port range")
@@ -587,17 +613,7 @@ def validate(g: FlowGraph) -> list[str]:
         if g.nodes[dst].kind is NodeKind.JOIN and ip == 1:
             continue
         succs[src].append(dst)
-    state: dict[int, int] = {}
-
-    def dfs(v: int) -> bool:
-        state[v] = 1
-        for w in succs[v]:
-            if state.get(w, 0) == 1 or (state.get(w, 0) == 0 and dfs(w)):
-                return True
-        state[v] = 2
-        return False
-
-    if any(dfs(v) for v in g.nodes if state.get(v, 0) == 0):
+    if _has_cycle(succs):
         problems.append("data edges contain a cycle that avoids JOIN back-inputs")
 
     seen = {g.entry}

@@ -14,6 +14,8 @@ from.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field, replace
 
 from .source import SourceSpan, span_hull
@@ -43,9 +45,10 @@ class CSubsetConfig:
 
 
 # Deepest nesting the parser accepts, counting bracketed sub-expressions
-# (parentheses, call arguments, array indices) and nested statement bodies
-# together. Every later stage recurses over the same structure, so this
-# keeps the whole pipeline well inside Python's recursion limit.
+# (parentheses, call arguments, array indices), unary operators and nested
+# statement bodies together. Every later stage recurses over the same
+# structure, so this keeps the whole pipeline well inside Python's recursion
+# limit.
 MAX_NESTING = 100
 
 
@@ -62,6 +65,26 @@ PUNCT = [
     ",", ";", "(", ")", "{", "}", "[", "]",
 ]
 
+# One alternative per lexical case, tried in this order at each position.
+# `\w` is exactly str.isalnum() or "_" and `\d` is str.isdecimal(), so
+# identifiers continue as the str methods say; a number that starts or goes
+# on with a digit that is not decimal ("²"), and an identifier that starts
+# with a letter outside ASCII, are finished in Python from the `other` case.
+_TOKEN_RE = re.compile(
+    r"(?P<newline>\n)"
+    r"|(?P<space>[ \t\r]+)"
+    r"|(?P<line_comment>(?:#|//)[^\n]*)"
+    r"|(?P<block_comment>/\*(?s:.*?)\*/)"
+    r"|(?P<open_comment>/\*)"
+    r'|(?P<string>"[^"\n]*")'
+    r'|(?P<open_string>")'
+    r"|(?P<num>\d+)"
+    r"|(?P<word>[A-Za-z_]\w*)"
+    r"|(?P<punct>" + "|".join(re.escape(p) for p in PUNCT) + ")"
+    r"|(?P<other>.)"
+)
+_WORD_TAIL = re.compile(r"\w*")
+
 
 @dataclass(frozen=True)
 class Token:
@@ -73,84 +96,49 @@ class Token:
 def tokenize(source: str, filename: str = "<source>") -> list[Token]:
     """Split source into tokens, skipping whitespace, comments and #include lines."""
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
+    line, line_start, i = 1, 0, 0  # line_start: offset of the current line's first char
     n = len(source)
-
-    def span(l0: int, c0: int, l1: int, c1: int) -> SourceSpan:
-        return SourceSpan(filename, l0, c0, l1, c1)
+    match = _TOKEN_RE.match
 
     while i < n:
-        ch = source[i]
-        if ch == "\n":
+        m = match(source, i)
+        group = m.lastgroup
+        j = m.end()
+        if group == "newline":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise LexError(span(line, col, line, col), "unterminated comment")
-            for j in range(i, end + 2):
-                if source[j] == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            i = end + 2
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    raise LexError(span(line, col, line, col), "unterminated string literal")
-                j += 1
-            if j >= n:
-                raise LexError(span(line, col, line, col), "unterminated string literal")
-            text = source[i + 1 : j]
-            width = j - i + 1
-            tokens.append(Token("string", text, span(line, col, line, col + width - 1)))
-            col += width
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            text = source[i:j]
-            tokens.append(Token("num", text, span(line, col, line, col + len(text) - 1)))
-            col += len(text)
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = text if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, span(line, col, line, col + len(text) - 1)))
-            col += len(text)
-            i = j
-            continue
-        for p in PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token(p, p, span(line, col, line, col + len(p) - 1)))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise LexError(span(line, col, line, col), f"unexpected character {ch!r}")
+            line_start = j
+        elif group == "block_comment":
+            newlines = m.group().count("\n")
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", i, j) + 1
+        elif group not in ("space", "line_comment"):
+            col = i - line_start + 1
+            if group == "punct":
+                kind = text = m.group()
+            elif group == "word":
+                text = m.group()
+                kind = text if text in KEYWORDS else "ident"
+            elif group == "num" or (group == "other" and source[i].isdigit()):
+                # a run of str.isdigit, which \d+ leaves at a digit like "²"
+                while j < n and source[j].isdigit():
+                    j += 1
+                kind, text = "num", source[i:j]
+            elif group == "string":
+                kind, text = "string", source[i + 1 : j - 1]
+            elif group == "open_comment":
+                raise LexError(SourceSpan(filename, line, col, line, col), "unterminated comment")
+            elif group == "open_string":
+                raise LexError(SourceSpan(filename, line, col, line, col),
+                               "unterminated string literal")
+            elif source[i].isalpha():  # a letter outside ASCII starts an identifier
+                j = _WORD_TAIL.match(source, j).end()
+                kind, text = "ident", source[i:j]
+            else:
+                raise LexError(SourceSpan(filename, line, col, line, col),
+                               f"unexpected character {source[i]!r}")
+            tokens.append(Token(kind, text, SourceSpan(filename, line, col, line, col + j - i - 1)))
+        i = j
     return tokens
 
 
@@ -350,8 +338,8 @@ class _Parser:
         if self.depth >= MAX_NESTING:
             span = tok.span if tok is not None else self._eof_span()
             found = repr(tok.text) if tok is not None else "end of file"
-            raise CSyntaxError(span, f"at most {MAX_NESTING} levels of nested parentheses and blocks",
-                               found)
+            raise CSyntaxError(span, f"at most {MAX_NESTING} levels of nested parentheses, blocks"
+                               " and unary operators", found)
         self.depth += 1
 
     # -- scopes
@@ -464,8 +452,7 @@ class _Parser:
             end_span = name.span
             if self.at("["):
                 self.advance()
-                size_tok = self.expect("num", "array size literal")
-                size = int(size_tok.text)
+                size = _int_value(self.expect("num", "array size literal"))
                 end_span = self.expect("]").span
             elif self.at("="):
                 self.advance()
@@ -653,8 +640,9 @@ class _Parser:
     def parse_unary(self) -> Expr:
         tok = self.peek()
         if tok is not None and tok.kind in ("!", "-"):
-            self.advance()
+            self.nest(self.advance())
             operand = self.parse_unary()
+            self.depth -= 1
             return Unary(tok.kind, operand, span_hull([tok.span, operand.span]))
         return self.parse_primary()
 
@@ -664,7 +652,7 @@ class _Parser:
             raise CSyntaxError(self._eof_span(), "an expression", "end of file")
         if tok.kind == "num":
             self.advance()
-            return IntLit(int(tok.text), tok.span)
+            return IntLit(_int_value(tok), tok.span)
         if tok.kind == "(":
             self.nest(self.advance())
             inner = self.parse_expr()
@@ -677,6 +665,17 @@ class _Parser:
                 return self.parse_call(self.advance())
             return self.parse_lvalue()
         raise CSyntaxError(tok.span, "an expression", repr(tok.text))
+
+
+def _int_value(tok: Token) -> int:
+    """The value of a `num` token; digits int() cannot read are a syntax error."""
+    if not tok.text.isdecimal():  # "²" and other digits that are not decimal
+        raise CSyntaxError(tok.span, "a decimal integer literal", repr(tok.text))
+    try:
+        return int(tok.text)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise CSyntaxError(tok.span, f"an integer literal of at most {sys.get_int_max_str_digits()}"
+                           " digits", f"{len(tok.text)} digits") from None
 
 
 def parse_c(source: str, cfg: CSubsetConfig | None = None, filename: str = "<source>") -> Ast:

@@ -7,11 +7,16 @@ Subgraph matching is NP-hard in general, so every attempted assignment
 burns one step of an explicit budget; hitting the ceiling raises
 BudgetExceeded with the results found so far attached.
 
-The search records bare bindings. Only when it ends (or the budget runs
-out) does an exact maximality filter drop every binding that another one
-strictly contains; MatchResults, with their constraint checks, are built
-for the survivors alone. Each candidate assignment is checked only against
-the pattern edges incident to its pattern node, precomputed per plan.
+The search records bare bindings, and scores them as integer pairs (bound
+nodes over plan size, against theta as a rational converted once per theta
+value). Only when it ends (or the budget runs out) does an exact maximality
+filter drop every binding that another one strictly contains; MatchResults,
+with their constraint checks and Fraction scores, are built for the
+survivors alone. Each candidate assignment is checked only against the
+pattern edges incident to its pattern node. Those incident edges and the
+plan's other lookup tables (`Plan.tables`) are built once per Plan and live
+on it, so they are shared by every graph the plan is matched against and
+die with the plan.
 
 Hierarchy is bottom-up: accepted matches of a sub-plan become bindable
 pseudo-nodes for the plans that contain it, and `recognize` orders plans so
@@ -26,6 +31,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .flowgraph import COMMUTATIVE, FlowGraph, NodeKind, node_index, value_chains
 from .planlib import Plan, PlanBase, Predicate, closure, dependency_order
@@ -42,6 +48,12 @@ class SearchBudget:
             raise ValueError("theta must be in (0, 1]")
         if self.max_extension_steps < 1:
             raise ValueError("max_extension_steps must be positive")
+
+
+@lru_cache(maxsize=64)
+def theta_fraction(theta: float) -> Fraction:
+    """theta as the exact rational that match scores are compared with."""
+    return Fraction(theta).limit_denominator(10**6)
 
 
 @dataclass(frozen=True)
@@ -126,17 +138,25 @@ class _Unifier:
                  sub_matches: dict[str, list[MatchResult]], sub_plans: dict[str, Plan]):
         self.g = g
         self.plan = plan
-        self.budget = budget
-        self.theta = Fraction(budget.theta).limit_denominator(10**6)
+        self.max_steps = budget.max_extension_steps
+        theta = theta_fraction(budget.theta)
+        self.theta_num, self.theta_den = theta.numerator, theta.denominator
         self.steps = 0
         self.index = node_index(g)
-        self.commutable = plan.commutable_pids()
-        self.pid_order = [pn.pid for pn in plan.pnodes]
+        tables = plan.tables
+        self.size = len(tables.pid_order)
+        self.pid_order = tables.pid_order
+        self.pnodes = tables.pnodes
+        self.commutable = tables.commutable
+        self.data_at = tables.data_at
+        self.ctrl_at = tables.ctrl_at
+        self.data_nbrs = tables.data_nbrs
+        self.ctrl_nbrs = tables.ctrl_nbrs
 
         # pseudo-node table for sub-plan pattern nodes
         self.pseudos: dict[str, list[_Pseudo]] = {}
         next_pseudo = -1
-        for sub_name in sorted({pn.subplan for pn in plan.pnodes if pn.is_sub}):
+        for sub_name in tables.subplans:
             entries = []
             sub_plan = sub_plans[sub_name]
             roles = [pid for _, pid in sorted(sub_plan.exports)]
@@ -146,35 +166,25 @@ class _Unifier:
             self.pseudos[sub_name] = entries
         self.pseudo_by_id = {p.pseudo_id: p for entries in self.pseudos.values() for p in entries}
 
-        # per pattern node: its incident data and ctrl edges in declaration
-        # order, each paired with the pattern node at the other end
-        self.pnodes = {pn.pid: pn for pn in plan.pnodes}
-        self.data_at: dict[str, list] = {pid: [] for pid in self.pid_order}
-        self.ctrl_at: dict[str, list] = {pid: [] for pid in self.pid_order}
-        for edge in plan.pdata:
-            (a, _), (b, _) = edge
-            self.data_at[a].append((b, edge))
-            if b != a:
-                self.data_at[b].append((a, edge))
-        for edge in plan.pctrl:
-            a, b, _ = edge
-            self.ctrl_at[a].append((b, edge))
-            if b != a:
-                self.ctrl_at[b].append((a, edge))
-
+        self.candidates: dict[str, list[int]] = {}  # node_candidates, per pid
         self.recorded: list[dict[str, int]] = []  # bindings at or above theta
         self.seen: set[frozenset] = set()
 
     # -- candidate enumeration
 
     def node_candidates(self, pid: str) -> list[int]:
-        pn = self.pnodes[pid]
-        if pn.is_sub:
-            return [p.pseudo_id for p in self.pseudos[pn.subplan]]
-        if pn.kind is NodeKind.OP and pn.opcode is None:
-            return sorted(nid for (kind, _), nids in self.index.items() if kind is NodeKind.OP
-                          for nid in nids)
-        return list(self.index.get((pn.kind, pn.opcode), []))
+        found = self.candidates.get(pid)
+        if found is None:
+            pn = self.pnodes[pid]
+            if pn.is_sub:
+                found = [p.pseudo_id for p in self.pseudos[pn.subplan]]
+            elif pn.kind is NodeKind.OP and pn.opcode is None:
+                found = sorted(nid for (kind, _), nids in self.index.items() if kind is NodeKind.OP
+                               for nid in nids)
+            else:
+                found = self.index.get((pn.kind, pn.opcode), [])
+            self.candidates[pid] = found
+        return found
 
     def node_matches(self, pid: str, nid: int) -> bool:
         pn = self.pnodes[pid]
@@ -202,18 +212,22 @@ class _Unifier:
 
     def data_edge_ok(self, edge, binding: dict[str, int]) -> bool:
         (a, po), (b, pi) = edge
-        na, nb = binding[a], binding[b]
-        src_nodes = self._out_sources(a, na, po)
+        nb = binding[b]
+        src_nodes = self._out_sources(a, binding[a], po)
         if nb >= 0:
-            return any(self.g.producer(nb, ip) is not None and self.g.producer(nb, ip)[0] in src_nodes
-                       for ip in self.in_port_variants(b, pi, nb))
-        # edge into a sub-match: any in-port of the addressed export node
-        target = self._export_target(b, nb, pi)
-        if target is None:
-            return False
-        node = self.g.nodes[target]
-        return any(self.g.producer(target, ip) is not None and self.g.producer(target, ip)[0] in src_nodes
-                   for ip in range(node.in_ports))
+            target = nb
+            ports = self.in_port_variants(b, pi, nb)
+        else:
+            # edge into a sub-match: any in-port of the addressed export node
+            target = self._export_target(b, nb, pi)
+            if target is None:
+                return False
+            ports = range(self.g.nodes[target].in_ports)
+        for ip in ports:
+            src = self.g.producer(target, ip)
+            if src is not None and src[0] in src_nodes:
+                return True
+        return False
 
     def _out_sources(self, pid: str, nid: int, port: int) -> set[int]:
         """Graph nodes that pattern endpoint pid:port (as a source) may stand for."""
@@ -238,17 +252,15 @@ class _Unifier:
         return {nid} if nid >= 0 else self.pseudo_by_id[nid].all_nodes
 
     def consistent(self, pid: str, nid: int, binding: dict[str, int]) -> bool:
+        """Whether nid fits pid and every pattern edge between pid and the bound
+        nodes; binding already maps pid to nid, and injectivity is the caller's."""
         if not self.node_matches(pid, nid):
             return False
-        if nid in binding.values():
-            return False  # injectivity
-        trial = dict(binding)
-        trial[pid] = nid
         for other, edge in self.data_at[pid]:
-            if other in trial and not self.data_edge_ok(edge, trial):
+            if other in binding and not self.data_edge_ok(edge, binding):
                 return False
         for other, edge in self.ctrl_at[pid]:
-            if other in trial and not self.ctrl_edge_ok(edge, trial):
+            if other in binding and not self.ctrl_edge_ok(edge, binding):
                 return False
         return True
 
@@ -292,50 +304,50 @@ class _Unifier:
                     for s in self._ctrl_nodes(binding[a]):
                         out.extend(dst for dst, lab in self.g.ctrl_succs(s)
                                    if label is None or lab == label)
-        seen: set[int] = set()
-        uniq = []
-        for nid in out:
-            if nid not in seen:
-                seen.add(nid)
-                uniq.append(nid)
-        return sorted(uniq)
+        return sorted(set(out))
 
     # -- search
+    #
+    # One binding dict and one set of its bound nodes are shared by the whole
+    # search: each level adds its pattern node before recursing and removes
+    # it after, so the dict always lists pattern nodes in the order they were
+    # bound. record() keeps copies.
 
     def run(self) -> list[MatchResult]:
-        if len(self.plan.pnodes) > len(self.g.nodes):
+        if self.size > len(self.g.nodes):
             return []  # pigeonhole: no full match can exist
         # Seed at the rarest pattern key first. Later rounds skip earlier
         # seeds entirely, so near-misses that exclude any one pattern node
         # are still reachable; their supersets from earlier rounds win in
-        # the final maximality filter.
-        by_rarity = sorted(self.pid_order,
-                           key=lambda pid: (len(self.node_candidates(pid)),
-                                            self.pid_order.index(pid)))
+        # the final maximality filter. Ties keep pattern-node order (the
+        # sort is stable).
+        by_rarity = sorted(self.pid_order, key=lambda pid: len(self.node_candidates(pid)))
         skipped: frozenset = frozenset()
         for seed in by_rarity:
             for nid in self.node_candidates(seed):
                 self.charge()
-                if self.consistent(seed, nid, {}):
-                    self.extend({seed: nid}, skipped)
+                binding = {seed: nid}
+                if self.consistent(seed, nid, binding):
+                    self.extend(binding, {nid}, skipped)
             skipped = skipped | {seed}
         return self.finish()
 
     def charge(self) -> None:
         self.steps += 1
-        if self.steps > self.budget.max_extension_steps:
+        if self.steps > self.max_steps:
             raise BudgetExceeded(self.plan.name, self.finish())
 
     def next_pid(self, binding: dict[str, int], skipped: frozenset) -> str | None:
-        for incident in (self.data_at, self.ctrl_at):
+        bound = binding.keys()
+        for nbrs in (self.data_nbrs, self.ctrl_nbrs):
             for pid in self.pid_order:
                 if pid in binding or pid in skipped:
                     continue
-                if any(other in binding for other, _ in incident[pid]):
+                if not bound.isdisjoint(nbrs[pid]):
                     return pid
         return None
 
-    def extend(self, binding: dict[str, int], skipped: frozenset) -> None:
+    def extend(self, binding: dict[str, int], used: set[int], skipped: frozenset) -> None:
         pid = self.next_pid(binding, skipped)
         if pid is None:
             self.record(binding)
@@ -343,34 +355,39 @@ class _Unifier:
         progressed = False
         for nid in self.candidates_via_edges(pid, binding):
             self.charge()
+            if nid in used:
+                continue  # injectivity
+            binding[pid] = nid
             if self.consistent(pid, nid, binding):
                 progressed = True
-                trial = dict(binding)
-                trial[pid] = nid
-                self.extend(trial, skipped)
+                used.add(nid)
+                self.extend(binding, used, skipped)
+                used.remove(nid)
+            del binding[pid]
         if not progressed:
             # pid is unbindable here; keep growing elsewhere so near-misses
             # report the largest structure that does exist
-            self.extend(binding, skipped | {pid})
+            self.extend(binding, used, skipped | {pid})
 
     def record(self, binding: dict[str, int]) -> None:
         key = frozenset(binding.items())
         if key in self.seen:
             return
         self.seen.add(key)
-        score = Fraction(len(binding), len(self.plan.pnodes))
-        if score < 1 and score < self.theta:
+        # score len/size below 1 and below theta, in integers
+        n = len(binding)
+        if n < self.size and n * self.theta_den < self.theta_num * self.size:
             return
-        self.recorded.append(binding)
+        self.recorded.append(dict(binding))
 
     def build_result(self, binding: dict[str, int]) -> MatchResult:
         subs = {pid: self.pseudo_by_id[nid].match for pid, nid in binding.items() if nid < 0}
         result = MatchResult(
             plan=self.plan.name,
-            binding=dict(binding),
+            binding=binding,
             sub_matches=subs,
             slots={},
-            score=Fraction(len(binding), len(self.plan.pnodes)),
+            score=Fraction(len(binding), self.size),
             constraint_outcomes=(),
             spans=(),
         )
@@ -418,8 +435,7 @@ def unify(g: FlowGraph, plan: Plan, budget: SearchBudget | None = None,
     bottom-up automatically.
     """
     budget = budget or SearchBudget()
-    needed = {pn.subplan for pn in plan.pnodes if pn.is_sub}
-    missing = needed - set(sub_plans or {})
+    missing = set(plan.tables.subplans) - set(sub_plans or {})
     if missing:
         raise ValueError(f"plan {plan.name!r} needs sub-plan definitions for {sorted(missing)}")
     return _Unifier(g, plan, budget, sub_matches or {}, sub_plans or {}).run()

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .flowgraph import NodeKind, OpCode
@@ -126,6 +127,41 @@ class Plan:
     def slots(self) -> list[str]:
         return [pn.slot for pn in self.pnodes if pn.slot is not None]
 
+    @cached_property
+    def tables(self) -> "PlanTables":
+        """Lookup tables over the pattern, built on first use and kept on this
+        (immutable) plan, so they live exactly as long as the plan does."""
+        return PlanTables(self)
+
+
+class PlanTables:
+    """Per-pattern-node views of a plan that the matcher consults on every step."""
+
+    def __init__(self, plan: Plan):
+        self.pid_order = tuple(pn.pid for pn in plan.pnodes)
+        self.pnodes = {pn.pid: pn for pn in plan.pnodes}
+        self.commutable = frozenset(plan.commutable_pids())
+        self.subplans = tuple(sorted({pn.subplan for pn in plan.pnodes if pn.is_sub}))
+        # per pattern node: its incident data and ctrl edges in declaration
+        # order, each paired with the pattern node at the other end
+        data_at: dict[str, list] = {pid: [] for pid in self.pid_order}
+        ctrl_at: dict[str, list] = {pid: [] for pid in self.pid_order}
+        for edge in plan.pdata:
+            (a, _), (b, _) = edge
+            data_at[a].append((b, edge))
+            if b != a:
+                data_at[b].append((a, edge))
+        for edge in plan.pctrl:
+            a, b, _ = edge
+            ctrl_at[a].append((b, edge))
+            if b != a:
+                ctrl_at[b].append((a, edge))
+        self.data_at = {pid: tuple(edges) for pid, edges in data_at.items()}
+        self.ctrl_at = {pid: tuple(edges) for pid, edges in ctrl_at.items()}
+        # the pattern nodes each node reaches over one data (ctrl) edge
+        self.data_nbrs = {pid: tuple(o for o, _ in edges) for pid, edges in data_at.items()}
+        self.ctrl_nbrs = {pid: tuple(o for o, _ in edges) for pid, edges in ctrl_at.items()}
+
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -147,7 +183,8 @@ _CTRL_RE = re.compile(rf"^ctrl\s+({_IDENT})\s*->\s*({_IDENT})(?:\s+label=(seq|tr
 _CONSTRAINT_RE = re.compile(rf"^constraint\s+({_IDENT})\s*\(([^)]*)\)\s*$")
 _EXPORT_RE = re.compile(rf"^export\s+({_IDENT})\s*=\s*({_IDENT})\s*$")
 
-_MARKER_RE = re.compile(r"[$@]([A-Za-z_][A-Za-z0-9_]*)")
+# A doc template's `$slot` and `@role` markers: (sigil, name).
+MARKER_RE = re.compile(r"([$@])([A-Za-z_][A-Za-z0-9_]*)")
 
 
 def strip_comment(raw: str) -> str:
@@ -346,12 +383,11 @@ def check_plan(plan: Plan) -> None:
             elif arg not in pidset:
                 raise PlanSemanticError(f"constraint references unknown pattern node {arg!r}")
 
-    for marker in _MARKER_RE.finditer(plan.doc_template):
-        token = plan.doc_template[marker.start()]
-        name = marker.group(1)
-        if token == "$" and f"${name}" not in slotset:
+    for marker in MARKER_RE.finditer(plan.doc_template):
+        sigil, name = marker.groups()
+        if sigil == "$" and f"${name}" not in slotset:
             raise PlanSemanticError(f"doc template references unbound slot ${name}")
-        if token == "@" and name not in set(roles):
+        if sigil == "@" and name not in set(roles):
             raise PlanSemanticError(f"doc template references unexported role @{name}")
 
     if len(pids) > 1:

@@ -9,7 +9,7 @@ import pytest
 from adil.cli import main
 
 from conftest import SUM_SOURCE
-from test_frontend import _nested_ifs, _nested_parens
+from test_frontend import _nested_ifs, _nested_parens, _unary_chain
 
 
 @pytest.fixture()
@@ -57,12 +57,29 @@ def test_exit_2_on_bad_usage(capsys):
     assert main(["no-such-command"]) == 2
 
 
-@pytest.mark.parametrize("shape", [_nested_parens, _nested_ifs])
+def _minus_chain(levels: int) -> str:
+    return _unary_chain("-", levels)
+
+
+def _not_chain(levels: int) -> str:
+    return _unary_chain("!", levels)
+
+
+@pytest.mark.parametrize("shape", [_nested_parens, _nested_ifs, _minus_chain, _not_chain])
 def test_nesting_limit_exit_codes(work, capsys, shape):
     for levels, codes in ((100, {0, 1}), (101, {2})):
         (work / "deep.c").write_text(shape(levels))
         assert _analyze(work, "deep.c") in codes
     assert "at most 100 levels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["\u00b2", "9" * 5000], ids=["superscript", "5000-digits"])
+def test_unreadable_number_exits_2_with_its_position(work, capsys, literal):
+    (work / "num.c").write_text(f"int main() {{ int x; x = {literal}; return x; }}\n")
+    assert _analyze(work, "num.c") == 2
+    err = capsys.readouterr().err
+    assert f"num.c:1:{len('int main() { int x; x = ') + 1}: expected" in err
+    assert "int()" not in err
 
 
 def test_exit_3_on_truncation_without_findings(work, tmp_path, capsys):

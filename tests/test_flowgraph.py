@@ -262,3 +262,19 @@ def test_derived_views_are_built_once_per_graph(monkeypatch, corpus_dir, base):
         assert built == {"index": count, "chains": count}
         assert node_index(g) is node_index(g)
         assert value_chains(g) is value_chains(g)
+
+
+def test_validate_handles_long_straight_line_programs():
+    # a 1200-long data chain, deeper than Python's default recursion limit
+    g = graph_of("int main() { int s; s = 0;\n" + "s = s + 1;\n" * 1200 + "return s; }\n")
+    assert validate(g) == []
+
+
+def test_validate_reports_a_data_cycle_outside_joins():
+    g = graph_of("int main(){int x;int y;int z;x=1;y=x+2;z=y*x;return z;}")
+    (add,) = [nid for nid, n in g.nodes.items() if n.opcode is OpCode.ADD]
+    (mul,) = [nid for nid, n in g.nodes.items() if n.opcode is OpCode.MUL]
+    # feed the product back into the sum that it is computed from
+    edges = {e for e in g.data_edges if e[1] != (add, 0)} | {((mul, 0), (add, 0))}
+    cyclic = flowgraph.FlowGraph(g.nodes, frozenset(edges), g.ctrl_edges, g.entry, g.exit)
+    assert validate(cyclic) == ["data edges contain a cycle that avoids JOIN back-inputs"]

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adil.frontend import (
+    KEYWORDS,
     MAX_NESTING,
+    PUNCT,
     Assign,
     Block,
     CSubsetConfig,
@@ -16,6 +18,7 @@ from adil.frontend import (
     For,
     LexError,
     Return,
+    Token,
     VarDecl,
     While,
     desugar,
@@ -197,3 +200,148 @@ def test_nesting_limit_counts_parentheses_and_blocks_together():
     with pytest.raises(CSyntaxError):
         parse_c("int main() { int x; x = 0; " + ifs + "x = " + "(" * (parens + 1) + "1"
                 + ")" * (parens + 1) + ";" + closes + " return x; }")
+
+
+def _unary_chain(op: str, levels: int) -> str:
+    return "int main() { int x; x = 0; x = " + f"{op} " * levels + "x; return x; }\n"
+
+
+@pytest.mark.parametrize("op", ["-", "!"])
+def test_nesting_limit_counts_unary_operators(op):
+    parse_c(_unary_chain(op, MAX_NESTING))
+    with pytest.raises(CSyntaxError) as err:
+        parse_c(_unary_chain(op, 3000))
+    col = len("int main() { int x; x = 0; x = ") + 2 * MAX_NESTING + 1  # the 101st operator
+    assert err.value.span == SourceSpan("<source>", 1, col, 1, col)
+    assert err.value.found == repr(op)
+
+
+@pytest.mark.parametrize("literal, expected", [
+    ("\u00b2", "a decimal integer literal"),  # str.isdigit, but not a decimal digit
+    ("1" * 5000, "at most"),  # past int()'s digit limit
+], ids=["superscript", "5000-digits"])
+def test_unreadable_number_is_a_syntax_error_at_the_literal(literal, expected):
+    for source in (f"int main() {{ int x; x = {literal}; return x; }}",
+                   f"int main() {{ int a[{literal}]; return x; }}"):
+        start = source.index(literal) + 1
+        assert [t.text for t in tokenize(source) if t.kind == "num"] == [literal]  # lexes fine
+        with pytest.raises(CSyntaxError) as err:
+            parse_c(source)
+        assert err.value.span == SourceSpan("<source>", 1, start, 1, start + len(literal) - 1)
+        assert expected in err.value.expected
+
+
+# The character-at-a-time lexer that the one-regex tokenizer replaced, kept as
+# the reference for its behaviour.
+def _reference_tokenize(source: str, filename: str = "<source>") -> list[Token]:
+    tokens: list[Token] = []
+    line, col, i = 1, 1, 0
+    n = len(source)
+
+    def span(l0: int, c0: int, l1: int, c1: int) -> SourceSpan:
+        return SourceSpan(filename, l0, c0, l1, c1)
+
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            col += 1
+            i += 1
+            continue
+        if ch == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if source.startswith("//", i):
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if source.startswith("/*", i):
+            end = source.find("*/", i + 2)
+            if end < 0:
+                raise LexError(span(line, col, line, col), "unterminated comment")
+            for j in range(i, end + 2):
+                if source[j] == "\n":
+                    line += 1
+                    col = 1
+                else:
+                    col += 1
+            i = end + 2
+            continue
+        if ch == '"':
+            j = i + 1
+            while j < n and source[j] != '"':
+                if source[j] == "\n":
+                    raise LexError(span(line, col, line, col), "unterminated string literal")
+                j += 1
+            if j >= n:
+                raise LexError(span(line, col, line, col), "unterminated string literal")
+            text = source[i + 1 : j]
+            width = j - i + 1
+            tokens.append(Token("string", text, span(line, col, line, col + width - 1)))
+            col += width
+            i = j + 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and source[j].isdigit():
+                j += 1
+            text = source[i:j]
+            tokens.append(Token("num", text, span(line, col, line, col + len(text) - 1)))
+            col += len(text)
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            text = source[i:j]
+            kind = text if text in KEYWORDS else "ident"
+            tokens.append(Token(kind, text, span(line, col, line, col + len(text) - 1)))
+            col += len(text)
+            i = j
+            continue
+        for p in PUNCT:
+            if source.startswith(p, i):
+                tokens.append(Token(p, p, span(line, col, line, col + len(p) - 1)))
+                col += len(p)
+                i += len(p)
+                break
+        else:
+            raise LexError(span(line, col, line, col), f"unexpected character {ch!r}")
+    return tokens
+
+
+def _lex_outcome(lex, source: str):
+    try:
+        return lex(source, "soup.c")
+    except LexError as err:
+        return ("LexError", err.message, err.span)
+
+
+_SOUP_PIECES = PUNCT + [
+    "|", "$", "'", "\\", "x", "abc", "_t9", "int", "while", "return", "0", "42", "007",
+    " ", "  ", "\t", "\r", "\n", "\r\n", "//", "// note\n", "/*", "*/", "/* a */", "/* a\n b */",
+    "/*/", "#include <stdio.h>\n", '"', '"%d"', '"a b"', '"x\n',
+    "\u00e9", "\u00b2", "\u00bd", "\u0663", "a\u00b2", "\u00e9t\u00e9", "\x00", "\x0b",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_SOUP_PIECES), max_size=40))
+def test_property_tokenize_matches_reference_lexer(pieces):
+    source = "".join(pieces)
+    assert _lex_outcome(tokenize, source) == _lex_outcome(_reference_tokenize, source)
+
+
+def test_tokenize_follows_str_digit_and_letter_classes():
+    # "\u00e9" is a letter, "\u00b2" a digit that is not decimal, "\u00bd" numeric only
+    assert [(t.kind, t.text) for t in tokenize("\u00e9 \u00b2 1\u00b2 a\u00b2\u00bd")] == [
+        ("ident", "\u00e9"), ("num", "\u00b2"), ("num", "1\u00b2"), ("ident", "a\u00b2\u00bd")]
+    with pytest.raises(LexError) as err:
+        tokenize("x\n \u00bd")
+    assert err.value.span == SourceSpan("<source>", 2, 2, 2, 2)

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adil import matcher
 from adil.matcher import (
     BudgetExceeded,
     SearchBudget,
@@ -276,3 +279,78 @@ def test_property_maximality_filter_matches_definition(data):
 def test_maximality_filter_keeps_duplicates_and_drops_strict_subsets():
     family = [{"a": 1}, {"a": 1, "b": 2}, {"a": 1, "b": 2}, {"b": 2, "c": 0}, {"c": 0}, {}]
     assert maximal_bindings(family) == [{"a": 1, "b": 2}, {"a": 1, "b": 2}, {"b": 2, "c": 0}]
+
+
+# -- the search's step accounting
+
+# Steps charged per plan when the whole shipped base is recognized on each
+# corpus program, in the order of STEP_PLANS. The budget bounds exactly this
+# count, so a faster search must leave every entry as it is.
+STEP_PLANS = (
+    "average", "conditional-count", "copy-loop", "counted-loop", "linear-search-flag",
+    "max-search", "min-search", "missing-increment", "off-by-one-bound", "product-accumulate",
+    "reverse-loop", "running-total", "sentinel-input-loop", "swapped-division",
+    "wrong-accumulator-product", "wrong-accumulator-sum",
+)
+CORPUS_STEPS = {
+    "bugs/average__swapped_operands.c": (3, 41, 5, 32, 24, 25, 29, 7, 16, 10, 8, 22, 25, 3, 5, 17),
+    "bugs/copy__off_by_one.c": (0, 33, 7, 15, 23, 18, 18, 3, 18, 7, 9, 13, 17, 0, 5, 11),
+    "bugs/count__off_by_one.c": (0, 69, 4, 28, 43, 25, 25, 6, 28, 11, 8, 20, 31, 0, 7, 16),
+    "bugs/count__wrong_init.c": (0, 71, 6, 37, 45, 31, 35, 9, 20, 13, 10, 22, 31, 0, 7, 16),
+    "bugs/max__missing_increment.c": (0, 21, 5, 15, 24, 50, 44, 7, 6, 11, 7, 11, 14, 0, 7, 7),
+    "bugs/product__wrong_accumulator.c": (0, 34, 5, 26, 25, 27, 31, 7, 11, 18, 8, 16, 19, 0, 13, 11),
+    "bugs/product__wrong_init.c": (0, 32, 5, 25, 24, 25, 29, 7, 11, 18, 8, 16, 19, 0, 13, 11),
+    "bugs/sum__missing_increment.c": (0, 21, 2, 19, 13, 13, 18, 6, 9, 5, 4, 11, 14, 0, 3, 9),
+    "bugs/sum__off_by_one.c": (0, 39, 3, 23, 22, 19, 19, 4, 24, 8, 6, 20, 25, 0, 5, 17),
+    "bugs/sum__wrong_accumulator.c": (0, 45, 5, 33, 25, 27, 31, 7, 17, 10, 8, 22, 25, 0, 5, 17),
+    "bugs/sum__wrong_init.c": (0, 41, 5, 32, 24, 25, 29, 7, 16, 10, 8, 22, 25, 0, 5, 17),
+    "correct/average.c": (3, 41, 5, 32, 24, 25, 29, 7, 16, 10, 8, 22, 25, 3, 5, 17),
+    "correct/copy.c": (0, 35, 10, 24, 25, 25, 29, 6, 10, 9, 11, 15, 17, 0, 5, 11),
+    "correct/count.c": (0, 71, 6, 37, 45, 31, 35, 9, 20, 13, 10, 22, 31, 0, 7, 16),
+    "correct/max.c": (0, 50, 11, 29, 45, 78, 73, 8, 13, 17, 14, 23, 23, 0, 9, 15),
+    "correct/min.c": (0, 50, 11, 32, 45, 65, 84, 11, 13, 17, 14, 23, 23, 0, 9, 15),
+    "correct/product.c": (0, 32, 5, 25, 24, 25, 29, 7, 11, 18, 8, 16, 19, 0, 13, 11),
+    "correct/reverse.c": (0, 33, 10, 26, 24, 26, 30, 7, 11, 10, 36, 16, 19, 0, 5, 11),
+    "correct/search.c": (0, 47, 6, 30, 50, 30, 34, 9, 14, 13, 10, 19, 25, 0, 7, 13),
+    "correct/sentinel.c": (0, 33, 2, 17, 21, 13, 13, 4, 11, 7, 5, 11, 43, 0, 4, 9),
+    "correct/sum.c": (1, 41, 5, 32, 24, 25, 29, 7, 16, 10, 8, 22, 25, 1, 5, 17),
+}
+
+
+@pytest.fixture()
+def steps_per_plan(monkeypatch):
+    counted: dict[str, int] = {}
+    run = matcher._Unifier.run
+
+    def counting_run(self):
+        try:
+            return run(self)
+        finally:
+            counted[self.plan.name] = self.steps
+
+    monkeypatch.setattr(matcher._Unifier, "run", counting_run)
+    return counted
+
+
+def test_steps_per_plan_on_the_corpus(steps_per_plan, corpus_dir, base):
+    assert sorted(base.plans) == list(STEP_PLANS)
+    for relpath, expected in CORPUS_STEPS.items():
+        path = corpus_dir / relpath
+        steps_per_plan.clear()
+        recognize(graph_of(path.read_text(), path.name), base)
+        assert tuple(steps_per_plan[name] for name in STEP_PLANS) == expected, relpath
+
+
+def test_steps_on_the_dense_chain(steps_per_plan):
+    unify(graph_of(dense_source()), parse_plan(CHAIN_PLAN))
+    assert steps_per_plan == {"add-chain": 1178}
+
+
+def test_a_dropped_plan_is_garbage_collected(sum_graph):
+    # the search tables built for a plan must not outlive it
+    plan = parse_plan(FLAT_RUNNING_TOTAL)
+    assert any(r.accepted for r in unify(sum_graph, plan))
+    ref = weakref.ref(plan)
+    del plan
+    gc.collect()
+    assert ref() is None
