@@ -21,7 +21,7 @@ from . import explain
 from .flowgraph import FlowGraph, UnboundVariable
 from .matcher import (MatchResult, Recognition, SearchBudget, binding_values, recognize,
                       theta_fraction)
-from .planlib import Plan, PlanBase, strip_comment
+from .planlib import Plan, PlanBase, strip_comment, sub_closure
 from .source import SourceSpan, span_hull
 
 
@@ -152,7 +152,7 @@ def diagnose(g: FlowGraph, spec: ProgramSpec, base: PlanBase,
     recognized: dict[str, MatchResult] = {}
 
     for goal in spec.goals:
-        relevant = [goal.name] + _sub_closure(base, goal.name)
+        relevant = sub_closure(base, goal.name)
         goal_findings: list[Finding] = []
 
         accepted = _best(rec.accepted(goal.name))
@@ -247,17 +247,6 @@ def _best_near_miss(rec: Recognition, plan_name: str) -> MatchResult | None:
         if not m.accepted:
             return m  # results are already best-first
     return None
-
-
-def _sub_closure(base: PlanBase, name: str) -> list[str]:
-    out: list[str] = []
-    stack = [name]
-    while stack:
-        for pn in base.plans[stack.pop()].pnodes:
-            if pn.is_sub and pn.subplan in base.plans and pn.subplan not in out:
-                out.append(pn.subplan)
-                stack.append(pn.subplan)
-    return out
 
 
 def _bug_finding(goal: str, bug: Plan, bug_match: MatchResult, rec: Recognition,

@@ -45,10 +45,11 @@ class CSubsetConfig:
 
 
 # Deepest nesting the parser accepts, counting bracketed sub-expressions
-# (parentheses, call arguments, array indices), unary operators and nested
-# statement bodies together. Every later stage recurses over the same
-# structure, so this keeps the whole pipeline well inside Python's recursion
-# limit.
+# (parentheses, call arguments, array indices), unary operators, chained
+# binary operators (each until its chain ends, so `a + b + c` takes two
+# levels) and nested statement bodies together. Every later stage recurses
+# over the same structure, so this keeps the whole pipeline well inside
+# Python's recursion limit.
 MAX_NESTING = 100
 
 
@@ -339,7 +340,7 @@ class _Parser:
             span = tok.span if tok is not None else self._eof_span()
             found = repr(tok.text) if tok is not None else "end of file"
             raise CSyntaxError(span, f"at most {MAX_NESTING} levels of nested parentheses, blocks"
-                               " and unary operators", found)
+                               " and operators", found)
         self.depth += 1
 
     # -- scopes
@@ -593,24 +594,36 @@ class _Parser:
         return Call(name.text, tuple(args), span_hull([name.span, close.span]))
 
     # Precedence climbing: || < && < relational < additive < multiplicative < unary.
+    # Each operator of a chain deepens the left-deep tree by one, so it holds
+    # one nesting level until the chain ends. Comparisons do not chain. The
+    # chain loops are written out per level because a shared helper would
+    # add a Python frame to every level of parentheses.
 
     def parse_expr(self) -> Expr:
         return self.parse_or()
 
     def parse_or(self) -> Expr:
         lhs = self.parse_and()
+        levels = 0
         while self.at("||"):
-            self.advance()
+            op = self.advance()
+            self.nest(op)
+            levels += 1
             rhs = self.parse_and()
-            lhs = Binary("||", lhs, rhs, span_hull([lhs.span, rhs.span]))
+            lhs = Binary(op.kind, lhs, rhs, span_hull([lhs.span, rhs.span]))
+        self.depth -= levels
         return lhs
 
     def parse_and(self) -> Expr:
         lhs = self.parse_rel()
+        levels = 0
         while self.at("&&"):
-            self.advance()
+            op = self.advance()
+            self.nest(op)
+            levels += 1
             rhs = self.parse_rel()
-            lhs = Binary("&&", lhs, rhs, span_hull([lhs.span, rhs.span]))
+            lhs = Binary(op.kind, lhs, rhs, span_hull([lhs.span, rhs.span]))
+        self.depth -= levels
         return lhs
 
     def parse_rel(self) -> Expr:
@@ -623,18 +636,26 @@ class _Parser:
 
     def parse_add(self) -> Expr:
         lhs = self.parse_mul()
+        levels = 0
         while self.peek() is not None and self.peek().kind in ("+", "-"):
             op = self.advance()
+            self.nest(op)
+            levels += 1
             rhs = self.parse_mul()
             lhs = Binary(op.kind, lhs, rhs, span_hull([lhs.span, rhs.span]))
+        self.depth -= levels
         return lhs
 
     def parse_mul(self) -> Expr:
         lhs = self.parse_unary()
+        levels = 0
         while self.peek() is not None and self.peek().kind in ("*", "/", "%"):
             op = self.advance()
+            self.nest(op)
+            levels += 1
             rhs = self.parse_unary()
             lhs = Binary(op.kind, lhs, rhs, span_hull([lhs.span, rhs.span]))
+        self.depth -= levels
         return lhs
 
     def parse_unary(self) -> Expr:

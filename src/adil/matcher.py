@@ -18,9 +18,19 @@ plan's other lookup tables (`Plan.tables`) are built once per Plan and live
 on it, so they are shared by every graph the plan is matched against and
 die with the plan.
 
+The search attempts nothing that could only record a binding below theta.
+A pattern node it skipped is never bound, so once the skipped nodes leave
+fewer than theta * size nodes to bind, the seed rounds stop and a branch
+skips no further node. The results are exactly those of the unpruned
+search; only the steps are fewer.
+
 Hierarchy is bottom-up: accepted matches of a sub-plan become bindable
 pseudo-nodes for the plans that contain it, and `recognize` orders plans so
-sub-plans always run first.
+sub-plans always run first. Given goals, `recognize` keeps near-misses only
+where a diagnosis reads them: in each goal's sub-closure. The other plans of
+the goal closure (bug plans, and sub-plans only bug plans use) are searched
+with theta = 1, so they list their full matches alone; every accepted list
+is the same as with the caller's theta.
 
 Results are deterministic: identical inputs produce identical result lists,
 regardless of how many worker threads `recognize` uses.
@@ -29,12 +39,12 @@ regardless of how many worker threads `recognize` uses.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 from .flowgraph import COMMUTATIVE, FlowGraph, NodeKind, node_index, value_chains
-from .planlib import Plan, PlanBase, Predicate, closure, dependency_order
+from .planlib import Plan, PlanBase, Predicate, closure, dependency_order, sub_closure
 from .source import SourceSpan
 
 
@@ -114,7 +124,12 @@ class BudgetExceeded(Exception):
 
 @dataclass
 class Recognition:
-    """recognize() output: per-plan results plus the plans whose search was cut short."""
+    """recognize() output: per-plan results plus the plans whose search was cut short.
+
+    by_plan lists every maximal match scoring at least theta, best first.
+    When recognize was given goals, the plans outside every goal's
+    sub-closure list their full matches (score 1) only.
+    """
     by_plan: dict[str, list[MatchResult]]
     truncated: frozenset[str]
 
@@ -145,6 +160,10 @@ class _Unifier:
         self.index = node_index(g)
         tables = plan.tables
         self.size = len(tables.pid_order)
+        # Skipped pattern nodes are never bound, so a branch that skips k of
+        # them records nothing above size - k nodes. Past this many skips the
+        # score is below theta: (size - k) * den < num * size.
+        self.max_skipped = self.size + (-self.theta_num * self.size // self.theta_den)
         self.pid_order = tables.pid_order
         self.pnodes = tables.pnodes
         self.commutable = tables.commutable
@@ -320,10 +339,11 @@ class _Unifier:
         # seeds entirely, so near-misses that exclude any one pattern node
         # are still reachable; their supersets from earlier rounds win in
         # the final maximality filter. Ties keep pattern-node order (the
-        # sort is stable).
+        # sort is stable). Round i skips i seeds, so rounds past
+        # max_skipped can record nothing.
         by_rarity = sorted(self.pid_order, key=lambda pid: len(self.node_candidates(pid)))
         skipped: frozenset = frozenset()
-        for seed in by_rarity:
+        for seed in by_rarity[:self.max_skipped + 1]:
             for nid in self.node_candidates(seed):
                 self.charge()
                 binding = {seed: nid}
@@ -364,7 +384,7 @@ class _Unifier:
                 self.extend(binding, used, skipped)
                 used.remove(nid)
             del binding[pid]
-        if not progressed:
+        if not progressed and len(skipped) < self.max_skipped:
             # pid is unbindable here; keep growing elsewhere so near-misses
             # report the largest structure that does exist
             self.extend(binding, used, skipped | {pid})
@@ -516,9 +536,20 @@ def _evaluate(pred: Predicate, m: MatchResult, slots: dict, chains: dict[int, in
 
 def recognize(g: FlowGraph, base: PlanBase, goals: set[str] | list[str] | None = None,
               budget: SearchBudget | None = None, jobs: int = 1) -> Recognition:
-    """Match the goal closure (or the whole base) bottom-up against the graph."""
+    """Match the goal closure (or the whole base) bottom-up against the graph.
+
+    With goals, the plans outside every goal's sub-closure (bug plans, and
+    sub-plans only they use) are searched for full matches alone: nothing
+    reads their near-misses.
+    """
     budget = budget or SearchBudget()
-    names = closure(base, list(goals)) if goals is not None else base.names()
+    if goals is None:
+        names = base.names()
+        near_miss_scope = set(names)
+    else:
+        names = closure(base, list(goals))
+        near_miss_scope = {name for goal in goals for name in sub_closure(base, goal)}
+    full_only = replace(budget, theta=1.0)
     levels = dependency_order(base, names)
     by_plan: dict[str, list[MatchResult]] = {}
     accepted: dict[str, list[MatchResult]] = {}
@@ -526,8 +557,9 @@ def recognize(g: FlowGraph, base: PlanBase, goals: set[str] | list[str] | None =
     sub_plans = {name: base.plans[name] for name in names}
 
     def run_one(name: str) -> tuple[str, list[MatchResult], bool]:
+        plan_budget = budget if name in near_miss_scope else full_only
         try:
-            return name, unify(g, base.plans[name], budget, accepted, sub_plans), False
+            return name, unify(g, base.plans[name], plan_budget, accepted, sub_plans), False
         except BudgetExceeded as err:
             return name, err.results, True
 

@@ -541,6 +541,22 @@ def base_validate(base: PlanBase) -> list[str]:
     return diagnostics
 
 
+def sub_closure(base: PlanBase, name: str) -> list[str]:
+    """name, then every plan its `sub` pattern nodes reach transitively.
+
+    Each plan appears once, in the order a depth-first walk first meets it;
+    sub-plans missing from the base are left out.
+    """
+    out = [name]
+    stack = [name]
+    while stack:
+        for pn in base.plans[stack.pop()].pnodes:
+            if pn.is_sub and pn.subplan in base.plans and pn.subplan not in out:
+                out.append(pn.subplan)
+                stack.append(pn.subplan)
+    return out
+
+
 def closure(base: PlanBase, goals: list[str] | set[str]) -> list[str]:
     """Goals plus transitive sub-plans plus bug plans corrupting anything in that set.
 
@@ -548,22 +564,16 @@ def closure(base: PlanBase, goals: list[str] | set[str]) -> list[str]:
     when the specification names its intended cliches. Monotone in goals and
     idempotent; result sorted by name.
     """
-    selected: set[str] = set()
-    frontier = list(goals)
-    for name in frontier:
+    for name in goals:
         if name not in base.plans:
             raise UnknownPlan(name)
+    selected: set[str] = set()
+    frontier = list(goals)
     while frontier:
-        name = frontier.pop()
-        if name in selected:
-            continue
-        selected.add(name)
-        for pn in base.plans[name].pnodes:
-            if pn.is_sub and pn.subplan in base.plans and pn.subplan not in selected:
-                frontier.append(pn.subplan)
-        for other_name, other in base.plans.items():
-            if other.corrupts == name and other_name not in selected:
-                frontier.append(other_name)
+        added = [n for n in sub_closure(base, frontier.pop()) if n not in selected]
+        selected.update(added)
+        frontier.extend(other_name for other_name, other in base.plans.items()
+                        if other.corrupts in added)
     return sorted(selected)
 
 

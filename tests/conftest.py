@@ -39,6 +39,14 @@ def bug_manifest(corpus_dir: Path) -> list[dict]:
     return json.loads((corpus_dir / "bugs" / "manifest.json").read_text())
 
 
+@pytest.fixture(scope="session")
+def corpus_cases(corpus_dir: Path, bug_manifest: list[dict]) -> list[tuple[Path, Path]]:
+    """(program, spec) for all 21 corpus programs: the correct ones, then the seeded bugs."""
+    correct = [(c, c.with_suffix(".spec")) for c in sorted((corpus_dir / "correct").glob("*.c"))]
+    bugs = [(corpus_dir / e["bug"], corpus_dir / e["spec"]) for e in bug_manifest]
+    return correct + bugs
+
+
 def ast_of(source: str, filename: str = "<test>") -> Ast:
     return desugar(parse_c(source, filename=filename))
 

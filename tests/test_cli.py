@@ -9,7 +9,7 @@ import pytest
 from adil.cli import main
 
 from conftest import SUM_SOURCE
-from test_frontend import _nested_ifs, _nested_parens, _unary_chain
+from test_frontend import _binary_chain, _nested_ifs, _nested_parens, _unary_chain
 
 
 @pytest.fixture()
@@ -65,9 +65,18 @@ def _not_chain(levels: int) -> str:
     return _unary_chain("!", levels)
 
 
-@pytest.mark.parametrize("shape", [_nested_parens, _nested_ifs, _minus_chain, _not_chain])
+def _plus_chain(levels: int) -> str:
+    return _binary_chain("+", levels)
+
+
+def _or_chain(levels: int) -> str:
+    return _binary_chain("||", levels)
+
+
+@pytest.mark.parametrize("shape", [_nested_parens, _nested_ifs, _minus_chain, _not_chain,
+                                   _plus_chain, _or_chain])
 def test_nesting_limit_exit_codes(work, capsys, shape):
-    for levels, codes in ((100, {0, 1}), (101, {2})):
+    for levels, codes in ((99, {0, 1}), (100, {0, 1}), (101, {2}), (2999, {2})):
         (work / "deep.c").write_text(shape(levels))
         assert _analyze(work, "deep.c") in codes
     assert "at most 100 levels" in capsys.readouterr().err

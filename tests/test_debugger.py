@@ -16,6 +16,7 @@ from adil.debugger import (
     report_to_json,
     unbound_report,
 )
+from adil.explain import render, render_text
 from adil.flowgraph import NodeKind, UnboundVariable, build_flow_graph
 from adil.frontend import desugar, parse_c
 from adil.matcher import SearchBudget
@@ -138,15 +139,18 @@ def test_diagnose_never_mutates_inputs(base):
     assert ast == snapshot
 
 
-def test_diagnose_filtering_is_conservative(base, corpus_dir, bug_manifest):
-    # filtering by goal closure must not change verdicts vs matching everything
-    for entry in bug_manifest[:4]:
-        spec = parse_spec((corpus_dir / entry["spec"]).read_text())
-        g = build_flow_graph(desugar(parse_c(
-            (corpus_dir / entry["bug"]).read_text(), filename=entry["bug"])))
+def test_diagnose_filtering_is_conservative(base, corpus_cases):
+    # filtering by goal closure (which also searches bug plans for full
+    # matches only) must not change a byte of the report or its rendering
+    for program, spec_path in corpus_cases:
+        spec = parse_spec(spec_path.read_text())
+        source = program.read_text()
+        g = build_flow_graph(desugar(parse_c(source, filename=program.name)))
         filtered = diagnose(g, spec, base, SearchBudget(), use_filtering=True)
         unfiltered = diagnose(g, spec, base, SearchBudget(), use_filtering=False)
-        assert filtered.verdicts == unfiltered.verdicts
+        assert report_to_json(filtered) == report_to_json(unfiltered), program
+        assert render_text(render(filtered, source, base)) == \
+            render_text(render(unfiltered, source, base)), program
 
 
 MAIN_STYLE_SUM = """\

@@ -216,6 +216,32 @@ def test_nesting_limit_counts_unary_operators(op):
     assert err.value.found == repr(op)
 
 
+def _binary_chain(op: str, levels: int) -> str:
+    """x op 1 op 1 ...: a left-deep chain of `levels` operators."""
+    return "int main() { int x; x = 0; x = x" + f" {op} 1" * levels + "; return x; }\n"
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/", "%", "&&", "||"])
+def test_nesting_limit_counts_chained_binary_operators(op):
+    parse_c(_binary_chain(op, 99))  # 100 terms
+    parse_c(_binary_chain(op, MAX_NESTING))
+    with pytest.raises(CSyntaxError) as err:
+        parse_c(_binary_chain(op, 2999))  # 3000 terms
+    # the 101st operator
+    col = len("int main() { int x; x = 0; x = x") + (len(op) + 3) * MAX_NESTING + 2
+    assert err.value.span == SourceSpan("<source>", 1, col, 1, col + len(op) - 1)
+    assert err.value.found == repr(op)
+
+
+def test_chained_operators_and_parentheses_count_together():
+    half = MAX_NESTING // 2
+    chain = lambda parens, ops: ("int main() { int x; x = 0; x = " + "(" * parens + "x"
+                                 + " + 1" * ops + ")" * parens + "; return x; }")
+    parse_c(chain(half, MAX_NESTING - half))
+    with pytest.raises(CSyntaxError):
+        parse_c(chain(half, MAX_NESTING - half + 1))
+
+
 @pytest.mark.parametrize("literal, expected", [
     ("\u00b2", "a decimal integer literal"),  # str.isdigit, but not a decimal digit
     ("1" * 5000, "at most"),  # past int()'s digit limit

@@ -22,6 +22,7 @@ from adil.planlib import (
     parse_plan,
     parse_plans,
     print_plan,
+    sub_closure,
 )
 
 from conftest import FLAT_RUNNING_TOTAL
@@ -173,6 +174,19 @@ def test_closure_monotone_and_idempotent():
     big = closure(b, ["part", "other"])
     assert set(small) <= set(big)
     assert closure(b, small) == small  # idempotent: closing a closure adds nothing
+
+
+def test_closure_pulls_sub_plans_of_bug_plans_and_their_bugs():
+    b = _closure_base()
+    base_add(b, parse_plan('plan "bug3" kind=bug corrupts="other" category=cbt\n'
+                           'sub s1 plan="part"\nnode n1 kind=TEST\nctrl n1 -> s1\nend\n'))
+    assert closure(b, ["other"]) == ["bug2", "bug3", "other", "part"]
+
+
+def test_sub_closure_follows_sub_nodes_only():
+    b = _closure_base()
+    assert sub_closure(b, "goal") == ["goal", "part"]
+    assert sub_closure(b, "bug1") == ["bug1"]
 
 
 def test_closure_unknown_goal():
