@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 from .source import SourceSpan, span_hull
 
@@ -45,11 +46,12 @@ class CSubsetConfig:
 
 
 # Deepest nesting the parser accepts, counting bracketed sub-expressions
-# (parentheses, call arguments, array indices), unary operators, chained
-# binary operators (each until its chain ends, so `a + b + c` takes two
-# levels) and nested statement bodies together. Every later stage recurses
-# over the same structure, so this keeps the whole pipeline well inside
-# Python's recursion limit.
+# (parentheses, call arguments, array indices), unary operators and nested
+# statement bodies together, and bounding each expression tree's height
+# plus the nesting around it (so `a + b + c`, a tree of height 2, takes two
+# levels, and so does `(a + b) + c`; a comparison may end one level past
+# the limit). Every later stage recurses over the same structure, so this
+# keeps the whole pipeline well inside Python's recursion limit.
 MAX_NESTING = 100
 
 
@@ -146,16 +148,21 @@ def tokenize(source: str, filename: str = "<source>") -> list[Token]:
 # ---------------------------------------------------------------------------
 # Ast
 
+# `height` is the number of operator, index and call nodes on the longest
+# path down from a node; the parser bounds it (see MAX_NESTING).
+
 @dataclass(frozen=True)
 class IntLit:
     value: int
     span: SourceSpan
+    height: ClassVar[int] = 0
 
 
 @dataclass(frozen=True)
 class VarRef:
     name: str
     span: SourceSpan
+    height: ClassVar[int] = 0
 
 
 @dataclass(frozen=True)
@@ -163,6 +170,10 @@ class ArrayRef:
     name: str
     index: "Expr"
     span: SourceSpan
+    height: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "height", self.index.height + 1)
 
 
 @dataclass(frozen=True)
@@ -170,6 +181,10 @@ class Unary:
     op: str  # ! or -
     operand: "Expr"
     span: SourceSpan
+    height: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "height", self.operand.height + 1)
 
 
 @dataclass(frozen=True)
@@ -178,6 +193,10 @@ class Binary:
     lhs: "Expr"
     rhs: "Expr"
     span: SourceSpan
+    height: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "height", max(self.lhs.height, self.rhs.height) + 1)
 
 
 @dataclass(frozen=True)
@@ -185,6 +204,10 @@ class Call:
     name: str
     args: tuple["Expr", ...]
     span: SourceSpan
+    height: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "height", max((a.height for a in self.args), default=0) + 1)
 
 
 Expr = IntLit | VarRef | ArrayRef | Unary | Binary | Call
@@ -337,11 +360,21 @@ class _Parser:
     def nest(self, tok: Token | None) -> None:
         """Enter one nesting level at tok; leave it with `self.depth -= 1`."""
         if self.depth >= MAX_NESTING:
-            span = tok.span if tok is not None else self._eof_span()
-            found = repr(tok.text) if tok is not None else "end of file"
-            raise CSyntaxError(span, f"at most {MAX_NESTING} levels of nested parentheses, blocks"
-                               " and operators", found)
+            raise self._too_deep(tok)
         self.depth += 1
+
+    def _too_deep(self, tok: Token | None) -> CSyntaxError:
+        span = tok.span if tok is not None else self._eof_span()
+        found = repr(tok.text) if tok is not None else "end of file"
+        return CSyntaxError(span, f"at most {MAX_NESTING} levels of nested parentheses, blocks"
+                            " and operators", found)
+
+    def binary(self, op: Token, lhs: Expr, rhs: Expr, limit: int = MAX_NESTING) -> Binary:
+        """lhs op rhs, a CSyntaxError at op if it ends deeper than limit."""
+        node = Binary(op.kind, lhs, rhs, span_hull([lhs.span, rhs.span]))
+        if self.depth + node.height > limit:
+            raise self._too_deep(op)
+        return node
 
     # -- scopes
 
@@ -594,68 +627,50 @@ class _Parser:
         return Call(name.text, tuple(args), span_hull([name.span, close.span]))
 
     # Precedence climbing: || < && < relational < additive < multiplicative < unary.
-    # Each operator of a chain deepens the left-deep tree by one, so it holds
-    # one nesting level until the chain ends. Comparisons do not chain. The
-    # chain loops are written out per level because a shared helper would
-    # add a Python frame to every level of parentheses.
+    # Nesting levels bound the parser's own recursion; `binary` bounds the
+    # trees it builds, whose left operands (a parenthesised chain, say) may
+    # already be deep. A comparison may end one level past the limit, so
+    # the condition of an `if` at the deepest level still parses; every
+    # expression parsed at depth d then has d + height <= MAX_NESTING + 1.
+    # The chain loops are written out per level because a shared helper
+    # would add a Python frame to every level of parentheses.
 
     def parse_expr(self) -> Expr:
         return self.parse_or()
 
     def parse_or(self) -> Expr:
         lhs = self.parse_and()
-        levels = 0
         while self.at("||"):
             op = self.advance()
-            self.nest(op)
-            levels += 1
-            rhs = self.parse_and()
-            lhs = Binary(op.kind, lhs, rhs, span_hull([lhs.span, rhs.span]))
-        self.depth -= levels
+            lhs = self.binary(op, lhs, self.parse_and())
         return lhs
 
     def parse_and(self) -> Expr:
         lhs = self.parse_rel()
-        levels = 0
         while self.at("&&"):
             op = self.advance()
-            self.nest(op)
-            levels += 1
-            rhs = self.parse_rel()
-            lhs = Binary(op.kind, lhs, rhs, span_hull([lhs.span, rhs.span]))
-        self.depth -= levels
+            lhs = self.binary(op, lhs, self.parse_rel())
         return lhs
 
     def parse_rel(self) -> Expr:
         lhs = self.parse_add()
         if self.peek() is not None and self.peek().kind in ("<", "<=", ">", ">=", "==", "!="):
             op = self.advance()
-            rhs = self.parse_add()
-            return Binary(op.kind, lhs, rhs, span_hull([lhs.span, rhs.span]))
+            return self.binary(op, lhs, self.parse_add(), MAX_NESTING + 1)
         return lhs
 
     def parse_add(self) -> Expr:
         lhs = self.parse_mul()
-        levels = 0
         while self.peek() is not None and self.peek().kind in ("+", "-"):
             op = self.advance()
-            self.nest(op)
-            levels += 1
-            rhs = self.parse_mul()
-            lhs = Binary(op.kind, lhs, rhs, span_hull([lhs.span, rhs.span]))
-        self.depth -= levels
+            lhs = self.binary(op, lhs, self.parse_mul())
         return lhs
 
     def parse_mul(self) -> Expr:
         lhs = self.parse_unary()
-        levels = 0
         while self.peek() is not None and self.peek().kind in ("*", "/", "%"):
             op = self.advance()
-            self.nest(op)
-            levels += 1
-            rhs = self.parse_unary()
-            lhs = Binary(op.kind, lhs, rhs, span_hull([lhs.span, rhs.span]))
-        self.depth -= levels
+            lhs = self.binary(op, lhs, self.parse_unary())
         return lhs
 
     def parse_unary(self) -> Expr:

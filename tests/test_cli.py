@@ -9,7 +9,7 @@ import pytest
 from adil.cli import main
 
 from conftest import SUM_SOURCE
-from test_frontend import _binary_chain, _nested_ifs, _nested_parens, _unary_chain
+from test_frontend import _binary_chain, _carried_chain, _nested_ifs, _nested_parens, _unary_chain
 
 
 @pytest.fixture()
@@ -74,7 +74,7 @@ def _or_chain(levels: int) -> str:
 
 
 @pytest.mark.parametrize("shape", [_nested_parens, _nested_ifs, _minus_chain, _not_chain,
-                                   _plus_chain, _or_chain])
+                                   _plus_chain, _or_chain, _carried_chain])
 def test_nesting_limit_exit_codes(work, capsys, shape):
     for levels, codes in ((99, {0, 1}), (100, {0, 1}), (101, {2}), (2999, {2})):
         (work / "deep.c").write_text(shape(levels))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adil.flowgraph import build_flow_graph
 from adil.frontend import (
     KEYWORDS,
     MAX_NESTING,
@@ -240,6 +241,93 @@ def test_chained_operators_and_parentheses_count_together():
     parse_c(chain(half, MAX_NESTING - half))
     with pytest.raises(CSyntaxError):
         parse_c(chain(half, MAX_NESTING - half + 1))
+
+
+def _carried_chain(levels: int) -> str:
+    """(x + 1 + ...) + 1 + ...: a chain whose left operand is a parenthesised chain,
+    a left-deep tree of height `levels` that never nests more than one parenthesis."""
+    inner = levels // 2
+    return ("int main() { int x; x = 0; x = (x" + " + 1" * inner + ")"
+            + " + 1" * (levels - inner) + "; return x; }\n")
+
+
+def _expression_heights(source: str) -> list[int]:
+    body = parse_c(source).functions[-1].body.stmts
+    return [s.value.height for s in body if isinstance(s, Assign)]
+
+
+def test_nesting_limit_bounds_a_parenthesised_left_operand():
+    assert _expression_heights(_carried_chain(MAX_NESTING)) == [0, MAX_NESTING]
+    with pytest.raises(CSyntaxError) as err:
+        parse_c(_carried_chain(MAX_NESTING + 1))
+    assert err.value.span.col_start == _carried_chain(MAX_NESTING + 1).rindex("+") + 1
+    # Fifty groups of fifty: never more than 100 levels open at once, but a
+    # left spine 2500 operators deep once every group has closed.
+    groups = "int main() { int x; x = 0; x = " + "(" * 50 + "x" + (" + 1" * 50 + ")") * 50 + "; return x; }"
+    with pytest.raises(CSyntaxError, match="at most 100 levels"):
+        parse_c(groups)
+
+
+_WRAPS = ("({})", "{} + 1", "{} * x", "x - ({})", "{} || x", "x && {}", "({}) < 1", "{} == x", "-{}", "!{}",
+          "a[{}]", "f({})")
+
+
+def _tree_height(expr) -> int:
+    """Operator, index and call levels in expr, by an explicit-stack walk."""
+    best, stack = 0, [(expr, 0)]
+    while stack:
+        node, above = stack.pop()
+        kids = [getattr(node, name) for name in ("lhs", "rhs", "operand", "index") if hasattr(node, name)]
+        kids += getattr(node, "args", ())
+        if kids or hasattr(node, "args"):
+            best = max(best, above + 1)
+            stack.extend((kid, above + 1) for kid in kids)
+    return best
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_property_accepted_trees_stay_within_the_limit(seed):
+    """Whatever the parser accepts, nesting plus tree height ends at most one
+    level past MAX_NESTING (where a comparison may end), and the flow-graph
+    builder lowers it; everything else is a CSyntaxError."""
+    rng = random.Random(seed)
+    expr = "x"
+    for _ in range(rng.randrange(150)):
+        expr = rng.choice(_WRAPS).format(expr)
+    ifs = rng.randrange(30)
+    src = ("int f(int v) { return v; }\nint main() { int x; int a[3]; x = 0;\n"
+           + "if (x) {\n" * ifs + f"x = {expr};\n" + "}\n" * ifs + "return x; }\n")
+    try:
+        ast = parse_c(src)
+    except CSyntaxError:
+        return
+    stmt = ast.functions[-1].body.stmts[3]
+    for _ in range(ifs):
+        stmt = stmt.then.stmts[0]
+    value = stmt.value
+    assert value.height == _tree_height(value)
+    assert ifs + value.height <= MAX_NESTING + 1
+    build_flow_graph(desugar(ast))
+
+
+def test_comparisons_count_toward_the_height_of_their_tree():
+    def indexed(levels: int) -> str:  # a[a[... a[x] < 1 ...] < 1] < 1: height 2 * levels
+        expr = "x"
+        for _ in range(levels):
+            expr = f"a[{expr}] < 1"
+        return f"int main() {{ int x; int a[3]; x = 0; x = {expr}; return x; }}"
+    assert _expression_heights(indexed(MAX_NESTING // 2)) == [0, MAX_NESTING]
+    with pytest.raises(CSyntaxError) as err:
+        parse_c(indexed(MAX_NESTING // 2 + 1))  # a comparison may end at 101, not 102
+    assert err.value.span.col_start == indexed(MAX_NESTING // 2 + 1).rindex("<") + 1
+
+
+def test_expression_height_counts_operator_index_and_call_nodes():
+    src = ("int f(int a) { return a; }\n"
+           "int main() { int x; int a[3]; x = 1; x = -x; x = a[x + 1]; x = f(x) * ((x));"
+           " x = !(x < 1) || x; return x; }")
+    assert _expression_heights(src) == [0, 1, 2, 2, 3]
 
 
 @pytest.mark.parametrize("literal, expected", [
