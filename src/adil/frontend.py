@@ -1,4 +1,5 @@
-"""Lexer and recursive-descent parser for the supported C subset.
+"""Lexer and parser for the supported C subset: recursive descent for
+statements, precedence climbing for binary operators.
 
 The subset: int scalars and one-dimensional int arrays, assignment,
 arithmetic/relational/logical expressions, if/else, while, for, return,
@@ -17,7 +18,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field, replace
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from .source import SourceSpan, span_hull
 
@@ -51,7 +52,10 @@ class CSubsetConfig:
 # plus the nesting around it (so `a + b + c`, a tree of height 2, takes two
 # levels, and so does `(a + b) + c`; a comparison may end one level past
 # the limit). Every later stage recurses over the same structure, so this
-# keeps the whole pipeline well inside Python's recursion limit.
+# keeps the whole pipeline well inside Python's recursion limit: at the
+# limit, source to rendered text takes about 410 frames for nested `if`s
+# and about 310 for parentheses (3 per level), against a default of 1000
+# (tests/test_cli.py holds it under 500).
 MAX_NESTING = 100
 
 
@@ -89,8 +93,7 @@ _TOKEN_RE = re.compile(
 _WORD_TAIL = re.compile(r"\w*")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # keyword text, punct text, or one of: ident, num, string
     text: str
     span: SourceSpan
@@ -102,6 +105,7 @@ def tokenize(source: str, filename: str = "<source>") -> list[Token]:
     line, line_start, i = 1, 0, 0  # line_start: offset of the current line's first char
     n = len(source)
     match = _TOKEN_RE.match
+    new_tuple = tuple.__new__
 
     while i < n:
         m = match(source, i)
@@ -140,7 +144,9 @@ def tokenize(source: str, filename: str = "<source>") -> list[Token]:
             else:
                 raise LexError(SourceSpan(filename, line, col, line, col),
                                f"unexpected character {source[i]!r}")
-            tokens.append(Token(kind, text, SourceSpan(filename, line, col, line, col + j - i - 1)))
+            # Valid without re-checking: one line, col >= 1, and j > i.
+            span = new_tuple(SourceSpan, (filename, line, col, line, col + j - i - 1))
+            tokens.append(Token(kind, text, span))
         i = j
     return tokens
 
@@ -310,6 +316,12 @@ class Ast:
 
 # ---------------------------------------------------------------------------
 # Parser
+
+# Binary operator precedence, shared by the parser and pp_expr.
+_PRECEDENCE = {"||": 1, "&&": 2, "<": 3, "<=": 3, ">": 3, ">=": 3, "==": 3, "!=": 3,
+               "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
+_REL_PREC = 3  # precedence of the comparison operators
+
 
 @dataclass
 class _Scope:
@@ -626,51 +638,31 @@ class _Parser:
         self.depth -= 1
         return Call(name.text, tuple(args), span_hull([name.span, close.span]))
 
-    # Precedence climbing: || < && < relational < additive < multiplicative < unary.
+    # Binary operators by precedence climbing over _PRECEDENCE (|| < && <
+    # relational < additive < multiplicative), all left-associative except
+    # comparisons, which do not chain: once this loop has built a comparison,
+    # && or ||, a following comparison operator ends the expression, so
+    # `a < b < c` stops at the second `<`. A level of parentheses costs three
+    # frames (parse_expr, parse_unary, parse_primary).
     # Nesting levels bound the parser's own recursion; `binary` bounds the
     # trees it builds, whose left operands (a parenthesised chain, say) may
     # already be deep. A comparison may end one level past the limit, so
     # the condition of an `if` at the deepest level still parses; every
     # expression parsed at depth d then has d + height <= MAX_NESTING + 1.
-    # The chain loops are written out per level because a shared helper
-    # would add a Python frame to every level of parentheses.
 
-    def parse_expr(self) -> Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> Expr:
-        lhs = self.parse_and()
-        while self.at("||"):
-            op = self.advance()
-            lhs = self.binary(op, lhs, self.parse_and())
-        return lhs
-
-    def parse_and(self) -> Expr:
-        lhs = self.parse_rel()
-        while self.at("&&"):
-            op = self.advance()
-            lhs = self.binary(op, lhs, self.parse_rel())
-        return lhs
-
-    def parse_rel(self) -> Expr:
-        lhs = self.parse_add()
-        if self.peek() is not None and self.peek().kind in ("<", "<=", ">", ">=", "==", "!="):
-            op = self.advance()
-            return self.binary(op, lhs, self.parse_add(), MAX_NESTING + 1)
-        return lhs
-
-    def parse_add(self) -> Expr:
-        lhs = self.parse_mul()
-        while self.peek() is not None and self.peek().kind in ("+", "-"):
-            op = self.advance()
-            lhs = self.binary(op, lhs, self.parse_mul())
-        return lhs
-
-    def parse_mul(self) -> Expr:
+    def parse_expr(self, min_prec: int = 1) -> Expr:
         lhs = self.parse_unary()
-        while self.peek() is not None and self.peek().kind in ("*", "/", "%"):
-            op = self.advance()
-            lhs = self.binary(op, lhs, self.parse_unary())
+        closed = False  # whether this loop has built a comparison, && or ||
+        tokens = self.tokens
+        while self.pos < len(tokens):
+            op = tokens[self.pos]
+            prec = _PRECEDENCE.get(op.kind, 0)
+            if prec < min_prec or (prec == _REL_PREC and closed):
+                break
+            self.pos += 1
+            rhs = self.parse_expr(prec + 1)
+            lhs = self.binary(op, lhs, rhs, MAX_NESTING + 1 if prec == _REL_PREC else MAX_NESTING)
+            closed = prec <= _REL_PREC
         return lhs
 
     def parse_unary(self) -> Expr:
@@ -813,10 +805,6 @@ def _as_block(stmt: Stmt) -> Block:
 
 def _pp_assign_naked(a: Assign) -> str:
     return f"{pp_expr(a.target)} = {pp_expr(a.value)}"
-
-
-_PRECEDENCE = {"||": 1, "&&": 2, "<": 3, "<=": 3, ">": 3, ">=": 3, "==": 3, "!=": 3,
-               "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
 
 
 def pp_expr(e: Expr, parent_prec: int = 0) -> str:

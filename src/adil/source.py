@@ -2,28 +2,39 @@
 
 All positions are 1-based. A span always names the file it came from so
 that findings can be pinpointed back to the text the student wrote.
+
+A span is a validated tuple: `SourceSpan(...)` checks its coordinates, and
+spans compare, hash and sort as their field tuples. The front end builds
+thousands of spans per program, so two sites that can only produce valid
+spans skip the check by building the tuple directly: `frontend.tokenize`
+(one token on one line) and `span_hull` (the hull of valid spans).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class SourceSpan:
+# typing.NamedTuple forbids overriding __new__, so the fields live in a base
+# class and SourceSpan adds the checks.
+class _SpanFields(NamedTuple):
     file: str
     line_start: int
     col_start: int
     line_end: int
     col_end: int
 
-    def __post_init__(self) -> None:
-        if self.line_start < 1 or self.col_start < 1 or self.line_end < 1 or self.col_end < 1:
-            raise ValueError(f"span coordinates must be positive: {self}")
-        if self.line_start > self.line_end:
-            raise ValueError(f"span ends before it starts: {self}")
-        if self.line_start == self.line_end and self.col_start > self.col_end:
-            raise ValueError(f"span ends before it starts: {self}")
+
+class SourceSpan(_SpanFields):
+    __slots__ = ()
+
+    def __new__(cls, file: str, line_start: int, col_start: int, line_end: int,
+                col_end: int) -> "SourceSpan":
+        if line_start < 1 or col_start < 1 or line_end < 1 or col_end < 1:
+            raise ValueError(f"span coordinates must be positive: {file}:{line_start}:{col_start}")
+        if line_start > line_end or (line_start == line_end and col_start > col_end):
+            raise ValueError(f"span ends before it starts: {file}:{line_start}:{col_start}")
+        return tuple.__new__(cls, (file, line_start, col_start, line_end, col_end))
 
     def contains(self, other: "SourceSpan") -> bool:
         return (self.line_start, self.col_start) <= (other.line_start, other.col_start) and (
@@ -39,9 +50,21 @@ class SourceSpan:
 
 
 def span_hull(spans: list[SourceSpan]) -> SourceSpan:
-    """Smallest span covering every span in the list (all from one file)."""
+    """Smallest span covering every span in the list (all from one file).
+
+    The first span that starts earliest and the first that ends latest give
+    the hull's ends, as `min` and `max` would pick them.
+    """
     if not spans:
         raise ValueError("cannot take hull of no spans")
-    first = min(spans, key=lambda s: (s.line_start, s.col_start))
-    last = max(spans, key=lambda s: (s.line_end, s.col_end))
-    return SourceSpan(first.file, first.line_start, first.col_start, last.line_end, last.col_end)
+    first = last = spans[0]
+    for s in spans:
+        if s.line_start < first.line_start or (
+                s.line_start == first.line_start and s.col_start < first.col_start):
+            first = s
+        if s.line_end > last.line_end or (s.line_end == last.line_end and s.col_end > last.col_end):
+            last = s
+    # Valid without re-checking: first starts no later than last, which ends
+    # no earlier than it starts, and every coordinate comes from a valid span.
+    return tuple.__new__(SourceSpan, (first.file, first.line_start, first.col_start,
+                                      last.line_end, last.col_end))

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from adil import debugger, explain, flowgraph, frontend
 from adil.cli import main
 
 from conftest import SUM_SOURCE
@@ -73,13 +77,36 @@ def _or_chain(levels: int) -> str:
     return _binary_chain("||", levels)
 
 
-@pytest.mark.parametrize("shape", [_nested_parens, _nested_ifs, _minus_chain, _not_chain,
-                                   _plus_chain, _or_chain, _carried_chain])
+_DEEP_SHAPES = [_nested_parens, _nested_ifs, _minus_chain, _not_chain, _plus_chain, _or_chain,
+                _carried_chain]
+
+
+@pytest.mark.parametrize("shape", _DEEP_SHAPES)
 def test_nesting_limit_exit_codes(work, capsys, shape):
     for levels, codes in ((99, {0, 1}), (100, {0, 1}), (101, {2}), (2999, {2})):
         (work / "deep.c").write_text(shape(levels))
         assert _analyze(work, "deep.c") in codes
     assert "at most 100 levels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", _DEEP_SHAPES)
+def test_nesting_limit_leaves_a_recursion_margin(base, corpus_dir, shape):
+    """A program at the nesting limit goes from source to rendered text in
+    fewer than 500 frames on top of the caller's own stack."""
+    source = shape(frontend.MAX_NESTING)
+    spec = debugger.parse_spec((corpus_dir / "correct" / "sum.spec").read_text())
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 500)
+    try:
+        ast = frontend.desugar(frontend.parse_c(source))
+        report = debugger.diagnose(flowgraph.build_flow_graph(ast), spec, base)
+        text = explain.render_text(explain.render(report, source, base))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text
 
 
 @pytest.mark.parametrize("literal", ["\u00b2", "9" * 5000], ids=["superscript", "5000-digits"])
@@ -237,4 +264,34 @@ def test_acquire_oversized_exemplar(work, tmp_path, capsys):
     big.write_text("int main(){\n" + body + "}")
     code = main(["acquire", str(big), "--name", "big", "-o", str(tmp_path / "big.plan")])
     assert code == 1
+    capsys.readouterr()
+
+
+_C_PIECES = ["int", "main", "f", "x", "a", "(", ")", "{", "}", "[", "]", ";", ",", "=", "&", "0", "1",
+             "if", "else", "while", "for", "return", "scanf", "printf", '"%d"', '"%d %d"',
+             "+", "-", "*", "/", "%", "<", "<=", "==", "&&", "||", "!", "@", "/*", "//", '"']
+
+
+def _soup_program(pieces: list[str], wrapped: bool) -> str:
+    soup = " ".join(pieces)
+    return f"int main() {{ int x; int a[3]; x = 0; {soup} return x; }}\n" if wrapped else soup
+
+
+_FUZZ_PROGRAMS = st.one_of(
+    st.builds(_soup_program, st.lists(st.sampled_from(_C_PIECES), max_size=60), st.booleans()),
+    st.builds(lambda shape, levels: shape(levels), st.sampled_from(_DEEP_SHAPES),
+              st.sampled_from([99, 100, 101, 2999])),
+    st.just("int main() { int x; x = " + "9" * 5000 + "; return x; }\n"),
+)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_FUZZ_PROGRAMS, st.sampled_from([b"", b"\x00", b"\xff", b"\xc3(", b"\xed\xa0\x80"]),
+       st.integers(0, 10_000))
+def test_property_analyze_exits_with_a_defined_code(work, capsys, program, junk, at):
+    """Whatever bytes the program file holds, analyze returns 0, 1, 2 or 3."""
+    data = program.encode()
+    at %= len(data) + 1
+    (work / "fuzz.c").write_bytes(data[:at] + junk + data[at:])
+    assert _analyze(work, "fuzz.c") in {0, 1, 2, 3}
     capsys.readouterr()

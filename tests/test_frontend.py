@@ -16,12 +16,15 @@ from adil.frontend import (
     Block,
     CSubsetConfig,
     CSyntaxError,
+    Expr,
     For,
     LexError,
     Return,
     Token,
     VarDecl,
     While,
+    _PRECEDENCE,
+    _Parser,
     desugar,
     parse_c,
     pretty_print,
@@ -131,8 +134,10 @@ def test_desugar_nested_for_inside_while():
 
 def _spans_nested(node, parent_span: SourceSpan | None = None):
     span = getattr(node, "span", None)
-    if isinstance(span, SourceSpan) and parent_span is not None:
-        assert parent_span.contains(span), f"{span} escapes {parent_span}"
+    if isinstance(span, SourceSpan):
+        assert SourceSpan(*span) == span  # span_hull builds spans without the check
+        if parent_span is not None:
+            assert parent_span.contains(span), f"{span} escapes {parent_span}"
     here = span if isinstance(span, SourceSpan) else parent_span
     if dataclasses.is_dataclass(node):
         for f in dataclasses.fields(node):
@@ -459,3 +464,129 @@ def test_tokenize_follows_str_digit_and_letter_classes():
     with pytest.raises(LexError) as err:
         tokenize("x\n \u00bd")
     assert err.value.span == SourceSpan("<source>", 2, 2, 2, 2)
+
+
+# The recursive-descent expression chain, one method per precedence level,
+# that the precedence-climbing `_Parser.parse_expr` replaced; kept as the
+# reference for its behaviour.
+class _ReferenceParser(_Parser):
+    def parse_expr(self) -> Expr:
+        return self.parse_or()
+
+    def parse_or(self) -> Expr:
+        lhs = self.parse_and()
+        while self.at("||"):
+            op = self.advance()
+            lhs = self.binary(op, lhs, self.parse_and())
+        return lhs
+
+    def parse_and(self) -> Expr:
+        lhs = self.parse_rel()
+        while self.at("&&"):
+            op = self.advance()
+            lhs = self.binary(op, lhs, self.parse_rel())
+        return lhs
+
+    def parse_rel(self) -> Expr:
+        lhs = self.parse_add()
+        if self.peek() is not None and self.peek().kind in ("<", "<=", ">", ">=", "==", "!="):
+            op = self.advance()
+            return self.binary(op, lhs, self.parse_add(), MAX_NESTING + 1)
+        return lhs
+
+    def parse_add(self) -> Expr:
+        lhs = self.parse_mul()
+        while self.peek() is not None and self.peek().kind in ("+", "-"):
+            op = self.advance()
+            lhs = self.binary(op, lhs, self.parse_mul())
+        return lhs
+
+    def parse_mul(self) -> Expr:
+        lhs = self.parse_unary()
+        while self.peek() is not None and self.peek().kind in ("*", "/", "%"):
+            op = self.advance()
+            lhs = self.binary(op, lhs, self.parse_unary())
+        return lhs
+
+
+def _heights(node) -> list[int]:
+    """`height` of every expression node, depth first (repr leaves it out)."""
+    out = [node.height] if hasattr(node, "height") else []
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        for child in value if isinstance(value, tuple) else [value]:
+            if dataclasses.is_dataclass(child):
+                out += _heights(child)
+    return out
+
+
+def _parse_outcome(parser: type[_Parser], source: str):
+    try:
+        ast = parser(tokenize(source), CSubsetConfig(), "<source>").parse_program()
+    except CSyntaxError as err:
+        return ("CSyntaxError", err.span, err.expected, err.found)
+    return repr(ast), _heights(ast)
+
+
+_BINARY_OPS = list(_PRECEDENCE)
+_ATOMS = ["x", "y", "0", "7", "a[x]", "f(y)"]
+
+
+@st.composite
+def _valid_expressions(draw, depth: int = 7) -> tuple[str, int]:
+    """(text, precedence of its top operator): a random tree written with the
+    parentheses its shape needs, plus some it does not."""
+    kind = draw(st.sampled_from(["atom", "binary", "binary", "binary", "unary", "wrap"]))
+    if depth == 0 or kind == "atom":
+        return draw(st.sampled_from(_ATOMS)), 7
+    if kind == "unary":
+        text, prec = draw(_valid_expressions(depth - 1))
+        return draw(st.sampled_from("-!")) + (text if prec >= 6 else f"({text})"), 6
+    if kind == "wrap":
+        text, _ = draw(_valid_expressions(depth - 1))
+        return draw(st.sampled_from(["({})", "a[{}]", "f({})"])).format(text), 7
+    op = draw(st.sampled_from(_BINARY_OPS))
+    prec = _PRECEDENCE[op]
+    (lhs, lp), (rhs, rp) = draw(_valid_expressions(depth - 1)), draw(_valid_expressions(depth - 1))
+    if lp < prec or (prec == 3 and lp == 3) or draw(st.integers(0, 5)) == 0:
+        lhs = f"({lhs})"
+    if rp <= prec or draw(st.integers(0, 5)) == 0:
+        rhs = f"({rhs})"
+    return f"{lhs} {op} {rhs}", prec
+
+
+def _expression_program(expr: str, as_condition: bool) -> str:
+    body = f"if ({expr}) {{ x = 1; }}" if as_condition else f"x = {expr};"
+    return ("int f(int v) { return v; }\n"
+            f"int main() {{ int x; int y; int a[3]; x = 0; y = 1;\n{body}\nreturn x; }}\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7).flatmap(_valid_expressions), st.sampled_from([0, 0, 0, 97, 98, 99, 100, 101]),
+       st.booleans())
+def test_property_parser_matches_reference_on_valid_expressions(expr, parens, as_condition):
+    source = _expression_program("(" * parens + expr[0] + ")" * parens, as_condition)
+    outcome = _parse_outcome(_Parser, source)
+    assert outcome == _parse_outcome(_ReferenceParser, source)
+    if parens == 0:
+        assert outcome[0] != "CSyntaxError"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_BINARY_OPS + [","]),
+                          st.sampled_from(["", "", "(", "-", "!", "a[", "f("]),
+                          st.sampled_from(_ATOMS), st.sampled_from(["", "", ")", "]"])),
+                max_size=12), st.booleans())
+def test_property_parser_matches_reference_on_operator_soups(pieces, as_condition):
+    """Operators and atoms in turn, with brackets that may or may not match."""
+    soup = "x" + "".join(f" {op} {before}{atom}{after}" for op, before, atom, after in pieces)
+    source = _expression_program(soup, as_condition)
+    assert _parse_outcome(_Parser, source) == _parse_outcome(_ReferenceParser, source)
+
+
+def test_comparisons_do_not_chain():
+    for expr, col in [("x < y < 1", 7), ("x && y < 1 < 2", 12), ("x < y || y == 1 != 0", 17)]:
+        with pytest.raises(CSyntaxError) as err:
+            parse_c(f"int main() {{ int x; int y; x = {expr}; return x; }}")
+        col += len("int main() { int x; int y; x = ")
+        assert (err.value.span.col_start, err.value.expected) == (col, "';'")
