@@ -1,7 +1,7 @@
 """Command-line driver.
 
     adil analyze <prog.c> --spec <file> [--plans DIR] [--budget N] [--theta X]
-                 [--report-json PATH] [--max-findings N] [--jobs N]
+                 [--report-json PATH] [--max-findings N]
     adil graph <prog.c> [--json]
     adil plan <check|list|add|rm> [...]
     adil acquire <prog.c> --name <n> [-o FILE] [--accept] [--plans DIR]
@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-json", default=None, help="also write the JSON report here")
     p.add_argument("--max-findings", type=int, default=None,
                    help="show at most this many findings")
-    p.add_argument("--jobs", type=int, default=1, help="matcher worker threads")
 
     p = sub.add_parser("graph", help="dump a program's annotated flow graph")
     p.add_argument("program")
@@ -134,7 +133,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ast = frontend.desugar(frontend.parse_c(source, filename=args.program))
     try:
         g = flowgraph.build_flow_graph(ast)
-        report = debugger.diagnose(g, spec, base, _budget_from(args), jobs=args.jobs)
+        report = debugger.diagnose(g, spec, base, _budget_from(args))
     except flowgraph.UnboundVariable as err:
         report = debugger.unbound_report(args.program, spec, err)
 

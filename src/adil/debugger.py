@@ -137,14 +137,14 @@ def pinpoint(nodes: set[int] | list[int], g: FlowGraph) -> SourceSpan:
 # Diagnosis
 
 def diagnose(g: FlowGraph, spec: ProgramSpec, base: PlanBase,
-             budget: SearchBudget | None = None, *, jobs: int = 1,
+             budget: SearchBudget | None = None, *,
              use_filtering: bool = True) -> DiagnosticReport:
     """Verify each spec goal against the graph and localize what went wrong."""
     budget = budget or SearchBudget()
     goal_names = [goal.name for goal in spec.goals]
     for name in goal_names:
         base.get(name)  # unresolvable goals are a caller error, not a finding
-    rec = recognize(g, base, goal_names if use_filtering else None, budget, jobs=jobs)
+    rec = recognize(g, base, goal_names if use_filtering else None, budget)
 
     theta = theta_fraction(budget.theta)
     findings: list[Finding] = []

@@ -331,6 +331,7 @@ class _Scope:
 class _Parser:
     def __init__(self, tokens: list[Token], cfg: CSubsetConfig, filename: str):
         self.tokens = tokens
+        self.end = len(tokens)
         self.cfg = cfg
         self.filename = filename
         self.pos = 0
@@ -346,24 +347,26 @@ class _Parser:
             return SourceSpan(self.filename, last.line_end, last.col_end, last.line_end, last.col_end)
         return SourceSpan(self.filename, 1, 1, 1, 1)
 
+    # at, advance and expect run for nearly every token, so they index the
+    # token list themselves instead of calling peek.
+
     def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos] if self.pos < self.end else None
 
     def at(self, kind: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == kind
+        return self.pos < self.end and self.tokens[self.pos].kind == kind
 
     def advance(self) -> Token:
-        tok = self.peek()
-        if tok is None:
+        if self.pos >= self.end:
             raise CSyntaxError(self._eof_span(), "more input", "end of file")
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def expect(self, kind: str, expected: str | None = None) -> Token:
-        tok = self.peek()
-        if tok is None:
+        if self.pos >= self.end:
             raise CSyntaxError(self._eof_span(), expected or repr(kind), "end of file")
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
             raise CSyntaxError(tok.span, expected or repr(kind), repr(tok.text))
         self.pos += 1
@@ -483,9 +486,7 @@ class _Parser:
                 call = self.parse_call(self.advance())
                 semi = self.expect(";")
                 return [ExprStmt(call, span_hull([call.span, semi.span]))]
-            assign = self.parse_assignment()
-            semi = self.expect(";")
-            return [replace(assign, span=span_hull([assign.span, semi.span]))]
+            return [self.parse_assignment(statement=True)]
         raise CSyntaxError(tok.span, "a statement", repr(tok.text))
 
     def parse_declaration(self) -> list[Stmt]:
@@ -505,21 +506,22 @@ class _Parser:
                 init = self.parse_expr()
                 end_span = init.span
             self.declare(name, size is not None)
-            decls.append(VarDecl(name.text, size, init, span_hull([start.span, end_span])))
             if self.at(","):
                 self.advance()
+                decls.append(VarDecl(name.text, size, init, span_hull([start.span, end_span])))
                 continue
-            break
-        semi = self.expect(";")
-        last = decls[-1]
-        decls[-1] = replace(last, span=span_hull([last.span, semi.span]))
-        return decls
+            # the last declarator's span runs to the ';'
+            semi = self.expect(";")
+            decls.append(VarDecl(name.text, size, init, span_hull([start.span, semi.span])))
+            return decls
 
-    def parse_assignment(self) -> Assign:
+    def parse_assignment(self, statement: bool = False) -> Assign:
+        """target = value; a statement also takes the ';', and its span runs to it."""
         target = self.parse_lvalue()
         self.expect("=", "'=' in assignment")
         value = self.parse_expr()
-        return Assign(target, value, span_hull([target.span, value.span]))
+        end = self.expect(";").span if statement else value.span
+        return Assign(target, value, span_hull([target.span, end]))
 
     def parse_lvalue(self) -> LValue:
         name = self.expect("ident", "variable name")

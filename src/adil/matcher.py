@@ -24,22 +24,31 @@ fewer than theta * size nodes to bind, the seed rounds stop and a branch
 skips no further node. The results are exactly those of the unpruned
 search; only the steps are fewer.
 
+The search runs in two stages over exactly the same branches. The first
+stage seeds round 0 only, and defers every branch that would skip a pattern
+node; since a branch with a skipped node can never bind them all, it finds
+every full match. The second, resumable stage runs the deferred branches and
+then seed rounds 1 and up, which is where near-misses come from. Both stages
+charge one step counter, and a result is built once whichever stage needs it
+first. `unify` runs both.
+
 Hierarchy is bottom-up: accepted matches of a sub-plan become bindable
 pseudo-nodes for the plans that contain it, and `recognize` orders plans so
-sub-plans always run first. Given goals, `recognize` keeps near-misses only
-where a diagnosis reads them: in each goal's sub-closure. The other plans of
-the goal closure (bug plans, and sub-plans only bug plans use) are searched
-with theta = 1, so they list their full matches alone; every accepted list
-is the same as with the caller's theta.
+sub-plans always run first. Every plan's first stage runs before any second
+stage, so those accepted lists are final when they are bound. Given goals,
+`recognize` resumes only the plans whose near-misses a diagnosis reads: the
+sub-closure of each goal without an accepted match, and the plan each
+accepted bug plan corrupts when a goal's sub-closure holds it. Every other
+plan lists its full matches alone; every accepted list is the same as with
+the whole search.
 
 Results are deterministic: identical inputs produce identical result lists,
-regardless of how many worker threads `recognize` uses.
+in an order fixed by a total sort key, not by the order of exploration.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -126,9 +135,12 @@ class BudgetExceeded(Exception):
 class Recognition:
     """recognize() output: per-plan results plus the plans whose search was cut short.
 
-    by_plan lists every maximal match scoring at least theta, best first.
-    When recognize was given goals, the plans outside every goal's
-    sub-closure list their full matches (score 1) only.
+    by_plan lists every maximal match scoring at least theta, best first,
+    for each plan whose near-miss stage ran. The others (when recognize was
+    given goals: bug plans, plans of recognized goals unless an accepted bug
+    plan corrupts them, and sub-plans only bug plans use) list their full
+    matches (score 1) only. A truncated plan lists what its search found
+    before the budget ran out.
     """
     by_plan: dict[str, list[MatchResult]]
     truncated: frozenset[str]
@@ -186,8 +198,11 @@ class _Unifier:
         self.pseudo_by_id = {p.pseudo_id: p for entries in self.pseudos.values() for p in entries}
 
         self.candidates: dict[str, list[int]] = {}  # node_candidates, per pid
+        self.seeds: list[str] = []  # pids by rarity, set by first_stage
+        self.deferred: list[tuple[dict[str, int], set[int], frozenset]] = []  # for resume
         self.recorded: list[dict[str, int]] = []  # bindings at or above theta
         self.seen: set[frozenset] = set()
+        self.built: dict[frozenset, MatchResult] = {}  # results, by binding key
 
     # -- candidate enumeration
 
@@ -333,6 +348,16 @@ class _Unifier:
     # bound. record() keeps copies.
 
     def run(self) -> list[MatchResult]:
+        """The whole search: both stages, every maximal match, best first."""
+        self.first_stage()
+        return self.resume()
+
+    def first_stage(self) -> list[MatchResult]:
+        """Round 0 from the rarest seed, with every fallback skip deferred.
+
+        A branch that skipped a pattern node can never bind all of them, so
+        this stage finds every full match; it returns those, best first.
+        """
         if self.size > len(self.g.nodes):
             return []  # pigeonhole: no full match can exist
         # Seed at the rarest pattern key first. Later rounds skip earlier
@@ -341,16 +366,28 @@ class _Unifier:
         # the final maximality filter. Ties keep pattern-node order (the
         # sort is stable). Round i skips i seeds, so rounds past
         # max_skipped can record nothing.
-        by_rarity = sorted(self.pid_order, key=lambda pid: len(self.node_candidates(pid)))
-        skipped: frozenset = frozenset()
-        for seed in by_rarity[:self.max_skipped + 1]:
+        self.seeds = sorted(self.pid_order, key=lambda pid: len(self.node_candidates(pid)))
+        self.seed_rounds(0, 1)
+        return self.finish(full_only=True)
+
+    def resume(self) -> list[MatchResult]:
+        """The near-miss stage: the deferred branches, then seed rounds
+        1..max_skipped. Returns every maximal match, best first."""
+        deferred, self.deferred = self.deferred, []
+        for binding, used, skipped in deferred:
+            self.extend(binding, used, skipped)
+        self.seed_rounds(1, self.max_skipped + 1)
+        return self.finish()
+
+    def seed_rounds(self, start: int, stop: int) -> None:
+        skipped = frozenset(self.seeds[:start])
+        for seed in self.seeds[start:stop]:
             for nid in self.node_candidates(seed):
                 self.charge()
                 binding = {seed: nid}
                 if self.consistent(seed, nid, binding):
                     self.extend(binding, {nid}, skipped)
             skipped = skipped | {seed}
-        return self.finish()
 
     def charge(self) -> None:
         self.steps += 1
@@ -386,8 +423,12 @@ class _Unifier:
             del binding[pid]
         if not progressed and len(skipped) < self.max_skipped:
             # pid is unbindable here; keep growing elsewhere so near-misses
-            # report the largest structure that does exist
-            self.extend(binding, used, skipped | {pid})
+            # report the largest structure that does exist. Only stage one
+            # has branches that skipped nothing, and it leaves this to resume().
+            if skipped:
+                self.extend(binding, used, skipped | {pid})
+            else:
+                self.deferred.append((dict(binding), set(used), frozenset((pid,))))
 
     def record(self, binding: dict[str, int]) -> None:
         key = frozenset(binding.items())
@@ -399,6 +440,13 @@ class _Unifier:
         if n < self.size and n * self.theta_den < self.theta_num * self.size:
             return
         self.recorded.append(dict(binding))
+
+    def result(self, binding: dict[str, int]) -> MatchResult:
+        key = frozenset(binding.items())
+        found = self.built.get(key)
+        if found is None:
+            found = self.built[key] = self.build_result(binding)
+        return found
 
     def build_result(self, binding: dict[str, int]) -> MatchResult:
         subs = {pid: self.pseudo_by_id[nid].match for pid, nid in binding.items() if nid < 0}
@@ -413,12 +461,18 @@ class _Unifier:
         )
         return check_constraints(result, self.plan, self.g)
 
-    def finish(self) -> list[MatchResult]:
+    def finish(self, full_only: bool = False) -> list[MatchResult]:
         # Drop every recorded binding that another one strictly contains,
-        # then build results (and check constraints) for the survivors only.
-        # Also runs on BudgetExceeded, so a truncated search keeps its
-        # partial results.
-        results = [self.build_result(b) for b in maximal_bindings(self.recorded)]
+        # then build results (and check constraints) for the survivors only,
+        # each once over both stages. A full binding is never strictly
+        # contained, so full_only needs no filter. Also runs on
+        # BudgetExceeded, so a truncated search keeps its partial results.
+        if full_only:
+            bindings = [b for b in self.recorded if len(b) == self.size]
+        else:
+            bindings = maximal_bindings(self.recorded)
+        results = [self.result(b) for b in bindings]
+        # a total order: distinct bindings differ at some pid
         results.sort(key=lambda r: (-r.score, min(r.real_nodes(), default=0),
                                     tuple(r.binding.get(pid, -10**9) for pid in self.pid_order)))
         return results
@@ -535,46 +589,53 @@ def _evaluate(pred: Predicate, m: MatchResult, slots: dict, chains: dict[int, in
 # Whole-base recognition
 
 def recognize(g: FlowGraph, base: PlanBase, goals: set[str] | list[str] | None = None,
-              budget: SearchBudget | None = None, jobs: int = 1) -> Recognition:
+              budget: SearchBudget | None = None) -> Recognition:
     """Match the goal closure (or the whole base) bottom-up against the graph.
 
-    With goals, the plans outside every goal's sub-closure (bug plans, and
-    sub-plans only they use) are searched for full matches alone: nothing
-    reads their near-misses.
+    Every plan first runs the search's first stage, which finds all its full
+    matches, so the accepted lists that parent plans bind are final. Then
+    the near-miss stage resumes, once each, only the plans whose near-misses
+    a diagnosis reads: the sub-closure of each goal with no accepted match,
+    and the plan each accepted bug plan corrupts when that plan lies in a
+    goal's sub-closure. Without goals, every plan is resumed. A plan never
+    resumed lists its full matches only; a plan truncated in the first stage
+    is not resumed.
     """
     budget = budget or SearchBudget()
-    if goals is None:
-        names = base.names()
-        near_miss_scope = set(names)
-    else:
-        names = closure(base, list(goals))
-        near_miss_scope = {name for goal in goals for name in sub_closure(base, goal)}
-    full_only = replace(budget, theta=1.0)
-    levels = dependency_order(base, names)
+    names = base.names() if goals is None else closure(base, list(goals))
+    sub_plans = {name: base.plans[name] for name in names}
     by_plan: dict[str, list[MatchResult]] = {}
     accepted: dict[str, list[MatchResult]] = {}
+    searches: dict[str, _Unifier] = {}
     truncated: set[str] = set()
-    sub_plans = {name: base.plans[name] for name in names}
-
-    def run_one(name: str) -> tuple[str, list[MatchResult], bool]:
-        plan_budget = budget if name in near_miss_scope else full_only
-        try:
-            return name, unify(g, base.plans[name], plan_budget, accepted, sub_plans), False
-        except BudgetExceeded as err:
-            return name, err.results, True
-
-    for level in levels:
-        if jobs > 1 and len(level) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(run_one, level))
-        else:
-            outcomes = [run_one(name) for name in level]
-        for name, results, cut in sorted(outcomes, key=lambda t: t[0]):
-            by_plan[name] = results
-            accepted[name] = [r for r in results if r.accepted]
-            if cut:
+    for level in dependency_order(base, names):
+        for name in level:
+            search = _Unifier(g, base.plans[name], budget, accepted, sub_plans)
+            try:
+                by_plan[name] = search.first_stage()
+                searches[name] = search
+            except BudgetExceeded as err:
+                by_plan[name] = err.results
                 truncated.add(name)
-    return Recognition({name: by_plan.get(name, []) for name in names}, frozenset(truncated))
+            accepted[name] = [r for r in by_plan[name] if r.accepted]
+
+    if goals is None:
+        wanted = set(names)
+    else:
+        scopes = {goal: sub_closure(base, goal) for goal in goals}
+        in_scope = {name for scope in scopes.values() for name in scope}
+        wanted = {name for goal, scope in scopes.items() if not accepted[goal] for name in scope}
+        wanted.update(base.plans[name].corrupts for name in names
+                      if base.plans[name].kind == "bug" and accepted[name]
+                      and base.plans[name].corrupts in in_scope)
+    for name in names:
+        if name in wanted and name in searches:
+            try:
+                by_plan[name] = searches[name].resume()
+            except BudgetExceeded as err:
+                by_plan[name] = err.results
+                truncated.add(name)
+    return Recognition({name: by_plan[name] for name in names}, frozenset(truncated))
 
 
 # ---------------------------------------------------------------------------

@@ -580,8 +580,8 @@ def closure(base: PlanBase, goals: list[str] | set[str]) -> list[str]:
 def dependency_order(base: PlanBase, names: list[str]) -> list[list[str]]:
     """Names grouped into levels: every plan's sub-plans sit in earlier levels.
 
-    Plans within one level are independent, so the matcher may run them in
-    parallel; level-internal name order keeps output deterministic.
+    Plans within one level are independent of each other; each level lists
+    its names sorted.
     """
     level: dict[str, int] = {}
 

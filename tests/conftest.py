@@ -104,3 +104,37 @@ export counter = ji
 export src = ar
 end
 """
+
+# A recognized running total next to a second, broken counted loop: the goal
+# is matched in full while a bug cliche that corrupts one of its sub-plans
+# also fires, so the bug finding reads that sub-plan's near-misses.
+TWO_LOOP_SUM = """\
+int sum(int a[], int n) {
+    int s;
+    int i;
+    int t;
+    int j;
+    s = 0;
+    i = 0;
+    while (i < n) {
+        s = s + a[i];
+        i = i + 1;
+    }
+    t = 0;
+    j = 0;
+    while (j <= n) {
+        t = t + a[j];
+        j = j + 1;
+    }
+    return s + t;
+}
+"""
+
+# (file name, source) of programs whose running-total goal is recognized
+# and a bug cliche fires as well
+GOAL_AND_BUG_PROGRAMS = (
+    ("two_loops_off_by_one.c", TWO_LOOP_SUM),
+    ("two_loops_no_increment.c",
+     TWO_LOOP_SUM.replace("j <= n", "j < n").replace("        j = j + 1;\n", "        t = t + 1;\n")),
+    ("sum_then_bare_loop.c", TWO_LOOP_SUM.replace("        t = t + a[j];\n", "")),
+)

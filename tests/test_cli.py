@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -124,7 +125,10 @@ def test_exit_3_on_truncation_without_findings(work, tmp_path, capsys):
 
     (tmp_path / "minibase").mkdir()
     (tmp_path / "minibase" / "chain.plan").write_text(CHAIN_PLAN)
-    (tmp_path / "dense.c").write_text(dense_source())
+    # 40 additions: the first stage alone needs 1108 steps to find every full
+    # match; 24 additions need only 612, and a recognized goal is never
+    # searched further, so that program no longer truncates at 1000
+    (tmp_path / "dense.c").write_text(dense_source(40))
     (tmp_path / "dense.spec").write_text('spec "dense"\ngoal "add-chain" required\nend\n')
     # so small that nothing gets accepted: the missing goal is a finding
     code = main(["analyze", str(tmp_path / "dense.c"), "--spec", str(tmp_path / "dense.spec"),
@@ -153,11 +157,25 @@ def test_report_json_written(work, tmp_path, capsys):
 
 
 def test_repeated_runs_are_byte_identical(work, tmp_path, capsys):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    _analyze(work, "sum_buggy.c", "--report-json", str(a))
-    _analyze(work, "sum_buggy.c", "--report-json", str(b), "--jobs", "4")
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
+    # twice in this process, then in fresh interpreters with different string hashing
+    outs = []
+    for i in range(2):
+        path = tmp_path / f"in{i}.json"
+        assert _analyze(work, "sum_buggy.c", "--report-json", str(path)) == 1
+        outs.append((capsys.readouterr().out, path.read_bytes()))
+    for seed in ("1", "2"):
+        path = tmp_path / f"hash{seed}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "adil", "analyze", str(work / "sum_buggy.c"),
+             "--spec", str(work / "sum.spec"), "--plans", str(work / "plans"),
+             "--report-json", str(path)],
+            capture_output=True, text=True,
+            env={"PATH": "", "PYTHONHASHSEED": seed,
+                 "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        )
+        assert proc.returncode == 1, proc.stderr
+        outs.append((proc.stdout, path.read_bytes()))
+    assert all(out == outs[0] for out in outs)
 
 
 def test_analyze_leaves_plan_dir_untouched(work, capsys):

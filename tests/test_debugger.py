@@ -21,7 +21,7 @@ from adil.flowgraph import NodeKind, UnboundVariable, build_flow_graph
 from adil.frontend import desugar, parse_c
 from adil.matcher import SearchBudget
 
-from conftest import SUM_SOURCE, ast_of, graph_of
+from conftest import GOAL_AND_BUG_PROGRAMS, SUM_SOURCE, ast_of, graph_of
 
 
 def _spec(goals: str = 'goal "running-total" required') -> str:
@@ -73,10 +73,10 @@ def test_pinpoint_interval_hull():
     assert (span.line_start, span.line_end) == (4, 8)
 
 
-def _diagnose(source: str, base, goals: str | None = None, **kw):
+def _diagnose(source: str, base, goals: str | None = None):
     spec = parse_spec(_spec(goals) if goals else _spec())
     g = build_flow_graph(desugar(parse_c(source, filename="prog.c")))
-    return diagnose(g, spec, base, SearchBudget(), **kw)
+    return diagnose(g, spec, base, SearchBudget())
 
 
 def test_diagnose_correct_sum(base):
@@ -140,17 +140,28 @@ def test_diagnose_never_mutates_inputs(base):
 
 
 def test_diagnose_filtering_is_conservative(base, corpus_cases):
-    # filtering by goal closure (which also searches bug plans for full
-    # matches only) must not change a byte of the report or its rendering
-    for program, spec_path in corpus_cases:
-        spec = parse_spec(spec_path.read_text())
-        source = program.read_text()
-        g = build_flow_graph(desugar(parse_c(source, filename=program.name)))
+    # filtering by goal closure (which runs the near-miss stage only for the
+    # plans a diagnosis reads) must not change a byte of the report or its
+    # rendering; the extra programs need the plans that accepted bug plans
+    # corrupt resumed although their goal is recognized
+    cases = [(program.read_text(), program.name, parse_spec(spec_path.read_text()))
+             for program, spec_path in corpus_cases]
+    cases += [(source, name, parse_spec(_spec())) for name, source in GOAL_AND_BUG_PROGRAMS]
+    for source, name, spec in cases:
+        g = build_flow_graph(desugar(parse_c(source, filename=name)))
         filtered = diagnose(g, spec, base, SearchBudget(), use_filtering=True)
         unfiltered = diagnose(g, spec, base, SearchBudget(), use_filtering=False)
-        assert report_to_json(filtered) == report_to_json(unfiltered), program
+        assert report_to_json(filtered) == report_to_json(unfiltered), name
         assert render_text(render(filtered, source, base)) == \
-            render_text(render(unfiltered, source, base)), program
+            render_text(render(unfiltered, source, base)), name
+
+
+def test_goal_and_bug_programs_are_recognized_and_buggy(base):
+    # what makes them guards: the goal's match is accepted and a bug fires
+    for name, source in GOAL_AND_BUG_PROGRAMS:
+        report = _diagnose(source, base)
+        assert "running-total" in report.recognized, name
+        assert [f.kind for f in report.findings] == [FindingKind.BUG_CLICHE], name
 
 
 MAIN_STYLE_SUM = """\
@@ -220,10 +231,11 @@ def test_report_json_finding_keys(base):
                                                 "line_end", "col_end"]
 
 
-def test_report_json_deterministic_across_jobs(base):
-    source = SUM_SOURCE.replace("i < n", "i <= n")
-    out = [report_to_json(_diagnose(source, base, jobs=jobs)) for jobs in (1, 1, 4)]
-    assert out[0] == out[1] == out[2]
+def test_report_json_deterministic_across_runs(base):
+    # each run parses the program and builds its graph afresh
+    for source in (SUM_SOURCE.replace("i < n", "i <= n"), GOAL_AND_BUG_PROGRAMS[0][1]):
+        out = [report_to_json(_diagnose(source, base)) for _ in range(3)]
+        assert out[0] == out[1] == out[2]
 
 
 def test_budget_truncation_sets_flag():
@@ -232,7 +244,9 @@ def test_budget_truncation_sets_flag():
 
     chain_base = PlanBase()
     base_add(chain_base, parse_plan(CHAIN_PLAN))
-    g = build_flow_graph(desugar(parse_c(dense_source(), filename="dense.c")))
+    # 40 additions: finding the full matches alone takes 1108 steps (24
+    # additions take 612, and a recognized goal is never searched further)
+    g = build_flow_graph(desugar(parse_c(dense_source(40), filename="dense.c")))
     spec = parse_spec('spec "dense"\ngoal "add-chain" required\nend\n')
     tight = diagnose(g, spec, chain_base, SearchBudget(max_extension_steps=1000))
     assert tight.budget_truncated is True

@@ -20,6 +20,7 @@ from adil.frontend import (
     For,
     LexError,
     Return,
+    Stmt,
     Token,
     VarDecl,
     While,
@@ -30,7 +31,8 @@ from adil.frontend import (
     pretty_print,
     tokenize,
 )
-from adil.source import SourceSpan
+from adil import frontend
+from adil.source import SourceSpan, span_hull
 
 from generators import random_program
 
@@ -520,9 +522,10 @@ def _heights(node) -> list[int]:
     return out
 
 
-def _parse_outcome(parser: type[_Parser], source: str):
+def _parse_outcome(parser: type[_Parser], source: str | list[Token]):
+    tokens = tokenize(source) if isinstance(source, str) else source
     try:
-        ast = parser(tokenize(source), CSubsetConfig(), "<source>").parse_program()
+        ast = parser(tokens, CSubsetConfig(), "<source>").parse_program()
     except CSyntaxError as err:
         return ("CSyntaxError", err.span, err.expected, err.found)
     return repr(ast), _heights(ast)
@@ -590,3 +593,110 @@ def test_comparisons_do_not_chain():
             parse_c(f"int main() {{ int x; int y; x = {expr}; return x; }}")
         col += len("int main() { int x; int y; x = ")
         assert (err.value.span.col_start, err.value.expected) == (col, "';'")
+
+
+# The token plumbing and statement spans as they were before each assignment
+# and final declaration was built once: `at`, `advance` and `expect` go
+# through `peek`, and the node is rebuilt with `dataclasses.replace` to widen
+# its span to the `;`. Kept as the reference for the statement parser.
+class _ReferenceStatementParser(_Parser):
+    def at(self, kind: str) -> bool:
+        tok = self.peek()
+        return tok is not None and tok.kind == kind
+
+    def advance(self) -> Token:
+        tok = self.peek()
+        if tok is None:
+            raise CSyntaxError(self._eof_span(), "more input", "end of file")
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, expected: str | None = None) -> Token:
+        tok = self.peek()
+        if tok is None:
+            raise CSyntaxError(self._eof_span(), expected or repr(kind), "end of file")
+        if tok.kind != kind:
+            raise CSyntaxError(tok.span, expected or repr(kind), repr(tok.text))
+        self.pos += 1
+        return tok
+
+    def parse_assignment(self, statement: bool = False) -> Assign:
+        target = self.parse_lvalue()
+        self.expect("=", "'=' in assignment")
+        value = self.parse_expr()
+        assign = Assign(target, value, span_hull([target.span, value.span]))
+        if statement:
+            semi = self.expect(";")
+            assign = dataclasses.replace(assign, span=span_hull([assign.span, semi.span]))
+        return assign
+
+    def parse_declaration(self) -> list[Stmt]:
+        start = self.expect("int")
+        decls: list[Stmt] = []
+        while True:
+            name = self.expect("ident", "variable name (pointers and other types are not supported)")
+            size: int | None = None
+            init: Expr | None = None
+            end_span = name.span
+            if self.at("["):
+                self.advance()
+                size = frontend._int_value(self.expect("num", "array size literal"))
+                end_span = self.expect("]").span
+            elif self.at("="):
+                self.advance()
+                init = self.parse_expr()
+                end_span = init.span
+            self.declare(name, size is not None)
+            decls.append(VarDecl(name.text, size, init, span_hull([start.span, end_span])))
+            if self.at(","):
+                self.advance()
+                continue
+            break
+        semi = self.expect(";")
+        decls[-1] = dataclasses.replace(decls[-1], span=span_hull([decls[-1].span, semi.span]))
+        return decls
+
+
+_STATEMENTS = [
+    "int p;", "int q = x + 1;", "int r[4];", "int s, t = 2, u[3];", "int x;", "int v = (y),w;",
+    "x = y;", "a[x] = y * 2;", "y = f(x);", "f(y);", "x = (y);", "x = -y < 2;",
+    "for (x = 0; x < 3; x = x + 1) y = y + x;", "while (x < 3) { x = x + 1; }",
+    "if (x) y = 1; else { y = 2; }", 'scanf("%d", &x);', 'printf("%d\\n", x);', "return x;",
+    "{ int z; z = 1; }",
+]
+_BROKEN_STATEMENTS = ["x = ;", "int ;", "int k,", "x", "=", ";", "a[", "int m = ", "y = 1",
+                      "int n[x];", "int o[2", "a = 1;", "x[1] = 2;", "}", "{"]
+
+
+def _statement_tokens(pieces: list[str], cut: int | None) -> list[Token]:
+    """Tokens of a program whose main holds the pieces, less the last `cut` tokens."""
+    tokens = tokenize("int f(int v) { return v; }\n"
+                      "int main() { int x; int y; int a[3];\n" + "\n".join(pieces) + "\nreturn x; }\n")
+    return tokens if cut is None else tokens[:len(tokens) - cut]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_STATEMENTS) | st.sampled_from(_STATEMENTS)
+                | st.sampled_from(_BROKEN_STATEMENTS), max_size=8),
+       st.one_of(st.none(), st.integers(0, 12)))
+def test_property_statement_parser_matches_reference(pieces, cut):
+    """Statement soups, some cut short: the same Ast and spans, or the same error."""
+    tokens = _statement_tokens(pieces, cut)
+    assert _parse_outcome(_Parser, tokens) == _parse_outcome(_ReferenceStatementParser, tokens)
+
+
+def test_statement_parser_matches_reference_on_the_corpus(corpus_cases):
+    for program, _ in corpus_cases:
+        source = program.read_text()
+        outcome = _parse_outcome(_Parser, source)
+        assert outcome[0] != "CSyntaxError", program
+        assert outcome == _parse_outcome(_ReferenceStatementParser, source), program
+
+
+def test_parsing_builds_each_statement_once(monkeypatch, corpus_cases):
+    # spans reach the ';' when a node is built, not by rebuilding it
+    calls = []
+    monkeypatch.setattr(frontend, "replace", lambda *a, **kw: calls.append(a) or dataclasses.replace(*a, **kw))
+    for program, _ in corpus_cases:
+        parse_c(program.read_text(), filename=program.name)
+    assert calls == []

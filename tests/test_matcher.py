@@ -21,7 +21,7 @@ from adil.matcher import (
 from adil.debugger import parse_spec
 from adil.planlib import PlanBase, base_add, dependency_order, parse_plan, parse_plans, sub_closure
 
-from conftest import FLAT_RUNNING_TOTAL, SUM_SOURCE, graph_of
+from conftest import FLAT_RUNNING_TOTAL, GOAL_AND_BUG_PROGRAMS, SUM_SOURCE, graph_of
 from generators import random_instance
 from oracle import brute_force_accepted
 
@@ -229,14 +229,17 @@ def test_recognize_hierarchical_plans(base, sum_graph):
     assert accepted[0].sub_matches["cl"].plan == "counted-loop"
 
 
-def test_recognize_parallel_output_matches_serial(base, sum_graph):
-    serial = recognize(sum_graph, base, goals=["running-total"], jobs=1)
-    parallel = recognize(sum_graph, base, goals=["running-total"], jobs=4)
-    strip = lambda rec: {
-        name: [(r.plan, sorted(r.binding.items()), r.score) for r in results]
+def test_recognize_is_deterministic_across_runs(base):
+    # fresh graphs each time, goal-directed and whole-base, off-by-one and
+    # correct: every run lists the same results in the same order
+    strip = lambda rec: [
+        (name, [(r.plan, list(r.binding.items()), r.score) for r in results])
         for name, results in rec.by_plan.items()
-    }
-    assert strip(serial) == strip(parallel)
+    ]
+    for source in (SUM_SOURCE, OFF_BY_ONE_SOURCE):
+        for goals in (["running-total"], None):
+            runs = [strip(recognize(graph_of(source), base, goals=goals)) for _ in range(3)]
+            assert runs[0] == runs[1] == runs[2]
 
 
 def test_check_constraints_returns_outcomes(rt_plan, sum_graph):
@@ -324,16 +327,20 @@ CORPUS_STEPS = {
 
 @pytest.fixture()
 def steps_per_plan(monkeypatch):
+    # a plan's steps after its last stage: recognize runs first_stage() and
+    # resume() separately, and run() calls both
     counted: dict[str, int] = {}
-    run = matcher._Unifier.run
 
-    def counting_run(self):
-        try:
-            return run(self)
-        finally:
-            counted[self.plan.name] = self.steps
+    def counting(stage):
+        def wrapper(self):
+            try:
+                return stage(self)
+            finally:
+                counted[self.plan.name] = self.steps
+        return wrapper
 
-    monkeypatch.setattr(matcher._Unifier, "run", counting_run)
+    for name in ("first_stage", "resume"):
+        monkeypatch.setattr(matcher._Unifier, name, counting(getattr(matcher._Unifier, name)))
     return counted
 
 
@@ -361,7 +368,7 @@ def test_a_dropped_plan_is_garbage_collected(sum_graph):
     assert ref() is None
 
 
-# -- theta-bound pruning and near-miss scope
+# -- theta-bound pruning, the two search stages and near-miss scope
 
 class _ReferenceUnifier(matcher._Unifier):
     """The search without theta-bound pruning: every seed round and every
@@ -406,14 +413,25 @@ THETAS = (0.5, 0.6, 0.8, 1.0)
 
 
 def _same_search(g, plan, theta, sub_matches=None, sub_plans=None):
-    """unify's results equal the reference search's, in fewer or as many steps."""
+    """unify's results equal the reference search's, in fewer or as many steps;
+    and its two stages, run one after the other, are exactly run(): the first
+    holds every full (so every accepted) match, and the second builds none of
+    the first's results again."""
     budget = SearchBudget(theta=theta)
-    pruned = matcher._Unifier(g, plan, budget, sub_matches or {}, sub_plans or {})
-    reference = _ReferenceUnifier(g, plan, budget, sub_matches or {}, sub_plans or {})
+    make = lambda cls: cls(g, plan, budget, sub_matches or {}, sub_plans or {})
+    pruned, staged, reference = make(matcher._Unifier), make(matcher._Unifier), make(_ReferenceUnifier)
     got, expected = pruned.run(), reference.run()
     # MatchResult equality covers binding, score, slots, constraint outcomes and spans
     assert got == expected
     assert pruned.steps <= reference.steps
+    first = staged.first_stage()
+    assert first == [r for r in got if r.score == 1]
+    assert [r for r in first if r.accepted] == [r for r in got if r.accepted]
+    first_steps = staged.steps
+    resumed = staged.resume()
+    assert resumed == got
+    assert staged.steps == pruned.steps >= first_steps
+    assert all(any(r is s for s in resumed) for r in first)
     return got
 
 
@@ -437,19 +455,38 @@ def test_pruned_search_matches_reference_on_the_corpus(theta, corpus_dir, base):
                 accepted[name] = [r for r in results if r.accepted]
 
 
+def _resumed(base, goals, everything):
+    """The plans a goal-directed recognize resumes, from the whole-base results:
+    the sub-closure of each goal without an accepted match, and the plan each
+    accepted bug plan corrupts when that plan lies in a goal's sub-closure."""
+    in_scope = {name for goal in goals for name in sub_closure(base, goal)}
+    wanted = {name for goal in goals if not everything.accepted(goal)
+              for name in sub_closure(base, goal)}
+    wanted |= {plan.corrupts for name, plan in base.plans.items()
+               if plan.kind == "bug" and plan.corrupts in in_scope and everything.accepted(name)}
+    return wanted
+
+
 def test_goal_directed_recognize_searches_bug_plans_for_full_matches(corpus_cases, base):
-    bug_near_misses = 0
-    for program, spec_path in corpus_cases:
-        g = graph_of(program.read_text(), program.name)
-        goals = [goal.name for goal in parse_spec(spec_path.read_text()).goals]
+    cases = [(program.read_text(), program.name,
+              [goal.name for goal in parse_spec(spec_path.read_text()).goals])
+             for program, spec_path in corpus_cases]
+    cases += [(source, name, ["running-total"]) for name, source in GOAL_AND_BUG_PROGRAMS]
+    unread_near_misses = 0
+    resumed_for_a_bug = 0
+    for source, program, goals in cases:
+        g = graph_of(source, program)
         directed = recognize(g, base, goals=goals)
         everything = recognize(g, base)
-        scope = {name for goal in goals for name in sub_closure(base, goal)}
+        resumed = _resumed(base, goals, everything)
+        resumed_for_a_bug += any(everything.accepted(goal) for goal in goals) and bool(resumed)
         for name, results in directed.by_plan.items():
             assert directed.accepted(name) == everything.accepted(name), (program, name)
-            if name in scope:
-                assert results == everything.by_plan[name]
+            if name in resumed:
+                assert results == everything.by_plan[name], (program, name)
             else:
-                assert all(r.score == 1 for r in results), (program, name)
-                bug_near_misses += sum(r.score < 1 for r in everything.by_plan[name])
-    assert bug_near_misses  # the undirected search does find near-misses there
+                full = [r for r in everything.by_plan[name] if r.score == 1]
+                assert results == full, (program, name)
+                unread_near_misses += len(everything.by_plan[name]) - len(full)
+    assert unread_near_misses  # the whole-base search does find near-misses there
+    assert resumed_for_a_bug  # and a recognized goal's plan is resumed for a bug cliche
