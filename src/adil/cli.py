@@ -29,6 +29,7 @@ _USAGE_ERRORS = (
     debugger.SpecSyntaxError,
     planlib.PlanSyntaxError,
     planlib.PlanSemanticError,
+    planlib.DuplicatePlan,  # two plan files define one name
     planlib.UnknownPlan,
     FileNotFoundError,
     ValueError,  # e.g. several functions and no main
@@ -178,36 +179,72 @@ def cmd_plan(args: argparse.Namespace) -> int:
                   + (f" corrupts={plan.corrupts}" if plan.corrupts else ""))
         return 0
     if args.plan_command == "add":
-        base = planlib.load_plan_base(args.plans)
         new_plans = planlib.parse_plans(Path(args.file).read_text(encoding="utf-8"), args.file)
-        try:
-            for plan in new_plans:
-                planlib.base_add(base, plan)
-        except planlib.DuplicatePlan as err:
-            print(f"adil: {err}", file=sys.stderr)
+        if not _install(args.plans, new_plans):
             return 1
         for plan in new_plans:
-            (Path(args.plans) / f"{plan.name}.plan").write_text(
-                planlib.print_plan(plan), encoding="utf-8")
             print(f"added {plan.name}")
         return 0
     if args.plan_command == "rm":
-        root = Path(args.plans)
-        if not root.is_dir():
-            raise FileNotFoundError(f"plan base directory not found: {root}")
-        for path in sorted(root.glob("*.plan")):
-            plans = planlib.parse_plans(path.read_text(encoding="utf-8"), str(path))
+        base = planlib.load_plan_base(args.plans)
+        try:
+            planlib.base_remove(base, args.name)
+        except planlib.UnknownPlan:
+            print(f"adil: no plan named {args.name!r} in {args.plans}", file=sys.stderr)
+            return 1
+        if _refused(base, f"remove {args.name}"):
+            return 1
+        for path, plans in planlib.plan_files(args.plans).items():
             if any(p.name == args.name for p in plans):
                 kept = [p for p in plans if p.name != args.name]
                 if kept:
-                    path.write_text("".join(planlib.print_plan(p) for p in kept), encoding="utf-8")
+                    _write_atomic(path, "".join(planlib.print_plan(p) for p in kept))
                 else:
                     path.unlink()
                 print(f"removed {args.name}")
                 return 0
-        print(f"adil: no plan named {args.name!r} in {args.plans}", file=sys.stderr)
-        return 1
+        raise AssertionError(args.name)  # the loaded base held it, so some file does
     raise AssertionError(args.plan_command)
+
+
+def _refused(base: planlib.PlanBase, edit: str) -> bool:
+    """Whether the edited base is invalid; if so, say why on stderr."""
+    problems = planlib.base_validate(base)
+    if problems:
+        print(f"adil: refusing to {edit}: the plan base would be invalid", file=sys.stderr)
+        for problem in problems:
+            print(f"  {problem}", file=sys.stderr)
+    return bool(problems)
+
+
+def _install(plans_dir: str, new_plans: list[planlib.Plan]) -> bool:
+    """Write each new plan to <plans_dir>/<name>.plan, but only if the base
+    they make is valid and no file is overwritten; else say why and write nothing."""
+    base = planlib.load_plan_base(plans_dir)
+    try:
+        for plan in new_plans:
+            planlib.base_add(base, plan)
+    except planlib.DuplicatePlan as err:
+        print(f"adil: {err}", file=sys.stderr)
+        return False
+    paths = [Path(plans_dir) / f"{plan.name}.plan" for plan in new_plans]
+    taken = [str(path) for path in paths if path.exists()]
+    if taken:
+        print(f"adil: refusing to overwrite {', '.join(taken)}, which holds other plans",
+              file=sys.stderr)
+        return False
+    if _refused(base, "add " + ", ".join(plan.name for plan in new_plans)):
+        return False
+    for plan, path in zip(new_plans, paths):
+        _write_atomic(path, planlib.print_plan(plan))
+    return True
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace path's contents in one step: a reader sees the old file or the new one."""
+    tmp = path.with_name(f".{path.name}.tmp")  # not *.plan, so never loaded
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def cmd_acquire(args: argparse.Namespace) -> int:
@@ -217,17 +254,10 @@ def cmd_acquire(args: argparse.Namespace) -> int:
             print(f"adil: no draft at {draft_path}; run acquire without --accept first",
                   file=sys.stderr)
             return 2
-        base = _load_base(args.plans)
         plans = planlib.parse_plans(draft_path.read_text(encoding="utf-8"), str(draft_path))
-        try:
-            for plan in plans:
-                planlib.base_add(base, plan)
-        except planlib.DuplicatePlan as err:
-            print(f"adil: {err}", file=sys.stderr)
+        if not _install(args.plans, plans):
             return 1
         for plan in plans:
-            (Path(args.plans) / f"{plan.name}.plan").write_text(
-                planlib.print_plan(plan), encoding="utf-8")
             print(f"installed {plan.name} into {args.plans}")
         return 0
 

@@ -155,7 +155,7 @@ def diagnose(g: FlowGraph, spec: ProgramSpec, base: PlanBase,
         relevant = sub_closure(base, goal.name)
         goal_findings: list[Finding] = []
 
-        accepted = _best(rec.accepted(goal.name))
+        accepted = rec.best_accepted(goal.name)
         if accepted is not None:
             recognized[goal.name] = accepted
 
@@ -163,14 +163,14 @@ def diagnose(g: FlowGraph, spec: ProgramSpec, base: PlanBase,
             bug = base.plans[bug_name]
             if bug.kind != "bug" or bug.corrupts not in relevant:
                 continue
-            bug_match = _best(rec.accepted(bug_name))
+            bug_match = rec.best_accepted(bug_name)
             if bug_match is None:
                 continue
             goal_findings.append(_bug_finding(goal.name, bug, bug_match, rec, g, base))
 
         if accepted is None:
             for plan_name in relevant:
-                near = _best_near_miss(rec, plan_name)
+                near = rec.best_near_miss(plan_name)
                 if near is None or near.score < theta:
                     continue
                 failures = [o for o in near.constraint_outcomes if o.evaluated and not o.passed]
@@ -238,17 +238,6 @@ def _doc_env(plan: Plan, m: MatchResult, g: FlowGraph) -> tuple[dict[str, str], 
     return slots, roles
 
 
-def _best(results: list[MatchResult]) -> MatchResult | None:
-    return results[0] if results else None
-
-
-def _best_near_miss(rec: Recognition, plan_name: str) -> MatchResult | None:
-    for m in rec.by_plan.get(plan_name, []):
-        if not m.accepted:
-            return m  # results are already best-first
-    return None
-
-
 def _bug_finding(goal: str, bug: Plan, bug_match: MatchResult, rec: Recognition,
                  g: FlowGraph, base: PlanBase) -> Finding:
     # Pinpoint the delta: what the bug pattern binds beyond the portion of
@@ -258,7 +247,7 @@ def _bug_finding(goal: str, bug: Plan, bug_match: MatchResult, rec: Recognition,
     delta = set(bug_nodes)
     for sub in bug_match.sub_matches.values():
         delta -= sub.real_nodes()
-    near = _best_near_miss(rec, bug.corrupts)
+    near = rec.best_near_miss(bug.corrupts)
     if near is not None:
         delta -= near.real_nodes()
     if not delta:
@@ -313,7 +302,7 @@ def _violation_finding(goal: str, plan: Plan, near: MatchResult, outcome, g: Flo
 def _missing_finding(goal: str, relevant: list[str], rec: Recognition, g: FlowGraph) -> Finding:
     best: MatchResult | None = None
     for plan_name in relevant:
-        candidate = _best(rec.by_plan.get(plan_name, []))
+        candidate = rec.best(plan_name)
         if candidate is not None and (best is None or candidate.score > best.score):
             best = candidate
     if best is None:

@@ -9,7 +9,6 @@ meaning" section with sub-plan docs indented under their parents.
 
 from __future__ import annotations
 
-import json
 import re
 import textwrap
 from dataclasses import dataclass, field
@@ -160,22 +159,3 @@ def render_text(e: Explanation, width: int = 80) -> str:
         out.append("")
     return "\n".join(out)
 
-
-def render_json(e: Explanation) -> str:
-    doc = {
-        "audience": e.audience,
-        "sections": [{"heading": h, "body": b} for h, b in e.sections],
-        "source_excerpts": [
-            {
-                "span": {
-                    "line_start": s.line_start,
-                    "col_start": s.col_start,
-                    "line_end": s.line_end,
-                    "col_end": s.col_end,
-                },
-                "text": excerpt,
-            }
-            for s, excerpt in sorted(e.source_excerpts.items())
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"

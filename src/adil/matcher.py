@@ -10,13 +10,18 @@ BudgetExceeded with the results found so far attached.
 The search records bare bindings, and scores them as integer pairs (bound
 nodes over plan size, against theta as a rational converted once per theta
 value). Only when it ends (or the budget runs out) does an exact maximality
-filter drop every binding that another one strictly contains; MatchResults,
-with their constraint checks and Fraction scores, are built for the
-survivors alone. Each candidate assignment is checked only against the
-pattern edges incident to its pattern node. Those incident edges and the
-plan's other lookup tables (`Plan.tables`) are built once per Plan and live
-on it, so they are shared by every graph the plan is matched against and
-die with the plan.
+filter drop every binding that another one strictly contains. The survivors
+are put in result order by a key computed from the binding alone, and a
+MatchResult, with its constraint checks and Fraction score, is built only
+when a reader reaches it: `Recognition.best_accepted` on a plan with 200
+full matches builds one. Each candidate assignment is checked only against
+the pattern edges incident to its pattern node. A sub-plan pattern node's
+candidates are the sub-matches whose export node is a producer or consumer
+of an already-bound neighbour, found through an index by export node rather
+than by trying every sub-match. The incident edges and the plan's other
+lookup tables (`Plan.tables`) are built once per Plan and live on it, so
+they are shared by every graph the plan is matched against and die with the
+plan.
 
 The search attempts nothing that could only record a binding below theta.
 A pattern node it skipped is never bound, so once the skipped nodes leave
@@ -35,7 +40,8 @@ first. `unify` runs both.
 Hierarchy is bottom-up: accepted matches of a sub-plan become bindable
 pseudo-nodes for the plans that contain it, and `recognize` orders plans so
 sub-plans always run first. Every plan's first stage runs before any second
-stage, so those accepted lists are final when they are bound. Given goals,
+stage, so those accepted lists are final when they are bound; they are the
+only results `recognize` builds for itself. Given goals,
 `recognize` resumes only the plans whose near-misses a diagnosis reads: the
 sub-closure of each goal without an accepted match, and the plan each
 accepted bug plan corrupts when a goal's sub-closure holds it. Every other
@@ -48,6 +54,7 @@ in an order fixed by a total sort key, not by the order of exploration.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -123,7 +130,7 @@ class MatchResult:
 
 
 class BudgetExceeded(Exception):
-    """Search truncated, not proof of absence; partial results attached."""
+    """Search truncated, not proof of absence; unify() attaches the partial results."""
 
     def __init__(self, plan: str, results: list[MatchResult]):
         super().__init__(f"matching budget exhausted while unifying plan {plan!r}")
@@ -131,22 +138,61 @@ class BudgetExceeded(Exception):
         self.results = results
 
 
-@dataclass
 class Recognition:
     """recognize() output: per-plan results plus the plans whose search was cut short.
 
-    by_plan lists every maximal match scoring at least theta, best first,
-    for each plan whose near-miss stage ran. The others (when recognize was
-    given goals: bug plans, plans of recognized goals unless an accepted bug
-    plan corrupts them, and sub-plans only bug plans use) list their full
-    matches (score 1) only. A truncated plan lists what its search found
-    before the budget ran out.
+    A plan's results are every maximal match scoring at least theta, best
+    first, for each plan whose near-miss stage ran. The others (when
+    recognize was given goals: bug plans, plans of recognized goals unless an
+    accepted bug plan corrupts them, and sub-plans only bug plans use) list
+    their full matches (score 1) only. A truncated plan lists what its search
+    found before the budget ran out.
+
+    Each plan keeps its bindings in result order, and a MatchResult (with its
+    constraint checks) is built only when a reader reaches it, and once.
+    `best`, `best_accepted` and `best_near_miss` stop at their answer;
+    `accepted` builds a plan's full matches and `by_plan` every result of
+    every plan, the first time it is read.
     """
-    by_plan: dict[str, list[MatchResult]]
-    truncated: frozenset[str]
+
+    def __init__(self, ranked: dict[str, tuple[_Unifier, list[dict[str, int]]]],
+                 truncated: frozenset[str]):
+        self._ranked = ranked  # plan -> (its finished search, bindings best first)
+        self.truncated = truncated
+        self._by_plan: dict[str, list[MatchResult]] | None = None
+
+    @property
+    def by_plan(self) -> dict[str, list[MatchResult]]:
+        if self._by_plan is None:
+            self._by_plan = {name: list(self._results(name, False)) for name in self._ranked}
+        return self._by_plan
+
+    def _results(self, plan: str, full_only: bool) -> Iterator[MatchResult]:
+        search, bindings = self._ranked.get(plan, (None, ()))
+        for binding in bindings:
+            if full_only and len(binding) < search.size:
+                return  # full bindings sort first, and only they can be accepted
+            yield search.result(binding)
 
     def accepted(self, plan: str) -> list[MatchResult]:
-        return [m for m in self.by_plan.get(plan, []) if m.accepted]
+        return [m for m in self._results(plan, True) if m.accepted]
+
+    def best(self, plan: str) -> MatchResult | None:
+        for m in self._results(plan, False):
+            return m
+        return None
+
+    def best_accepted(self, plan: str) -> MatchResult | None:
+        for m in self._results(plan, True):
+            if m.accepted:
+                return m
+        return None
+
+    def best_near_miss(self, plan: str) -> MatchResult | None:
+        for m in self._results(plan, False):
+            if not m.accepted:
+                return m
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +230,24 @@ class _Unifier:
         self.data_nbrs = tables.data_nbrs
         self.ctrl_nbrs = tables.ctrl_nbrs
 
-        # pseudo-node table for sub-plan pattern nodes
+        # pseudo-node table for sub-plan pattern nodes, and each sub-plan's
+        # pseudo-nodes by (export port, export node), in table order
         self.pseudos: dict[str, list[_Pseudo]] = {}
+        self.pseudos_at: dict[str, dict[tuple[int, int], list[int]]] = {}
         next_pseudo = -1
         for sub_name in tables.subplans:
             entries = []
+            at: dict[tuple[int, int], list[int]] = {}
             sub_plan = sub_plans[sub_name]
             roles = [pid for _, pid in sorted(sub_plan.exports)]
             for m in sub_matches.get(sub_name, []):
-                entries.append(_Pseudo(next_pseudo, m, [m.binding[p] for p in roles], m.real_nodes()))
+                pseudo = _Pseudo(next_pseudo, m, [m.binding[p] for p in roles], m.real_nodes())
+                entries.append(pseudo)
+                for port, nid in enumerate(pseudo.export_nodes):
+                    at.setdefault((port, nid), []).append(next_pseudo)
                 next_pseudo -= 1
             self.pseudos[sub_name] = entries
+            self.pseudos_at[sub_name] = at
         self.pseudo_by_id = {p.pseudo_id: p for entries in self.pseudos.values() for p in entries}
 
         self.candidates: dict[str, list[int]] = {}  # node_candidates, per pid
@@ -302,7 +355,7 @@ class _Unifier:
         """Nodes adjacent in the graph to pid's bound pattern neighbors."""
         pn = self.pnodes[pid]
         if pn.is_sub:
-            return [p.pseudo_id for p in self.pseudos[pn.subplan]]
+            return self.pseudo_candidates(pid, pn.subplan, binding)
         out: list[int] = []
         for _, edge in self.data_at[pid]:
             (a, po), (b, pi) = edge
@@ -340,6 +393,40 @@ class _Unifier:
                                    if label is None or lab == label)
         return sorted(set(out))
 
+    def pseudo_candidates(self, pid: str, subplan: str, binding: dict[str, int]) -> list[int]:
+        """Sub-matches that may stand for pid, in table order.
+
+        Filtered through pid's first data edge to a bound pattern node: a
+        sub-match stays if its export node at that edge's port is a producer
+        (pid is the source) or a consumer (pid is the target) of the bound
+        node, by the port rules of data_edge_ok. Every other sub-match fails
+        that edge in `consistent`. With no such edge, every sub-match.
+        """
+        by_export = self.pseudos_at[subplan]
+        for _, edge in self.data_at[pid]:
+            (a, po), (b, pi) = edge
+            if a == pid and b in binding:
+                nb = binding[b]
+                if nb >= 0:
+                    target, ports = nb, self.in_port_variants(b, pi, nb)
+                else:
+                    target = self._export_target(b, nb, pi)
+                    if target is None:
+                        return []
+                    ports = range(self.g.nodes[target].in_ports)
+                port = po
+                nodes = [src[0] for ip in ports if (src := self.g.producer(target, ip)) is not None]
+            elif b == pid and a in binding:
+                port = pi
+                nodes = [dst for src in self._out_sources(a, binding[a], po)
+                         for op in range(self.g.nodes[src].out_ports)
+                         for dst, _ in self.g.consumers(src, op)]
+            else:
+                continue
+            # pseudo ids count down in table order
+            return sorted({p for nid in nodes for p in by_export.get((port, nid), ())}, reverse=True)
+        return [p.pseudo_id for p in self.pseudos[subplan]]
+
     # -- search
     #
     # One binding dict and one set of its bound nodes are shared by the whole
@@ -349,14 +436,20 @@ class _Unifier:
 
     def run(self) -> list[MatchResult]:
         """The whole search: both stages, every maximal match, best first."""
-        self.first_stage()
-        return self.resume()
+        try:
+            self.first_stage()
+            bindings = self.resume()
+        except BudgetExceeded as err:
+            err.results = [self.result(b) for b in self.finish()]
+            raise
+        return [self.result(b) for b in bindings]
 
-    def first_stage(self) -> list[MatchResult]:
+    def first_stage(self) -> list[dict[str, int]]:
         """Round 0 from the rarest seed, with every fallback skip deferred.
 
         A branch that skipped a pattern node can never bind all of them, so
-        this stage finds every full match; it returns those, best first.
+        this stage finds every full match; it returns their bindings, best
+        first.
         """
         if self.size > len(self.g.nodes):
             return []  # pigeonhole: no full match can exist
@@ -370,9 +463,9 @@ class _Unifier:
         self.seed_rounds(0, 1)
         return self.finish(full_only=True)
 
-    def resume(self) -> list[MatchResult]:
+    def resume(self) -> list[dict[str, int]]:
         """The near-miss stage: the deferred branches, then seed rounds
-        1..max_skipped. Returns every maximal match, best first."""
+        1..max_skipped. Returns every maximal binding, best first."""
         deferred, self.deferred = self.deferred, []
         for binding, used, skipped in deferred:
             self.extend(binding, used, skipped)
@@ -392,7 +485,8 @@ class _Unifier:
     def charge(self) -> None:
         self.steps += 1
         if self.steps > self.max_steps:
-            raise BudgetExceeded(self.plan.name, self.finish())
+            # what was found so far is finish(); run() builds it for the error
+            raise BudgetExceeded(self.plan.name, [])
 
     def next_pid(self, binding: dict[str, int], skipped: frozenset) -> str | None:
         bound = binding.keys()
@@ -461,21 +555,37 @@ class _Unifier:
         )
         return check_constraints(result, self.plan, self.g)
 
-    def finish(self, full_only: bool = False) -> list[MatchResult]:
-        # Drop every recorded binding that another one strictly contains,
-        # then build results (and check constraints) for the survivors only,
-        # each once over both stages. A full binding is never strictly
-        # contained, so full_only needs no filter. Also runs on
-        # BudgetExceeded, so a truncated search keeps its partial results.
+    def finish(self, full_only: bool = False) -> list[dict[str, int]]:
+        """The recorded bindings a result list shows, best first.
+
+        Drops every binding that another one strictly contains; a full
+        binding is never strictly contained, so full_only needs no filter.
+        Also runs on BudgetExceeded, so a truncated search keeps its partial
+        results. Results are built from these by result(), each once over
+        both stages, and only when someone reads them.
+        """
         if full_only:
             bindings = [b for b in self.recorded if len(b) == self.size]
         else:
             bindings = maximal_bindings(self.recorded)
-        results = [self.result(b) for b in bindings]
-        # a total order: distinct bindings differ at some pid
-        results.sort(key=lambda r: (-r.score, min(r.real_nodes(), default=0),
-                                    tuple(r.binding.get(pid, -10**9) for pid in self.pid_order)))
-        return results
+        bindings.sort(key=self.rank)
+        return bindings
+
+    def rank(self, binding: dict[str, int]) -> tuple:
+        """Result order, from the binding alone: score (size is fixed, so the
+        bound count), lowest real node, then node per pattern node. A total
+        order: distinct bindings differ at some pid."""
+        lowest = min(binding.values(), default=0)
+        if lowest < 0:  # a sub-match stands for its real nodes, never empty
+            lowest = min(nid if nid >= 0 else min(self.pseudo_by_id[nid].all_nodes)
+                         for nid in binding.values())
+        return (-len(binding), lowest, tuple([binding.get(pid, -10**9) for pid in self.pid_order]))
+
+    def end_search(self) -> None:
+        """Drop what only the search needs; result() keeps working."""
+        self.seen.clear()
+        self.recorded.clear()
+        self.deferred.clear()
 
 
 def maximal_bindings(bindings: list[dict[str, int]]) -> list[dict[str, int]]:
@@ -593,49 +703,59 @@ def recognize(g: FlowGraph, base: PlanBase, goals: set[str] | list[str] | None =
     """Match the goal closure (or the whole base) bottom-up against the graph.
 
     Every plan first runs the search's first stage, which finds all its full
-    matches, so the accepted lists that parent plans bind are final. Then
-    the near-miss stage resumes, once each, only the plans whose near-misses
-    a diagnosis reads: the sub-closure of each goal with no accepted match,
-    and the plan each accepted bug plan corrupts when that plan lies in a
-    goal's sub-closure. Without goals, every plan is resumed. A plan never
-    resumed lists its full matches only; a plan truncated in the first stage
-    is not resumed.
+    matches, so the accepted lists that parent plans bind are final. Only
+    plans that another plan binds as a sub-plan have their accepted results
+    built here, since those become pseudo-nodes; every other plan is asked
+    only whether it has an accepted match. Then the near-miss stage resumes,
+    once each, only the plans whose near-misses a diagnosis reads: the
+    sub-closure of each goal with no accepted match, and the plan each
+    accepted bug plan corrupts when that plan lies in a goal's sub-closure.
+    Without goals, every plan is resumed. A plan never resumed lists its full
+    matches only; a plan truncated in the first stage is not resumed. The
+    returned Recognition builds any other result when it is first read.
     """
     budget = budget or SearchBudget()
     names = base.names() if goals is None else closure(base, list(goals))
     sub_plans = {name: base.plans[name] for name in names}
-    by_plan: dict[str, list[MatchResult]] = {}
+    bound_as_sub = {sub for name in names for sub in base.plans[name].tables.subplans}
+    ranked: dict[str, tuple[_Unifier, list[dict[str, int]]]] = {}
+    found = Recognition(ranked, frozenset())  # reads the plans ranked so far
     accepted: dict[str, list[MatchResult]] = {}
     searches: dict[str, _Unifier] = {}
     truncated: set[str] = set()
+
+    def run_stage(name: str, search: _Unifier, stage) -> None:
+        try:
+            ranked[name] = (search, stage())
+        except BudgetExceeded:
+            ranked[name] = (search, search.finish())
+            truncated.add(name)
+
     for level in dependency_order(base, names):
         for name in level:
             search = _Unifier(g, base.plans[name], budget, accepted, sub_plans)
-            try:
-                by_plan[name] = search.first_stage()
+            run_stage(name, search, search.first_stage)
+            if name not in truncated:
                 searches[name] = search
-            except BudgetExceeded as err:
-                by_plan[name] = err.results
-                truncated.add(name)
-            accepted[name] = [r for r in by_plan[name] if r.accepted]
+            if name in bound_as_sub:
+                accepted[name] = found.accepted(name)
 
     if goals is None:
         wanted = set(names)
     else:
         scopes = {goal: sub_closure(base, goal) for goal in goals}
         in_scope = {name for scope in scopes.values() for name in scope}
-        wanted = {name for goal, scope in scopes.items() if not accepted[goal] for name in scope}
+        wanted = {name for goal, scope in scopes.items()
+                  if found.best_accepted(goal) is None for name in scope}
         wanted.update(base.plans[name].corrupts for name in names
-                      if base.plans[name].kind == "bug" and accepted[name]
-                      and base.plans[name].corrupts in in_scope)
+                      if base.plans[name].kind == "bug" and base.plans[name].corrupts in in_scope
+                      and found.best_accepted(name) is not None)
     for name in names:
         if name in wanted and name in searches:
-            try:
-                by_plan[name] = searches[name].resume()
-            except BudgetExceeded as err:
-                by_plan[name] = err.results
-                truncated.add(name)
-    return Recognition({name: by_plan[name] for name in names}, frozenset(truncated))
+            run_stage(name, searches[name], searches[name].resume)
+    for search, _ in ranked.values():
+        search.end_search()
+    return Recognition({name: ranked[name] for name in names}, frozenset(truncated))
 
 
 # ---------------------------------------------------------------------------

@@ -601,13 +601,19 @@ def dependency_order(base: PlanBase, names: list[str]) -> list[list[str]]:
     return [sorted(grouped[d]) for d in sorted(grouped)]
 
 
-def load_plan_base(directory: str | Path) -> PlanBase:
-    """Load every `.plan` file in the directory, lexicographic filename order."""
-    base = PlanBase()
+def plan_files(directory: str | Path) -> dict[Path, list[Plan]]:
+    """The plans of every `.plan` file in the directory, lexicographic filename order."""
     root = Path(directory)
     if not root.is_dir():
         raise FileNotFoundError(f"plan base directory not found: {root}")
-    for path in sorted(root.glob("*.plan")):
-        for plan in parse_plans(path.read_text(encoding="utf-8"), str(path)):
+    return {path: parse_plans(path.read_text(encoding="utf-8"), str(path))
+            for path in sorted(root.glob("*.plan"))}
+
+
+def load_plan_base(directory: str | Path) -> PlanBase:
+    """Load every `.plan` file in the directory, lexicographic filename order."""
+    base = PlanBase()
+    for plans in plan_files(directory).values():
+        for plan in plans:
             base_add(base, plan)
     return base

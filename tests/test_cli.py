@@ -253,6 +253,47 @@ def test_plan_add_and_rm(work, tmp_path, capsys):
     capsys.readouterr()
 
 
+def _plan_dir_bytes(work: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted((work / "plans").iterdir())}
+
+
+_GHOST_BUG = 'plan "ghost-bug" kind=bug corrupts="ghost" category=cbt\nnode n1 kind=TEST\nend\n'
+
+
+def test_plan_rm_refuses_to_leave_dangling_references(work, capsys):
+    before = _plan_dir_bytes(work)
+    assert main(["plan", "rm", "counted-loop", "--plans", str(work / "plans")]) == 1
+    err = capsys.readouterr().err
+    assert "refusing to remove counted-loop" in err
+    assert "running-total: sub cl references unknown plan 'counted-loop'" in err
+    assert "off-by-one-bound: corrupts unknown plan 'counted-loop'" in err
+    assert _plan_dir_bytes(work) == before
+    assert _analyze(work, "sum.c") == 0
+
+
+def test_plan_add_refuses_an_invalid_base(work, tmp_path, capsys):
+    before = _plan_dir_bytes(work)
+    (tmp_path / "ghost.plan").write_text(_GHOST_BUG)
+    assert main(["plan", "add", str(tmp_path / "ghost.plan"), "--plans", str(work / "plans")]) == 1
+    assert "ghost-bug: corrupts unknown plan 'ghost'" in capsys.readouterr().err
+    # a plan named after a file that holds other plans would overwrite them
+    (tmp_path / "bugs.plan").write_text('plan "bugs" kind=cliche category=pe\nnode n1 kind=TEST\nend\n')
+    assert main(["plan", "add", str(tmp_path / "bugs.plan"), "--plans", str(work / "plans")]) == 1
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert _plan_dir_bytes(work) == before
+
+
+def test_acquire_accept_refuses_an_invalid_base(work, tmp_path, capsys):
+    before = _plan_dir_bytes(work)
+    (tmp_path / "ghost-bug.plan").write_text(_GHOST_BUG)
+    code = main(["acquire", str(work / "sum.c"), "--name", "ghost-bug",
+                 "-o", str(tmp_path / "ghost-bug.plan"), "--accept",
+                 "--plans", str(work / "plans")])
+    assert code == 1
+    assert "ghost-bug: corrupts unknown plan 'ghost'" in capsys.readouterr().err
+    assert _plan_dir_bytes(work) == before
+
+
 def test_acquire_draft_and_accept(work, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code = main(["acquire", str(work / "sum.c"), "--name", "sum-draft",
@@ -313,3 +354,9 @@ def test_property_analyze_exits_with_a_defined_code(work, capsys, program, junk,
     (work / "fuzz.c").write_bytes(data[:at] + junk + data[at:])
     assert _analyze(work, "fuzz.c") in {0, 1, 2, 3}
     capsys.readouterr()
+
+
+def test_a_plan_defined_twice_is_a_usage_error(work, capsys):
+    shutil.copy(work / "plans" / "average.plan", work / "plans" / "zz-average-again.plan")
+    assert _analyze(work, "sum.c") == 2
+    assert "plan 'average' already in base" in capsys.readouterr().err

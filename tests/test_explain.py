@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import re
 
 import pytest
@@ -12,7 +11,6 @@ from adil.explain import (
     compose_meaning,
     interpolate,
     render,
-    render_json,
     render_text,
 )
 from adil.flowgraph import build_flow_graph
@@ -145,13 +143,6 @@ def test_render_near_miss_with_unbound_roles(base):
 def test_render_empty_explanation():
     text = render_text(Explanation(sections=()))
     assert "Nothing to report." in text
-
-
-def test_render_json_shape(base):
-    report = _report(SUM_SOURCE, base)
-    doc = json.loads(render_json(render(report, SUM_SOURCE, base)))
-    assert doc["audience"] == "student"
-    assert [s["heading"] for s in doc["sections"]] == ["Program meaning"]
 
 
 def test_compose_meaning_indents_sub_plans(base):

@@ -18,7 +18,7 @@ from adil.matcher import (
     recognize,
     unify,
 )
-from adil.debugger import parse_spec
+from adil.debugger import diagnose, parse_spec
 from adil.planlib import PlanBase, base_add, dependency_order, parse_plan, parse_plans, sub_closure
 
 from conftest import FLAT_RUNNING_TOTAL, GOAL_AND_BUG_PROGRAMS, SUM_SOURCE, graph_of
@@ -294,6 +294,13 @@ def test_maximality_filter_keeps_duplicates_and_drops_strict_subsets():
 # seed round and fallback skip makes (that search is _ReferenceUnifier
 # below, and the property tests there guard that the results are the same).
 # A change that moves any entry changes which searches the budget truncates.
+# A sub pattern node's candidates are only the sub-matches whose export node
+# sits on a data edge to an already-bound neighbour (pseudo_candidates); three
+# entries are one step lower than with every sub-match tried: average on
+# average__swapped_operands.c and swapped-division on average.c (seeded at
+# the division, whose dividend is not the one running total's accumulator in
+# the other program's operand order), and copy-loop on reverse.c (the one
+# counted loop's counter is not the index of the reversed write).
 STEP_PLANS = (
     "average", "conditional-count", "copy-loop", "counted-loop", "linear-search-flag",
     "max-search", "min-search", "missing-increment", "off-by-one-bound", "product-accumulate",
@@ -301,7 +308,7 @@ STEP_PLANS = (
     "wrong-accumulator-product", "wrong-accumulator-sum",
 )
 CORPUS_STEPS = {
-    "bugs/average__swapped_operands.c": (2, 5, 2, 19, 5, 11, 13, 4, 9, 3, 0, 15, 1, 2, 1, 13),
+    "bugs/average__swapped_operands.c": (1, 5, 2, 19, 5, 11, 13, 4, 9, 3, 0, 15, 1, 2, 1, 13),
     "bugs/copy__off_by_one.c": (0, 12, 3, 7, 3, 4, 4, 1, 14, 1, 0, 7, 6, 0, 1, 7),
     "bugs/count__off_by_one.c": (0, 41, 0, 14, 14, 4, 4, 2, 21, 1, 0, 10, 10, 0, 1, 10),
     "bugs/count__wrong_init.c": (0, 43, 2, 23, 16, 11, 13, 5, 13, 3, 0, 12, 10, 0, 1, 10),
@@ -312,13 +319,13 @@ CORPUS_STEPS = {
     "bugs/sum__off_by_one.c": (0, 3, 0, 10, 3, 4, 4, 1, 17, 1, 0, 13, 1, 0, 1, 13),
     "bugs/sum__wrong_accumulator.c": (0, 5, 2, 20, 5, 12, 14, 4, 9, 3, 0, 15, 1, 0, 1, 13),
     "bugs/sum__wrong_init.c": (0, 5, 2, 19, 5, 11, 13, 4, 9, 3, 0, 15, 1, 0, 1, 13),
-    "correct/average.c": (2, 5, 2, 19, 5, 11, 13, 4, 9, 3, 0, 15, 1, 2, 1, 13),
+    "correct/average.c": (2, 5, 2, 19, 5, 11, 13, 4, 9, 3, 0, 15, 1, 1, 1, 13),
     "correct/copy.c": (0, 14, 7, 16, 5, 12, 14, 4, 6, 3, 4, 9, 6, 0, 1, 7),
     "correct/count.c": (0, 43, 2, 23, 16, 11, 13, 5, 13, 3, 0, 12, 10, 0, 1, 10),
     "correct/max.c": (0, 20, 5, 17, 12, 44, 39, 5, 7, 8, 0, 14, 6, 0, 3, 9),
     "correct/min.c": (0, 20, 5, 20, 12, 31, 50, 8, 7, 8, 0, 14, 6, 0, 3, 9),
     "correct/product.c": (0, 13, 2, 15, 5, 11, 13, 4, 6, 11, 0, 9, 6, 0, 9, 7),
-    "correct/reverse.c": (0, 14, 6, 16, 5, 12, 14, 4, 6, 3, 23, 9, 6, 0, 1, 7),
+    "correct/reverse.c": (0, 14, 5, 16, 5, 12, 14, 4, 6, 3, 23, 9, 6, 0, 1, 7),
     "correct/search.c": (0, 20, 2, 16, 22, 11, 13, 5, 7, 3, 0, 9, 6, 0, 1, 7),
     "correct/sentinel.c": (0, 3, 0, 7, 2, 0, 0, 1, 6, 0, 0, 4, 27, 0, 0, 5),
     "correct/sum.c": (0, 5, 2, 19, 5, 11, 13, 4, 9, 3, 0, 15, 1, 0, 1, 13),
@@ -372,7 +379,14 @@ def test_a_dropped_plan_is_garbage_collected(sum_graph):
 
 class _ReferenceUnifier(matcher._Unifier):
     """The search without theta-bound pruning: every seed round and every
-    fallback skip, whatever score the branch could still reach."""
+    fallback skip, whatever score the branch could still reach; and every
+    sub-match as a candidate for a sub pattern node, unfiltered."""
+
+    def candidates_via_edges(self, pid, binding):
+        pn = self.pnodes[pid]
+        if pn.is_sub:
+            return [p.pseudo_id for p in self.pseudos[pn.subplan]]
+        return super().candidates_via_edges(pid, binding)
 
     def run(self):
         if self.size > len(self.g.nodes):
@@ -386,7 +400,7 @@ class _ReferenceUnifier(matcher._Unifier):
                 if self.consistent(seed, nid, binding):
                     self.extend(binding, {nid}, skipped)
             skipped = skipped | {seed}
-        return self.finish()
+        return [self.result(b) for b in self.finish()]
 
     def extend(self, binding, used, skipped):
         pid = self.next_pid(binding, skipped)
@@ -423,12 +437,16 @@ def _same_search(g, plan, theta, sub_matches=None, sub_plans=None):
     got, expected = pruned.run(), reference.run()
     # MatchResult equality covers binding, score, slots, constraint outcomes and spans
     assert got == expected
+    # the search ranks bindings; the order is the results' own key
+    pids = plan.tables.pid_order
+    assert got == sorted(got, key=lambda r: (-r.score, min(r.real_nodes(), default=0),
+                                             tuple(r.binding.get(pid, -10**9) for pid in pids)))
     assert pruned.steps <= reference.steps
-    first = staged.first_stage()
+    first = [staged.result(b) for b in staged.first_stage()]
     assert first == [r for r in got if r.score == 1]
     assert [r for r in first if r.accepted] == [r for r in got if r.accepted]
     first_steps = staged.steps
-    resumed = staged.resume()
+    resumed = [staged.result(b) for b in staged.resume()]
     assert resumed == got
     assert staged.steps == pruned.steps >= first_steps
     assert all(any(r is s for s in resumed) for r in first)
@@ -490,3 +508,105 @@ def test_goal_directed_recognize_searches_bug_plans_for_full_matches(corpus_case
                 unread_near_misses += len(everything.by_plan[name]) - len(full)
     assert unread_near_misses  # the whole-base search does find near-misses there
     assert resumed_for_a_bug  # and a recognized goal's plan is resumed for a bug cliche
+
+
+def _sum_loops_source(k: int) -> str:
+    """K sequential sum loops over one array, each with its own total and counter."""
+    decls = "".join(f"    int s{j};\n    int i{j};\n" for j in range(k))
+    loops = "".join(f"    s{j} = 0;\n    i{j} = 0;\n    while (i{j} < n) {{\n"
+                    f"        s{j} = s{j} + a[i{j}];\n        i{j} = i{j} + 1;\n    }}\n"
+                    for j in range(k))
+    return f"int sums(int a[], int n) {{\n{decls}{loops}    return s{k - 1};\n}}\n"
+
+
+def test_sub_match_candidates_come_through_export_nodes(steps_per_plan, base):
+    # With every counted-loop match tried for running-total's sub node, each
+    # of the K seeds tests all K of them and the steps grow as K(K+5). Through
+    # the export node on the edge to the bound array read, one is tried.
+    steps = {}
+    for k in (32, 64):
+        steps_per_plan.clear()
+        rec = recognize(graph_of(_sum_loops_source(k)), base, goals=["running-total"])
+        assert len(rec.accepted("running-total")) == k
+        steps[k] = steps_per_plan["running-total"]
+    assert steps[64] == 2 * steps[32]
+
+
+# -- results built on read
+
+def _readers_agree_with_lists(rec, names):
+    # the readers first, so they run before by_plan builds every result
+    read = {name: (rec.best(name), rec.best_accepted(name), rec.best_near_miss(name))
+            for name in names}
+    for name in names:
+        results = rec.by_plan.get(name, [])
+        assert read[name] == (
+            next(iter(results), None),
+            next((r for r in results if r.accepted), None),
+            next((r for r in results if not r.accepted), None),
+        ), name
+        assert rec.accepted(name) == [r for r in results if r.accepted], name
+
+
+def test_readers_agree_with_result_lists_on_the_corpus(corpus_cases, base):
+    names = base.names() + ["no-such-plan"]
+    for program, spec_path in corpus_cases:
+        goals = [goal.name for goal in parse_spec(spec_path.read_text()).goals]
+        for chosen in (goals, None):
+            g = graph_of(program.read_text(), program.name)
+            _readers_agree_with_lists(recognize(g, base, goals=chosen), names)
+
+
+def test_readers_agree_with_result_lists_on_generated_cases():
+    readers_differ = 0
+    for seed in range(150):
+        g, plan = random_instance(seed)
+        base = base_add(PlanBase(), plan)
+        for theta in (0.5, 1.0):
+            rec = recognize(g, base, budget=SearchBudget(theta=theta))
+            _readers_agree_with_lists(rec, [plan.name])
+            results = rec.by_plan[plan.name]
+            readers_differ += bool(results) and results[0] is not rec.best_accepted(plan.name)
+    assert readers_differ  # some best result is not the best accepted one
+
+
+def test_diagnose_of_the_dense_chain_checks_one_result(monkeypatch):
+    # hundreds of full matches of the add chain, found in whole or cut short
+    # by the budget; the verdict reads only the first
+    base = base_add(PlanBase(), parse_plan(CHAIN_PLAN))
+    spec = parse_spec('spec "dense"\ngoal "add-chain" required\nend\n')
+    calls = []
+    checked = matcher.check_constraints
+    monkeypatch.setattr(matcher, "check_constraints",
+                        lambda *args: calls.append(args) or checked(*args))
+    for source, steps, truncated in ((dense_source(), 1_000_000, False),
+                                     (dense_source(40), 1000, True)):
+        calls.clear()
+        report = diagnose(graph_of(source), spec, base, SearchBudget(max_extension_steps=steps))
+        assert report.verdicts == {"add-chain": "RECOGNIZED"}
+        assert report.budget_truncated is truncated
+        assert len(calls) <= 1
+
+
+def test_no_search_outlives_its_diagnosis(monkeypatch, base):
+    # a Recognition reads results through its searches; once diagnose
+    # returns, none of them may still be alive
+    searches = []
+    init = matcher._Unifier.__init__
+
+    def tracked(self, *args):
+        init(self, *args)
+        searches.append(weakref.ref(self))
+
+    monkeypatch.setattr(matcher._Unifier, "__init__", tracked)
+    spec = parse_spec('spec "sum"\ngoal "running-total" required\nend\n')
+    reports = [diagnose(graph_of(source), spec, base) for source in (SUM_SOURCE, OFF_BY_ONE_SOURCE)]
+    assert [r.verdicts["running-total"] for r in reports] == ["RECOGNIZED", "BUGGY"]
+    gc.collect()
+    assert searches and all(ref() is None for ref in searches)
+
+
+def test_recognition_keeps_no_search_state(base):
+    rec = recognize(graph_of(OFF_BY_ONE_SOURCE), base, goals=["running-total"])
+    for search, _ in rec._ranked.values():
+        assert not (search.seen or search.recorded or search.deferred)
