@@ -11,18 +11,17 @@ comments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .flowgraph import NodeKind, OpCode, build_flow_graph
 from .frontend import Ast, desugar
 from .planlib import PatternNode, Plan, Predicate, check_plan, print_plan
+from .records import record
 
 
 class AcquireError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class AcquireOptions:
     keep_literals: frozenset[int] = frozenset({0, 1})
     max_nodes: int = 64

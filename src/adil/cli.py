@@ -196,9 +196,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
             return 1
         for path, plans in planlib.plan_files(args.plans).items():
             if any(p.name == args.name for p in plans):
-                kept = [p for p in plans if p.name != args.name]
-                if kept:
-                    _write_atomic(path, "".join(planlib.print_plan(p) for p in kept))
+                if len(plans) > 1:  # cut only its lines, keeping the others and the comments
+                    text = path.read_text(encoding="utf-8")
+                    _write_atomic(path, planlib.remove_plan_text(text, args.name, str(path)))
                 else:
                     path.unlink()
                 print(f"removed {args.name}")

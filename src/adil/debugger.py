@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from fractions import Fraction
 
@@ -22,6 +22,7 @@ from .flowgraph import FlowGraph, UnboundVariable
 from .matcher import (MatchResult, Recognition, SearchBudget, binding_values, recognize,
                       theta_fraction)
 from .planlib import Plan, PlanBase, strip_comment, sub_closure
+from .records import record
 from .source import SourceSpan, span_hull
 
 
@@ -32,13 +33,13 @@ class SpecSyntaxError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
+@record
 class Goal:
     name: str
     required: bool
 
 
-@dataclass(frozen=True)
+@record
 class ProgramSpec:
     title: str
     goals: tuple[Goal, ...]
@@ -99,7 +100,7 @@ class FindingKind(Enum):
 _KIND_ORDER = {kind: i for i, kind in enumerate(FindingKind)}
 
 
-@dataclass(frozen=True)
+@record
 class Finding:
     kind: FindingKind
     goal: str
@@ -114,7 +115,7 @@ class Finding:
     doc_env: tuple[dict[str, str], dict[str, str]] | None = field(default=None, compare=False)
 
 
-@dataclass
+@record
 class DiagnosticReport:
     program: str
     spec_title: str
@@ -152,7 +153,7 @@ def diagnose(g: FlowGraph, spec: ProgramSpec, base: PlanBase,
     recognized: dict[str, MatchResult] = {}
 
     for goal in spec.goals:
-        relevant = sub_closure(base, goal.name)
+        relevant = rec.scopes[goal.name] if use_filtering else sub_closure(base, goal.name)
         goal_findings: list[Finding] = []
 
         accepted = rec.best_accepted(goal.name)

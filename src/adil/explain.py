@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import re
 import textwrap
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import TYPE_CHECKING
 
 from .matcher import MatchResult, binding_values
 from .planlib import MARKER_RE, PlanBase
+from .records import record
 from .source import SourceSpan
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,7 +39,7 @@ _SEVERITY = {
 }
 
 
-@dataclass
+@record
 class Explanation:
     sections: tuple[tuple[str, str], ...]  # (heading, body)
     source_excerpts: dict[SourceSpan, str] = field(default_factory=dict)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import frontend as fe
+from .records import record
 from .source import SourceSpan, span_hull
 
 
@@ -77,14 +78,14 @@ class UnboundVariable(Exception):
         self.span = span
 
 
-@dataclass(frozen=True)
+@record
 class Annotation:
     span: SourceSpan
     var_name: str | None = None
     role: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class GraphNode:
     id: int
     kind: NodeKind

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from typing import ClassVar, NamedTuple
 
+from .records import record
 from .source import SourceSpan, span_hull
 
 
@@ -40,7 +41,7 @@ class CSyntaxError(Exception):
         self.found = found
 
 
-@dataclass(frozen=True)
+@record
 class CSubsetConfig:
     allow_for: bool = True
     allow_functions: bool = True
@@ -157,21 +158,21 @@ def tokenize(source: str, filename: str = "<source>") -> list[Token]:
 # `height` is the number of operator, index and call nodes on the longest
 # path down from a node; the parser bounds it (see MAX_NESTING).
 
-@dataclass(frozen=True)
+@record
 class IntLit:
     value: int
     span: SourceSpan
     height: ClassVar[int] = 0
 
 
-@dataclass(frozen=True)
+@record
 class VarRef:
     name: str
     span: SourceSpan
     height: ClassVar[int] = 0
 
 
-@dataclass(frozen=True)
+@record
 class ArrayRef:
     name: str
     index: "Expr"
@@ -179,10 +180,10 @@ class ArrayRef:
     height: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "height", self.index.height + 1)
+        self.height = self.index.height + 1
 
 
-@dataclass(frozen=True)
+@record
 class Unary:
     op: str  # ! or -
     operand: "Expr"
@@ -190,10 +191,10 @@ class Unary:
     height: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "height", self.operand.height + 1)
+        self.height = self.operand.height + 1
 
 
-@dataclass(frozen=True)
+@record
 class Binary:
     op: str  # + - * / % < <= > >= == != && ||
     lhs: "Expr"
@@ -202,10 +203,10 @@ class Binary:
     height: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "height", max(self.lhs.height, self.rhs.height) + 1)
+        self.height = max(self.lhs.height, self.rhs.height) + 1
 
 
-@dataclass(frozen=True)
+@record
 class Call:
     name: str
     args: tuple["Expr", ...]
@@ -213,14 +214,14 @@ class Call:
     height: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "height", max((a.height for a in self.args), default=0) + 1)
+        self.height = max((a.height for a in self.args), default=0) + 1
 
 
 Expr = IntLit | VarRef | ArrayRef | Unary | Binary | Call
 LValue = VarRef | ArrayRef
 
 
-@dataclass(frozen=True)
+@record
 class VarDecl:
     name: str
     array_size: int | None  # None for scalars
@@ -228,14 +229,14 @@ class VarDecl:
     span: SourceSpan
 
 
-@dataclass(frozen=True)
+@record
 class Assign:
     target: LValue
     value: Expr
     span: SourceSpan
 
 
-@dataclass(frozen=True)
+@record
 class If:
     cond: Expr
     then: "Stmt"
@@ -243,14 +244,14 @@ class If:
     span: SourceSpan
 
 
-@dataclass(frozen=True)
+@record
 class While:
     cond: Expr
     body: "Stmt"
     span: SourceSpan
 
 
-@dataclass(frozen=True)
+@record
 class For:
     init: Assign
     cond: Expr
@@ -259,32 +260,32 @@ class For:
     span: SourceSpan
 
 
-@dataclass(frozen=True)
+@record
 class Return:
     value: Expr | None
     span: SourceSpan
 
 
-@dataclass(frozen=True)
+@record
 class Input:
     targets: tuple[LValue, ...]  # one per %d in the scanf format
     span: SourceSpan
 
 
-@dataclass(frozen=True)
+@record
 class Output:
     format: str
     args: tuple[Expr, ...]
     span: SourceSpan
 
 
-@dataclass(frozen=True)
+@record
 class ExprStmt:
     expr: Call
     span: SourceSpan
 
 
-@dataclass(frozen=True)
+@record
 class Block:
     stmts: tuple["Stmt", ...]
     span: SourceSpan
@@ -293,14 +294,14 @@ class Block:
 Stmt = VarDecl | Assign | If | While | For | Return | Input | Output | ExprStmt | Block
 
 
-@dataclass(frozen=True)
+@record
 class Param:
     name: str
     is_array: bool
     span: SourceSpan
 
 
-@dataclass(frozen=True)
+@record
 class FunctionDecl:
     name: str
     params: tuple[Param, ...]
@@ -308,7 +309,7 @@ class FunctionDecl:
     span: SourceSpan
 
 
-@dataclass(frozen=True)
+@record
 class Ast:
     functions: tuple[FunctionDecl, ...]
     span: SourceSpan
@@ -323,7 +324,7 @@ _PRECEDENCE = {"||": 1, "&&": 2, "<": 3, "<=": 3, ">": 3, ">=": 3, "==": 3, "!="
 _REL_PREC = 3  # precedence of the comparison operators
 
 
-@dataclass
+@record
 class _Scope:
     vars: dict[str, bool] = field(default_factory=dict)  # name -> is_array
 

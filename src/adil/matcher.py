@@ -61,6 +61,7 @@ from functools import lru_cache
 
 from .flowgraph import COMMUTATIVE, FlowGraph, NodeKind, node_index, value_chains
 from .planlib import Plan, PlanBase, Predicate, closure, dependency_order, sub_closure
+from .records import record
 from .source import SourceSpan
 
 
@@ -82,7 +83,7 @@ def theta_fraction(theta: float) -> Fraction:
     return Fraction(theta).limit_denominator(10**6)
 
 
-@dataclass(frozen=True)
+@record
 class VarIdentity:
     """A slot bound to a value chain rather than a constant."""
     chain: int  # representative node id of the variable-threading class
@@ -92,7 +93,7 @@ class VarIdentity:
         return self.name if self.name else f"<value #{self.chain}>"
 
 
-@dataclass(frozen=True)
+@record
 class ConstraintOutcome:
     predicate: Predicate
     passed: bool
@@ -100,7 +101,7 @@ class ConstraintOutcome:
     detail: str
 
 
-@dataclass(frozen=True)
+@record
 class MatchResult:
     plan: str
     binding: dict[str, int]  # pid -> node id (negative ids denote sub-matches)
@@ -156,9 +157,10 @@ class Recognition:
     """
 
     def __init__(self, ranked: dict[str, tuple[_Unifier, list[dict[str, int]]]],
-                 truncated: frozenset[str]):
+                 truncated: frozenset[str], scopes: dict[str, list[str]]):
         self._ranked = ranked  # plan -> (its finished search, bindings best first)
         self.truncated = truncated
+        self.scopes = scopes  # goal -> its sub_closure; empty when recognize had no goals
         self._by_plan: dict[str, list[MatchResult]] | None = None
 
     @property
@@ -198,7 +200,7 @@ class Recognition:
 # ---------------------------------------------------------------------------
 # Single-plan unification
 
-@dataclass
+@record
 class _Pseudo:
     pseudo_id: int
     match: MatchResult
@@ -716,10 +718,11 @@ def recognize(g: FlowGraph, base: PlanBase, goals: set[str] | list[str] | None =
     """
     budget = budget or SearchBudget()
     names = base.names() if goals is None else closure(base, list(goals))
+    scopes = {} if goals is None else {goal: sub_closure(base, goal) for goal in goals}
     sub_plans = {name: base.plans[name] for name in names}
     bound_as_sub = {sub for name in names for sub in base.plans[name].tables.subplans}
     ranked: dict[str, tuple[_Unifier, list[dict[str, int]]]] = {}
-    found = Recognition(ranked, frozenset())  # reads the plans ranked so far
+    found = Recognition(ranked, frozenset(), scopes)  # reads the plans ranked so far
     accepted: dict[str, list[MatchResult]] = {}
     searches: dict[str, _Unifier] = {}
     truncated: set[str] = set()
@@ -743,7 +746,6 @@ def recognize(g: FlowGraph, base: PlanBase, goals: set[str] | list[str] | None =
     if goals is None:
         wanted = set(names)
     else:
-        scopes = {goal: sub_closure(base, goal) for goal in goals}
         in_scope = {name for scope in scopes.values() for name in scope}
         wanted = {name for goal, scope in scopes.items()
                   if found.best_accepted(goal) is None for name in scope}
@@ -755,7 +757,7 @@ def recognize(g: FlowGraph, base: PlanBase, goals: set[str] | list[str] | None =
             run_stage(name, searches[name], searches[name].resume)
     for search, _ in ranked.values():
         search.end_search()
-    return Recognition({name: ranked[name] for name in names}, frozenset(truncated))
+    return Recognition({name: ranked[name] for name in names}, frozenset(truncated), scopes)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .flowgraph import NodeKind, OpCode
+from .records import record
 from .source import SourceSpan
 
 
@@ -189,6 +190,8 @@ MARKER_RE = re.compile(r"([$@])([A-Za-z_][A-Za-z0-9_]*)")
 
 def strip_comment(raw: str) -> str:
     """Cut a `;` comment, leaving semicolons inside quoted strings alone."""
+    if ";" not in raw:
+        return raw
     in_string = False
     i = 0
     while i < len(raw):
@@ -218,6 +221,7 @@ class _PlanFileParser:
     def __init__(self, text: str, filename: str):
         self.lines = text.splitlines()
         self.filename = filename
+        self.extents: list[tuple[int, int]] = []  # per parsed plan: header and end line
 
     def span(self, lineno: int, col: int = 1) -> SourceSpan:
         return SourceSpan(self.filename, lineno, col, lineno, max(col, 1))
@@ -248,6 +252,7 @@ class _PlanFileParser:
                 continue
             if line == "end":
                 plans.append(self._finish(current, header_line))
+                self.extents.append((header_line, lineno))
                 current = None
                 continue
             self._directive(current, line, lineno)
@@ -413,6 +418,17 @@ def parse_plans(text: str, filename: str = "<plan>") -> list[Plan]:
     return _PlanFileParser(text, filename).parse()
 
 
+def remove_plan_text(text: str, name: str, filename: str = "<plan>") -> str:
+    """Plan file text without plan `name`: its lines from the header through
+    `end` are cut out, and every other line, comments too, is kept as is."""
+    parser = _PlanFileParser(text, filename)
+    for plan, (first, last) in zip(parser.parse(), parser.extents):
+        if plan.name == name:
+            lines = text.splitlines(keepends=True)
+            return "".join(lines[:first - 1] + lines[last:])
+    raise UnknownPlan(name)
+
+
 def parse_plan(text: str, filename: str = "<plan>") -> Plan:
     """Parse exactly one plan."""
     plans = parse_plans(text, filename)
@@ -464,7 +480,7 @@ def _header_line(plan: Plan) -> str:
 # ---------------------------------------------------------------------------
 # Plan base
 
-@dataclass
+@record
 class PlanBase:
     plans: dict[str, Plan] = field(default_factory=dict)
 
@@ -567,13 +583,20 @@ def closure(base: PlanBase, goals: list[str] | set[str]) -> list[str]:
     for name in goals:
         if name not in base.plans:
             raise UnknownPlan(name)
+    corrupters: dict[str, list[str]] = {}
+    for name, plan in base.plans.items():
+        if plan.corrupts is not None:
+            corrupters.setdefault(plan.corrupts, []).append(name)
     selected: set[str] = set()
     frontier = list(goals)
     while frontier:
-        added = [n for n in sub_closure(base, frontier.pop()) if n not in selected]
-        selected.update(added)
-        frontier.extend(other_name for other_name, other in base.plans.items()
-                        if other.corrupts in added)
+        name = frontier.pop()
+        if name in selected:
+            continue
+        selected.add(name)
+        frontier.extend(pn.subplan for pn in base.plans[name].pnodes
+                        if pn.is_sub and pn.subplan in base.plans)
+        frontier.extend(corrupters.get(name, ()))
     return sorted(selected)
 
 

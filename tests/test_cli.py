@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from adil import debugger, explain, flowgraph, frontend
+from adil import debugger, explain, flowgraph, frontend, planlib
 from adil.cli import main
 
 from conftest import SUM_SOURCE
@@ -257,6 +257,21 @@ def _plan_dir_bytes(work: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in sorted((work / "plans").iterdir())}
 
 
+def test_plan_rm_cuts_only_its_lines_from_a_shared_file(work, capsys):
+    before = (work / "plans" / "bugs.plan").read_text().splitlines(keepends=True)
+    first = before.index('plan "wrong-accumulator-product" kind=bug corrupts="product-accumulate"'
+                         ' category=cbt\n')
+    last = before.index("end\n", first)
+    assert main(["plan", "rm", "wrong-accumulator-product", "--plans", str(work / "plans")]) == 0
+    assert capsys.readouterr().out == "removed wrong-accumulator-product\n"
+    after = (work / "plans" / "bugs.plan").read_text()
+    assert after == "".join(before[:first] + before[last + 1:])
+    assert [line for line in after.splitlines() if line.startswith(";")] == \
+        [line.rstrip("\n") for line in before[:3]]
+    assert main(["plan", "check", "--plans", str(work / "plans")]) == 0
+    capsys.readouterr()
+
+
 _GHOST_BUG = 'plan "ghost-bug" kind=bug corrupts="ghost" category=cbt\nnode n1 kind=TEST\nend\n'
 
 
@@ -360,3 +375,59 @@ def test_a_plan_defined_twice_is_a_usage_error(work, capsys):
     shutil.copy(work / "plans" / "average.plan", work / "plans" / "zz-average-again.plan")
     assert _analyze(work, "sum.c") == 2
     assert "plan 'average' already in base" in capsys.readouterr().err
+
+
+# Whole plans (valid alone, or invalid only against the base) and harmless lines;
+# the junk goes in at a random byte.
+_PLAN_BLOCKS = [
+    'plan "p" kind=cliche category=pe\ndoc "a; b" ; a comment\nnode n1 kind=TEST\nend',
+    'plan "q" kind=bug corrupts="p" category=cbt\nnode n1 kind=TEST\nend',
+    'plan "s;t" kind=cliche category=pe ; a name with a semicolon\nnode n1 kind=TEST\nend',
+    'plan "u" kind=cliche category=pe\nsub s1 plan="counted-loop"\nnode n1 kind=TEST\n'
+    'ctrl n1 -> s1\nend',
+    'plan "r" kind=bug corrupts="ghost" category=cbt\nnode n1 kind=TEST\nend',
+    'plan "running-total" kind=cliche category=pe\nnode n1 kind=TEST\nend',
+    "; a comment", "",
+]
+_PLAN_JUNK = [b"\x00", b"\xff", b"\r", b'"', b";", b"end\n", b"node n1 kind=NOPE\n",
+              b'plan "x" kind=oops category=pe\n', b"export acc = zz\n"]
+_PLAN_COMMANDS = [["check"], ["list"], ["list", "--kind", "bug"], ["add"], ["rm", "p"], ["rm", "q"],
+                  ["rm", "s;t"], ["rm", "u"], ["rm", "wrong-accumulator-product"], ["rm", "counted-loop"],
+                  ["rm", "ghost"]]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sampled_from(_PLAN_BLOCKS), max_size=6, unique=True),
+       st.one_of(st.just(b""), st.sampled_from(_PLAN_JUNK)), st.integers(0, 10_000),
+       st.booleans(), st.sampled_from(_PLAN_COMMANDS))
+def test_property_plan_commands_exit_with_a_defined_code(work, plans_dir, capsys, blocks, junk, at,
+                                                          in_base, command):
+    """Whatever a plan file holds, in the base or given to `plan add`, every
+    `plan` subcommand returns 0, 1 or 2. A refused edit writes nothing, and
+    an edit that goes through leaves a valid base that differs by the edit."""
+    plans = work / "plans"
+    shutil.rmtree(plans)
+    shutil.copytree(plans_dir, plans)
+    data = "".join(block + "\n" for block in blocks).encode()
+    at %= len(data) + 1
+    fuzz = work / "fuzz.plan"
+    fuzz.write_bytes(data[:at] + junk + data[at:])
+    if in_base:
+        shutil.copy(fuzz, plans / "zz-fuzz.plan")
+    before = _plan_dir_bytes(work)
+    argv = ["plan", command[0], *command[1:], "--plans", str(plans)]
+    if command == ["add"]:
+        argv.insert(2, str(fuzz))
+    code = main(argv)
+    capsys.readouterr()
+    assert code in {0, 1, 2}
+    if code != 0 or command[0] in ("check", "list"):
+        assert _plan_dir_bytes(work) == before
+    else:
+        assert main(["plan", "check", "--plans", str(plans)]) == 0
+        capsys.readouterr()
+        if command[0] == "rm":
+            names = sorted(plan.name for text in before.values()
+                           for plan in planlib.parse_plans(text.decode()))
+            names.remove(command[1])
+            assert planlib.load_plan_base(plans).names() == names

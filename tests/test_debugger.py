@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from adil import debugger, matcher, planlib
 from adil.debugger import (
     FindingKind,
     SpecSyntaxError,
@@ -154,6 +155,25 @@ def test_diagnose_filtering_is_conservative(base, corpus_cases):
         assert report_to_json(filtered) == report_to_json(unfiltered), name
         assert render_text(render(filtered, source, base)) == \
             render_text(render(unfiltered, source, base)), name
+
+
+def test_diagnose_computes_each_goal_sub_closure_once(base, corpus_cases, monkeypatch):
+    calls: list[str] = []
+    real = planlib.sub_closure
+
+    def counted(b, name):
+        calls.append(name)
+        return real(b, name)
+
+    for module in (planlib, matcher, debugger):
+        monkeypatch.setattr(module, "sub_closure", counted)
+    for program, spec_path in corpus_cases:
+        spec = parse_spec(spec_path.read_text())
+        g = build_flow_graph(desugar(parse_c(program.read_text(), filename=program.name)))
+        for use_filtering in (True, False):
+            calls.clear()
+            diagnose(g, spec, base, SearchBudget(), use_filtering=use_filtering)
+            assert sorted(calls) == sorted(goal.name for goal in spec.goals), program.name
 
 
 def test_goal_and_bug_programs_are_recognized_and_buggy(base):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +188,28 @@ def test_sub_closure_follows_sub_nodes_only():
     b = _closure_base()
     assert sub_closure(b, "goal") == ["goal", "part"]
     assert sub_closure(b, "bug1") == ["bug1"]
+
+
+def _closure_by_sub_closures(base: PlanBase, goals: list[str]) -> list[str]:
+    """Closure as a fixpoint over whole sub-closures: each frontier plan adds
+    its sub_closure, then queues the bug plans corrupting what it added."""
+    selected: set[str] = set()
+    frontier = list(goals)
+    while frontier:
+        added = [n for n in sub_closure(base, frontier.pop()) if n not in selected]
+        selected.update(added)
+        frontier.extend(name for name, plan in base.plans.items() if plan.corrupts in added)
+    return sorted(selected)
+
+
+def test_closure_matches_the_sub_closure_fixpoint(base):
+    extended = _closure_base()
+    base_add(extended, parse_plan('plan "bug3" kind=bug corrupts="other" category=cbt\n'
+                                  'sub s1 plan="part"\nnode n1 kind=TEST\nctrl n1 -> s1\nend\n'))
+    for b in (base, _closure_base(), extended):
+        names = b.names()
+        for goals in [[name] for name in names] + [list(pair) for pair in combinations(names, 2)]:
+            assert closure(b, goals) == _closure_by_sub_closures(b, goals), goals
 
 
 def test_closure_unknown_goal():
