@@ -107,34 +107,52 @@ class FlowGraph:
     ctrl_edges: frozenset[CtrlEdge]
     entry: int
     exit: int
-    # adjacency caches, built once in __post_init__
-    _producers: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict, repr=False)
-    _consumers: dict[tuple[int, int], list[tuple[int, int]]] = field(default_factory=dict, repr=False)
-    _ctrl_out: dict[int, list[tuple[int, str]]] = field(default_factory=dict, repr=False)
-    _ctrl_in: dict[int, list[tuple[int, str]]] = field(default_factory=dict, repr=False)
-    # derived views, built on first use by node_index / value_chains
+    # adjacency, built once in __post_init__; read-only, and the matcher reads
+    # it directly. A producer is keyed (node, in_port) and a consumer list
+    # (node, out_port); every list is in ascending order.
+    producer_of: dict[tuple[int, int], tuple[int, int]] = field(init=False, repr=False)
+    consumers_of: dict[tuple[int, int], list[tuple[int, int]]] = field(init=False, repr=False)
+    ctrl_out: dict[int, list[tuple[int, str]]] = field(init=False, repr=False)
+    ctrl_in: dict[int, list[tuple[int, str]]] = field(init=False, repr=False)
+    # derived views, built on first use by node_index / value_chains / commutative_nodes
     _node_index: dict[tuple[NodeKind, OpCode | None], list[int]] | None = field(default=None, repr=False)
     _value_chains: dict[int, int] | None = field(default=None, repr=False)
+    _commutative_nodes: frozenset[int] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        for (src, op), (dst, ip) in sorted(self.data_edges):
-            self._producers[(dst, ip)] = (src, op)
-            self._consumers.setdefault((src, op), []).append((dst, ip))
-        for src, dst, label in sorted(self.ctrl_edges):
-            self._ctrl_out.setdefault(src, []).append((dst, label))
-            self._ctrl_in.setdefault(dst, []).append((src, label))
+        producer_of: dict[tuple[int, int], tuple[int, int]] = {}
+        consumers_of: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for src, dst in self.data_edges:
+            producer_of[dst] = src
+            consumers_of.setdefault(src, []).append(dst)
+        if len(producer_of) < len(self.data_edges):
+            # two edges feed one in-port (validate reports it): the larger
+            # (src, out_port) wins, as the last one in sorted edge order
+            for src, dst in self.data_edges:
+                if src > producer_of[dst]:
+                    producer_of[dst] = src
+        ctrl_out: dict[int, list[tuple[int, str]]] = {}
+        ctrl_in: dict[int, list[tuple[int, str]]] = {}
+        for src, dst, label in self.ctrl_edges:
+            ctrl_out.setdefault(src, []).append((dst, label))
+            ctrl_in.setdefault(dst, []).append((src, label))
+        for adjacency in (consumers_of, ctrl_out, ctrl_in):
+            for entries in adjacency.values():
+                entries.sort()
+        self.producer_of, self.consumers_of = producer_of, consumers_of
+        self.ctrl_out, self.ctrl_in = ctrl_out, ctrl_in
 
     def producer(self, node: int, in_port: int) -> tuple[int, int] | None:
-        return self._producers.get((node, in_port))
+        return self.producer_of.get((node, in_port))
 
     def consumers(self, node: int, out_port: int) -> list[tuple[int, int]]:
-        return self._consumers.get((node, out_port), [])
+        return self.consumers_of.get((node, out_port), [])
 
     def ctrl_succs(self, node: int) -> list[tuple[int, str]]:
-        return self._ctrl_out.get(node, [])
+        return self.ctrl_out.get(node, [])
 
     def ctrl_preds(self, node: int) -> list[tuple[int, str]]:
-        return self._ctrl_in.get(node, [])
+        return self.ctrl_in.get(node, [])
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +488,16 @@ def _index_nodes(g: FlowGraph) -> dict[tuple[NodeKind, OpCode | None], list[int]
         node = g.nodes[nid]
         index.setdefault((node.kind, node.opcode), []).append(nid)
     return index
+
+
+def commutative_nodes(g: FlowGraph) -> frozenset[int]:
+    """Binary OP nodes with a COMMUTATIVE opcode: the nodes whose two operands
+    a commutable() pattern node may bind in either order."""
+    if g._commutative_nodes is None:
+        g._commutative_nodes = frozenset(
+            nid for nid, node in g.nodes.items()
+            if node.kind is NodeKind.OP and node.opcode in COMMUTATIVE and node.in_ports == 2)
+    return g._commutative_nodes
 
 
 def value_chains(g: FlowGraph) -> dict[int, int]:

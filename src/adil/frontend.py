@@ -3,9 +3,10 @@ statements, precedence climbing for binary operators.
 
 The subset: int scalars and one-dimensional int arrays, assignment,
 arithmetic/relational/logical expressions, if/else, while, for, return,
-calls to previously defined functions, and scanf/printf restricted to
-"%d" conversions. scanf and printf are kept as abstract input/output
-intents in the Ast so later stages never see libc details.
+calls to previously defined functions (one argument per parameter, and a
+bare array name exactly where the parameter is an array), and scanf/printf
+restricted to "%d" conversions. scanf and printf are kept as abstract
+input/output intents in the Ast so later stages never see libc details.
 
 Parsing is one-token-lookahead and aborts on the first error: the
 pipeline's contract is that input programs are already syntactically
@@ -628,18 +629,36 @@ class _Parser:
             raise CSyntaxError(name.span, "an expression (calls are disabled)", repr(name.text))
         if name.text not in self.functions:
             raise CSyntaxError(name.span, "a previously defined function", repr(name.text))
+        params = self.functions[name.text].params
         self.nest(self.expect("("))
         args: list[Expr] = []
-        if not self.at(")"):
-            while True:
-                args.append(self.parse_expr())
-                if self.at(","):
-                    self.advance()
-                    continue
-                break
-        close = self.expect(")")
+        for param in params:
+            if args:
+                self.expect(",", f"',' and an argument for parameter {param.name!r} "
+                                 f"of {name.text!r}")
+            args.append(self.parse_argument(name.text, param))
+        count = f"{len(params)} argument{'' if len(params) == 1 else 's'}"
+        close = self.expect(")", f"')' after {count} to {name.text!r}")
         self.depth -= 1
         return Call(name.text, tuple(args), span_hull([name.span, close.span]))
+
+    def parse_argument(self, callee: str, param: Param) -> Expr:
+        """One call argument: a scalar expression for a scalar parameter (where
+        a bare array name is an error, as anywhere in an expression), and
+        exactly a bare array name for an array parameter."""
+        tok = self.peek()
+        what = f"parameter {param.name!r} of {callee!r}"
+        if tok is None:
+            raise CSyntaxError(self._eof_span(), f"an argument for {what}", "end of file")
+        if tok.kind == ")":
+            raise CSyntaxError(tok.span, f"an argument for {what}", "')'")
+        if not param.is_array:
+            return self.parse_expr()
+        nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
+        if tok.kind != "ident" or nxt is None or nxt.kind not in (",", ")") or not self.lookup(tok):
+            raise CSyntaxError(tok.span, f"a bare array name for array {what}", repr(tok.text))
+        self.advance()
+        return VarRef(tok.text, tok.span)
 
     # Binary operators by precedence climbing over _PRECEDENCE (|| < && <
     # relational < additive < multiplicative), all left-associative except

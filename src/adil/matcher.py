@@ -14,14 +14,23 @@ filter drop every binding that another one strictly contains. The survivors
 are put in result order by a key computed from the binding alone, and a
 MatchResult, with its constraint checks and Fraction score, is built only
 when a reader reaches it: `Recognition.best_accepted` on a plan with 200
-full matches builds one. Each candidate assignment is checked only against
-the pattern edges incident to its pattern node. A sub-plan pattern node's
-candidates are the sub-matches whose export node is a producer or consumer
-of an already-bound neighbour, found through an index by export node rather
-than by trying every sub-match. The incident edges and the plan's other
-lookup tables (`Plan.tables`) are built once per Plan and live on it, so
-they are shared by every graph the plan is matched against and die with the
-plan.
+full matches builds one.
+
+Each candidate assignment is checked only against the pattern edges
+incident to its pattern node. An edge whose two ends are real graph nodes
+is checked straight against the graph's adjacency maps
+(`FlowGraph.producer_of`): the source has the edge's out-port, and it
+produces the target's in-port, or the other operand when the target's
+pattern node is commutable() and the node is in `commutative_nodes(g)`.
+Candidates for a real pattern node are read from the same maps, producers
+and consumers of its bound neighbours. Only an edge with a sub-match at an
+end first resolves that end to the export node its port addresses. A
+sub-plan pattern node's candidates are the sub-matches whose export node is
+a producer or consumer of an already-bound neighbour, found through an
+index by export node rather than by trying every sub-match. The incident
+edges and the plan's other lookup tables (`Plan.tables`) are built once per
+Plan and live on it, so they are shared by every graph the plan is matched
+against and die with the plan.
 
 The search attempts nothing that could only record a binding below theta.
 A pattern node it skipped is never bound, so once the skipped nodes leave
@@ -54,12 +63,12 @@ in an order fixed by a total sort key, not by the order of exploration.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .flowgraph import COMMUTATIVE, FlowGraph, NodeKind, node_index, value_chains
+from .flowgraph import FlowGraph, NodeKind, commutative_nodes, node_index, value_chains
 from .planlib import Plan, PlanBase, Predicate, closure, dependency_order, sub_closure
 from .records import record
 from .source import SourceSpan
@@ -218,6 +227,9 @@ class _Unifier:
         self.theta_num, self.theta_den = theta.numerator, theta.denominator
         self.steps = 0
         self.index = node_index(g)
+        self.commutative = commutative_nodes(g)
+        self.producer_of, self.consumers_of = g.producer_of, g.consumers_of
+        self.ctrl_out, self.ctrl_in = g.ctrl_out, g.ctrl_in
         tables = plan.tables
         self.size = len(tables.pid_order)
         # Skipped pattern nodes are never bound, so a branch that skips k of
@@ -227,6 +239,7 @@ class _Unifier:
         self.pid_order = tables.pid_order
         self.pnodes = tables.pnodes
         self.commutable = tables.commutable
+        self.subplan_of = tables.subplan_of
         self.data_at = tables.data_at
         self.ctrl_at = tables.ctrl_at
         self.data_nbrs = tables.data_nbrs
@@ -265,8 +278,9 @@ class _Unifier:
         found = self.candidates.get(pid)
         if found is None:
             pn = self.pnodes[pid]
-            if pn.is_sub:
-                found = [p.pseudo_id for p in self.pseudos[pn.subplan]]
+            subplan = self.subplan_of.get(pid)
+            if subplan is not None:
+                found = [p.pseudo_id for p in self.pseudos[subplan]]
             elif pn.kind is NodeKind.OP and pn.opcode is None:
                 found = sorted(nid for (kind, _), nids in self.index.items() if kind is NodeKind.OP
                                for nid in nids)
@@ -276,11 +290,12 @@ class _Unifier:
         return found
 
     def node_matches(self, pid: str, nid: int) -> bool:
-        pn = self.pnodes[pid]
-        if pn.is_sub:
-            return nid < 0 and self.pseudo_by_id[nid].match.plan == pn.subplan
+        subplan = self.subplan_of.get(pid)
+        if subplan is not None:
+            return nid < 0 and self.pseudo_by_id[nid].match.plan == subplan
         if nid < 0:
             return False
+        pn = self.pnodes[pid]
         node = self.g.nodes[nid]
         if node.kind is not pn.kind:
             return False
@@ -290,52 +305,46 @@ class _Unifier:
             return False
         return True
 
-    def in_port_variants(self, pid: str, port: int, nid: int) -> list[int]:
-        """Acceptable graph in-ports for pattern in-port, honoring commutable()."""
-        if pid in self.commutable and nid >= 0:
-            node = self.g.nodes[nid]
-            if (node.kind is NodeKind.OP and node.opcode in COMMUTATIVE
-                    and node.in_ports == 2 and port in (0, 1)):
-                return [port, 1 - port]
-        return [port]
-
-    def data_edge_ok(self, edge, binding: dict[str, int]) -> bool:
-        (a, po), (b, pi) = edge
-        nb = binding[b]
-        src_nodes = self._out_sources(a, binding[a], po)
-        if nb >= 0:
-            target = nb
-            ports = self.in_port_variants(b, pi, nb)
-        else:
-            # edge into a sub-match: any in-port of the addressed export node
-            target = self._export_target(b, nb, pi)
-            if target is None:
-                return False
-            ports = range(self.g.nodes[target].in_ports)
-        for ip in ports:
-            src = self.g.producer(target, ip)
-            if src is not None and src[0] in src_nodes:
-                return True
-        return False
-
-    def _out_sources(self, pid: str, nid: int, port: int) -> set[int]:
-        """Graph nodes that pattern endpoint pid:port (as a source) may stand for."""
+    def _source(self, nid: int, port: int) -> int | None:
+        """The graph node whose output bound endpoint nid:port stands for."""
         if nid >= 0:
-            node = self.g.nodes[nid]
-            return {nid} if port < node.out_ports else set()
-        target = self._export_target(pid, nid, port)
-        return set() if target is None else {target}
+            return nid if port < self.g.nodes[nid].out_ports else None
+        return self._export_target(nid, port)
 
-    def _export_target(self, pid: str, nid: int, port: int) -> int | None:
+    def _sink(self, pid: str, nid: int, port: int) -> tuple[int | None, Sequence[int]]:
+        """The graph node and in-ports that the input pid:port, bound to nid,
+        stands for: the port, or both operands of a commutative node when pid
+        is commutable(); any in-port of a sub-match's addressed export node."""
+        if nid >= 0:
+            if pid in self.commutable and nid in self.commutative and port in (0, 1):
+                return nid, (port, 1 - port)
+            return nid, (port,)
+        target = self._export_target(nid, port)
+        return target, () if target is None else range(self.g.nodes[target].in_ports)
+
+    def _export_target(self, nid: int, port: int) -> int | None:
         exports = self.pseudo_by_id[nid].export_nodes
         return exports[port] if port < len(exports) else None
+
+    def _producers(self, target: int | None, ports: Sequence[int]) -> list[int]:
+        """The nodes producing target's given in-ports."""
+        producer_of = self.producer_of
+        return [src[0] for ip in ports if (src := producer_of.get((target, ip))) is not None]
+
+    def _consumers(self, src: int | None) -> list[int]:
+        """The nodes consuming any output of src."""
+        if src is None:
+            return []
+        consumers_of = self.consumers_of
+        return [dst for op in range(self.g.nodes[src].out_ports)
+                for dst, _ in consumers_of.get((src, op), ())]
 
     def ctrl_edge_ok(self, edge, binding: dict[str, int]) -> bool:
         a, b, label = edge
         sources = self._ctrl_nodes(binding[a])
         targets = self._ctrl_nodes(binding[b])
         return any(dst in targets and (label is None or lab == label)
-                   for src in sources for dst, lab in self.g.ctrl_succs(src))
+                   for src in sources for dst, lab in self.ctrl_out.get(src, ()))
 
     def _ctrl_nodes(self, nid: int) -> set[int]:
         return {nid} if nid >= 0 else self.pseudo_by_id[nid].all_nodes
@@ -345,9 +354,28 @@ class _Unifier:
         nodes; binding already maps pid to nid, and injectivity is the caller's."""
         if not self.node_matches(pid, nid):
             return False
+        producer_of = self.producer_of
         for other, edge in self.data_at[pid]:
-            if other in binding and not self.data_edge_ok(edge, binding):
-                return False
+            if other not in binding:
+                continue
+            (a, po), (b, pi) = edge
+            na, nb = binding[a], binding[b]
+            if na >= 0 and nb >= 0:
+                # na has out-port po and produces nb's in-port pi, or the
+                # other operand when pattern node b is commutable()
+                if po >= self.g.nodes[na].out_ports:
+                    return False
+                src = producer_of.get((nb, pi))
+                if src is None or src[0] != na:
+                    if not (b in self.commutable and nb in self.commutative and pi in (0, 1)):
+                        return False
+                    src = producer_of.get((nb, 1 - pi))
+                    if src is None or src[0] != na:
+                        return False
+            else:
+                source = self._source(na, po)
+                if source is None or source not in self._producers(*self._sink(b, nb, pi)):
+                    return False
         for other, edge in self.ctrl_at[pid]:
             if other in binding and not self.ctrl_edge_ok(edge, binding):
                 return False
@@ -355,43 +383,45 @@ class _Unifier:
 
     def candidates_via_edges(self, pid: str, binding: dict[str, int]) -> list[int]:
         """Nodes adjacent in the graph to pid's bound pattern neighbors."""
-        pn = self.pnodes[pid]
-        if pn.is_sub:
-            return self.pseudo_candidates(pid, pn.subplan, binding)
+        subplan = self.subplan_of.get(pid)
+        if subplan is not None:
+            return self.pseudo_candidates(pid, subplan, binding)
+        producer_of, consumers_of = self.producer_of, self.consumers_of
         out: list[int] = []
         for _, edge in self.data_at[pid]:
             (a, po), (b, pi) = edge
             if a == pid and b in binding:
                 nb = binding[b]
-                if nb >= 0:
-                    ports = self.in_port_variants(b, pi, nb)
-                    targets = [nb]
-                else:
-                    t = self._export_target(b, nb, pi)
-                    if t is None:
-                        continue
-                    targets = [t]
-                    ports = range(self.g.nodes[t].in_ports)
-                for t in targets:
-                    for ip in ports:
-                        src = self.g.producer(t, ip)
-                        if src is not None:
-                            out.append(src[0])
+                if nb < 0:
+                    out.extend(self._producers(*self._sink(b, nb, pi)))
+                    continue
+                src = producer_of.get((nb, pi))
+                if src is not None:
+                    out.append(src[0])
+                if b in self.commutable and nb in self.commutative and pi in (0, 1):
+                    src = producer_of.get((nb, 1 - pi))
+                    if src is not None:
+                        out.append(src[0])
             elif b == pid and a in binding:
-                for src_node in self._out_sources(a, binding[a], po):
-                    node = self.g.nodes[src_node]
-                    for op in range(node.out_ports):
-                        out.extend(dst for dst, _ in self.g.consumers(src_node, op))
+                na = binding[a]
+                if na < 0:
+                    out.extend(self._consumers(self._source(na, po)))
+                    continue
+                out_ports = self.g.nodes[na].out_ports
+                if po < out_ports:
+                    for op in range(out_ports):
+                        for dst, _ in consumers_of.get((na, op), ()):
+                            out.append(dst)
         if not out:
             for _, edge in self.ctrl_at[pid]:
                 a, b, label = edge
                 if a == pid and b in binding:
                     for t in self._ctrl_nodes(binding[b]):
-                        out.extend(src for src, lab in self.g.ctrl_preds(t)
+                        out.extend(src for src, lab in self.ctrl_in.get(t, ())
                                    if label is None or lab == label)
                 elif b == pid and a in binding:
                     for s in self._ctrl_nodes(binding[a]):
-                        out.extend(dst for dst, lab in self.g.ctrl_succs(s)
+                        out.extend(dst for dst, lab in self.ctrl_out.get(s, ())
                                    if label is None or lab == label)
         return sorted(set(out))
 
@@ -401,28 +431,18 @@ class _Unifier:
         Filtered through pid's first data edge to a bound pattern node: a
         sub-match stays if its export node at that edge's port is a producer
         (pid is the source) or a consumer (pid is the target) of the bound
-        node, by the port rules of data_edge_ok. Every other sub-match fails
-        that edge in `consistent`. With no such edge, every sub-match.
+        node, by the port rules of `consistent`. Every other sub-match fails
+        that edge there. With no such edge, every sub-match.
         """
         by_export = self.pseudos_at[subplan]
         for _, edge in self.data_at[pid]:
             (a, po), (b, pi) = edge
             if a == pid and b in binding:
-                nb = binding[b]
-                if nb >= 0:
-                    target, ports = nb, self.in_port_variants(b, pi, nb)
-                else:
-                    target = self._export_target(b, nb, pi)
-                    if target is None:
-                        return []
-                    ports = range(self.g.nodes[target].in_ports)
                 port = po
-                nodes = [src[0] for ip in ports if (src := self.g.producer(target, ip)) is not None]
+                nodes = self._producers(*self._sink(b, binding[b], pi))
             elif b == pid and a in binding:
                 port = pi
-                nodes = [dst for src in self._out_sources(a, binding[a], po)
-                         for op in range(self.g.nodes[src].out_ports)
-                         for dst, _ in self.g.consumers(src, op)]
+                nodes = self._consumers(self._source(binding[a], po))
             else:
                 continue
             # pseudo ids count down in table order

@@ -88,10 +88,6 @@ class PatternNode:
     slot: str | None = None
     subplan: str | None = None
 
-    @property
-    def is_sub(self) -> bool:
-        return self.subplan is not None
-
 
 PDataEdge = tuple[tuple[str, int], tuple[str, int]]
 PCtrlEdge = tuple[str, str, str | None]  # label None matches any control edge
@@ -116,9 +112,6 @@ class Plan:
                 return pn
         raise KeyError(pid)
 
-    def sub_pids(self) -> list[str]:
-        return [pn.pid for pn in self.pnodes if pn.is_sub]
-
     def export_roles(self) -> list[str]:
         return [role for role, _ in self.exports]
 
@@ -136,13 +129,16 @@ class Plan:
 
 
 class PlanTables:
-    """Per-pattern-node views of a plan that the matcher consults on every step."""
+    """Per-pattern-node views of a plan that the matcher consults on every
+    step; closure, sub_closure and dependency_order read subplan_of too."""
 
     def __init__(self, plan: Plan):
         self.pid_order = tuple(pn.pid for pn in plan.pnodes)
         self.pnodes = {pn.pid: pn for pn in plan.pnodes}
         self.commutable = frozenset(plan.commutable_pids())
-        self.subplans = tuple(sorted({pn.subplan for pn in plan.pnodes if pn.is_sub}))
+        # sub pattern node -> the sub-plan it stands for; a real node has no entry
+        self.subplan_of = {pn.pid: pn.subplan for pn in plan.pnodes if pn.subplan is not None}
+        self.subplans = tuple(sorted(set(self.subplan_of.values())))
         # per pattern node: its incident data and ctrl edges in declaration
         # order, each paired with the pattern node at the other end
         data_at: dict[str, list] = {pid: [] for pid in self.pid_order}
@@ -372,7 +368,7 @@ def check_plan(plan: Plan) -> None:
     for role, pid in plan.exports:
         if pid not in pidset:
             raise PlanSemanticError(f"export {role!r} references unknown pattern node {pid!r}")
-        if plan.pnode(pid).is_sub:
+        if plan.pnode(pid).subplan is not None:
             raise PlanSemanticError(f"export {role!r} must reference a node, not a sub-plan")
     roles = [role for role, _ in plan.exports]
     if len(set(roles)) != len(roles):
@@ -445,7 +441,7 @@ def print_plan(plan: Plan) -> str:
     if plan.doc_template:
         lines.append(f'doc "{_escape(plan.doc_template)}"')
     for pn in plan.pnodes:
-        if pn.is_sub:
+        if pn.subplan is not None:
             lines.append(f'sub {pn.pid} plan="{_escape(pn.subplan)}"')
         else:
             bits = [f"node {pn.pid} kind={pn.kind.value}"]
@@ -530,7 +526,7 @@ def base_validate(base: PlanBase) -> list[str]:
             elif target.kind != "cliche":
                 diagnostics.append(f"{name}: corrupts {plan.corrupts!r}, which is not a cliche")
         for pn in plan.pnodes:
-            if pn.is_sub:
+            if pn.subplan is not None:
                 target = base.plans.get(pn.subplan)
                 if target is None:
                     diagnostics.append(f"{name}: sub {pn.pid} references unknown plan {pn.subplan!r}")
@@ -542,7 +538,7 @@ def base_validate(base: PlanBase) -> list[str]:
     def visit(name: str, trail: list[str]) -> None:
         state[name] = 1
         for pn in base.plans[name].pnodes:
-            if pn.is_sub and pn.subplan in base.plans:
+            if pn.subplan in base.plans:
                 if state.get(pn.subplan, 0) == 1:
                     cycle = trail[trail.index(pn.subplan):] if pn.subplan in trail else trail
                     diagnostics.append(
@@ -566,10 +562,10 @@ def sub_closure(base: PlanBase, name: str) -> list[str]:
     out = [name]
     stack = [name]
     while stack:
-        for pn in base.plans[stack.pop()].pnodes:
-            if pn.is_sub and pn.subplan in base.plans and pn.subplan not in out:
-                out.append(pn.subplan)
-                stack.append(pn.subplan)
+        for sub in base.plans[stack.pop()].tables.subplan_of.values():
+            if sub in base.plans and sub not in out:
+                out.append(sub)
+                stack.append(sub)
     return out
 
 
@@ -594,8 +590,8 @@ def closure(base: PlanBase, goals: list[str] | set[str]) -> list[str]:
         if name in selected:
             continue
         selected.add(name)
-        frontier.extend(pn.subplan for pn in base.plans[name].pnodes
-                        if pn.is_sub and pn.subplan in base.plans)
+        frontier.extend(sub for sub in base.plans[name].tables.subplan_of.values()
+                        if sub in base.plans)
         frontier.extend(corrupters.get(name, ()))
     return sorted(selected)
 
@@ -612,7 +608,7 @@ def dependency_order(base: PlanBase, names: list[str]) -> list[list[str]]:
         if name in level:
             return level[name]
         level[name] = 0  # cycle guard; base_validate reports real cycles
-        subs = [pn.subplan for pn in base.plans[name].pnodes if pn.is_sub and pn.subplan in base.plans]
+        subs = [sub for sub in base.plans[name].tables.subplan_of.values() if sub in base.plans]
         level[name] = 1 + max((depth(s) for s in subs), default=-1)
         return level[name]
 

@@ -103,7 +103,7 @@ def _constraints_ok(g: FlowGraph, plan: Plan, binding: dict[str, int]) -> bool:
 
 def brute_force_accepted(g: FlowGraph, plan: Plan) -> set[frozenset]:
     """All accepted bindings as frozensets of (pid, node id). No sub-plans."""
-    assert not any(pn.is_sub for pn in plan.pnodes), "oracle handles flat plans only"
+    assert not any(pn.subplan is not None for pn in plan.pnodes), "oracle handles flat plans only"
     pids = [pn.pid for pn in plan.pnodes]
     candidates = [
         [nid for nid in sorted(g.nodes) if _node_ok(plan.pnode(pid), g.nodes[nid])]

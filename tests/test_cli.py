@@ -119,6 +119,22 @@ def test_unreadable_number_exits_2_with_its_position(work, capsys, literal):
     assert "int()" not in err
 
 
+@pytest.mark.parametrize("call, col", [("f(1, 2)", 28), ("f()", 27), ("g(3)", 27)])
+def test_a_call_that_misfits_its_callee_exits_2_with_its_position(work, capsys, call, col):
+    # before parameters were checked, these parsed and the analysis exited 1
+    (work / "call.c").write_text("int f(int a) { return a; }\nint g(int a[]) { return a[0]; }\n"
+                                 f"int main() {{ int x; x = {call}; return x; }}\n")
+    assert _analyze(work, "call.c") == 2
+    assert f"call.c:3:{col}: expected" in capsys.readouterr().err
+
+
+def test_an_array_passed_by_name_is_analyzed(work, capsys):
+    (work / "call.c").write_text("int g(int a[]) { return a[0]; }\n"
+                                 "int main() { int b[2]; int x; x = g(b); return x; }\n")
+    assert _analyze(work, "call.c") == 1  # parsed; main is no running total
+    assert "expected" not in capsys.readouterr().err
+
+
 def test_exit_3_on_truncation_without_findings(work, tmp_path, capsys):
     # a goal whose search cannot finish within the budget and leaves nothing behind
     from test_matcher import CHAIN_PLAN, dense_source

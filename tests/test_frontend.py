@@ -210,6 +210,55 @@ def test_nesting_limit_counts_parentheses_and_blocks_together():
                 + ")" * (parens + 1) + ";" + closes + " return x; }")
 
 
+_CALLEES = ("int f(int a) { return a; }\nint g(int a[], int n) { return a[n]; }\n"
+            "int h() { return 1; }\n")
+
+
+def _caller(call: str) -> str:
+    """A main on line 4 whose one statement assigns call; b is an array, x a scalar."""
+    return _CALLEES + f"int main() {{ int b[2]; int x; x = 0; x = {call}; return x; }}\n"
+
+
+CALL_COL = len("int main() { int b[2]; int x; x = 0; x = ") + 1
+
+
+@pytest.mark.parametrize("call, offset, expected, found", [
+    ("f(1, 2)", 3, "')' after 1 argument to 'f'", "','"),
+    ("f()", 2, "an argument for parameter 'a' of 'f'", "')'"),
+    ("f(1, )", 3, "')' after 1 argument to 'f'", "','"),
+    ("h(1)", 2, "')' after 0 arguments to 'h'", "'1'"),
+    ("g(b)", 3, "',' and an argument for parameter 'n' of 'g'", "')'"),
+    ("g(b, 1, 2)", 6, "')' after 2 arguments to 'g'", "','"),
+    ("g(b, )", 5, "an argument for parameter 'n' of 'g'", "')'"),
+    ("g(3, 1)", 2, "a bare array name for array parameter 'a' of 'g'", "'3'"),
+    ("g(x, 1)", 2, "a bare array name for array parameter 'a' of 'g'", "'x'"),
+    ("g(b[0], 1)", 2, "a bare array name for array parameter 'a' of 'g'", "'b'"),
+    ("g(b + 1, 1)", 2, "a bare array name for array parameter 'a' of 'g'", "'b'"),
+    ("f(b)", 2, "an indexed array access", "'b'"),
+    ("f(g(b, 1) + b)", 12, "an indexed array access", "'b'"),
+])
+def test_a_call_must_fit_its_callees_parameters(call, offset, expected, found):
+    with pytest.raises(CSyntaxError) as err:
+        parse_c(_caller(call))
+    col = CALL_COL + offset
+    assert (err.value.expected, err.value.found) == (expected, found)
+    assert err.value.span == SourceSpan("<source>", 4, col, 4, col + len(found) - 3)
+
+
+def test_an_array_argument_is_a_bare_array_name():
+    ast = parse_c(_caller("g(b, f(x)) + h()"))
+    main = ast.functions[-1]
+    call = main.body.stmts[-2].value.lhs
+    col = CALL_COL + 2
+    assert call.args[0] == frontend.VarRef("b", SourceSpan("<source>", 4, col, 4, col))
+    assert pretty_print(parse_c(pretty_print(ast))) == pretty_print(ast)
+    # the graph passes the array itself: the CALL's in-port 0 is fed by b's node
+    g = build_flow_graph(desugar(ast))
+    (node,) = [n for n in g.nodes.values() if n.ann.role == "g"]
+    src, _ = g.producer(node.id, 0)
+    assert g.nodes[src].ann.var_name == "b" and g.nodes[src].ann.role == "array[2]"
+
+
 def _unary_chain(op: str, levels: int) -> str:
     return "int main() { int x; x = 0; x = " + f"{op} " * levels + "x; return x; }\n"
 

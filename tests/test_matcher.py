@@ -19,6 +19,7 @@ from adil.matcher import (
     unify,
 )
 from adil.debugger import diagnose, parse_spec
+from adil.flowgraph import COMMUTATIVE, NodeKind
 from adil.planlib import PlanBase, base_add, dependency_order, parse_plan, parse_plans, sub_closure
 
 from conftest import FLAT_RUNNING_TOTAL, GOAL_AND_BUG_PROGRAMS, SUM_SOURCE, graph_of
@@ -380,13 +381,91 @@ def test_a_dropped_plan_is_garbage_collected(sum_graph):
 class _ReferenceUnifier(matcher._Unifier):
     """The search without theta-bound pruning: every seed round and every
     fallback skip, whatever score the branch could still reach; and every
-    sub-match as a candidate for a sub pattern node, unfiltered."""
+    sub-match as a candidate for a sub pattern node, unfiltered.
+
+    It also checks and proposes every edge, real or sub-match, through one
+    generic path over FlowGraph's accessor methods (the former data_edge_ok,
+    _out_sources and in_port_variants), so the property tests compare the
+    matcher's direct adjacency checks against it."""
+
+    def node_matches(self, pid, nid):
+        pn = self.pnodes[pid]
+        if pn.subplan is not None:
+            return nid < 0 and self.pseudo_by_id[nid].match.plan == pn.subplan
+        if nid < 0:
+            return False
+        node = self.g.nodes[nid]
+        return (node.kind is pn.kind and (pn.opcode is None or node.opcode is pn.opcode)
+                and (pn.const is None or node.value == pn.const))
+
+    def in_port_variants(self, pid, port, nid):
+        if pid in self.plan.commutable_pids() and nid >= 0:
+            node = self.g.nodes[nid]
+            if (node.kind is NodeKind.OP and node.opcode in COMMUTATIVE
+                    and node.in_ports == 2 and port in (0, 1)):
+                return [port, 1 - port]
+        return [port]
+
+    def out_sources(self, nid, port):
+        if nid >= 0:
+            return {nid} if port < self.g.nodes[nid].out_ports else set()
+        exports = self.pseudo_by_id[nid].export_nodes
+        return {exports[port]} if port < len(exports) else set()
+
+    def in_targets(self, pid, nid, port):
+        if nid >= 0:
+            return nid, self.in_port_variants(pid, port, nid)
+        exports = self.pseudo_by_id[nid].export_nodes
+        if port >= len(exports):
+            return None, []
+        return exports[port], range(self.g.nodes[exports[port]].in_ports)
+
+    def data_edge_ok(self, edge, binding):
+        (a, po), (b, pi) = edge
+        sources = self.out_sources(binding[a], po)
+        target, ports = self.in_targets(b, binding[b], pi)
+        return any((src := self.g.producer(target, ip)) is not None and src[0] in sources
+                   for ip in ports)
+
+    def ctrl_nodes(self, nid):
+        return {nid} if nid >= 0 else self.pseudo_by_id[nid].all_nodes
+
+    def ctrl_edge_ok(self, edge, binding):
+        a, b, label = edge
+        targets = self.ctrl_nodes(binding[b])
+        return any(dst in targets and (label is None or lab == label)
+                   for src in self.ctrl_nodes(binding[a]) for dst, lab in self.g.ctrl_succs(src))
+
+    def consistent(self, pid, nid, binding):
+        return (self.node_matches(pid, nid)
+                and all(self.data_edge_ok(edge, binding)
+                        for other, edge in self.plan.tables.data_at[pid] if other in binding)
+                and all(self.ctrl_edge_ok(edge, binding)
+                        for other, edge in self.plan.tables.ctrl_at[pid] if other in binding))
 
     def candidates_via_edges(self, pid, binding):
         pn = self.pnodes[pid]
-        if pn.is_sub:
+        if pn.subplan is not None:
             return [p.pseudo_id for p in self.pseudos[pn.subplan]]
-        return super().candidates_via_edges(pid, binding)
+        out = []
+        for _, edge in self.plan.tables.data_at[pid]:
+            (a, po), (b, pi) = edge
+            if a == pid and b in binding:
+                target, ports = self.in_targets(b, binding[b], pi)
+                out += [src[0] for ip in ports if (src := self.g.producer(target, ip)) is not None]
+            elif b == pid and a in binding:
+                out += [dst for src in self.out_sources(binding[a], po)
+                        for op in range(self.g.nodes[src].out_ports)
+                        for dst, _ in self.g.consumers(src, op)]
+        if not out:
+            for _, (a, b, label) in self.plan.tables.ctrl_at[pid]:
+                if a == pid and b in binding:
+                    out += [src for t in self.ctrl_nodes(binding[b])
+                            for src, lab in self.g.ctrl_preds(t) if label is None or lab == label]
+                elif b == pid and a in binding:
+                    out += [dst for s in self.ctrl_nodes(binding[a])
+                            for dst, lab in self.g.ctrl_succs(s) if label is None or lab == label]
+        return sorted(set(out))
 
     def run(self):
         if self.size > len(self.g.nodes):
@@ -425,6 +504,14 @@ class _ReferenceUnifier(matcher._Unifier):
 
 THETAS = (0.5, 0.6, 0.8, 1.0)
 
+OUT_PORT_1_PLAN = """\
+plan "second-output" kind=cliche category=pe
+node sum kind=OP op=ADD
+node total kind=JOIN
+data total:1 -> sum:0
+end
+"""
+
 
 def _same_search(g, plan, theta, sub_matches=None, sub_plans=None):
     """unify's results equal the reference search's, in fewer or as many steps;
@@ -451,6 +538,17 @@ def _same_search(g, plan, theta, sub_matches=None, sub_plans=None):
     assert staged.steps == pruned.steps >= first_steps
     assert all(any(r is s for s in resumed) for r in first)
     return got
+
+
+@pytest.mark.parametrize("theta", (0.5, 1.0))
+def test_an_edge_from_a_missing_out_port_binds_no_real_pair(theta, sum_graph):
+    # the loop's JOIN feeds the ADD at in-port 0, but every graph node has
+    # one out-port, so an edge leaving port 1 fits no pair of nodes; the
+    # ADD is seeded first, so consistent() is what must reject the JOIN
+    results = _same_search(sum_graph, parse_plan(OUT_PORT_1_PLAN), theta)
+    assert all(r.score < 1 for r in results)
+    port_0 = parse_plan(OUT_PORT_1_PLAN.replace("total:1", "total:0"))
+    assert any(r.score == 1 for r in unify(sum_graph, port_0))
 
 
 @settings(max_examples=200, deadline=None)
