@@ -22,7 +22,7 @@ from enum import Enum
 
 from . import frontend as fe
 from .records import record
-from .source import SourceSpan, span_hull
+from .source import SourceSpan
 
 
 class NodeKind(Enum):
@@ -138,7 +138,8 @@ class FlowGraph:
             ctrl_in.setdefault(dst, []).append((src, label))
         for adjacency in (consumers_of, ctrl_out, ctrl_in):
             for entries in adjacency.values():
-                entries.sort()
+                if len(entries) > 1:
+                    entries.sort()
         self.producer_of, self.consumers_of = producer_of, consumers_of
         self.ctrl_out, self.ctrl_in = ctrl_out, ctrl_in
 
@@ -167,13 +168,10 @@ class _Builder:
         self.data_edges: set[DataEdge] = set()
         self.ctrl_edges: set[CtrlEdge] = set()
         self.frontier: list[tuple[int, str]] = []
-        # scoping: names resolve to slot ids; env maps slots to value refs
+        # scoping: names resolve to slot ids, in declaration order; env maps slots to value refs
         self.scopes: list[dict[str, int]] = []
         self.slot_names: dict[int, str] = {}
-        self.slot_is_array: dict[int, bool] = {}
-        self.slot_order: dict[int, int] = {}
         self.env: dict[int, _Ref] = {}
-        self.next_slot = 0
         self.returns: list[tuple[_Ref, list[tuple[int, str]]]] = []
 
     # -- nodes and edges
@@ -193,108 +191,101 @@ class _Builder:
         self.data_edges.add((src, (dst, in_port)))
 
     def rename(self, nid: int, name: str) -> None:
-        node = self.nodes[nid]
-        if node.ann.var_name is None:
-            self.nodes[nid] = GraphNode(node.id, node.kind, node.in_ports, node.out_ports,
-                                        Annotation(node.ann.span, name, node.ann.role),
-                                        node.opcode, node.value)
+        ann = self.nodes[nid].ann
+        if ann.var_name is None:
+            ann.var_name = name
 
     # -- variable slots
 
-    def declare(self, name: str, is_array: bool) -> int:
-        slot = self.next_slot
-        self.next_slot += 1
+    def declare(self, name: str) -> int:
+        slot = len(self.slot_names)
         self.scopes[-1][name] = slot
         self.slot_names[slot] = name
-        self.slot_is_array[slot] = is_array
-        self.slot_order[slot] = slot
         return slot
 
     def resolve(self, name: str) -> int:
         for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
+            slot = scope.get(name)
+            if slot is not None:
+                return slot
         raise KeyError(name)  # parser guarantees declarations; defensive only
 
-    # -- statements
+    # -- statements, dispatched on the Ast class by _STMT_BUILDERS
 
     def build_function(self, func: fe.FunctionDecl) -> FlowGraph:
         self.node(NodeKind.ENTRY, func.span, role=f"entry of {func.name}")
         self.scopes.append({})
         for p in func.params:
-            slot = self.declare(p.name, p.is_array)
+            slot = self.declare(p.name)
             pid = self.node(NodeKind.PARAM, p.span, out_ports=1, var_name=p.name,
                             role="array parameter" if p.is_array else "parameter")
             self.env[slot] = (pid, 0)
         self.stmt(func.body)
         self.scopes.pop()
-        exit_tails = list(self.frontier)
-        valued = [(ref, tails) for ref, tails in self.returns]
         exit_id = len(self.nodes)
-        self.nodes[exit_id] = GraphNode(exit_id, NodeKind.EXIT, len(valued), 0,
+        self.nodes[exit_id] = GraphNode(exit_id, NodeKind.EXIT, len(self.returns), 0,
                                         Annotation(func.span, None, f"exit of {func.name}"))
-        for port, (ref, tails) in enumerate(valued):
+        for port, (ref, tails) in enumerate(self.returns):
             self.data_edges.add((ref, (exit_id, port)))
             for tail, label in tails:
                 self.ctrl_edges.add((tail, exit_id, label))
-        for tail, label in exit_tails:
+        for tail, label in self.frontier:
             self.ctrl_edges.add((tail, exit_id, label))
         return FlowGraph(self.nodes, frozenset(self.data_edges), frozenset(self.ctrl_edges),
                          entry=0, exit=exit_id)
 
     def stmt(self, s: fe.Stmt) -> None:
-        if isinstance(s, fe.Block):
-            self.scopes.append({})
-            for child in s.stmts:
-                self.stmt(child)
-            self.scopes.pop()
-        elif isinstance(s, fe.VarDecl):
-            slot = self.declare(s.name, s.array_size is not None)
-            if s.array_size is not None:
-                pid = self.node(NodeKind.PARAM, s.span, out_ports=1, var_name=s.name,
-                                role=f"array[{s.array_size}]")
-                self.env[slot] = (pid, 0)
-            elif s.init is not None:
-                ref = self.expr(s.init)
-                self.rename(ref[0], s.name)
-                self.env[slot] = ref
-        elif isinstance(s, fe.Assign):
-            self.assign(s.target, self.expr(s.value))
-        elif isinstance(s, fe.Input):
-            for target in s.targets:
-                var_name = target.name if isinstance(target, fe.VarRef) else None
-                ref = (self.node(NodeKind.INPUT, s.span, out_ports=1, var_name=var_name,
-                                 role="stdin"), 0)
-                self.assign(target, ref)
-        elif isinstance(s, fe.Output):
-            refs = [self.expr(a) for a in s.args]
-            out = self.node(NodeKind.OUTPUT, s.span, in_ports=len(refs), role=f"stdout {s.format!r}")
-            for port, ref in enumerate(refs):
-                self.data(ref, out, port)
-        elif isinstance(s, fe.ExprStmt):
-            self.expr(s.expr)
-        elif isinstance(s, fe.Return):
-            if s.value is not None:
-                ref = self.expr(s.value)
-                self.returns.append((ref, list(self.frontier)))
-            # fall through either way: anything after a return stays in the
-            # graph as dead code, which later stages may still diagnose
-        elif isinstance(s, fe.If):
-            self.if_stmt(s)
-        elif isinstance(s, fe.While):
-            self.while_stmt(s)
-        elif isinstance(s, fe.For):
-            raise ValueError("flow graph construction requires a desugared Ast (no for-loops)")
-        else:
+        build = _STMT_BUILDERS.get(s.__class__)
+        if build is None:
             raise TypeError(f"unknown statement {s!r}")
+        build(self, s)
+
+    def block(self, s: fe.Block) -> None:
+        self.scopes.append({})
+        for child in s.stmts:
+            self.stmt(child)
+        self.scopes.pop()
+
+    def var_decl(self, s: fe.VarDecl) -> None:
+        slot = self.declare(s.name)
+        if s.array_size is not None:
+            pid = self.node(NodeKind.PARAM, s.span, out_ports=1, var_name=s.name,
+                            role=f"array[{s.array_size}]")
+            self.env[slot] = (pid, 0)
+        elif s.init is not None:
+            ref = self.expr(s.init)
+            self.rename(ref[0], s.name)
+            self.env[slot] = ref
+
+    def input_stmt(self, s: fe.Input) -> None:
+        for target in s.targets:
+            var_name = target.name if isinstance(target, fe.VarRef) else None
+            ref = (self.node(NodeKind.INPUT, s.span, out_ports=1, var_name=var_name,
+                             role="stdin"), 0)
+            self.assign(target, ref)
+
+    def output_stmt(self, s: fe.Output) -> None:
+        refs = [self.expr(a) for a in s.args]
+        out = self.node(NodeKind.OUTPUT, s.span, in_ports=len(refs), role=f"stdout {s.format!r}")
+        for port, ref in enumerate(refs):
+            self.data(ref, out, port)
+
+    def return_stmt(self, s: fe.Return) -> None:
+        if s.value is not None:
+            ref = self.expr(s.value)
+            self.returns.append((ref, list(self.frontier)))
+        # fall through either way: anything after a return stays in the
+        # graph as dead code, which later stages may still diagnose
+
+    def for_stmt(self, s: fe.For) -> None:
+        raise ValueError("flow graph construction requires a desugared Ast (no for-loops)")
 
     def assign(self, target: fe.LValue, ref: _Ref) -> None:
+        slot = self.resolve(target.name)
         if isinstance(target, fe.VarRef):
-            slot = self.resolve(target.name)
             self.rename(ref[0], target.name)
             self.env[slot] = ref
         else:
-            slot = self.resolve(target.name)
             arr = self.env[slot]  # arrays are always bound at declaration
             idx = self.expr(target.index)
             aw = self.node(NodeKind.AWRITE, target.span, in_ports=3, out_ports=1,
@@ -312,20 +303,19 @@ class _Builder:
         saved = dict(self.env)
         self.frontier = [(test, "true")]
         self.stmt(s.then)
-        then_env, then_frontier = dict(self.env), list(self.frontier)
+        then_env, then_frontier = self.env, self.frontier
 
-        self.env = dict(saved)
+        self.env = saved
         self.frontier = [(test, "false")]
         if s.orelse is not None:
             self.stmt(s.orelse)
-        else_env, else_frontier = dict(self.env), list(self.frontier)
+        else_env, else_frontier = self.env, self.frontier
 
+        # a slot assigned on one path only is unbound afterwards
         merged: dict[int, _Ref] = {}
         joins: list[tuple[int, _Ref, _Ref]] = []
-        for slot in sorted(set(then_env) | set(else_env), key=lambda sl: self.slot_order[sl]):
-            t, e = then_env.get(slot), else_env.get(slot)
-            if t is None or e is None:
-                continue  # assigned on one path only: unbound afterwards
+        for slot in sorted(then_env.keys() & else_env.keys()):
+            t, e = then_env[slot], else_env[slot]
             if t == e:
                 merged[slot] = t
             else:
@@ -340,27 +330,21 @@ class _Builder:
             self.env[slot] = (j, 0)
 
     def while_stmt(self, s: fe.While) -> None:
-        assigned = _assigned_names(s.body, frozenset())
-        loop_slots: list[int] = []
-        for name in assigned:
-            try:
-                slot = self.resolve(name)
-            except KeyError:
-                continue
-            loop_slots.append(slot)
-        loop_slots.sort(key=lambda sl: self.slot_order[sl])
+        loop_slots = sorted(map(self.resolve, _assigned_names(s.body)))
 
         loophead = self.node(NodeKind.LOOPHEAD, s.span, role="loop head")
         joins: list[tuple[int, int]] = []  # (slot, join node)
+        unbound: list[int] = []  # assigned in the loop, unbound before it
         for slot in loop_slots:
-            if slot in self.env:
-                j = self.node(NodeKind.JOIN, s.span, in_ports=2, out_ports=1,
-                              var_name=self.slot_names[slot], role="loop variable")
-                self.data(self.env[slot], j, 0)
-                self.env[slot] = (j, 0)
-                joins.append((slot, j))
-            else:
-                self.env.pop(slot, None)
+            ref = self.env.get(slot)
+            if ref is None:
+                unbound.append(slot)
+                continue
+            j = self.node(NodeKind.JOIN, s.span, in_ports=2, out_ports=1,
+                          var_name=self.slot_names[slot], role="loop variable")
+            self.data(ref, j, 0)
+            self.env[slot] = (j, 0)
+            joins.append((slot, j))
 
         cond = self.expr(s.cond)
         test = self.node(NodeKind.TEST, s.cond.span, in_ports=1, role="loop test")
@@ -372,61 +356,80 @@ class _Builder:
         for slot, j in joins:
             self.data(self.env[slot], j, 1)
             self.env[slot] = (j, 0)
-        for slot in loop_slots:
-            if slot not in {sl for sl, _ in joins}:
-                self.env.pop(slot, None)  # unbound on the zero-iteration path
+        for slot in unbound:
+            self.env.pop(slot, None)  # unbound on the zero-iteration path
 
         back_tail = max(nid for nid, _ in self.frontier)
         for nid, _ in self.frontier:
             self.ctrl_edges.add((nid, loophead, "back" if nid == back_tail else "seq"))
         self.frontier = [(test, "false")]
 
-    # -- expressions
+    # -- expressions, dispatched on the Ast class by _EXPR_BUILDERS
 
     def expr(self, e: fe.Expr) -> _Ref:
-        if isinstance(e, fe.IntLit):
-            return (self.node(NodeKind.CONST, e.span, out_ports=1, value=e.value), 0)
-        if isinstance(e, fe.VarRef):
-            slot = self.resolve(e.name)
-            ref = self.env.get(slot)
-            if ref is None:
-                raise UnboundVariable(e.name, e.span)
-            return ref
-        if isinstance(e, fe.ArrayRef):
-            slot = self.resolve(e.name)
-            arr = self.env.get(slot)
-            if arr is None:
-                raise UnboundVariable(e.name, e.span)
-            idx = self.expr(e.index)
-            ar = self.node(NodeKind.AREAD, e.span, in_ports=2, out_ports=1,
-                           role=f"{e.name}[{fe.pp_expr(e.index)}]")
-            self.data(arr, ar, 0)
-            self.data(idx, ar, 1)
-            return (ar, 0)
-        if isinstance(e, fe.Unary):
-            ref = self.expr(e.operand)
-            op = self.node(NodeKind.OP, e.span, in_ports=1, out_ports=1, opcode=_UNOP[e.op])
-            self.data(ref, op, 0)
-            return (op, 0)
-        if isinstance(e, fe.Binary):
-            lhs = self.expr(e.lhs)
-            rhs = self.expr(e.rhs)
-            op = self.node(NodeKind.OP, e.span, in_ports=2, out_ports=1, opcode=_BINOP[e.op])
-            self.data(lhs, op, 0)
-            self.data(rhs, op, 1)
-            return (op, 0)
-        if isinstance(e, fe.Call):
-            refs = [self.expr(a) for a in e.args]
-            call = self.node(NodeKind.CALL, e.span, in_ports=len(refs), out_ports=1, role=e.name)
-            for port, ref in enumerate(refs):
-                self.data(ref, call, port)
-            return (call, 0)
-        raise TypeError(f"unknown expression {e!r}")
+        build = _EXPR_BUILDERS.get(e.__class__)
+        if build is None:
+            raise TypeError(f"unknown expression {e!r}")
+        return build(self, e)
+
+    def int_lit(self, e: fe.IntLit) -> _Ref:
+        return (self.node(NodeKind.CONST, e.span, out_ports=1, value=e.value), 0)
+
+    def var_ref(self, e: fe.VarRef) -> _Ref:
+        ref = self.env.get(self.resolve(e.name))
+        if ref is None:
+            raise UnboundVariable(e.name, e.span)
+        return ref
+
+    def array_ref(self, e: fe.ArrayRef) -> _Ref:
+        arr = self.env.get(self.resolve(e.name))
+        if arr is None:
+            raise UnboundVariable(e.name, e.span)
+        idx = self.expr(e.index)
+        ar = self.node(NodeKind.AREAD, e.span, in_ports=2, out_ports=1,
+                       role=f"{e.name}[{fe.pp_expr(e.index)}]")
+        self.data(arr, ar, 0)
+        self.data(idx, ar, 1)
+        return (ar, 0)
+
+    def unary(self, e: fe.Unary) -> _Ref:
+        ref = self.expr(e.operand)
+        op = self.node(NodeKind.OP, e.span, in_ports=1, out_ports=1, opcode=_UNOP[e.op])
+        self.data(ref, op, 0)
+        return (op, 0)
+
+    def binary(self, e: fe.Binary) -> _Ref:
+        lhs = self.expr(e.lhs)
+        rhs = self.expr(e.rhs)
+        op = self.node(NodeKind.OP, e.span, in_ports=2, out_ports=1, opcode=_BINOP[e.op])
+        self.data(lhs, op, 0)
+        self.data(rhs, op, 1)
+        return (op, 0)
+
+    def call(self, e: fe.Call) -> _Ref:
+        refs = [self.expr(a) for a in e.args]
+        call = self.node(NodeKind.CALL, e.span, in_ports=len(refs), out_ports=1, role=e.name)
+        for port, ref in enumerate(refs):
+            self.data(ref, call, port)
+        return (call, 0)
 
 
-def _assigned_names(stmt: fe.Stmt, shadowed: frozenset[str]) -> list[str]:
-    """Names assigned within stmt that resolve to an enclosing scope, in first-assignment order."""
-    out: list[str] = []
+_STMT_BUILDERS = {
+    fe.Block: _Builder.block, fe.VarDecl: _Builder.var_decl,
+    fe.Assign: lambda b, s: b.assign(s.target, b.expr(s.value)),
+    fe.Input: _Builder.input_stmt, fe.Output: _Builder.output_stmt,
+    fe.ExprStmt: lambda b, s: b.expr(s.expr), fe.Return: _Builder.return_stmt,
+    fe.If: _Builder.if_stmt, fe.While: _Builder.while_stmt, fe.For: _Builder.for_stmt,
+}
+_EXPR_BUILDERS = {
+    fe.IntLit: _Builder.int_lit, fe.VarRef: _Builder.var_ref, fe.ArrayRef: _Builder.array_ref,
+    fe.Unary: _Builder.unary, fe.Binary: _Builder.binary, fe.Call: _Builder.call,
+}
+
+
+def _assigned_names(stmt: fe.Stmt) -> set[str]:
+    """Names assigned within stmt that resolve to an enclosing scope."""
+    out: set[str] = set()
 
     def walk(s: fe.Stmt, hidden: set[str]) -> None:
         if isinstance(s, fe.Block):
@@ -436,21 +439,18 @@ def _assigned_names(stmt: fe.Stmt, shadowed: frozenset[str]) -> list[str]:
                     local.add(child.name)
                 walk(child, local)
         elif isinstance(s, fe.Assign):
-            name = s.target.name
-            if name not in hidden and name not in out:
-                out.append(name)
+            if s.target.name not in hidden:
+                out.add(s.target.name)
         elif isinstance(s, fe.Input):
-            for t in s.targets:
-                if t.name not in hidden and t.name not in out:
-                    out.append(t.name)
+            out.update(t.name for t in s.targets if t.name not in hidden)
         elif isinstance(s, fe.If):
-            walk(s.then, set(hidden))
+            walk(s.then, hidden)
             if s.orelse is not None:
-                walk(s.orelse, set(hidden))
+                walk(s.orelse, hidden)
         elif isinstance(s, (fe.While, fe.For)):
-            walk(s.body, set(hidden))
+            walk(s.body, hidden)
 
-    walk(stmt, set(shadowed))
+    walk(stmt, set())
     return out
 
 
@@ -671,9 +671,9 @@ def validate(g: FlowGraph) -> list[str]:
 
     for nid, n in g.nodes.items():
         if n.kind is NodeKind.LOOPHEAD:
-            backs = [e for e in g.ctrl_edges if e[1] == nid and e[2] == "back"]
-            if len(backs) != 1:
-                problems.append(f"loophead {nid} has {len(backs)} back edges")
+            backs = sum(label == "back" for _, label in g.ctrl_preds(nid))
+            if backs != 1:
+                problems.append(f"loophead {nid} has {backs} back edges")
     for src, dst, label in g.ctrl_edges:
         if label == "back" and g.nodes[dst].kind is not NodeKind.LOOPHEAD:
             problems.append(f"back edge {src}->{dst} does not target a LOOPHEAD")

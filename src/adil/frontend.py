@@ -22,7 +22,7 @@ from dataclasses import field, replace
 from typing import ClassVar, NamedTuple
 
 from .records import record
-from .source import SourceSpan, span_hull
+from .source import SourceSpan, span_hull, span_join
 
 
 class LexError(Exception):
@@ -67,30 +67,33 @@ MAX_NESTING = 100
 KEYWORDS = {"int", "if", "else", "while", "for", "return"}
 INTRINSICS = {"scanf", "printf"}
 
-# Longest-first so "<=" wins over "<".
+# The punctuators, longest first; `_TOKEN_RE` spells them as its `punct` case.
 PUNCT = [
     "<=", ">=", "==", "!=", "&&", "||",
     "+", "-", "*", "/", "%", "<", ">", "!", "=", "&",
     ",", ";", "(", ")", "{", "}", "[", "]",
 ]
 
-# One alternative per lexical case, tried in this order at each position.
-# `\w` is exactly str.isalnum() or "_" and `\d` is str.isdecimal(), so
-# identifiers continue as the str methods say; a number that starts or goes
-# on with a digit that is not decimal ("²"), and an identifier that starts
-# with a letter outside ASCII, are finished in Python from the `other` case.
+# Each match skips blanks and a line comment (`#` lines and `//`, which run
+# to the end of the line), then takes one lexical case, the common ones
+# first. Some case matches at every position (`.` any character but a
+# newline, `end` the end of input), so the skipped prefix never gives
+# anything back and no position is passed over. `[<>=!]=?` and `&&?` take
+# the longer operator first, as C does. `\w` is exactly str.isalnum() or "_"
+# and `\d` is str.isdecimal(), so identifiers continue as the str methods
+# say; a number that starts or goes on with a digit that is not decimal
+# ("²"), and an identifier that starts with a letter outside ASCII, are
+# finished in Python from the `other` case.
 _TOKEN_RE = re.compile(
-    r"(?P<newline>\n)"
-    r"|(?P<space>[ \t\r]+)"
-    r"|(?P<line_comment>(?:#|//)[^\n]*)"
-    r"|(?P<block_comment>/\*(?s:.*?)\*/)"
-    r"|(?P<open_comment>/\*)"
-    r'|(?P<string>"[^"\n]*")'
-    r'|(?P<open_string>")'
+    r"[ \t\r]*(?:(?:#|//)[^\n]*)?"
+    r"(?:(?P<word>[A-Za-z_]\w*)"
+    r"|(?P<punct>[-+*%,;(){}\[\]]|[<>=!]=?|&&?|\|\||/(?!\*))"
+    r"|(?P<newline>\n)"
     r"|(?P<num>\d+)"
-    r"|(?P<word>[A-Za-z_]\w*)"
-    r"|(?P<punct>" + "|".join(re.escape(p) for p in PUNCT) + ")"
-    r"|(?P<other>.)"
+    r'|(?P<string>"[^"\n]*")'
+    r"|(?P<block_comment>/\*(?s:.*?)\*/)"
+    r"|(?P<end>\Z)"
+    r"|(?P<other>.))"
 )
 _WORD_TAIL = re.compile(r"\w*")
 
@@ -104,53 +107,59 @@ class Token(NamedTuple):
 def tokenize(source: str, filename: str = "<source>") -> list[Token]:
     """Split source into tokens, skipping whitespace, comments and #include lines."""
     tokens: list[Token] = []
-    line, line_start, i = 1, 0, 0  # line_start: offset of the current line's first char
-    n = len(source)
-    match = _TOKEN_RE.match
-    new_tuple = tuple.__new__
-
-    while i < n:
-        m = match(source, i)
-        group = m.lastgroup
-        j = m.end()
-        if group == "newline":
-            line += 1
-            line_start = j
-        elif group == "block_comment":
-            newlines = m.group().count("\n")
-            if newlines:
-                line += newlines
-                line_start = source.rindex("\n", i, j) + 1
-        elif group not in ("space", "line_comment"):
-            col = i - line_start + 1
-            if group == "punct":
-                kind = text = m.group()
-            elif group == "word":
-                text = m.group()
+    append = tokens.append
+    new_tuple = tuple.__new__  # Token(...) and SourceSpan(...) are Python-level calls
+    line, line_start, pos = 1, 0, 0  # line_start: offset of the current line's first char
+    while True:
+        for m in _TOKEN_RE.finditer(source, pos):
+            group = m.lastgroup
+            if group == "word":
+                text = m["word"]
                 kind = text if text in KEYWORDS else "ident"
-            elif group == "num" or (group == "other" and source[i].isdigit()):
-                # a run of str.isdigit, which \d+ leaves at a digit like "²"
-                while j < n and source[j].isdigit():
-                    j += 1
-                kind, text = "num", source[i:j]
-            elif group == "string":
-                kind, text = "string", source[i + 1 : j - 1]
-            elif group == "open_comment":
-                raise LexError(SourceSpan(filename, line, col, line, col), "unterminated comment")
-            elif group == "open_string":
-                raise LexError(SourceSpan(filename, line, col, line, col),
-                               "unterminated string literal")
-            elif source[i].isalpha():  # a letter outside ASCII starts an identifier
-                j = _WORD_TAIL.match(source, j).end()
-                kind, text = "ident", source[i:j]
+            elif group == "punct":
+                kind = text = m["punct"]
+            elif group == "newline":
+                line += 1
+                line_start = m.end()
+                continue
+            elif group == "end":
+                continue
             else:
-                raise LexError(SourceSpan(filename, line, col, line, col),
-                               f"unexpected character {source[i]!r}")
-            # Valid without re-checking: one line, col >= 1, and j > i.
-            span = new_tuple(SourceSpan, (filename, line, col, line, col + j - i - 1))
-            tokens.append(Token(kind, text, span))
-        i = j
-    return tokens
+                i, j = m.span(group)
+                if group == "block_comment":
+                    newlines = source.count("\n", i, j)
+                    if newlines:
+                        line += newlines
+                        line_start = source.rindex("\n", i, j) + 1
+                    continue
+                if group == "string":
+                    kind, text = "string", source[i + 1 : j - 1]
+                elif group == "num" or source[i].isdigit():
+                    # a run of str.isdigit, which \d+ leaves at a digit like "²"
+                    while j < len(source) and source[j].isdigit():
+                        j += 1
+                    kind, text = "num", source[i:j]
+                elif source[i].isalpha():  # a letter outside ASCII starts an identifier
+                    j = _WORD_TAIL.match(source, j).end()
+                    kind, text = "ident", source[i:j]
+                else:
+                    col = i - line_start + 1
+                    message = ("unterminated comment" if source.startswith("/*", i)
+                               else "unterminated string literal" if source[i] == '"'
+                               else f"unexpected character {source[i]!r}")
+                    raise LexError(SourceSpan(filename, line, col, line, col), message)
+                # Valid without re-checking: one line, col >= 1, and j > i.
+                span = new_tuple(SourceSpan, (filename, line, i - line_start + 1, line, j - line_start))
+                append(new_tuple(Token, (kind, text, span)))
+                if j > m.end():  # the token ran past the match: scan on from its end
+                    pos = j
+                    break
+                continue
+            col_end = m.end() - line_start  # a word or punctuator ends the match
+            span = new_tuple(SourceSpan, (filename, line, col_end - len(text) + 1, line, col_end))
+            append(new_tuple(Token, (kind, text, span)))
+        else:
+            return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -325,70 +334,66 @@ _PRECEDENCE = {"||": 1, "&&": 2, "<": 3, "<=": 3, ">": 3, ">=": 3, "==": 3, "!="
 _REL_PREC = 3  # precedence of the comparison operators
 
 
-@record
-class _Scope:
-    vars: dict[str, bool] = field(default_factory=dict)  # name -> is_array
+_END = "end of file"  # kind of the parser's end-of-input token; no lexed token has it
+
+
+def _found(tok: Token) -> str:
+    """How an error message names the token it found."""
+    return _END if tok.kind == _END else repr(tok.text)
 
 
 class _Parser:
     def __init__(self, tokens: list[Token], cfg: CSubsetConfig, filename: str):
-        self.tokens = tokens
+        # The parser's copy of the tokens ends in an _END token, so the current
+        # token and the one after an identifier are read without a bounds check.
+        last = tokens[-1].span if tokens else SourceSpan(filename, 1, 1, 1, 1)
+        eof = SourceSpan(filename, last.line_end, last.col_end, last.line_end, last.col_end)
+        self.tokens = [*tokens, Token(_END, "", eof)]
         self.end = len(tokens)
         self.cfg = cfg
         self.filename = filename
         self.pos = 0
-        self.scopes: list[_Scope] = []
+        self.scopes: list[dict[str, bool]] = []  # name -> is_array, innermost last
         self.functions: dict[str, FunctionDecl] = {}
         self.depth = 0  # current nesting level, see MAX_NESTING
 
     # -- token plumbing
 
     def _eof_span(self) -> SourceSpan:
-        if self.tokens:
-            last = self.tokens[-1].span
-            return SourceSpan(self.filename, last.line_end, last.col_end, last.line_end, last.col_end)
-        return SourceSpan(self.filename, 1, 1, 1, 1)
-
-    # at, advance and expect run for nearly every token, so they index the
-    # token list themselves instead of calling peek.
+        return self.tokens[self.end].span
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < self.end else None
 
     def at(self, kind: str) -> bool:
-        return self.pos < self.end and self.tokens[self.pos].kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def advance(self) -> Token:
-        if self.pos >= self.end:
-            raise CSyntaxError(self._eof_span(), "more input", "end of file")
+        """The current token, which the caller has looked at, and move past it."""
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def expect(self, kind: str, expected: str | None = None) -> Token:
-        if self.pos >= self.end:
-            raise CSyntaxError(self._eof_span(), expected or repr(kind), "end of file")
         tok = self.tokens[self.pos]
         if tok.kind != kind:
-            raise CSyntaxError(tok.span, expected or repr(kind), repr(tok.text))
+            raise CSyntaxError(tok.span, expected or repr(kind), _found(tok))
         self.pos += 1
         return tok
 
-    def nest(self, tok: Token | None) -> None:
+    def nest(self, tok: Token) -> None:
         """Enter one nesting level at tok; leave it with `self.depth -= 1`."""
         if self.depth >= MAX_NESTING:
             raise self._too_deep(tok)
         self.depth += 1
 
-    def _too_deep(self, tok: Token | None) -> CSyntaxError:
-        span = tok.span if tok is not None else self._eof_span()
-        found = repr(tok.text) if tok is not None else "end of file"
-        return CSyntaxError(span, f"at most {MAX_NESTING} levels of nested parentheses, blocks"
-                            " and operators", found)
+    def _too_deep(self, tok: Token) -> CSyntaxError:
+        return CSyntaxError(tok.span, f"at most {MAX_NESTING} levels of nested parentheses, blocks"
+                            " and operators", _found(tok))
 
     def binary(self, op: Token, lhs: Expr, rhs: Expr, limit: int = MAX_NESTING) -> Binary:
         """lhs op rhs, a CSyntaxError at op if it ends deeper than limit."""
-        node = Binary(op.kind, lhs, rhs, span_hull([lhs.span, rhs.span]))
+        node = Binary(op.kind, lhs, rhs, span_join(lhs.span, rhs.span))
         if self.depth + node.height > limit:
             raise self._too_deep(op)
         return node
@@ -397,21 +402,22 @@ class _Parser:
 
     def declare(self, tok: Token, is_array: bool) -> None:
         scope = self.scopes[-1]
-        if tok.text in scope.vars:
+        if tok.text in scope:
             raise CSyntaxError(tok.span, "a fresh variable name", f"redeclaration of {tok.text!r}")
-        scope.vars[tok.text] = is_array
+        scope[tok.text] = is_array
 
     def lookup(self, tok: Token) -> bool:
         for scope in reversed(self.scopes):
-            if tok.text in scope.vars:
-                return scope.vars[tok.text]
+            is_array = scope.get(tok.text)
+            if is_array is not None:
+                return is_array
         raise CSyntaxError(tok.span, "a declared identifier", repr(tok.text))
 
     # -- grammar
 
     def parse_program(self) -> Ast:
         funcs: list[FunctionDecl] = []
-        while self.peek() is not None:
+        while self.pos < self.end:
             funcs.append(self.parse_function())
         if not funcs:
             raise CSyntaxError(self._eof_span(), "at least one function definition", "end of file")
@@ -440,56 +446,54 @@ class _Parser:
                     continue
                 break
         self.expect(")")
-        self.scopes.append(_Scope({p.name: p.is_array for p in params}))
+        self.scopes.append({p.name: p.is_array for p in params})
         body = self.parse_block()
         self.scopes.pop()
-        decl = FunctionDecl(name.text, tuple(params), body, span_hull([start.span, body.span]))
+        decl = FunctionDecl(name.text, tuple(params), body, span_join(start.span, body.span))
         self.functions[decl.name] = decl
         return decl
 
     def parse_block(self) -> Block:
         open_ = self.expect("{")
         stmts: list[Stmt] = []
-        self.scopes.append(_Scope())
+        self.scopes.append({})
         while not self.at("}"):
             stmts.extend(self.parse_statement())
         self.scopes.pop()
         close = self.expect("}")
-        return Block(tuple(stmts), span_hull([open_.span, close.span]))
+        return Block(tuple(stmts), span_join(open_.span, close.span))
 
     def parse_statement(self) -> list[Stmt]:
         """One syntactic statement; comma declarations expand to several VarDecls."""
-        tok = self.peek()
-        if tok is None:
-            raise CSyntaxError(self._eof_span(), "a statement", "end of file")
-        if tok.kind == "int":
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == "ident":
+            if tok.text == "scanf":
+                return [self.parse_scanf()]
+            if tok.text == "printf":
+                return [self.parse_printf()]
+            # Either a call statement or an assignment.
+            if self.tokens[self.pos + 1].kind == "(":
+                call = self.parse_call(self.advance())
+                semi = self.expect(";")
+                return [ExprStmt(call, span_join(call.span, semi.span))]
+            return [self.parse_assignment(statement=True)]
+        if kind == "int":
             return self.parse_declaration()
-        if tok.kind == "{":
+        if kind == "{":
             self.nest(tok)
             block = self.parse_block()
             self.depth -= 1
             return [block]
-        if tok.kind == "if":
+        if kind == "if":
             return [self.parse_if()]
-        if tok.kind == "while":
+        if kind == "while":
             return [self.parse_while()]
-        if tok.kind == "for":
+        if kind == "for":
             return [self.parse_for()]
-        if tok.kind == "return":
+        if kind == "return":
             return [self.parse_return()]
-        if tok.kind == "ident" and tok.text == "scanf":
-            return [self.parse_scanf()]
-        if tok.kind == "ident" and tok.text == "printf":
-            return [self.parse_printf()]
-        if tok.kind == "ident":
-            # Either a call statement or an assignment.
-            nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-            if nxt is not None and nxt.kind == "(":
-                call = self.parse_call(self.advance())
-                semi = self.expect(";")
-                return [ExprStmt(call, span_hull([call.span, semi.span]))]
-            return [self.parse_assignment(statement=True)]
-        raise CSyntaxError(tok.span, "a statement", repr(tok.text))
+        raise CSyntaxError(tok.span, "a statement", _found(tok))
 
     def parse_declaration(self) -> list[Stmt]:
         start = self.expect("int")
@@ -510,11 +514,11 @@ class _Parser:
             self.declare(name, size is not None)
             if self.at(","):
                 self.advance()
-                decls.append(VarDecl(name.text, size, init, span_hull([start.span, end_span])))
+                decls.append(VarDecl(name.text, size, init, span_join(start.span, end_span)))
                 continue
             # the last declarator's span runs to the ';'
             semi = self.expect(";")
-            decls.append(VarDecl(name.text, size, init, span_hull([start.span, semi.span])))
+            decls.append(VarDecl(name.text, size, init, span_join(start.span, semi.span)))
             return decls
 
     def parse_assignment(self, statement: bool = False) -> Assign:
@@ -523,7 +527,7 @@ class _Parser:
         self.expect("=", "'=' in assignment")
         value = self.parse_expr()
         end = self.expect(";").span if statement else value.span
-        return Assign(target, value, span_hull([target.span, end]))
+        return Assign(target, value, span_join(target.span, end))
 
     def parse_lvalue(self) -> LValue:
         name = self.expect("ident", "variable name")
@@ -535,7 +539,7 @@ class _Parser:
             index = self.parse_expr()
             close = self.expect("]")
             self.depth -= 1
-            return ArrayRef(name.text, index, span_hull([name.span, close.span]))
+            return ArrayRef(name.text, index, span_join(name.span, close.span))
         if is_array:
             raise CSyntaxError(name.span, "an indexed array access", repr(name.text))
         return VarRef(name.text, name.span)
@@ -552,10 +556,10 @@ class _Parser:
             self.advance()
             orelse = self.parse_branch_body()
             end_span = orelse.span
-        return If(cond, then, orelse, span_hull([start.span, end_span]))
+        return If(cond, then, orelse, span_join(start.span, end_span))
 
     def parse_branch_body(self) -> Stmt:
-        self.nest(self.peek())
+        self.nest(self.tokens[self.pos])
         if self.at("{"):
             body: Stmt = self.parse_block()
         else:
@@ -570,7 +574,7 @@ class _Parser:
         cond = self.parse_expr()
         self.expect(")")
         body = self.parse_branch_body()
-        return While(cond, body, span_hull([start.span, body.span]))
+        return While(cond, body, span_join(start.span, body.span))
 
     def parse_for(self) -> For:
         start = self.expect("for")
@@ -584,7 +588,7 @@ class _Parser:
         step = self.parse_assignment()
         self.expect(")")
         body = self.parse_branch_body()
-        return For(init, cond, step, body, span_hull([start.span, body.span]))
+        return For(init, cond, step, body, span_join(start.span, body.span))
 
     def parse_return(self) -> Return:
         start = self.expect("return")
@@ -592,7 +596,7 @@ class _Parser:
         if not self.at(";"):
             value = self.parse_expr()
         semi = self.expect(";")
-        return Return(value, span_hull([start.span, semi.span]))
+        return Return(value, span_join(start.span, semi.span))
 
     def parse_scanf(self) -> Input:
         start = self.advance()  # scanf
@@ -608,7 +612,7 @@ class _Parser:
             targets.append(self.parse_lvalue())
         self.expect(")")
         semi = self.expect(";")
-        return Input(tuple(targets), span_hull([start.span, semi.span]))
+        return Input(tuple(targets), span_join(start.span, semi.span))
 
     def parse_printf(self) -> Output:
         start = self.advance()  # printf
@@ -622,7 +626,7 @@ class _Parser:
         semi = self.expect(";")
         if fmt.text.count("%d") != len(args):
             raise CSyntaxError(fmt.span, 'one argument per "%d"', f"{len(args)} arguments")
-        return Output(fmt.text, tuple(args), span_hull([start.span, semi.span]))
+        return Output(fmt.text, tuple(args), span_join(start.span, semi.span))
 
     def parse_call(self, name: Token) -> Call:
         if not self.cfg.allow_functions:
@@ -640,22 +644,20 @@ class _Parser:
         count = f"{len(params)} argument{'' if len(params) == 1 else 's'}"
         close = self.expect(")", f"')' after {count} to {name.text!r}")
         self.depth -= 1
-        return Call(name.text, tuple(args), span_hull([name.span, close.span]))
+        return Call(name.text, tuple(args), span_join(name.span, close.span))
 
     def parse_argument(self, callee: str, param: Param) -> Expr:
         """One call argument: a scalar expression for a scalar parameter (where
         a bare array name is an error, as anywhere in an expression), and
         exactly a bare array name for an array parameter."""
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         what = f"parameter {param.name!r} of {callee!r}"
-        if tok is None:
-            raise CSyntaxError(self._eof_span(), f"an argument for {what}", "end of file")
-        if tok.kind == ")":
-            raise CSyntaxError(tok.span, f"an argument for {what}", "')'")
+        if tok.kind == _END or tok.kind == ")":
+            raise CSyntaxError(tok.span, f"an argument for {what}", _found(tok))
         if not param.is_array:
             return self.parse_expr()
-        nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-        if tok.kind != "ident" or nxt is None or nxt.kind not in (",", ")") or not self.lookup(tok):
+        if (tok.kind != "ident" or self.tokens[self.pos + 1].kind not in (",", ")")
+                or not self.lookup(tok)):
             raise CSyntaxError(tok.span, f"a bare array name for array {what}", repr(tok.text))
         self.advance()
         return VarRef(tok.text, tok.span)
@@ -676,7 +678,7 @@ class _Parser:
         lhs = self.parse_unary()
         closed = False  # whether this loop has built a comparison, && or ||
         tokens = self.tokens
-        while self.pos < len(tokens):
+        while True:  # the _END token has no precedence, so it ends the loop
             op = tokens[self.pos]
             prec = _PRECEDENCE.get(op.kind, 0)
             if prec < min_prec or (prec == _REL_PREC and closed):
@@ -688,33 +690,31 @@ class _Parser:
         return lhs
 
     def parse_unary(self) -> Expr:
-        tok = self.peek()
-        if tok is not None and tok.kind in ("!", "-"):
+        tok = self.tokens[self.pos]
+        if tok.kind == "!" or tok.kind == "-":
             self.nest(self.advance())
             operand = self.parse_unary()
             self.depth -= 1
-            return Unary(tok.kind, operand, span_hull([tok.span, operand.span]))
+            return Unary(tok.kind, operand, span_join(tok.span, operand.span))
         return self.parse_primary()
 
     def parse_primary(self) -> Expr:
-        tok = self.peek()
-        if tok is None:
-            raise CSyntaxError(self._eof_span(), "an expression", "end of file")
-        if tok.kind == "num":
-            self.advance()
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == "ident":
+            if self.tokens[self.pos + 1].kind == "(":
+                return self.parse_call(self.advance())
+            return self.parse_lvalue()
+        if kind == "num":
+            self.pos += 1
             return IntLit(_int_value(tok), tok.span)
-        if tok.kind == "(":
+        if kind == "(":
             self.nest(self.advance())
             inner = self.parse_expr()
             self.expect(")")
             self.depth -= 1
             return inner
-        if tok.kind == "ident":
-            nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-            if nxt is not None and nxt.kind == "(":
-                return self.parse_call(self.advance())
-            return self.parse_lvalue()
-        raise CSyntaxError(tok.span, "an expression", repr(tok.text))
+        raise CSyntaxError(tok.span, "an expression", _found(tok))
 
 
 def _int_value(tok: Token) -> int:

@@ -6,7 +6,7 @@ defining the class: `dataclass` writes out the source of a `__repr__` and an
 `__eq__` for each class and compiles it, while `record` builds both from the
 class's fields as closures over two shared bodies. With CPython 3.11 to 3.13
 that about halves the cost of defining a record class (≈0.5 ms to ≈0.25 ms),
-which every start-up pays for each of adil's 34 records. The analysis itself
+which every start-up pays for each of adil's 33 records. The analysis itself
 neither compares nor prints records, so the speed of the two methods does
 not matter.
 """

@@ -5,9 +5,11 @@ that findings can be pinpointed back to the text the student wrote.
 
 A span is a validated tuple: `SourceSpan(...)` checks its coordinates, and
 spans compare, hash and sort as their field tuples. The front end builds
-thousands of spans per program, so two sites that can only produce valid
+thousands of spans per program, so three sites that can only produce valid
 spans skip the check by building the tuple directly: `frontend.tokenize`
-(one token on one line) and `span_hull` (the hull of valid spans).
+(one token on one line), `span_hull` (the hull of valid spans) and
+`span_join` (the start of one valid span and the end of another that starts
+and ends no earlier, which is the pair's hull).
 """
 
 from __future__ import annotations
@@ -66,5 +68,13 @@ def span_hull(spans: list[SourceSpan]) -> SourceSpan:
             last = s
     # Valid without re-checking: first starts no later than last, which ends
     # no earlier than it starts, and every coordinate comes from a valid span.
+    return tuple.__new__(SourceSpan, (first.file, first.line_start, first.col_start,
+                                      last.line_end, last.col_end))
+
+
+def span_join(first: SourceSpan, last: SourceSpan) -> SourceSpan:
+    """The span from first's start to last's end: `span_hull([first, last])`
+    where last starts and ends no earlier than first, as when both come from
+    source read left to right. It builds one tuple and compares nothing."""
     return tuple.__new__(SourceSpan, (first.file, first.line_start, first.col_start,
                                       last.line_end, last.col_end))

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,11 @@ from adil.flowgraph import (
 
 from conftest import SUM_SOURCE, graph_of
 from generators import random_graph, random_program, rename_variant
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def kinds_count(g, kind, opcode=None):
@@ -336,3 +343,99 @@ def test_two_producers_on_one_in_port_keep_the_larger_source():
     unary = flowgraph.FlowGraph(nodes, g.data_edges, g.ctrl_edges, g.entry, g.exit)
     _assert_views_match_sorted_edges(unary)
     assert mul not in commutative_nodes(unary)
+
+
+# validate as it was before it counted each LOOPHEAD's back edges from
+# ctrl_in: a scan of every ctrl edge per LOOPHEAD. Kept as the reference.
+def _reference_validate(g) -> list[str]:
+    problems: list[str] = []
+    producers: dict[tuple[int, int], int] = {}
+    for _, dst in g.data_edges:
+        producers[dst] = producers.get(dst, 0) + 1
+    for nid, n in g.nodes.items():
+        for port in range(n.in_ports):
+            count = producers.get((nid, port), 0)
+            if count != 1:
+                problems.append(f"node {nid} in_port {port} has {count} producers")
+    for (src, op), (dst, ip) in g.data_edges:
+        if op >= g.nodes[src].out_ports or ip >= g.nodes[dst].in_ports:
+            problems.append(f"edge ({src}:{op})->({dst}:{ip}) out of port range")
+
+    succs: dict[int, list[int]] = {nid: [] for nid in g.nodes}
+    for (src, _), (dst, ip) in g.data_edges:
+        if g.nodes[dst].kind is NodeKind.JOIN and ip == 1:
+            continue
+        succs[src].append(dst)
+    if flowgraph._has_cycle(succs):
+        problems.append("data edges contain a cycle that avoids JOIN back-inputs")
+
+    seen = {g.entry}
+    stack = [g.entry]
+    while stack:
+        v = stack.pop()
+        for w, _ in g.ctrl_succs(v):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    for nid in g.nodes:
+        if nid not in seen:
+            problems.append(f"node {nid} unreachable from entry via ctrl edges")
+
+    reaches_exit = {g.exit}
+    stack = [g.exit]
+    while stack:
+        v = stack.pop()
+        for w, _ in g.ctrl_preds(v):
+            if w not in reaches_exit:
+                reaches_exit.add(w)
+                stack.append(w)
+    for nid in g.nodes:
+        if nid not in reaches_exit:
+            problems.append(f"exit unreachable from node {nid}")
+
+    for nid, n in g.nodes.items():
+        if n.kind is NodeKind.LOOPHEAD:
+            backs = [e for e in g.ctrl_edges if e[1] == nid and e[2] == "back"]
+            if len(backs) != 1:
+                problems.append(f"loophead {nid} has {len(backs)} back edges")
+    for src, dst, label in g.ctrl_edges:
+        if label == "back" and g.nodes[dst].kind is not NodeKind.LOOPHEAD:
+            problems.append(f"back edge {src}->{dst} does not target a LOOPHEAD")
+    return problems
+
+
+def test_validate_matches_reference_on_the_corpus_and_the_workloads(corpus_dir):
+    sources = [path.read_text() for path in sorted(corpus_dir.glob("*/*.c"))]
+    for workload in workloads.WORKLOADS:
+        sources += [item.source for item in workloads.make_items(workload, 5, ROOT)]
+    for source in sources:
+        g = graph_of(source)
+        assert validate(g) == _reference_validate(g) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_property_validate_matches_reference_on_generated_graphs(seed):
+    g = random_graph(random.Random(seed))
+    assert validate(g) == _reference_validate(g)
+
+
+def _relabel(g, edges: dict):
+    """g with each ctrl edge in `edges` given its new label."""
+    ctrl = frozenset((src, dst, edges.get((src, dst, label), label)) for src, dst, label in g.ctrl_edges)
+    return flowgraph.FlowGraph(g.nodes, g.data_edges, ctrl, g.entry, g.exit)
+
+
+def test_validate_matches_reference_on_broken_back_edges():
+    g = graph_of(SUM_SOURCE)
+    (head,) = [nid for nid, n in g.nodes.items() if n.kind is NodeKind.LOOPHEAD]
+    (back,) = [e for e in g.ctrl_edges if e[1] == head and e[2] == "back"]
+    (enter,) = [e for e in g.ctrl_edges if e[1] == head and e[2] == "seq"]
+    other = next(e for e in sorted(g.ctrl_edges) if e[2] == "seq" and e[1] != head)
+    cases = {
+        _relabel(g, {back: "seq"}): f"loophead {head} has 0 back edges",
+        _relabel(g, {enter: "back"}): f"loophead {head} has 2 back edges",
+        _relabel(g, {other: "back"}): f"back edge {other[0]}->{other[1]} does not target a LOOPHEAD",
+    }
+    for broken, problem in cases.items():
+        assert validate(broken) == _reference_validate(broken) == [problem]

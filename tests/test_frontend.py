@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,11 @@ from adil import frontend
 from adil.source import SourceSpan, span_hull
 
 from generators import random_program
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def test_tokenize_empty_input():
@@ -498,6 +505,9 @@ _SOUP_PIECES = PUNCT + [
     " ", "  ", "\t", "\r", "\n", "\r\n", "//", "// note\n", "/*", "*/", "/* a */", "/* a\n b */",
     "/*/", "#include <stdio.h>\n", '"', '"%d"', '"a b"', '"x\n',
     "\u00e9", "\u00b2", "\u00bd", "\u0663", "a\u00b2", "\u00e9t\u00e9", "\x00", "\x0b",
+    # around the skipped prefix of blanks and a line comment, and the rescan
+    # after a token that runs past its match
+    "#", "// x", "//", "/", "/ /", "\x0c", "   ", "1\u00b2x", "a\u00e9b",
 ]
 
 
@@ -506,6 +516,14 @@ _SOUP_PIECES = PUNCT + [
 def test_property_tokenize_matches_reference_lexer(pieces):
     source = "".join(pieces)
     assert _lex_outcome(tokenize, source) == _lex_outcome(_reference_tokenize, source)
+
+
+def test_tokenize_matches_reference_lexer_on_the_corpus_and_the_workloads(corpus_cases):
+    sources = [program.read_text() for program, _ in corpus_cases]
+    for workload in workloads.WORKLOADS:
+        sources += [item.source for item in workloads.make_items(workload, 5, ROOT)]
+    for source in sources:
+        assert tokenize(source, "w.c") == _reference_tokenize(source, "w.c")
 
 
 def test_tokenize_follows_str_digit_and_letter_classes():

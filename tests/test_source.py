@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from adil.frontend import tokenize
-from adil.source import SourceSpan, span_hull
+from adil.frontend import While, desugar, parse_c, tokenize
+from adil.source import SourceSpan, span_hull, span_join
 
 
 def _hull_by_min_max(spans: list[SourceSpan]) -> SourceSpan:
@@ -73,3 +73,34 @@ def test_token_value_semantics():
     assert tok == tokenize("x", "f.c")[0]
     assert tok != tokenize("y", "f.c")[0]
     assert hash(tok) == hash(("ident", "x", SourceSpan("f.c", 1, 1, 1, 1)))
+
+
+@st.composite
+def _ordered_pairs(draw) -> tuple[SourceSpan, SourceSpan]:
+    """Two spans where the second starts and ends no earlier than the first."""
+    a, b = draw(_spans()), draw(_spans())
+    if (b.line_start, b.col_start) < (a.line_start, a.col_start):
+        a, b = b, a
+    assume((a.line_end, a.col_end) <= (b.line_end, b.col_end))
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ordered_pairs())
+def test_property_span_join_is_the_hull_of_an_ordered_pair(pair):
+    a, b = pair
+    joined = span_join(a, b)
+    assert joined == span_hull([a, b])
+    assert SourceSpan(*joined) == joined
+
+
+def test_desugared_loop_body_takes_the_hull_of_a_step_written_before_it():
+    # the step `i = i + 1` comes before the body in the text, so the loop
+    # body that desugar appends it to starts at the step, not at the body
+    source = "int main() {\n  int i;\n  for (i = 0; i < 3; i = i + 1) {\n    i = i;\n  }\n  return i;\n}\n"
+    ast = desugar(parse_c(source, filename="f.c"))
+    loop = ast.functions[0].body.stmts[2]
+    assert isinstance(loop, While)
+    step = loop.body.stmts[-1]
+    assert step.span == SourceSpan("f.c", 3, 22, 3, 30)
+    assert loop.body.span == SourceSpan("f.c", 3, 22, 5, 3)
