@@ -204,11 +204,12 @@ class _Builder:
         return slot
 
     def resolve(self, name: str) -> int:
+        """The slot a name refers to here; KeyError if it is not declared yet."""
         for scope in reversed(self.scopes):
             slot = scope.get(name)
             if slot is not None:
                 return slot
-        raise KeyError(name)  # parser guarantees declarations; defensive only
+        raise KeyError(name)
 
     # -- statements, dispatched on the Ast class by _STMT_BUILDERS
 
@@ -330,7 +331,15 @@ class _Builder:
             self.env[slot] = (j, 0)
 
     def while_stmt(self, s: fe.While) -> None:
-        loop_slots = sorted(map(self.resolve, _assigned_names(s.body)))
+        loop_slots: list[int] = []
+        for name in _assigned_names(s.body):
+            try:
+                loop_slots.append(self.resolve(name))
+            except KeyError:
+                # declared later in the body's own scope (`if (c) int y = 1;`
+                # declares y there), so not a variable the loop carries in
+                continue
+        loop_slots.sort()
 
         loophead = self.node(NodeKind.LOOPHEAD, s.span, role="loop head")
         joins: list[tuple[int, int]] = []  # (slot, join node)

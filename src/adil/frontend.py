@@ -67,19 +67,13 @@ MAX_NESTING = 100
 KEYWORDS = {"int", "if", "else", "while", "for", "return"}
 INTRINSICS = {"scanf", "printf"}
 
-# The punctuators, longest first; `_TOKEN_RE` spells them as its `punct` case.
-PUNCT = [
-    "<=", ">=", "==", "!=", "&&", "||",
-    "+", "-", "*", "/", "%", "<", ">", "!", "=", "&",
-    ",", ";", "(", ")", "{", "}", "[", "]",
-]
-
 # Each match skips blanks and a line comment (`#` lines and `//`, which run
 # to the end of the line), then takes one lexical case, the common ones
 # first. Some case matches at every position (`.` any character but a
 # newline, `end` the end of input), so the skipped prefix never gives
-# anything back and no position is passed over. `[<>=!]=?` and `&&?` take
-# the longer operator first, as C does. `\w` is exactly str.isalnum() or "_"
+# anything back and no position is passed over. `punct` is the one
+# definition of the subset's punctuators; `[<>=!]=?` and `&&?` take the
+# longer operator first, as C does. `\w` is exactly str.isalnum() or "_"
 # and `\d` is str.isdecimal(), so identifiers continue as the str methods
 # say; a number that starts or goes on with a digit that is not decimal
 # ("²"), and an identifier that starts with a letter outside ASCII, are
@@ -361,9 +355,6 @@ class _Parser:
 
     def _eof_span(self) -> SourceSpan:
         return self.tokens[self.end].span
-
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < self.end else None
 
     def at(self, kind: str) -> bool:
         return self.tokens[self.pos].kind == kind

@@ -229,6 +229,14 @@ def test_graph_dot_and_json(work, capsys):
     assert doc["entry"] == 0
 
 
+def test_a_loop_assigning_a_name_declared_later_in_its_body_is_analyzed(work, capsys):
+    (work / "late.c").write_text("int main() { int c; c = 0; while (c < 3) { if (c) int y = 1; "
+                                 "y = 2; c = c + 1; } return c; }\n")
+    assert main(["graph", str(work / "late.c")]) == 0
+    assert _analyze(work, "late.c") == 1
+    assert "goal 'running-total' was not recognized" in capsys.readouterr().out
+
+
 def test_graph_missing_file(work, capsys):
     assert main(["graph", str(work / "nope.c")]) == 2
     capsys.readouterr()

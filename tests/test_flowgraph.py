@@ -238,6 +238,16 @@ def test_loop_body_ending_in_branches_keeps_one_back_edge():
     assert sum(1 for e in g.ctrl_edges if e[2] == "back") == 1
 
 
+def test_loop_assigns_a_name_declared_later_in_its_body():
+    # the if-branch declaration puts y in the loop body's scope, so at the
+    # loop head y has no slot yet and is not a loop variable
+    g = graph_of("int main() { int c; c = 0; while (c < 3) { if (c) int y = 1; y = 2; c = c + 1; } "
+                 "return c; }")
+    assert validate(g) == []
+    loop_vars = [n.ann.var_name for n in g.nodes.values() if n.ann.role == "loop variable"]
+    assert loop_vars == ["c"]
+
+
 def test_if_with_empty_branch():
     g = graph_of("int main(){int c;c=1;if(c<2){}return c;}")
     assert validate(g) == []

@@ -13,7 +13,6 @@ from adil.flowgraph import build_flow_graph
 from adil.frontend import (
     KEYWORDS,
     MAX_NESTING,
-    PUNCT,
     Assign,
     Block,
     CSubsetConfig,
@@ -408,6 +407,15 @@ def test_unreadable_number_is_a_syntax_error_at_the_literal(literal, expected):
         assert expected in err.value.expected
 
 
+# The punctuators of the subset, longest first, as the reference lexer tries
+# them; the tokenizer spells the same set as its regex's `punct` case.
+PUNCT = [
+    "<=", ">=", "==", "!=", "&&", "||",
+    "+", "-", "*", "/", "%", "<", ">", "!", "=", "&",
+    ",", ";", "(", ")", "{", "}", "[", "]",
+]
+
+
 # The character-at-a-time lexer that the one-regex tokenizer replaced, kept as
 # the reference for its behaviour.
 def _reference_tokenize(source: str, filename: str = "<source>") -> list[Token]:
@@ -535,10 +543,18 @@ def test_tokenize_follows_str_digit_and_letter_classes():
     assert err.value.span == SourceSpan("<source>", 2, 2, 2, 2)
 
 
+class _Peek:
+    """The bounds-checked look at the current token that the reference
+    parsers read, None at the end of input."""
+
+    def peek(self) -> Token | None:
+        return self.tokens[self.pos] if self.pos < self.end else None
+
+
 # The recursive-descent expression chain, one method per precedence level,
 # that the precedence-climbing `_Parser.parse_expr` replaced; kept as the
 # reference for its behaviour.
-class _ReferenceParser(_Parser):
+class _ReferenceParser(_Peek, _Parser):
     def parse_expr(self) -> Expr:
         return self.parse_or()
 
@@ -666,7 +682,7 @@ def test_comparisons_do_not_chain():
 # and final declaration was built once: `at`, `advance` and `expect` go
 # through `peek`, and the node is rebuilt with `dataclasses.replace` to widen
 # its span to the `;`. Kept as the reference for the statement parser.
-class _ReferenceStatementParser(_Parser):
+class _ReferenceStatementParser(_Peek, _Parser):
     def at(self, kind: str) -> bool:
         tok = self.peek()
         return tok is not None and tok.kind == kind
