@@ -204,7 +204,7 @@ class _Builder:
         return slot
 
     def resolve(self, name: str) -> int:
-        """The slot a name refers to here; KeyError if it is not declared yet."""
+        """The slot a name refers to here; the parser has checked that it is declared."""
         for scope in reversed(self.scopes):
             slot = scope.get(name)
             if slot is not None:
@@ -331,15 +331,7 @@ class _Builder:
             self.env[slot] = (j, 0)
 
     def while_stmt(self, s: fe.While) -> None:
-        loop_slots: list[int] = []
-        for name in _assigned_names(s.body):
-            try:
-                loop_slots.append(self.resolve(name))
-            except KeyError:
-                # declared later in the body's own scope (`if (c) int y = 1;`
-                # declares y there), so not a variable the loop carries in
-                continue
-        loop_slots.sort()
+        loop_slots = sorted(self.resolve(name) for name in _assigned_names(s.body))
 
         loophead = self.node(NodeKind.LOOPHEAD, s.span, role="loop head")
         joins: list[tuple[int, int]] = []  # (slot, join node)

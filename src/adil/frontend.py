@@ -45,7 +45,6 @@ class CSyntaxError(Exception):
 @record
 class CSubsetConfig:
     allow_for: bool = True
-    allow_functions: bool = True
 
 
 # Deepest nesting the parser accepts, counting bracketed sub-expressions
@@ -550,12 +549,16 @@ class _Parser:
         return If(cond, then, orelse, span_join(start.span, end_span))
 
     def parse_branch_body(self) -> Stmt:
-        self.nest(self.tokens[self.pos])
-        if self.at("{"):
+        """The body of an if, else, while or for. C takes a declaration only
+        inside a block, so `if (c) int y = 1;` is rejected, as gcc does."""
+        tok = self.tokens[self.pos]
+        self.nest(tok)
+        if tok.kind == "{":
             body: Stmt = self.parse_block()
+        elif tok.kind == "int":
+            raise CSyntaxError(tok.span, "a statement (a declaration needs a block here)", _found(tok))
         else:
-            stmts = self.parse_statement()
-            body = stmts[0] if len(stmts) == 1 else Block(tuple(stmts), span_hull([s.span for s in stmts]))
+            body = self.parse_statement()[0]
         self.depth -= 1
         return body
 
@@ -620,8 +623,6 @@ class _Parser:
         return Output(fmt.text, tuple(args), span_join(start.span, semi.span))
 
     def parse_call(self, name: Token) -> Call:
-        if not self.cfg.allow_functions:
-            raise CSyntaxError(name.span, "an expression (calls are disabled)", repr(name.text))
         if name.text not in self.functions:
             raise CSyntaxError(name.span, "a previously defined function", repr(name.text))
         params = self.functions[name.text].params

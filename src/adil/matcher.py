@@ -46,6 +46,20 @@ then seed rounds 1 and up, which is where near-misses come from. Both stages
 charge one step counter, and a result is built once whichever stage needs it
 first. `unify` runs both.
 
+The order in which a branch binds pattern nodes depends only on the plan,
+the nodes it has bound and the nodes it has skipped: next comes the first
+pattern node, in pattern order, with a bound data neighbour, else with a
+bound ctrl one. A branch that skipped nothing has bound exactly the nodes
+its seed's order reached so far, so that order is compiled once per plan
+and seed (`_order`), one `_Step` per position, and kept on `Plan.tables`:
+at most one order per pattern node, shared by every graph and dropped with
+the plan. A step holds its pattern node's test and the incident edges whose
+other end is bound before it, so checking a candidate tests no edge for
+being bound. Branches with skips (the deferred ones, and seed rounds 1 and
+up) compile each step when they reach it (`_step`), unmemoized, since a
+plan built for one item would visit most of those states once. Either way
+the order, the candidates and so every step are the same.
+
 Hierarchy is bottom-up: accepted matches of a sub-plan become bindable
 pseudo-nodes for the plans that contain it, and `recognize` orders plans so
 sub-plans always run first. Every plan's first stage runs before any second
@@ -63,13 +77,13 @@ in an order fixed by a total sort key, not by the order of exploration.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Collection, Iterator, Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .flowgraph import FlowGraph, NodeKind, commutative_nodes, node_index, value_chains
-from .planlib import Plan, PlanBase, Predicate, closure, dependency_order, sub_closure
+from .planlib import Plan, PlanBase, PlanTables, Predicate, closure, dependency_order, sub_closure
 from .records import record
 from .source import SourceSpan
 
@@ -217,6 +231,68 @@ class _Pseudo:
     all_nodes: set[int]
 
 
+class _Step:
+    """One place in a matching order: the pattern node bound there, its node
+    test, and its incident edges as seen from the nodes bound before it.
+
+    `data_checks` and `ctrl_checks` are the edges `consistent` tests: those
+    whose other end is bound, and self-loops. `data_gen` and `ctrl_gen`, the
+    edges whose other end is bound, are where candidates come from."""
+
+    __slots__ = ("pid", "subplan", "kind", "opcode", "const",
+                 "data_checks", "ctrl_checks", "data_gen", "ctrl_gen")
+
+    def __init__(self, tables: PlanTables, pid: str, bound: Collection[str]):
+        pn = tables.pnodes[pid]
+        self.pid, self.subplan = pid, pn.subplan
+        self.kind, self.opcode, self.const = pn.kind, pn.opcode, pn.const
+        # one pass per edge list: the branches that compile steps on the fly
+        # compile one per extension
+        self.data_gen, self.data_checks = data_gen, data_checks = [], []
+        for other, edge in tables.data_at[pid]:
+            if other in bound:
+                data_gen.append(edge)
+                data_checks.append(edge)
+            elif other == pid:
+                data_checks.append(edge)
+        self.ctrl_gen, self.ctrl_checks = ctrl_gen, ctrl_checks = [], []
+        for other, edge in tables.ctrl_at[pid]:
+            if other in bound:
+                ctrl_gen.append(edge)
+                ctrl_checks.append(edge)
+            elif other == pid:
+                ctrl_checks.append(edge)
+
+
+def _step(tables: PlanTables, bound: Set[str], skipped: Collection[str]) -> _Step | None:
+    """The next pattern node to bind, as a step, or None when no pattern node
+    outside bound and skipped has a bound neighbour: the first such node in
+    pattern order with a bound data neighbour, else with a bound ctrl one."""
+    for nbrs in (tables.data_nbrs, tables.ctrl_nbrs):
+        for pid in tables.pid_order:
+            if pid in bound or pid in skipped:
+                continue
+            if not bound.isdisjoint(nbrs[pid]):
+                return _Step(tables, pid, bound)
+    return None
+
+
+def _order(tables: PlanTables, seed: str) -> list[_Step | None]:
+    """The steps a branch that skips nothing takes from seed: the seed's own
+    step first, then one per node it binds, then None. Compiled once per
+    plan and seed, and kept on the plan's tables."""
+    order = tables.orders.get(seed)
+    if order is None:
+        order = [_Step(tables, seed, ())]
+        bound = {seed}
+        while (step := _step(tables, bound, ())) is not None:
+            order.append(step)
+            bound.add(step.pid)
+        order.append(None)
+        tables.orders[seed] = order
+    return order
+
+
 class _Unifier:
     def __init__(self, g: FlowGraph, plan: Plan, budget: SearchBudget,
                  sub_matches: dict[str, list[MatchResult]], sub_plans: dict[str, Plan]):
@@ -236,14 +312,11 @@ class _Unifier:
         # them records nothing above size - k nodes. Past this many skips the
         # score is below theta: (size - k) * den < num * size.
         self.max_skipped = self.size + (-self.theta_num * self.size // self.theta_den)
+        self.tables = tables
         self.pid_order = tables.pid_order
         self.pnodes = tables.pnodes
         self.commutable = tables.commutable
         self.subplan_of = tables.subplan_of
-        self.data_at = tables.data_at
-        self.ctrl_at = tables.ctrl_at
-        self.data_nbrs = tables.data_nbrs
-        self.ctrl_nbrs = tables.ctrl_nbrs
 
         # pseudo-node table for sub-plan pattern nodes, and each sub-plan's
         # pseudo-nodes by (export port, export node), in table order
@@ -267,6 +340,7 @@ class _Unifier:
 
         self.candidates: dict[str, list[int]] = {}  # node_candidates, per pid
         self.seeds: list[str] = []  # pids by rarity, set by first_stage
+        self.order: list[_Step | None] = []  # the rarest seed's compiled order, set by seed_rounds
         self.deferred: list[tuple[dict[str, int], set[int], frozenset]] = []  # for resume
         self.recorded: list[dict[str, int]] = []  # bindings at or above theta
         self.seen: set[frozenset] = set()
@@ -288,22 +362,6 @@ class _Unifier:
                 found = self.index.get((pn.kind, pn.opcode), [])
             self.candidates[pid] = found
         return found
-
-    def node_matches(self, pid: str, nid: int) -> bool:
-        subplan = self.subplan_of.get(pid)
-        if subplan is not None:
-            return nid < 0 and self.pseudo_by_id[nid].match.plan == subplan
-        if nid < 0:
-            return False
-        pn = self.pnodes[pid]
-        node = self.g.nodes[nid]
-        if node.kind is not pn.kind:
-            return False
-        if pn.opcode is not None and node.opcode is not pn.opcode:
-            return False
-        if pn.const is not None and node.value != pn.const:
-            return False
-        return True
 
     def _source(self, nid: int, port: int) -> int | None:
         """The graph node whose output bound endpoint nid:port stands for."""
@@ -349,15 +407,22 @@ class _Unifier:
     def _ctrl_nodes(self, nid: int) -> set[int]:
         return {nid} if nid >= 0 else self.pseudo_by_id[nid].all_nodes
 
-    def consistent(self, pid: str, nid: int, binding: dict[str, int]) -> bool:
-        """Whether nid fits pid and every pattern edge between pid and the bound
-        nodes; binding already maps pid to nid, and injectivity is the caller's."""
-        if not self.node_matches(pid, nid):
-            return False
+    def consistent(self, step: _Step, nid: int, binding: dict[str, int]) -> bool:
+        """Whether nid passes the step's node test and every edge it checks;
+        binding already maps step.pid to nid, and injectivity is the caller's.
+
+        Every candidate of a real pattern node is a real node, and every
+        candidate of a sub pattern node a sub-match of its own sub-plan (see
+        node_candidates and candidates_via_edges), so only a real node's
+        kind, opcode and constant are tested."""
+        if step.subplan is None:
+            node = self.g.nodes[nid]
+            if (node.kind is not step.kind
+                    or step.opcode is not None and node.opcode is not step.opcode
+                    or step.const is not None and node.value != step.const):
+                return False
         producer_of = self.producer_of
-        for other, edge in self.data_at[pid]:
-            if other not in binding:
-                continue
+        for edge in step.data_checks:
             (a, po), (b, pi) = edge
             na, nb = binding[a], binding[b]
             if na >= 0 and nb >= 0:
@@ -376,21 +441,21 @@ class _Unifier:
                 source = self._source(na, po)
                 if source is None or source not in self._producers(*self._sink(b, nb, pi)):
                     return False
-        for other, edge in self.ctrl_at[pid]:
-            if other in binding and not self.ctrl_edge_ok(edge, binding):
+        for edge in step.ctrl_checks:
+            if not self.ctrl_edge_ok(edge, binding):
                 return False
         return True
 
-    def candidates_via_edges(self, pid: str, binding: dict[str, int]) -> list[int]:
-        """Nodes adjacent in the graph to pid's bound pattern neighbors."""
-        subplan = self.subplan_of.get(pid)
-        if subplan is not None:
-            return self.pseudo_candidates(pid, subplan, binding)
+    def candidates_via_edges(self, step: _Step, binding: dict[str, int]) -> list[int]:
+        """Nodes adjacent in the graph to the step's bound pattern neighbors."""
+        if step.subplan is not None:
+            return self.pseudo_candidates(step, binding)
+        pid = step.pid
         producer_of, consumers_of = self.producer_of, self.consumers_of
         out: list[int] = []
-        for _, edge in self.data_at[pid]:
+        for edge in step.data_gen:
             (a, po), (b, pi) = edge
-            if a == pid and b in binding:
+            if a == pid:
                 nb = binding[b]
                 if nb < 0:
                     out.extend(self._producers(*self._sink(b, nb, pi)))
@@ -402,7 +467,7 @@ class _Unifier:
                     src = producer_of.get((nb, 1 - pi))
                     if src is not None:
                         out.append(src[0])
-            elif b == pid and a in binding:
+            else:
                 na = binding[a]
                 if na < 0:
                     out.extend(self._consumers(self._source(na, po)))
@@ -413,41 +478,38 @@ class _Unifier:
                         for dst, _ in consumers_of.get((na, op), ()):
                             out.append(dst)
         if not out:
-            for _, edge in self.ctrl_at[pid]:
-                a, b, label = edge
-                if a == pid and b in binding:
+            for a, b, label in step.ctrl_gen:
+                if a == pid:
                     for t in self._ctrl_nodes(binding[b]):
                         out.extend(src for src, lab in self.ctrl_in.get(t, ())
                                    if label is None or lab == label)
-                elif b == pid and a in binding:
+                else:
                     for s in self._ctrl_nodes(binding[a]):
                         out.extend(dst for dst, lab in self.ctrl_out.get(s, ())
                                    if label is None or lab == label)
         return sorted(set(out))
 
-    def pseudo_candidates(self, pid: str, subplan: str, binding: dict[str, int]) -> list[int]:
-        """Sub-matches that may stand for pid, in table order.
+    def pseudo_candidates(self, step: _Step, binding: dict[str, int]) -> list[int]:
+        """Sub-matches that may stand for the step's pattern node, in table order.
 
-        Filtered through pid's first data edge to a bound pattern node: a
+        Filtered through its first data edge to a bound pattern node: a
         sub-match stays if its export node at that edge's port is a producer
-        (pid is the source) or a consumer (pid is the target) of the bound
-        node, by the port rules of `consistent`. Every other sub-match fails
-        that edge there. With no such edge, every sub-match.
+        (the step's node is the source) or a consumer (the target) of the
+        bound node, by the port rules of `consistent`. Every other sub-match
+        fails that edge there. With no such edge, every sub-match.
         """
-        by_export = self.pseudos_at[subplan]
-        for _, edge in self.data_at[pid]:
-            (a, po), (b, pi) = edge
-            if a == pid and b in binding:
-                port = po
-                nodes = self._producers(*self._sink(b, binding[b], pi))
-            elif b == pid and a in binding:
-                port = pi
-                nodes = self._consumers(self._source(binding[a], po))
-            else:
-                continue
-            # pseudo ids count down in table order
-            return sorted({p for nid in nodes for p in by_export.get((port, nid), ())}, reverse=True)
-        return [p.pseudo_id for p in self.pseudos[subplan]]
+        if not step.data_gen:
+            return [p.pseudo_id for p in self.pseudos[step.subplan]]
+        (a, po), (b, pi) = step.data_gen[0]
+        if a == step.pid:
+            port = po
+            nodes = self._producers(*self._sink(b, binding[b], pi))
+        else:
+            port = pi
+            nodes = self._consumers(self._source(binding[a], po))
+        by_export = self.pseudos_at[step.subplan]
+        # pseudo ids count down in table order
+        return sorted({p for nid in nodes for p in by_export.get((port, nid), ())}, reverse=True)
 
     # -- search
     #
@@ -497,10 +559,15 @@ class _Unifier:
     def seed_rounds(self, start: int, stop: int) -> None:
         skipped = frozenset(self.seeds[:start])
         for seed in self.seeds[start:stop]:
+            if skipped:
+                step = _Step(self.tables, seed, ())
+            else:
+                self.order = _order(self.tables, seed)
+                step = self.order[0]
             for nid in self.node_candidates(seed):
                 self.charge()
                 binding = {seed: nid}
-                if self.consistent(seed, nid, binding):
+                if self.consistent(step, nid, binding):
                     self.extend(binding, {nid}, skipped)
             skipped = skipped | {seed}
 
@@ -510,28 +577,22 @@ class _Unifier:
             # what was found so far is finish(); run() builds it for the error
             raise BudgetExceeded(self.plan.name, [])
 
-    def next_pid(self, binding: dict[str, int], skipped: frozenset) -> str | None:
-        bound = binding.keys()
-        for nbrs in (self.data_nbrs, self.ctrl_nbrs):
-            for pid in self.pid_order:
-                if pid in binding or pid in skipped:
-                    continue
-                if not bound.isdisjoint(nbrs[pid]):
-                    return pid
-        return None
-
     def extend(self, binding: dict[str, int], used: set[int], skipped: frozenset) -> None:
-        pid = self.next_pid(binding, skipped)
-        if pid is None:
+        # a branch that skipped nothing follows its seed's compiled order
+        step = _step(self.tables, binding.keys(), skipped) if skipped else self.order[len(binding)]
+        if step is None:
             self.record(binding)
             return
+        pid = step.pid
         progressed = False
-        for nid in self.candidates_via_edges(pid, binding):
-            self.charge()
+        for nid in self.candidates_via_edges(step, binding):
+            self.steps += 1  # charge(), inline
+            if self.steps > self.max_steps:
+                raise BudgetExceeded(self.plan.name, [])
             if nid in used:
                 continue  # injectivity
             binding[pid] = nid
-            if self.consistent(pid, nid, binding):
+            if self.consistent(step, nid, binding):
                 progressed = True
                 used.add(nid)
                 self.extend(binding, used, skipped)

@@ -158,6 +158,9 @@ class PlanTables:
         # the pattern nodes each node reaches over one data (ctrl) edge
         self.data_nbrs = {pid: tuple(o for o, _ in edges) for pid, edges in data_at.items()}
         self.ctrl_nbrs = {pid: tuple(o for o, _ in edges) for pid, edges in ctrl_at.items()}
+        # the matcher's compiled orders for branches that skip nothing, by seed
+        # pid: at most one per pattern node
+        self.orders: dict[str, list] = {}
 
 
 # ---------------------------------------------------------------------------

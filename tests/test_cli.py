@@ -229,12 +229,17 @@ def test_graph_dot_and_json(work, capsys):
     assert doc["entry"] == 0
 
 
-def test_a_loop_assigning_a_name_declared_later_in_its_body_is_analyzed(work, capsys):
-    (work / "late.c").write_text("int main() { int c; c = 0; while (c < 3) { if (c) int y = 1; "
-                                 "y = 2; c = c + 1; } return c; }\n")
-    assert main(["graph", str(work / "late.c")]) == 0
-    assert _analyze(work, "late.c") == 1
-    assert "goal 'running-total' was not recognized" in capsys.readouterr().out
+def test_a_declaration_as_a_loop_branch_body_exits_2_with_its_position(work, capsys):
+    # gcc rejects both at the 'int' ("expected expression before 'int'")
+    for outer in ("", "int y; y = 0; "):
+        source = (f"int main() {{ int c; {outer}c = 0; while (c < 3) {{ if (c) int y = 1; y = 2; "
+                  "c = c + 1; } return c; }\n")
+        (work / "late.c").write_text(source)
+        where = f"late.c:1:{source.index('int y = 1') + 1}: expected a statement"
+        assert main(["graph", str(work / "late.c")]) == 2
+        assert where in capsys.readouterr().err
+        assert _analyze(work, "late.c") == 2
+        assert where in capsys.readouterr().err
 
 
 def test_graph_missing_file(work, capsys):

@@ -238,14 +238,18 @@ def test_loop_body_ending_in_branches_keeps_one_back_edge():
     assert sum(1 for e in g.ctrl_edges if e[2] == "back") == 1
 
 
-def test_loop_assigns_a_name_declared_later_in_its_body():
-    # the if-branch declaration puts y in the loop body's scope, so at the
-    # loop head y has no slot yet and is not a loop variable
-    g = graph_of("int main() { int c; c = 0; while (c < 3) { if (c) int y = 1; y = 2; c = c + 1; } "
-                 "return c; }")
-    assert validate(g) == []
-    loop_vars = [n.ann.var_name for n in g.nodes.values() if n.ann.role == "loop variable"]
-    assert loop_vars == ["c"]
+def test_a_loop_body_declaring_in_an_if_branch_is_rejected():
+    # C takes a declaration only inside a block (gcc: "expected expression
+    # before 'int'"). Accepted, the if-branch put y in the loop body's scope:
+    # at the loop head y had no slot yet, and with an outer y the assignment
+    # y = 2 made the outer y a loop variable whose JOIN fed itself
+    for outer in ("", "int y; y = 0; "):
+        source = (f"int main() {{ int c; {outer}c = 0; while (c < 3) {{ if (c) int y = 1; y = 2; "
+                  "c = c + 1; } return c; }")
+        with pytest.raises(fe.CSyntaxError) as err:
+            graph_of(source)
+        span = err.value.span
+        assert (span.line_start, span.col_start) == (1, source.index("int y = 1") + 1), source
 
 
 def test_if_with_empty_branch():

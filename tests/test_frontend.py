@@ -105,6 +105,19 @@ def test_parse_for_requires_flag():
         parse_c(src, CSubsetConfig(allow_for=False))
 
 
+@pytest.mark.parametrize("body, col", [
+    ("if (c) int y = 1;", 35), ("while (c < 3) int y = 1;", 42),
+    ("if (c) c = 1; else int y = 1;", 47), ("for (c = 0; c < 3; c = c + 1) int y = 1;", 58),
+], ids=["if", "while", "else", "for"])
+def test_a_declaration_is_not_a_branch_body(body, col):
+    # the columns gcc 12 reports: "expected expression before 'int'"
+    with pytest.raises(CSyntaxError) as err:
+        parse_c(f"int main() {{ int c; c = 0; {body} return c; }}")
+    assert (err.value.span.line_start, err.value.span.col_start, err.value.found) == (1, col, "'int'")
+    braced = body.replace("int y = 1;", "{ int y = 1; }")
+    parse_c(f"int main() {{ int c; c = 0; {braced} return c; }}")
+
+
 def test_parse_scanf_printf_intents():
     ast = parse_c('int main(){int x;scanf("%d",&x);printf("%d\\n",x);return 0;}')
     stmts = ast.functions[0].body.stmts

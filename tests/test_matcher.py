@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import gc
+import json
+import os
 import random
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +25,15 @@ from adil.matcher import (
 )
 from adil.debugger import diagnose, parse_spec
 from adil.flowgraph import COMMUTATIVE, NodeKind
-from adil.planlib import PlanBase, base_add, dependency_order, parse_plan, parse_plans, sub_closure
+from adil.planlib import (
+    PlanBase,
+    base_add,
+    dependency_order,
+    load_plan_base,
+    parse_plan,
+    parse_plans,
+    sub_closure,
+)
 
 from conftest import FLAT_RUNNING_TOTAL, GOAL_AND_BUG_PROGRAMS, SUM_SOURCE, graph_of
 from generators import random_instance
@@ -333,10 +346,10 @@ CORPUS_STEPS = {
 }
 
 
-@pytest.fixture()
-def steps_per_plan(monkeypatch):
-    # a plan's steps after its last stage: recognize runs first_stage() and
-    # resume() separately, and run() calls both
+def _count_steps(patch) -> dict[str, int]:
+    """Wraps _Unifier's stages through patch(cls, name, value), and returns
+    the dict they fill: a plan's steps after its last stage. recognize runs
+    first_stage() and resume() separately, and run() calls both."""
     counted: dict[str, int] = {}
 
     def counting(stage):
@@ -348,8 +361,13 @@ def steps_per_plan(monkeypatch):
         return wrapper
 
     for name in ("first_stage", "resume"):
-        monkeypatch.setattr(matcher._Unifier, name, counting(getattr(matcher._Unifier, name)))
+        patch(matcher._Unifier, name, counting(getattr(matcher._Unifier, name)))
     return counted
+
+
+@pytest.fixture()
+def steps_per_plan(monkeypatch):
+    return _count_steps(monkeypatch.setattr)
 
 
 def test_steps_per_plan_on_the_corpus(steps_per_plan, corpus_dir, base):
@@ -364,6 +382,67 @@ def test_steps_per_plan_on_the_corpus(steps_per_plan, corpus_dir, base):
 def test_steps_on_the_dense_chain(steps_per_plan):
     unify(graph_of(dense_source()), parse_plan(CHAIN_PLAN))
     assert steps_per_plan == {"add-chain": 1084}
+
+
+# Run in a fresh interpreter per hash seed: the dense-chain pin and two
+# CORPUS_STEPS rows, as JSON.
+_STEPS_SCRIPT = """
+import json, sys
+from adil import matcher
+from adil.planlib import load_plan_base, parse_plan
+from conftest import ROOT, graph_of
+from test_matcher import CHAIN_PLAN, _count_steps, dense_source
+
+counted = _count_steps(setattr)
+matcher.unify(graph_of(dense_source()), parse_plan(CHAIN_PLAN))
+found = {"dense-chain": dict(counted)}
+base = load_plan_base(ROOT / "plans")
+for relpath in sys.argv[1:]:
+    counted.clear()
+    path = ROOT / "corpus" / relpath
+    matcher.recognize(graph_of(path.read_text(), path.name), base)
+    found[relpath] = [counted[name] for name in sorted(base.plans)]
+print(json.dumps(found))
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_steps_do_not_depend_on_the_hash_seed(seed):
+    rows = ["correct/max.c", "bugs/count__wrong_init.c"]
+    tests = Path(__file__).parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _STEPS_SCRIPT, *rows], capture_output=True, text=True, cwd=tests,
+        env={"PATH": "", "PYTHONHASHSEED": seed, "PYTHONPATH": f"{tests.parent / 'src'}{os.pathsep}{tests}"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"dense-chain": {"add-chain": 1084},
+                                       **{row: list(CORPUS_STEPS[row]) for row in rows}}
+
+
+def test_one_base_shares_its_compiled_orders_across_graphs(plans_dir, corpus_dir):
+    # each plan compiles its skip-free matching order once per seed, on its
+    # tables; a base that grades every program, twice over in opposite
+    # orders, finds what a fresh base per program finds, in the same steps
+    paths = sorted(corpus_dir.glob("*/*.c"))
+    graphs = {path: graph_of(path.read_text(), path.name) for path in paths}
+    shared = load_plan_base(plans_dir)
+
+    def grade(paths, steps):
+        for path in paths:
+            steps.clear()
+            fresh = recognize(graphs[path], load_plan_base(plans_dir))
+            fresh_steps = dict(steps)
+            steps.clear()
+            got = recognize(graphs[path], shared)
+            assert (got.by_plan, got.truncated, steps) == (fresh.by_plan, fresh.truncated, fresh_steps), path
+
+    with pytest.MonkeyPatch.context() as mp:
+        steps = _count_steps(mp.setattr)
+        grade(paths, steps)
+        orders = {name: dict(plan.tables.orders) for name, plan in shared.plans.items()}
+        assert all(0 < len(plan.tables.orders) <= len(plan.tables.pid_order) for plan in shared.plans.values())
+        grade(paths[::-1], steps)
+    assert {name: plan.tables.orders for name, plan in shared.plans.items()} == orders  # none compiled
 
 
 def test_a_dropped_plan_is_garbage_collected(sum_graph):
@@ -386,7 +465,25 @@ class _ReferenceUnifier(matcher._Unifier):
     It also checks and proposes every edge, real or sub-match, through one
     generic path over FlowGraph's accessor methods (the former data_edge_ok,
     _out_sources and in_port_variants), so the property tests compare the
-    matcher's direct adjacency checks against it."""
+    matcher's direct adjacency checks against it.
+
+    It picks each next pattern node afresh from the binding (the former
+    _Unifier.next_pid), so the matcher's compiled orders are compared
+    against an order computed independently of them."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.data_nbrs, self.ctrl_nbrs = self.plan.tables.data_nbrs, self.plan.tables.ctrl_nbrs
+
+    def next_pid(self, binding: dict[str, int], skipped: frozenset) -> str | None:
+        bound = binding.keys()
+        for nbrs in (self.data_nbrs, self.ctrl_nbrs):
+            for pid in self.pid_order:
+                if pid in binding or pid in skipped:
+                    continue
+                if not bound.isdisjoint(nbrs[pid]):
+                    return pid
+        return None
 
     def node_matches(self, pid, nid):
         pn = self.pnodes[pid]
@@ -549,6 +646,28 @@ def test_an_edge_from_a_missing_out_port_binds_no_real_pair(theta, sum_graph):
     assert all(r.score < 1 for r in results)
     port_0 = parse_plan(OUT_PORT_1_PLAN.replace("total:1", "total:0"))
     assert any(r.score == 1 for r in unify(sum_graph, port_0))
+
+
+SELF_LOOP_PLAN = """\
+plan "idle-loop-variable" kind=cliche category=pe
+node p kind=PARAM
+node j kind=JOIN
+data p:0 -> j:0
+data j:0 -> j:1
+end
+"""
+
+
+@pytest.mark.parametrize("theta", (0.5, 1.0))
+def test_a_self_loop_edge_is_checked_where_its_node_is_bound(theta):
+    # `y = y;` feeds y's loop JOIN its own output. The one PARAM is the rarer
+    # key, so j is bound second from a compiled step, and it is the seed of
+    # the round that skips p.
+    idle = "int f(int p) { int c; int y; c = 0; y = p; while (c < 3) { y = y; c = c + 1; } return y; }"
+    plan = parse_plan(SELF_LOOP_PLAN)
+    assert [r.score for r in _same_search(graph_of(idle), plan, theta)] == [1]
+    busy = idle.replace("y = y;", "y = y + 1;")
+    assert all(r.score < 1 for r in _same_search(graph_of(busy), plan, theta))
 
 
 @settings(max_examples=200, deadline=None)
