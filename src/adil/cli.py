@@ -31,7 +31,7 @@ _USAGE_ERRORS = (
     planlib.PlanSemanticError,
     planlib.DuplicatePlan,  # two plan files define one name
     planlib.UnknownPlan,
-    FileNotFoundError,
+    OSError,  # a missing file, a directory where a file belongs, no permission
     ValueError,  # e.g. several functions and no main
 )
 

@@ -11,11 +11,11 @@ this debugger explains, it does not correct.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import field
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import explain
 from .flowgraph import FlowGraph, UnboundVariable
@@ -324,54 +324,80 @@ def _missing_finding(goal: str, relevant: list[str], rec: Recognition, g: FlowGr
 
 # ---------------------------------------------------------------------------
 # Report serialization: stable key order, stable array orders
+#
+# The report has one fixed shape, so it is written out directly, byte for
+# byte as `json.dumps(doc, indent=2)` writes it: CPython's C encoder serves
+# only encodings without indent, and its pure-Python one cost several times
+# this. Strings are escaped to ASCII as json.dumps does, and floats written
+# with float.__repr__, as json.dumps does for finite ones.
 
-def _span_json(span: SourceSpan) -> dict:
-    return {
-        "line_start": span.line_start,
-        "col_start": span.col_start,
-        "line_end": span.line_end,
-        "col_end": span.col_end,
-    }
+def _nullable(text: str | None) -> str:
+    return "null" if text is None else _quote(text)
 
 
-def _binding_json(m: MatchResult) -> dict:
-    out: dict = {}
+def _object(members: list[str], indent: str) -> str:
+    """A JSON object from its "key": value members, each line indent plus
+    two spaces in, closed at indent."""
+    if not members:
+        return "{}"
+    return "{\n  " + indent + (",\n  " + indent).join(members) + "\n" + indent + "}"
+
+
+def _span_text(span: SourceSpan, indent: str) -> str:
+    return _object([f'"line_start": {span.line_start}', f'"col_start": {span.col_start}',
+                    f'"line_end": {span.line_end}', f'"col_end": {span.col_end}'], indent)
+
+
+def _binding_text(m: MatchResult, indent: str) -> str:
+    """m's binding by pattern node, sub-matches as {"plan", "binding"} objects."""
+    members = []
+    inner = indent + "  "
     for pid in sorted(m.binding):
         nid = m.binding[pid]
         if nid >= 0:
-            out[pid] = nid
+            members.append(f"{_quote(pid)}: {nid}")
         else:
             sub = m.sub_matches[pid]
-            out[pid] = {"plan": sub.plan, "binding": _binding_json(sub)}
-    return out
+            sub_binding = _binding_text(sub, inner + "  ")
+            members.append(_quote(pid) + ": " + _object(
+                [f'"plan": {_quote(sub.plan)}', '"binding": ' + sub_binding], inner))
+    return _object(members, indent)
+
+
+def _finding_text(f: Finding) -> str:
+    return _object([
+        f'"kind": {_quote(f.kind.value)}',
+        f'"goal": {_quote(f.goal)}',
+        f'"bug_plan": {_nullable(f.bug_plan)}',
+        '"span": ' + _span_text(f.span, "      "),
+        f'"evidence": {_quote(f.evidence)}',
+        f'"confidence": {float(f.confidence)!r}',
+    ], "    ")
+
+
+def _recognized_text(goal: str, m: MatchResult) -> str:
+    return _object([
+        f'"goal": {_quote(goal)}',
+        f'"plan": {_quote(m.plan)}',
+        f'"score": {float(m.score)!r}',
+        '"binding": ' + _binding_text(m, "      "),
+    ], "    ")
+
+
+def _array(items: list[str]) -> str:
+    """A top-level member's array of objects (each already indented)."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 def report_to_json(report: DiagnosticReport) -> str:
-    doc = {
-        "program": report.program,
-        "spec": report.spec_title,
-        "verdicts": dict(report.verdicts),
-        "findings": [
-            {
-                "kind": f.kind.value,
-                "goal": f.goal,
-                "bug_plan": f.bug_plan,
-                "span": _span_json(f.span),
-                "evidence": f.evidence,
-                "confidence": float(f.confidence),
-            }
-            for f in report.findings
-        ],
-        "recognized": [
-            {
-                "goal": goal,
-                "plan": m.plan,
-                "score": float(m.score),
-                "binding": _binding_json(m),
-            }
-            for goal, m in sorted(report.recognized.items())
-        ],
-        "meaning": report.meaning,
-        "budget_truncated": report.budget_truncated,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    verdicts = [f"{_quote(goal)}: {_quote(verdict)}" for goal, verdict in report.verdicts.items()]
+    return _object([
+        f'"program": {_quote(report.program)}',
+        f'"spec": {_quote(report.spec_title)}',
+        '"verdicts": ' + _object(verdicts, "  "),
+        '"findings": ' + _array([_finding_text(f) for f in report.findings]),
+        '"recognized": ' + _array([_recognized_text(goal, m)
+                                   for goal, m in sorted(report.recognized.items())]),
+        f'"meaning": {_nullable(report.meaning)}',
+        f'"budget_truncated": {"true" if report.budget_truncated else "false"}',
+    ], "") + "\n"

@@ -152,6 +152,8 @@ def render_text(e: Explanation, width: int = 80) -> str:
         for line in body.splitlines():
             if line.startswith(" ") or not line:
                 out.append(line)
+            elif len(line) <= width and "\t" not in line and not line[-1].isspace():
+                out.append(line)  # what textwrap.wrap would return for it
             else:
                 out.extend(textwrap.wrap(line, width=width) or [""])
         out.append("")

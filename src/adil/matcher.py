@@ -46,6 +46,17 @@ then seed rounds 1 and up, which is where near-misses come from. Both stages
 charge one step counter, and a result is built once whichever stage needs it
 first. `unify` runs both.
 
+Stage one records its bindings without a seen-set. Its branches skip
+nothing, so each follows its seed's compiled order, and at each position
+`candidates_via_edges` offers every node once: two stage-one leaves differ
+at the first position where their branches part, so none is recorded twice.
+Every stage-two branch leaves unbound a pattern node that every stage-one
+binding holds, a deferred branch its skipped node and seed rounds 1 and up
+the first seed, so stage two never reaches a stage-one binding either; its
+own branches, which can meet again through different skips, keep the
+seen-set (`record`). Full bindings are ranked by a key compiled once per
+search (`operator.itemgetter` over the pattern order).
+
 The order in which a branch binds pattern nodes depends only on the plan,
 the nodes it has bound and the nodes it has skipped: next comes the first
 pattern node, in pattern order, with a bound data neighbour, else with a
@@ -81,6 +92,7 @@ from collections.abc import Collection, Iterator, Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .flowgraph import FlowGraph, NodeKind, commutative_nodes, node_index, value_chains
 from .planlib import Plan, PlanBase, PlanTables, Predicate, closure, dependency_order, sub_closure
@@ -314,6 +326,9 @@ class _Unifier:
         self.max_skipped = self.size + (-self.theta_num * self.size // self.theta_den)
         self.tables = tables
         self.pid_order = tables.pid_order
+        # a full binding's node per pattern node, as rank() orders it
+        nodes_of = itemgetter(*self.pid_order)
+        self.full_nodes = nodes_of if self.size > 1 else lambda binding: (nodes_of(binding),)
         self.pnodes = tables.pnodes
         self.commutable = tables.commutable
         self.subplan_of = tables.subplan_of
@@ -581,7 +596,14 @@ class _Unifier:
         # a branch that skipped nothing follows its seed's compiled order
         step = _step(self.tables, binding.keys(), skipped) if skipped else self.order[len(binding)]
         if step is None:
-            self.record(binding)
+            if skipped:
+                self.record(binding)
+            # a stage-one leaf is reached once and never by stage two (see the
+            # module docstring), so it needs no seen-set, only record()'s theta
+            # test, which a full binding always passes (only a disconnected
+            # plan has partial ones)
+            elif len(binding) * self.theta_den >= self.theta_num * self.size:
+                self.recorded.append(binding.copy())
             return
         pid = step.pid
         progressed = False
@@ -662,6 +684,8 @@ class _Unifier:
         if lowest < 0:  # a sub-match stands for its real nodes, never empty
             lowest = min(nid if nid >= 0 else min(self.pseudo_by_id[nid].all_nodes)
                          for nid in binding.values())
+        if len(binding) == self.size:
+            return (-self.size, lowest, self.full_nodes(binding))
         return (-len(binding), lowest, tuple([binding.get(pid, -10**9) for pid in self.pid_order]))
 
     def end_search(self) -> None:

@@ -247,6 +247,29 @@ def test_graph_missing_file(work, capsys):
     capsys.readouterr()
 
 
+# each names a directory where a file belongs; {dir} is one, {work} the fixture
+_DIRECTORY_ARGS = {
+    "analyze-program": ["analyze", "{dir}", "--spec", "{work}/sum.spec", "--plans", "{work}/plans"],
+    "analyze-spec": ["analyze", "{work}/sum.c", "--spec", "{dir}", "--plans", "{work}/plans"],
+    "analyze-report-json": ["analyze", "{work}/sum.c", "--spec", "{work}/sum.spec",
+                            "--plans", "{work}/plans", "--report-json", "{dir}"],
+    "graph": ["graph", "{dir}"],
+    "plan-add": ["plan", "add", "{dir}", "--plans", "{work}/plans"],
+    "acquire-output": ["acquire", "{work}/sum.c", "--name", "zz", "-o", "{dir}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DIRECTORY_ARGS))
+def test_a_directory_for_a_file_exits_2_with_a_message(work, tmp_path, capsys, case):
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+    argv = [arg.format(dir=directory, work=work) for arg in _DIRECTORY_ARGS[case]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("adil: ") and str(directory) in err and "Traceback" not in err
+    assert list(directory.iterdir()) == []
+
+
 def test_plan_check_ok(work, capsys):
     assert main(["plan", "check", "--plans", str(work / "plans")]) == 0
     assert "0 problem(s)" in capsys.readouterr().out

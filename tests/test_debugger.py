@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +23,12 @@ from adil.flowgraph import NodeKind, UnboundVariable, build_flow_graph
 from adil.frontend import desugar, parse_c
 from adil.matcher import SearchBudget
 
-from conftest import GOAL_AND_BUG_PROGRAMS, SUM_SOURCE, ast_of, graph_of
+from conftest import GOAL_AND_BUG_PROGRAMS, ROOT, SUM_SOURCE, ast_of, graph_of
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import pipeline  # noqa: E402
+import workloads  # noqa: E402
 
 
 def _spec(goals: str = 'goal "running-total" required') -> str:
@@ -273,3 +279,110 @@ def test_budget_truncation_sets_flag():
     roomy = diagnose(g, spec, chain_base, SearchBudget(max_extension_steps=1_000_000))
     assert roomy.budget_truncated is False
     assert roomy.verdicts == {"add-chain": "RECOGNIZED"}
+
+
+# -- the report writer against json.dumps
+
+def _span_json(span):
+    return {
+        "line_start": span.line_start,
+        "col_start": span.col_start,
+        "line_end": span.line_end,
+        "col_end": span.col_end,
+    }
+
+
+def _binding_json(m):
+    out: dict = {}
+    for pid in sorted(m.binding):
+        nid = m.binding[pid]
+        if nid >= 0:
+            out[pid] = nid
+        else:
+            sub = m.sub_matches[pid]
+            out[pid] = {"plan": sub.plan, "binding": _binding_json(sub)}
+    return out
+
+
+def _reference_report_json(report):
+    """The report's document, encoded by json.dumps with indent=2: what
+    report_to_json writes directly."""
+    doc = {
+        "program": report.program,
+        "spec": report.spec_title,
+        "verdicts": dict(report.verdicts),
+        "findings": [
+            {
+                "kind": f.kind.value,
+                "goal": f.goal,
+                "bug_plan": f.bug_plan,
+                "span": _span_json(f.span),
+                "evidence": f.evidence,
+                "confidence": float(f.confidence),
+            }
+            for f in report.findings
+        ],
+        "recognized": [
+            {
+                "goal": goal,
+                "plan": m.plan,
+                "score": float(m.score),
+                "binding": _binding_json(m),
+            }
+            for goal, m in sorted(report.recognized.items())
+        ],
+        "meaning": report.meaning,
+        "budget_truncated": report.budget_truncated,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_report_json_matches_json_dumps_on_the_corpus_and_the_workloads(base, corpus_cases):
+    reports = []
+    for program, spec_path in corpus_cases:
+        spec = parse_spec(spec_path.read_text(), spec_path.name)
+        ast = desugar(parse_c(program.read_text(), filename=program.name))
+        try:
+            reports.append(diagnose(build_flow_graph(ast), spec, base))
+        except UnboundVariable as err:
+            reports.append(unbound_report(program.name, spec, err))
+    for workload in workloads.WORKLOADS:
+        items = workloads.make_items(workload, 5, ROOT)
+        setup = pipeline.setup(ROOT, workload, workloads.spec_texts(items))
+        run_item = pipeline.run_item(workload)
+        reports += [run_item(item, setup).report for item in items]
+    for report in reports:
+        assert report_to_json(report) == _reference_report_json(report), report.program
+    # sub-matches, findings and meanings all occur
+    assert any(m.sub_matches for r in reports for m in r.recognized.values())
+    assert any(r.findings for r in reports) and any(r.meaning for r in reports)
+
+
+def _match(plan, binding, subs=None, score=Fraction(1)):
+    return matcher.MatchResult(plan, binding, subs or {}, {}, score, (), ())
+
+
+_AWKWARD = 'q"uote \\ back\tslash\n\x00\x1f\x7f é ü 中 \U0001f600 /'
+
+
+def _crafted_reports():
+    span = debugger.SourceSpan("p.c", 3, 5, 4, 9)
+    inner = _match("inner", {"z": 7})
+    middle = _match("middle", {"b": 4, "in": -2, "a": 3}, {"in": inner})
+    outer = _match("outer", {"y": 1, "mid": -1}, {"mid": middle})
+    finding = debugger.Finding(FindingKind.CONSTRAINT_VIOLATION, _AWKWARD, None, span,
+                               _AWKWARD, Fraction(2, 3))
+    bug = debugger.Finding(FindingKind.BUG_CLICHE, "g", "off-by-one-bound", span, "e", Fraction(1))
+    yield debugger.DiagnosticReport("p.c", "t", {}, (), {}, None, False)
+    yield debugger.DiagnosticReport("p.c", "t", {"g": "MISSING"}, (finding,), {}, None, True)
+    yield debugger.DiagnosticReport(_AWKWARD, _AWKWARD, {_AWKWARD: "RECOGNIZED", "g": "BUGGY"},
+                                    (bug, finding), {"g": outer, _AWKWARD: inner}, _AWKWARD, False)
+    yield debugger.DiagnosticReport("p.c", "t", {"g": "RECOGNIZED"}, (),
+                                    {"g": _match("p", {}, score=Fraction(3, 7))}, "", True)
+
+
+def test_report_json_matches_json_dumps_on_crafted_reports():
+    # no findings, no recognized goals, null bug_plan and meaning, a
+    # truncated search, strings json must escape, sub-matches two levels deep
+    for report in _crafted_reports():
+        assert report_to_json(report) == _reference_report_json(report)

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import re
+import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adil.debugger import diagnose, parse_spec
 from adil.explain import (
@@ -153,3 +156,43 @@ def test_compose_meaning_indents_sub_plans(base):
     lines = meaning.splitlines()
     assert lines[0].startswith("running-total:")
     assert lines[1].startswith("  counted-loop:")
+
+
+def _render_text_wrapping_every_line(e: Explanation, width: int = 80) -> str:
+    """render_text as it was, with textwrap.wrap on every prose line."""
+    out: list[str] = []
+    for heading, body in e.sections:
+        out.append(heading)
+        out.append("-" * min(width, len(heading)))
+        for line in body.splitlines():
+            if line.startswith(" ") or not line:
+                out.append(line)
+            else:
+                out.extend(textwrap.wrap(line, width=width) or [""])
+        out.append("")
+    if not e.sections:
+        out.append("Nothing to report.")
+        out.append("")
+    return "\n".join(out)
+
+
+# spaces in runs, tabs, hyphens and the whitespace textwrap does not split
+# on but str.strip drops (no-break and ideographic spaces)
+_prose = st.lists(st.sampled_from(["a", "bc", "word", "-", "--", " ", "  ", "\t", "\n", "\xa0",
+                                   "\u3000", "é", "x" * 12, "."]), max_size=30).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(sections=st.lists(st.tuples(_prose, _prose), max_size=3), width=st.integers(1, 30))
+def test_property_render_text_matches_wrapping_every_line(sections, width):
+    e = Explanation(tuple(sections))
+    assert render_text(e, width) == _render_text_wrapping_every_line(e, width)
+
+
+def test_render_text_matches_wrapping_every_line_on_the_corpus(base, corpus_cases):
+    for program, spec_path in corpus_cases:
+        source = program.read_text()
+        g = build_flow_graph(desugar(parse_c(source, filename=program.name)))
+        e = render(diagnose(g, parse_spec(spec_path.read_text()), base, SearchBudget()), source, base)
+        for width in (20, 40, 80):
+            assert render_text(e, width) == _render_text_wrapping_every_line(e, width), program.name

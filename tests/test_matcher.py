@@ -690,6 +690,73 @@ def test_pruned_search_matches_reference_on_the_corpus(theta, corpus_dir, base):
                 accepted[name] = [r for r in results if r.accepted]
 
 
+class _StageCheckedRecords(list):
+    """A search's recorded bindings, checking each as it is appended: stage
+    one records no binding twice, and stage two none that stage one did."""
+
+    def __init__(self, search):
+        super().__init__()
+        self.search = search
+        self.first: set[frozenset] = set()
+        self.counts = [0, 0]  # records per stage
+
+    def append(self, binding):
+        key = frozenset(binding.items())
+        assert key not in self.first, (self.search.plan.name, self.search.stage, binding)
+        if self.search.stage == 1:
+            self.first.add(key)
+        self.counts[self.search.stage - 1] += 1
+        super().append(binding)
+
+
+class _StageCheckedUnifier(matcher._Unifier):
+    """The search, recording into _StageCheckedRecords; stage one records
+    without a seen-set, which is sound only while the checks hold."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.recorded = _StageCheckedRecords(self)
+        self.stage = 0
+
+    def first_stage(self):
+        self.stage = 1
+        return super().first_stage()
+
+    def resume(self):
+        self.stage = 2
+        return super().resume()
+
+
+def _stage_checked(g, plan, theta, sub_matches=None, sub_plans=None):
+    """unify's results, with every record checked; and the records per stage."""
+    search = _StageCheckedUnifier(g, plan, SearchBudget(theta=theta), sub_matches or {}, sub_plans or {})
+    return search.run(), search.recorded.counts
+
+
+@pytest.mark.parametrize("theta", THETAS)
+def test_no_binding_is_recorded_twice_or_by_both_stages(theta, corpus_dir, base):
+    # the corpus against the shipped base, the dense chain, and the oracle's
+    # generated instances
+    counts = []  # records per stage, per search
+    sub_plans = dict(base.plans)
+    for path in sorted(corpus_dir.glob("*/*.c")):
+        g = graph_of(path.read_text(), path.name)
+        accepted: dict[str, list] = {}
+        for level in dependency_order(base, base.names()):
+            for name in level:
+                results, found = _stage_checked(g, base.plans[name], theta, accepted, sub_plans)
+                accepted[name] = [r for r in results if r.accepted]
+                counts.append(found)
+    results, found = _stage_checked(graph_of(dense_source()), parse_plan(CHAIN_PLAN), theta)
+    assert found[0] == sum(r.score == 1 for r in results) > 0
+    counts.append(found)
+    counts += [_stage_checked(*random_instance(seed), theta)[1] for seed in range(220)]
+    # both stages record something, except at theta 1, where stage two
+    # (near-misses only) has no branch to run
+    first, second = map(sum, zip(*counts))
+    assert first and bool(second) is (theta < 1), (first, second)
+
+
 def _resumed(base, goals, everything):
     """The plans a goal-directed recognize resumes, from the whole-base results:
     the sub-closure of each goal without an accepted match, and the plan each
