@@ -140,10 +140,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     if args.max_findings is not None:
         report.findings = report.findings[: args.max_findings]
+    if args.report_json:  # first, so an unwritable path exits 2 before any report is shown
+        Path(args.report_json).write_text(debugger.report_to_json(report), encoding="utf-8")
     explanation = explain.render(report, source, base)
     sys.stdout.write(explain.render_text(explanation))
-    if args.report_json:
-        Path(args.report_json).write_text(debugger.report_to_json(report), encoding="utf-8")
 
     if report.findings:
         return 1

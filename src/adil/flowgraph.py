@@ -12,6 +12,16 @@ A local array declaration binds the array to a fresh PARAM node (role
 count as initialized storage from their declaration on. Scalars stay unbound
 until assigned, and a read of an unbound scalar raises UnboundVariable, the
 one dataflow fact reported ahead of matching.
+
+The builder does no name lookup: the parser has resolved each name to its
+declaration's slot (see frontend), and the builder keys each variable's
+current value by slot. It visits declarations in the order the parser
+numbered them, so `slot_names` grows by one name at each. At a loop head
+every slot declared before the loop is numbered below every slot declared
+inside it, and each slot the body assigns is either bound, and carried
+through the loop by a JOIN, or unbound: declared before the loop but not yet
+assigned, or declared inside it. An unbound one stays unbound on the path
+that skips the body, so the builder drops it after the loop.
 """
 
 from __future__ import annotations
@@ -168,10 +178,8 @@ class _Builder:
         self.data_edges: set[DataEdge] = set()
         self.ctrl_edges: set[CtrlEdge] = set()
         self.frontier: list[tuple[int, str]] = []
-        # scoping: names resolve to slot ids, in declaration order; env maps slots to value refs
-        self.scopes: list[dict[str, int]] = []
-        self.slot_names: dict[int, str] = {}
-        self.env: dict[int, _Ref] = {}
+        self.slot_names: list[str] = []  # by slot, the declarations built so far
+        self.env: dict[int, _Ref] = {}  # slot -> its current value
         self.returns: list[tuple[_Ref, list[tuple[int, str]]]] = []
 
     # -- nodes and edges
@@ -195,34 +203,16 @@ class _Builder:
         if ann.var_name is None:
             ann.var_name = name
 
-    # -- variable slots
-
-    def declare(self, name: str) -> int:
-        slot = len(self.slot_names)
-        self.scopes[-1][name] = slot
-        self.slot_names[slot] = name
-        return slot
-
-    def resolve(self, name: str) -> int:
-        """The slot a name refers to here; the parser has checked that it is declared."""
-        for scope in reversed(self.scopes):
-            slot = scope.get(name)
-            if slot is not None:
-                return slot
-        raise KeyError(name)
-
     # -- statements, dispatched on the Ast class by _STMT_BUILDERS
 
     def build_function(self, func: fe.FunctionDecl) -> FlowGraph:
         self.node(NodeKind.ENTRY, func.span, role=f"entry of {func.name}")
-        self.scopes.append({})
-        for p in func.params:
-            slot = self.declare(p.name)
+        for slot, p in enumerate(func.params):
+            self.slot_names.append(p.name)
             pid = self.node(NodeKind.PARAM, p.span, out_ports=1, var_name=p.name,
                             role="array parameter" if p.is_array else "parameter")
             self.env[slot] = (pid, 0)
         self.stmt(func.body)
-        self.scopes.pop()
         exit_id = len(self.nodes)
         self.nodes[exit_id] = GraphNode(exit_id, NodeKind.EXIT, len(self.returns), 0,
                                         Annotation(func.span, None, f"exit of {func.name}"))
@@ -242,21 +232,19 @@ class _Builder:
         build(self, s)
 
     def block(self, s: fe.Block) -> None:
-        self.scopes.append({})
         for child in s.stmts:
             self.stmt(child)
-        self.scopes.pop()
 
     def var_decl(self, s: fe.VarDecl) -> None:
-        slot = self.declare(s.name)
+        self.slot_names.append(s.name)
         if s.array_size is not None:
             pid = self.node(NodeKind.PARAM, s.span, out_ports=1, var_name=s.name,
                             role=f"array[{s.array_size}]")
-            self.env[slot] = (pid, 0)
+            self.env[s.slot] = (pid, 0)
         elif s.init is not None:
             ref = self.expr(s.init)
             self.rename(ref[0], s.name)
-            self.env[slot] = ref
+            self.env[s.slot] = ref
 
     def input_stmt(self, s: fe.Input) -> None:
         for target in s.targets:
@@ -282,19 +270,18 @@ class _Builder:
         raise ValueError("flow graph construction requires a desugared Ast (no for-loops)")
 
     def assign(self, target: fe.LValue, ref: _Ref) -> None:
-        slot = self.resolve(target.name)
         if isinstance(target, fe.VarRef):
             self.rename(ref[0], target.name)
-            self.env[slot] = ref
+            self.env[target.slot] = ref
         else:
-            arr = self.env[slot]  # arrays are always bound at declaration
+            arr = self.env[target.slot]  # arrays are always bound at declaration
             idx = self.expr(target.index)
             aw = self.node(NodeKind.AWRITE, target.span, in_ports=3, out_ports=1,
                            var_name=target.name, role=f"{target.name}[{fe.pp_expr(target.index)}]")
             self.data(arr, aw, 0)
             self.data(idx, aw, 1)
             self.data(ref, aw, 2)
-            self.env[slot] = (aw, 0)
+            self.env[target.slot] = (aw, 0)
 
     def if_stmt(self, s: fe.If) -> None:
         cond = self.expr(s.cond)
@@ -331,12 +318,10 @@ class _Builder:
             self.env[slot] = (j, 0)
 
     def while_stmt(self, s: fe.While) -> None:
-        loop_slots = sorted(self.resolve(name) for name in _assigned_names(s.body))
-
         loophead = self.node(NodeKind.LOOPHEAD, s.span, role="loop head")
         joins: list[tuple[int, int]] = []  # (slot, join node)
-        unbound: list[int] = []  # assigned in the loop, unbound before it
-        for slot in loop_slots:
+        unbound: list[int] = []  # assigned in the loop, unbound before it (see the module docstring)
+        for slot in sorted(_assigned_slots(s.body, set())):
             ref = self.env.get(slot)
             if ref is None:
                 unbound.append(slot)
@@ -377,13 +362,13 @@ class _Builder:
         return (self.node(NodeKind.CONST, e.span, out_ports=1, value=e.value), 0)
 
     def var_ref(self, e: fe.VarRef) -> _Ref:
-        ref = self.env.get(self.resolve(e.name))
+        ref = self.env.get(e.slot)
         if ref is None:
             raise UnboundVariable(e.name, e.span)
         return ref
 
     def array_ref(self, e: fe.ArrayRef) -> _Ref:
-        arr = self.env.get(self.resolve(e.name))
+        arr = self.env.get(e.slot)
         if arr is None:
             raise UnboundVariable(e.name, e.span)
         idx = self.expr(e.index)
@@ -428,30 +413,21 @@ _EXPR_BUILDERS = {
 }
 
 
-def _assigned_names(stmt: fe.Stmt) -> set[str]:
-    """Names assigned within stmt that resolve to an enclosing scope."""
-    out: set[str] = set()
-
-    def walk(s: fe.Stmt, hidden: set[str]) -> None:
-        if isinstance(s, fe.Block):
-            local = set(hidden)
-            for child in s.stmts:
-                if isinstance(child, fe.VarDecl):
-                    local.add(child.name)
-                walk(child, local)
-        elif isinstance(s, fe.Assign):
-            if s.target.name not in hidden:
-                out.add(s.target.name)
-        elif isinstance(s, fe.Input):
-            out.update(t.name for t in s.targets if t.name not in hidden)
-        elif isinstance(s, fe.If):
-            walk(s.then, hidden)
-            if s.orelse is not None:
-                walk(s.orelse, hidden)
-        elif isinstance(s, (fe.While, fe.For)):
-            walk(s.body, hidden)
-
-    walk(stmt, set())
+def _assigned_slots(s: fe.Stmt, out: set[int]) -> set[int]:
+    """Add to out the slots that assignments and scanf targets within s write."""
+    if isinstance(s, fe.Block):
+        for child in s.stmts:
+            _assigned_slots(child, out)
+    elif isinstance(s, fe.Assign):
+        out.add(s.target.slot)
+    elif isinstance(s, fe.Input):
+        out.update(t.slot for t in s.targets)
+    elif isinstance(s, fe.If):
+        _assigned_slots(s.then, out)
+        if s.orelse is not None:
+            _assigned_slots(s.orelse, out)
+    elif isinstance(s, (fe.While, fe.For)):
+        _assigned_slots(s.body, out)
     return out
 
 
@@ -465,7 +441,7 @@ def build_flow_graph(ast: fe.Ast, function: str | None = None) -> FlowGraph:
     elif len(ast.functions) == 1:
         func = ast.functions[0]
     else:
-        raise ValueError("program has several functions and no main; pass function=...")
+        raise ValueError("program has several functions and no main")
     return _Builder().build_function(func)
 
 

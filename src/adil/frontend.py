@@ -12,6 +12,16 @@ Parsing is one-token-lookahead and aborts on the first error: the
 pipeline's contract is that input programs are already syntactically
 valid, so anything else is out-of-scope input, not something to recover
 from.
+
+The parser resolves every name, once: each declaration gets a slot, a
+number that is unique within its function, and every VarRef, ArrayRef and
+VarDecl carries the slot of the declaration it means. The parameters are
+slots 0..n-1 and share a scope with the body's outermost block, as in C (so
+a body may not redeclare one); each VarDecl takes the next slot in source
+order, and its name is in scope from the declarator on, initializer
+included. So a slot declared before a statement is numbered below every slot
+declared inside it, and desugaring, which moves no declaration, keeps that
+true (the flow graph builder relies on it).
 """
 
 from __future__ import annotations
@@ -40,11 +50,6 @@ class CSyntaxError(Exception):
         self.span = span
         self.expected = expected
         self.found = found
-
-
-@record
-class CSubsetConfig:
-    allow_for: bool = True
 
 
 # Deepest nesting the parser accepts, counting bracketed sub-expressions
@@ -171,6 +176,7 @@ class IntLit:
 @record
 class VarRef:
     name: str
+    slot: int
     span: SourceSpan
     height: ClassVar[int] = 0
 
@@ -178,6 +184,7 @@ class VarRef:
 @record
 class ArrayRef:
     name: str
+    slot: int
     index: "Expr"
     span: SourceSpan
     height: int = field(init=False, repr=False, compare=False)
@@ -227,6 +234,7 @@ LValue = VarRef | ArrayRef
 @record
 class VarDecl:
     name: str
+    slot: int
     array_size: int | None  # None for scalars
     init: Expr | None
     span: SourceSpan
@@ -336,17 +344,16 @@ def _found(tok: Token) -> str:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], cfg: CSubsetConfig, filename: str):
+    def __init__(self, tokens: list[Token], filename: str):
         # The parser's copy of the tokens ends in an _END token, so the current
         # token and the one after an identifier are read without a bounds check.
         last = tokens[-1].span if tokens else SourceSpan(filename, 1, 1, 1, 1)
         eof = SourceSpan(filename, last.line_end, last.col_end, last.line_end, last.col_end)
         self.tokens = [*tokens, Token(_END, "", eof)]
         self.end = len(tokens)
-        self.cfg = cfg
-        self.filename = filename
         self.pos = 0
-        self.scopes: list[dict[str, bool]] = []  # name -> is_array, innermost last
+        self.scopes: list[dict[str, tuple[int, bool]]] = []  # name -> (slot, is_array), innermost last
+        self.slots = 0  # slots the current function has numbered so far
         self.functions: dict[str, FunctionDecl] = {}
         self.depth = 0  # current nesting level, see MAX_NESTING
 
@@ -390,17 +397,21 @@ class _Parser:
 
     # -- scopes
 
-    def declare(self, tok: Token, is_array: bool) -> None:
+    def declare(self, tok: Token, is_array: bool) -> int:
+        """Put tok's name in the innermost scope under the function's next slot."""
         scope = self.scopes[-1]
         if tok.text in scope:
             raise CSyntaxError(tok.span, "a fresh variable name", f"redeclaration of {tok.text!r}")
-        scope[tok.text] = is_array
+        scope[tok.text] = (self.slots, is_array)
+        self.slots += 1
+        return self.slots - 1
 
-    def lookup(self, tok: Token) -> bool:
+    def lookup(self, tok: Token) -> tuple[int, bool]:
+        """(slot, is_array) of the declaration tok's name refers to here."""
         for scope in reversed(self.scopes):
-            is_array = scope.get(tok.text)
-            if is_array is not None:
-                return is_array
+            entry = scope.get(tok.text)
+            if entry is not None:
+                return entry
         raise CSyntaxError(tok.span, "a declared identifier", repr(tok.text))
 
     # -- grammar
@@ -420,6 +431,8 @@ class _Parser:
         if name.text in self.functions:
             raise CSyntaxError(name.span, "a fresh function name", f"redefinition of {name.text!r}")
         self.expect("(")
+        # The parameters are slots 0..n-1, in the scope of the body's outermost block.
+        self.scopes, self.slots = [{}], 0
         params: list[Param] = []
         if not self.at(")"):
             while True:
@@ -430,26 +443,28 @@ class _Parser:
                     self.advance()
                     self.expect("]")
                     is_array = True
+                self.declare(pname, is_array)
                 params.append(Param(pname.text, is_array, pname.span))
                 if self.at(","):
                     self.advance()
                     continue
                 break
         self.expect(")")
-        self.scopes.append({p.name: p.is_array for p in params})
-        body = self.parse_block()
-        self.scopes.pop()
+        body = self.parse_block(own_scope=False)
         decl = FunctionDecl(name.text, tuple(params), body, span_join(start.span, body.span))
         self.functions[decl.name] = decl
         return decl
 
-    def parse_block(self) -> Block:
+    def parse_block(self, own_scope: bool = True) -> Block:
+        """{ statements }, in a scope of its own unless it is a function body."""
         open_ = self.expect("{")
         stmts: list[Stmt] = []
-        self.scopes.append({})
+        if own_scope:
+            self.scopes.append({})
         while not self.at("}"):
             stmts.extend(self.parse_statement())
-        self.scopes.pop()
+        if own_scope:
+            self.scopes.pop()
         close = self.expect("}")
         return Block(tuple(stmts), span_join(open_.span, close.span))
 
@@ -497,18 +512,19 @@ class _Parser:
                 self.advance()
                 size = _int_value(self.expect("num", "array size literal"))
                 end_span = self.expect("]").span
-            elif self.at("="):
+            # as in C, the name is in scope from its declarator on, its initializer included
+            slot = self.declare(name, size is not None)
+            if size is None and self.at("="):
                 self.advance()
                 init = self.parse_expr()
                 end_span = init.span
-            self.declare(name, size is not None)
             if self.at(","):
                 self.advance()
-                decls.append(VarDecl(name.text, size, init, span_join(start.span, end_span)))
+                decls.append(VarDecl(name.text, slot, size, init, span_join(start.span, end_span)))
                 continue
             # the last declarator's span runs to the ';'
             semi = self.expect(";")
-            decls.append(VarDecl(name.text, size, init, span_join(start.span, semi.span)))
+            decls.append(VarDecl(name.text, slot, size, init, span_join(start.span, semi.span)))
             return decls
 
     def parse_assignment(self, statement: bool = False) -> Assign:
@@ -521,7 +537,7 @@ class _Parser:
 
     def parse_lvalue(self) -> LValue:
         name = self.expect("ident", "variable name")
-        is_array = self.lookup(name)
+        slot, is_array = self.lookup(name)
         if self.at("["):
             if not is_array:
                 raise CSyntaxError(name.span, "an array variable", repr(name.text))
@@ -529,10 +545,10 @@ class _Parser:
             index = self.parse_expr()
             close = self.expect("]")
             self.depth -= 1
-            return ArrayRef(name.text, index, span_join(name.span, close.span))
+            return ArrayRef(name.text, slot, index, span_join(name.span, close.span))
         if is_array:
             raise CSyntaxError(name.span, "an indexed array access", repr(name.text))
-        return VarRef(name.text, name.span)
+        return VarRef(name.text, slot, name.span)
 
     def parse_if(self) -> If:
         start = self.expect("if")
@@ -572,8 +588,6 @@ class _Parser:
 
     def parse_for(self) -> For:
         start = self.expect("for")
-        if not self.cfg.allow_for:
-            raise CSyntaxError(start.span, "a statement ('for' is disabled)", "'for'")
         self.expect("(")
         init = self.parse_assignment()
         self.expect(";")
@@ -648,11 +662,12 @@ class _Parser:
             raise CSyntaxError(tok.span, f"an argument for {what}", _found(tok))
         if not param.is_array:
             return self.parse_expr()
-        if (tok.kind != "ident" or self.tokens[self.pos + 1].kind not in (",", ")")
-                or not self.lookup(tok)):
-            raise CSyntaxError(tok.span, f"a bare array name for array {what}", repr(tok.text))
-        self.advance()
-        return VarRef(tok.text, tok.span)
+        if tok.kind == "ident" and self.tokens[self.pos + 1].kind in (",", ")"):
+            slot, is_array = self.lookup(tok)
+            if is_array:
+                self.advance()
+                return VarRef(tok.text, slot, tok.span)
+        raise CSyntaxError(tok.span, f"a bare array name for array {what}", repr(tok.text))
 
     # Binary operators by precedence climbing over _PRECEDENCE (|| < && <
     # relational < additive < multiplicative), all left-associative except
@@ -720,11 +735,9 @@ def _int_value(tok: Token) -> int:
                            " digits", f"{len(tok.text)} digits") from None
 
 
-def parse_c(source: str, cfg: CSubsetConfig | None = None, filename: str = "<source>") -> Ast:
+def parse_c(source: str, filename: str = "<source>") -> Ast:
     """Parse C-subset source into an Ast. Raises LexError / CSyntaxError."""
-    cfg = cfg or CSubsetConfig()
-    parser = _Parser(tokenize(source, filename), cfg, filename)
-    return parser.parse_program()
+    return _Parser(tokenize(source, filename), filename).parse_program()
 
 
 # ---------------------------------------------------------------------------

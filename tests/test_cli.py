@@ -242,6 +242,14 @@ def test_a_declaration_as_a_loop_branch_body_exits_2_with_its_position(work, cap
         assert where in capsys.readouterr().err
 
 
+def test_a_program_without_main_exits_2_with_a_message(work, capsys):
+    (work / "two.c").write_text("int f(int a) { return a; }\nint g(int b) { return b; }\n")
+    assert main(["graph", str(work / "two.c")]) == 2
+    assert capsys.readouterr() == ("", "adil: program has several functions and no main\n")
+    assert _analyze(work, "two.c") == 2
+    assert capsys.readouterr() == ("", "adil: program has several functions and no main\n")
+
+
 def test_graph_missing_file(work, capsys):
     assert main(["graph", str(work / "nope.c")]) == 2
     capsys.readouterr()
@@ -265,8 +273,9 @@ def test_a_directory_for_a_file_exits_2_with_a_message(work, tmp_path, capsys, c
     directory.mkdir()
     argv = [arg.format(dir=directory, work=work) for arg in _DIRECTORY_ARGS[case]]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("adil: ") and str(directory) in err and "Traceback" not in err
+    assert out == ""  # analyze writes --report-json before it prints the report
     assert list(directory.iterdir()) == []
 
 

@@ -252,6 +252,18 @@ def test_a_loop_body_declaring_in_an_if_branch_is_rejected():
         assert (span.line_start, span.col_start) == (1, source.index("int y = 1") + 1), source
 
 
+@pytest.mark.parametrize("body, carried", [
+    ("{ int s; s = x; x = x + 1; }", ["x"]),  # the inner s hides the outer one
+    ("{ { s = s + x; } x = x + 1; }", ["x", "s"]),  # an outer s assigned in a nested block
+    ("{ int t; t = 0; while (t < 2) { t = t + 1; } x = x + t; }", ["x", "t"]),  # t by the inner loop
+])
+def test_a_loop_carries_the_outer_variables_its_body_assigns(body, carried):
+    g = graph_of(f"int main() {{ int x; int s; x = 0; s = 0; while (x < 3) {body} return s; }}")
+    assert validate(g) == []
+    joins = sorted(n.id for n in g.nodes.values() if n.ann.role == "loop variable")
+    assert [g.nodes[nid].ann.var_name for nid in joins] == carried
+
+
 def test_if_with_empty_branch():
     g = graph_of("int main(){int c;c=1;if(c<2){}return c;}")
     assert validate(g) == []

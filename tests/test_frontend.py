@@ -15,7 +15,6 @@ from adil.frontend import (
     MAX_NESTING,
     Assign,
     Block,
-    CSubsetConfig,
     CSyntaxError,
     Expr,
     For,
@@ -98,11 +97,26 @@ def test_parse_rejects_undeclared_identifier():
         parse_c("int main(){x = 1;}")
 
 
-def test_parse_for_requires_flag():
-    src = "int main(){int i;for(i=0;i<3;i=i+1){}}"
-    parse_c(src)
-    with pytest.raises(CSyntaxError):
-        parse_c(src, CSubsetConfig(allow_for=False))
+@pytest.mark.parametrize("source, col", [
+    ("int f(int a, int a) { return a; }", 18),
+    ("int f(int a) { int a; a = 1; return a; }", 20),
+], ids=["parameter-twice", "body-redeclares-parameter"])
+def test_a_parameter_is_not_redeclared(source, col):
+    # the columns gcc 12 reports; an inner block may still shadow a parameter
+    with pytest.raises(CSyntaxError) as err:
+        parse_c(source)
+    assert (err.value.span.line_start, err.value.span.col_start, err.value.found) == \
+        (1, col, "redeclaration of 'a'")
+    parse_c("int f(int a) { { int a; a = 1; } return a; }")
+
+
+def test_an_initializer_sees_the_name_it_declares():
+    # as in C: the inner `a` is in scope in its own initializer, which reads it unassigned
+    with pytest.raises(CSyntaxError) as err:
+        parse_c("int main() { int a[3]; { int a = a[0]; } return 0; }")
+    assert (err.value.span.col_start, err.value.expected) == (34, "an array variable")
+    block = parse_c("int main() { int a[3]; { int a = a; } return 0; }").functions[0].body.stmts[1]
+    assert block.stmts[0].slot == block.stmts[0].init.slot == 1
 
 
 @pytest.mark.parametrize("body, col", [
@@ -193,6 +207,49 @@ def test_property_desugar_idempotent(seed):
     assert desugar(once) == once
 
 
+def _slot_walk(func) -> list[tuple[str, int]]:
+    """Walk func's body in pre-order and check its slots: the parameters are
+    0..n-1, each VarDecl takes the next one, and each reference's slot is a
+    declaration of its name. Returns the references as (name, slot)."""
+    names = [p.name for p in func.params]  # by slot
+    refs = []
+
+    def walk(node) -> None:
+        if isinstance(node, VarDecl):
+            assert node.slot == len(names), (func.name, node)
+            names.append(node.name)
+        elif isinstance(node, (frontend.VarRef, frontend.ArrayRef)):
+            assert names[node.slot] == node.name, (func.name, node)
+            refs.append((node.name, node.slot))
+        for f in dataclasses.fields(node):
+            value = getattr(node, f.name)
+            for child in value if isinstance(value, tuple) else [value]:
+                if dataclasses.is_dataclass(child):
+                    walk(child)
+
+    walk(func.body)
+    return refs
+
+
+def test_slots_number_parameters_then_declarations_in_order(corpus_cases):
+    # the flow graph builder relies on this numbering, before and after desugaring
+    sources = [program.read_text() for program, _ in corpus_cases]
+    for workload in workloads.WORKLOADS:
+        sources += [item.source for item in workloads.make_items(workload, 5, ROOT)]
+    for source in sources:
+        ast = parse_c(source)
+        for func, sugared in zip(desugar(ast).functions, ast.functions):
+            assert _slot_walk(func) == _slot_walk(sugared)
+
+
+def test_a_reference_carries_the_slot_of_the_declaration_in_scope():
+    ast = parse_c("int f(int a) { int b; b = a; { int a; a = b; b = a; } "
+                  "while (b) { int c; c = a; b = c; } return a + b; }")
+    assert _slot_walk(ast.functions[0]) == [
+        ("b", 1), ("a", 0), ("a", 2), ("b", 1), ("b", 1), ("a", 2),
+        ("b", 1), ("c", 3), ("a", 0), ("b", 1), ("c", 3), ("a", 0), ("b", 1)]
+
+
 def test_parse_is_deterministic():
     src = random_program(random.Random(7))
     assert parse_c(src) == parse_c(src)
@@ -269,7 +326,7 @@ def test_an_array_argument_is_a_bare_array_name():
     main = ast.functions[-1]
     call = main.body.stmts[-2].value.lhs
     col = CALL_COL + 2
-    assert call.args[0] == frontend.VarRef("b", SourceSpan("<source>", 4, col, 4, col))
+    assert call.args[0] == frontend.VarRef("b", 0, SourceSpan("<source>", 4, col, 4, col))
     assert pretty_print(parse_c(pretty_print(ast))) == pretty_print(ast)
     # the graph passes the array itself: the CALL's in-port 0 is fed by b's node
     g = build_flow_graph(desugar(ast))
@@ -621,7 +678,7 @@ def _heights(node) -> list[int]:
 def _parse_outcome(parser: type[_Parser], source: str | list[Token]):
     tokens = tokenize(source) if isinstance(source, str) else source
     try:
-        ast = parser(tokens, CSubsetConfig(), "<source>").parse_program()
+        ast = parser(tokens, "<source>").parse_program()
     except CSyntaxError as err:
         return ("CSyntaxError", err.span, err.expected, err.found)
     return repr(ast), _heights(ast)
@@ -738,12 +795,12 @@ class _ReferenceStatementParser(_Peek, _Parser):
                 self.advance()
                 size = frontend._int_value(self.expect("num", "array size literal"))
                 end_span = self.expect("]").span
-            elif self.at("="):
+            slot = self.declare(name, size is not None)
+            if size is None and self.at("="):
                 self.advance()
                 init = self.parse_expr()
                 end_span = init.span
-            self.declare(name, size is not None)
-            decls.append(VarDecl(name.text, size, init, span_hull([start.span, end_span])))
+            decls.append(VarDecl(name.text, slot, size, init, span_hull([start.span, end_span])))
             if self.at(","):
                 self.advance()
                 continue
@@ -753,7 +810,7 @@ class _ReferenceStatementParser(_Peek, _Parser):
         return decls
 
 
-_STATEMENTS = [
+STATEMENTS = [
     "int p;", "int q = x + 1;", "int r[4];", "int s, t = 2, u[3];", "int x;", "int v = (y),w;",
     "x = y;", "a[x] = y * 2;", "y = f(x);", "f(y);", "x = (y);", "x = -y < 2;",
     "for (x = 0; x < 3; x = x + 1) y = y + x;", "while (x < 3) { x = x + 1; }",
@@ -764,15 +821,20 @@ _BROKEN_STATEMENTS = ["x = ;", "int ;", "int k,", "x", "=", ";", "a[", "int m = 
                       "int n[x];", "int o[2", "a = 1;", "x[1] = 2;", "}", "{"]
 
 
+def statement_program(pieces: list[str]) -> str:
+    """A program whose main holds the pieces."""
+    return ("int f(int v) { return v; }\n"
+            "int main() { int x; int y; int a[3];\n" + "\n".join(pieces) + "\nreturn x; }\n")
+
+
 def _statement_tokens(pieces: list[str], cut: int | None) -> list[Token]:
-    """Tokens of a program whose main holds the pieces, less the last `cut` tokens."""
-    tokens = tokenize("int f(int v) { return v; }\n"
-                      "int main() { int x; int y; int a[3];\n" + "\n".join(pieces) + "\nreturn x; }\n")
+    """Tokens of statement_program(pieces), less the last `cut` tokens."""
+    tokens = tokenize(statement_program(pieces))
     return tokens if cut is None else tokens[:len(tokens) - cut]
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(st.sampled_from(_STATEMENTS) | st.sampled_from(_STATEMENTS)
+@given(st.lists(st.sampled_from(STATEMENTS) | st.sampled_from(STATEMENTS)
                 | st.sampled_from(_BROKEN_STATEMENTS), max_size=8),
        st.one_of(st.none(), st.integers(0, 12)))
 def test_property_statement_parser_matches_reference(pieces, cut):

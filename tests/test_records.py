@@ -91,12 +91,12 @@ def test_unfrozen_records_keep_value_equality():
     from adil.source import SourceSpan
 
     span = SourceSpan("f.c", 1, 1, 1, 5)
-    a = Binary("+", VarRef("x", span), VarRef("y", span), span)
-    b = Binary("+", VarRef("x", span), VarRef("y", span), span)
+    a = Binary("+", VarRef("x", 0, span), VarRef("y", 1, span), span)
+    b = Binary("+", VarRef("x", 0, span), VarRef("y", 1, span), span)
     assert a == b and a.height == 1
-    assert repr(a) == ("Binary(op='+', lhs=VarRef(name='x', span=SourceSpan(file='f.c', "
+    assert repr(a) == ("Binary(op='+', lhs=VarRef(name='x', slot=0, span=SourceSpan(file='f.c', "
                        "line_start=1, col_start=1, line_end=1, col_end=5)), rhs=VarRef(name='y', "
-                       "span=SourceSpan(file='f.c', line_start=1, col_start=1, line_end=1, "
+                       "slot=1, span=SourceSpan(file='f.c', line_start=1, col_start=1, line_end=1, "
                        "col_end=5)), span=SourceSpan(file='f.c', line_start=1, col_start=1, "
                        "line_end=1, col_end=5))")
     assert [f.name for f in dataclasses.fields(Binary)] == ["op", "lhs", "rhs", "span", "height"]

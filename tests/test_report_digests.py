@@ -1,10 +1,13 @@
-"""Report bytes are pinned: a sha256 over report JSON plus rendered text.
+"""Report and graph bytes are pinned: a sha256 over report JSON plus
+rendered text, and one over flow-graph JSON.
 
 Any change that is meant to leave adil's output alone must keep these
-digests. One digest covers each benchmark workload (its items at seeds 3 and
-17, graded through the benchmark's own pipeline), and one covers the 21
-corpus programs graded as `adil analyze` grades them. A change that alters
-reports on purpose re-derives the pins and says why.
+digests. One report digest covers each benchmark workload (its items at
+seeds 3 and 17, graded through the benchmark's own pipeline), and one covers
+the 21 corpus programs graded as `adil analyze` grades them. The graph
+digests cover the same programs, each lowered by `build_flow_graph` as
+`adil graph --json` prints it. A change that alters reports or graphs on
+purpose re-derives the pins and says why.
 """
 
 from __future__ import annotations
@@ -34,15 +37,45 @@ WORKLOAD_DIGESTS = {
 }
 CORPUS_DIGEST = "2b9dc9385681b5eef50504ffe5d79d81ca1c809392e8152024ad1e19de569904"
 
+WORKLOAD_GRAPH_DIGESTS = {
+    "class-batch": "33747b42bb70c35fe74c6e39ab7ca829a85882b0d12d3e32503677a5e26e4d2c",
+    "large-program": "85f94db6ee7a04852c4ce2f2b602998fff866f81951ec580e5a7242880de7b5e",
+    "dense-chain": "fc3c262c522bec34a84c7a8bda8c62ec293935b23cc21a2f69cef615cf7386e9",
+    "authoring": "f9e081a1414c711c9011fc28904056ce636e8b4b75743c6835f8eac4702419d1",
+}
+CORPUS_GRAPH_DIGEST = "80c438876c1816c3d63395a7f884fb04b377b32c980c7389ecc76bd05b5406ed"
 
-def _digest(outputs) -> str:
+
+def _digest(parts) -> str:
     h = hashlib.sha256()
-    for report_json, text in outputs:
-        for part in (report_json, text):
-            data = part.encode("utf-8")
-            h.update(len(data).to_bytes(8, "big"))
-            h.update(data)
+    for part in parts:
+        data = part.encode("utf-8")
+        h.update(len(data).to_bytes(8, "big"))
+        h.update(data)
     return h.hexdigest()
+
+
+def graph_digest(programs) -> str:
+    """Digest of each (name, source)'s graph JSON, or of the UnboundVariable
+    message where the build stops at one."""
+    parts = []
+    for name, source in programs:
+        ast = frontend.desugar(frontend.parse_c(source, filename=name))
+        try:
+            parts.append(flowgraph.to_json(flowgraph.build_flow_graph(ast)))
+        except flowgraph.UnboundVariable as err:
+            parts.append(str(err))
+    return _digest(parts)
+
+
+def _workload_programs(workload: str) -> list[tuple[str, str]]:
+    return [(item.name, item.source) for seed in SEEDS
+            for item in workloads.make_items(workload, seed, ROOT)]
+
+
+def _corpus_programs(corpus_cases) -> list[tuple[str, str]]:
+    return [(prog.relative_to(ROOT).as_posix(), prog.read_text(encoding="utf-8"))
+            for prog, _ in corpus_cases]
 
 
 def workload_digest(workload: str) -> str:
@@ -53,7 +86,7 @@ def workload_digest(workload: str) -> str:
         run_item = pipeline.run_item(workload)
         for item in items:
             outcome = run_item(item, setup)
-            outputs.append((outcome.report_json, outcome.text))
+            outputs += (outcome.report_json, outcome.text)
     return _digest(outputs)
 
 
@@ -70,7 +103,7 @@ def corpus_digest(corpus_cases) -> str:
         except flowgraph.UnboundVariable as err:
             report = debugger.unbound_report(name, spec, err)
         text = explain.render_text(explain.render(report, source, base))
-        outputs.append((debugger.report_to_json(report), text))
+        outputs += (debugger.report_to_json(report), text)
     return _digest(outputs)
 
 
@@ -82,3 +115,12 @@ def test_workload_reports_are_byte_identical(workload):
 def test_corpus_reports_are_byte_identical(corpus_cases):
     assert len(corpus_cases) == 21
     assert corpus_digest(corpus_cases) == CORPUS_DIGEST
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_workload_graphs_are_byte_identical(workload):
+    assert graph_digest(_workload_programs(workload)) == WORKLOAD_GRAPH_DIGESTS[workload]
+
+
+def test_corpus_graphs_are_byte_identical(corpus_cases):
+    assert graph_digest(_corpus_programs(corpus_cases)) == CORPUS_GRAPH_DIGEST
