@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import acquire as acq
@@ -40,6 +41,24 @@ def _env(name: str, default: str) -> str:
     return os.environ.get(name, default)
 
 
+def _env_number(name: str, default: str, kind: type[int] | type[float]) -> int | float:
+    raw = _env(name, default)
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"environment variable {name}={raw!r} is not a valid {kind.__name__}") from None
+
+
+def _count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a whole number, 0 or more: {text!r}")
+    return n
+
+
 def _add_plans_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--plans", default=_env("ADIL_PLANS", "plans"),
                    help="plan base directory (default ./plans or $ADIL_PLANS)")
@@ -57,11 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program", help="C-subset source file")
     p.add_argument("--spec", required=True, help="specification file (.spec)")
     _add_plans_flag(p)
-    p.add_argument("--budget", type=int, default=int(_env("ADIL_BUDGET", "1000000")))
-    p.add_argument("--theta", type=float, default=float(_env("ADIL_THETA", "0.6")))
-    p.add_argument("--report-json", default=None, help="also write the JSON report here")
-    p.add_argument("--max-findings", type=int, default=None,
-                   help="show at most this many findings")
+    p.add_argument("--budget", type=int, default=_env_number("ADIL_BUDGET", "1000000", int))
+    p.add_argument("--theta", type=float, default=_env_number("ADIL_THETA", "0.6", float))
+    p.add_argument("--report-json", default=None, help="also write the JSON report (every finding) here")
+    p.add_argument("--max-findings", type=_count, default=None,
+                   help="show at most this many findings; the exit code counts them all")
 
     p = sub.add_parser("graph", help="dump a program's annotated flow graph")
     p.add_argument("program")
@@ -94,7 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+    except ValueError as err:  # a malformed ADIL_BUDGET or ADIL_THETA
+        print(f"adil: {err}", file=sys.stderr)
+        return 2
+    try:
+        args = parser.parse_args(argv)
     except SystemExit as err:  # argparse exits on usage errors and --help
         code = err.code if isinstance(err.code, int) else 2
         return 0 if code == 0 else 2
@@ -138,11 +162,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except flowgraph.UnboundVariable as err:
         report = debugger.unbound_report(args.program, spec, err)
 
-    if args.max_findings is not None:
-        report.findings = report.findings[: args.max_findings]
     if args.report_json:  # first, so an unwritable path exits 2 before any report is shown
         Path(args.report_json).write_text(debugger.report_to_json(report), encoding="utf-8")
-    explanation = explain.render(report, source, base)
+    shown = report
+    hidden = 0 if args.max_findings is None else max(0, len(report.findings) - args.max_findings)
+    if hidden:
+        shown = replace(report, findings=report.findings[: args.max_findings])
+    explanation = explain.render(shown, source, base)
+    if hidden:
+        note = f"{hidden} more finding(s) not shown (--max-findings {args.max_findings})."
+        explanation = replace(explanation, sections=explanation.sections + (("Not shown", note),))
     sys.stdout.write(explain.render_text(explanation))
 
     if report.findings:

@@ -1,0 +1,234 @@
+"""Generated stage-one kernels: one plan's matching order from one seed,
+written out as Python source and compiled.
+
+`matcher._Unifier` runs stage one generically, through `extend`, the first
+time it searches an order; the second time, `matcher._kernel` compiles the
+order here and keeps the function on `Plan.tables.kernels`. This module is
+imported only then, so a one-shot run neither loads it nor compiles one.
+
+A kernel does exactly what `extend` does on a branch that skips nothing, in
+the same order: the same candidates (`sorted(set(...))` for a real node,
+reverse-sorted for a sub-match), one step charged per candidate before the
+injectivity test, the same leaf records and the same deferred branches.
+What depends only on the plan is settled when the source is written: each
+edge's direction, ports and commutable() alternative, each node's kind,
+opcode and constant test, the ctrl labels, and which ends are sub-plan
+nodes (those ends go through `_source`, `_sink`, `_producers`,
+`_consumers` and `_ctrl_nodes`, as in `extend`).
+
+The source holds no text from the plan: pattern node ids, kinds, opcodes,
+constants, labels and sub-plan names are bound to generated names in the
+exec namespace, and ports enter as int literals. CPython refuses more than
+20 nested blocks, so an order is split into chained functions of at most
+CHUNK positions each; every order compiles, whatever its length.
+"""
+
+from __future__ import annotations
+
+import re
+from collections.abc import Callable, Collection
+
+from .matcher import BudgetExceeded, _ctrl_linked, _Step
+from .planlib import PlanTables
+
+
+def compile_kernel(tables: PlanTables, order: list[_Step | None]) -> Callable:
+    """The stage one of an order (`matcher._order`) as one function
+    `(search, seed_candidates)`, which leaves the search as extend() would."""
+    return _KernelWriter(tables, order).compile()
+
+
+def _ctrl_adjacent(adjacency, nodes: Collection[int], label: str | None) -> list[int]:
+    """The nodes one ctrl edge with the label (any, for None) away from nodes."""
+    return [other for nid in nodes for other, lab in adjacency.get(nid, ())
+            if label is None or lab == label]
+
+
+def _indent(text: str) -> str:
+    return "".join("    " + line for line in text.splitlines(True))
+
+
+# The pieces of a kernel's source. A function binds the search's tables that
+# its body reads to locals; each position is one loop that charges a step per
+# candidate and skips the candidate when a test fails.
+_PROLOGUE = """\
+nodes = u.g.nodes
+producer_of = u.producer_of
+consumers_of = u.consumers_of
+commutative = u.commutative
+ctrl_out = u.ctrl_out
+ctrl_in = u.ctrl_in
+pseudos = u.pseudos
+pseudos_at = u.pseudos_at
+_source = u._source
+_sink = u._sink
+_producers = u._producers
+_consumers = u._consumers
+_ctrl_nodes = u._ctrl_nodes
+max_steps = u.max_steps
+record = u.recorded.append
+defer = u.deferred.append
+may_defer = u.max_skipped > 0
+leaf_ok = %d * u.theta_den >= u.theta_num * u.size
+"""
+_LOOP = """\
+for n%(i)d in %(candidates)s:
+    steps += 1
+    if steps > max_steps:
+        u.steps = steps
+        raise BudgetExceeded(u.plan.name, [])
+    if %(tests)s:
+        continue
+"""
+_EXTENSION = """\
+pr%(i)d = False
+%(loop)s    pr%(i)d = True
+%(inner)sif not pr%(i)d and may_defer:
+    defer(({%(binding)s}, {%(bound)s}, F%(i)d))
+"""
+
+
+class _KernelWriter:
+    """Position i of the order is one `for n<i>` loop, nested in position
+    i-1's, over the candidates `candidates_via_edges` would list, with the
+    tests of `consistent` written out for the position's edges. A function
+    calls the next one with the bound nodes and the step count, and hands
+    the count back to the search itself when the budget runs out."""
+
+    CHUNK = 12
+
+    def __init__(self, tables: PlanTables, order: list[_Step | None]):
+        self.steps = order[:-1]
+        self.size = len(tables.pid_order)
+        self.commutable = tables.commutable
+        self.pos = {step.pid: i for i, step in enumerate(self.steps)}
+        self.ns: dict = {"BudgetExceeded": BudgetExceeded, "NO": (None,),
+                         "_ctrl_linked": _ctrl_linked, "_ctrl_adjacent": _ctrl_adjacent}
+        for i, step in enumerate(self.steps):
+            self.ns.update({f"P{i}": step.pid, f"F{i}": frozenset((step.pid,)), f"S{i}": step.subplan,
+                            f"K{i}": step.kind, f"O{i}": step.opcode, f"C{i}": step.const})
+        self.lo = 0  # the first position of the function being written
+
+    def source(self) -> str:
+        n = len(self.steps)
+        return "".join(self.function(lo, min(lo + self.CHUNK, n)) for lo in range(0, n, self.CHUNK))
+
+    def compile(self) -> Callable:
+        exec(compile(self.source(), "<stage-one kernel>", "exec"), self.ns)
+        return self.ns["_chunk0"]
+
+    def function(self, lo: int, hi: int) -> str:
+        self.lo = lo
+        body = self.position(lo, hi)
+        if lo:
+            head = f"def _chunk{lo // self.CHUNK}(u, {self.bound(lo)}, steps):\n"
+            body += "return steps\n"
+        else:
+            head = "def _chunk0(u, cands):\n"
+            body = f"steps = u.steps\n{body}u.steps = steps\n"
+        prologue = [line for line in (_PROLOGUE % len(self.steps)).splitlines(True)
+                    if re.search(rf"\b{line.split()[0]}\b", body)]
+        return head + _indent("".join(prologue) + body)
+
+    def position(self, i: int, hi: int) -> str:
+        """Position i's loop, with every later position of the function inside it."""
+        if i + 1 == len(self.steps):  # the leaf
+            full = "{%s}" % ", ".join(f"P{j}: n{j}" for j in range(i + 1))
+            inner = f"record({full})\n" if i + 1 == self.size else f"if leaf_ok:\n    record({full})\n"
+        elif i + 1 == hi:
+            inner = f"steps = _chunk{hi // self.CHUNK}(u, {self.bound(hi)}, steps)\n"
+        else:
+            inner = self.position(i + 1, hi)
+        tests = self.tests(i)
+        if not i:
+            loop = _LOOP % {"i": 0, "candidates": "cands", "tests": " or ".join(tests) or "False"}
+            return loop + _indent(inner)
+        tests.insert(0, " or ".join(f"n{i} == n{j}" for j in range(i)))  # injectivity
+        loop = _LOOP % {"i": i, "candidates": self.candidates(i), "tests": " or ".join(tests)}
+        return _EXTENSION % {"i": i, "loop": loop, "inner": _indent(inner),
+                             "binding": ", ".join(f"P{j}: n{j}" for j in range(i)), "bound": self.bound(i)}
+
+    def bound(self, i: int) -> str:
+        return ", ".join(f"n{j}" for j in range(i))
+
+    def real(self, i: int) -> bool:
+        return self.steps[i].subplan is None
+
+    def node(self, i: int) -> str:
+        """The graph node bound at position i."""
+        return f"d{i}" if i >= self.lo else f"nodes[n{i}]"
+
+    def ctrl_nodes(self, i: int) -> str:
+        return f"(n{i},)" if self.real(i) else f"_ctrl_nodes(n{i})"
+
+    def label(self, label: str | None) -> str:
+        name = f"L{len(self.ns)}"
+        self.ns[name] = label
+        return name
+
+    def tests(self, i: int) -> list[str]:
+        """consistent() at position i, as conditions any of which rejects n<i>."""
+        step = self.steps[i]
+        tests = []
+        if step.subplan is None:
+            tests.append(f"(d{i} := nodes[n{i}]).kind is not K{i}")
+            if step.opcode is not None:
+                tests.append(f"d{i}.opcode is not O{i}")
+            if step.const is not None:
+                tests.append(f"d{i}.value != C{i}")
+        for (a, po), (b, pi) in step.data_checks:
+            a, po, b, pi = self.pos[a], int(po), self.pos[b], int(pi)
+            if self.real(a) and self.real(b):
+                # n<a> has out-port po and produces n<b>'s in-port pi, or the
+                # other operand when pattern node b is commutable()
+                tests.append(f"{self.node(a)}.out_ports <= {po}")
+                test = f"producer_of.get((n{b}, {pi}), NO)[0] != n{a}"
+                if self.steps[b].pid in self.commutable and pi in (0, 1):
+                    test = (f"({test} and (n{b} not in commutative"
+                            f" or producer_of.get((n{b}, {1 - pi}), NO)[0] != n{a}))")
+                tests.append(test)
+            else:
+                tests.append(f"(s := _source(n{a}, {po})) is None"
+                             f" or s not in _producers(*_sink(P{b}, n{b}, {pi}))")
+        for a, b, label in step.ctrl_checks:
+            tests.append(f"not _ctrl_linked(ctrl_out, {self.ctrl_nodes(self.pos[a])}, "
+                         f"{self.ctrl_nodes(self.pos[b])}, {self.label(label)})")
+        return tests
+
+    def candidates(self, i: int) -> str:
+        """candidates_via_edges() at position i."""
+        step = self.steps[i]
+        if step.subplan is not None:  # pseudo_candidates()
+            if not step.data_gen:
+                return f"[p.pseudo_id for p in pseudos[S{i}]]"
+            (a, po), (b, pi) = step.data_gen[0]
+            a, po, b, pi = self.pos[a], int(po), self.pos[b], int(pi)
+            port, nodes = ((po, f"_producers(*_sink(P{b}, n{b}, {pi}))") if a == i
+                           else (pi, f"_consumers(_source(n{a}, {po}))"))
+            return (f"sorted({{p for x in {nodes} for p in pseudos_at[S{i}].get(({port}, x), ())}},"
+                    " reverse=True)")
+        parts = []
+        for (a, po), (b, pi) in step.data_gen:
+            a, po, b, pi = self.pos[a], int(po), self.pos[b], int(pi)
+            if a != i:
+                parts.append(f"_consumers(_source(n{a}, {po}))" if not self.real(a) else
+                             f"([t for op in range({self.node(a)}.out_ports) for t, _ in "
+                             f"consumers_of.get((n{a}, op), ())] if {self.node(a)}.out_ports > {po} else ())")
+            elif not self.real(b):
+                parts.append(f"_producers(*_sink(P{b}, n{b}, {pi}))")
+            else:
+                parts.append(f"producer_of.get((n{b}, {pi}), ())[:1]")  # the node, or none
+                if self.steps[b].pid in self.commutable and pi in (0, 1):
+                    parts.append(f"(producer_of.get((n{b}, {1 - pi}), ())[:1]"
+                                 f" if n{b} in commutative else ())")
+        ctrl = [f"_ctrl_adjacent(ctrl_in, {self.ctrl_nodes(self.pos[b])}, {self.label(label)})"
+                if self.pos[a] == i else
+                f"_ctrl_adjacent(ctrl_out, {self.ctrl_nodes(self.pos[a])}, {self.label(label)})"
+                for a, b, label in step.ctrl_gen]
+        if len(parts) == 1 and not ctrl and parts[0].endswith("[:1]"):
+            return parts[0]  # at most one node: already sorted and distinct
+        if len(parts) + len(ctrl) == 1:
+            return f"sorted(set({(parts + ctrl)[0]}))"
+        listed = " or ".join(f"[{', '.join('*' + part for part in group)}]"
+                             for group in (parts, ctrl) if group)
+        return f"sorted(set({listed}))"

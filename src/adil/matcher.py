@@ -71,6 +71,23 @@ up) compile each step when they reach it (`_step`), unmemoized, since a
 plan built for one item would visit most of those states once. Either way
 the order, the candidates and so every step are the same.
 
+Stage one runs in two tiers. The first time a plan searches from a seed,
+it runs `extend` over the compiled order. The second time, the order is
+compiled into one generated Python function (`kernel.compile_kernel`),
+kept on `Plan.tables.kernels` next to the order and dropped with the plan;
+every later search from that seed runs it. A one-shot run, or a plan built
+for one item, never pays for generating code; a plan that grades a class
+generates each order it uses once. The kernel is one nested loop per
+position of the order, with every plan-only fact (edge directions, ports,
+commutable() alternatives, node tests, ctrl labels, which ends are
+sub-matches) settled in its source. It takes the same candidates in the same
+order, charges the same steps and leaves the same records and deferred
+branches as `extend`, also when the budget runs out. No text from the plan
+enters the source: pattern node ids, labels, kinds and the like are names
+bound in its namespace, and ports are int literals. An order longer than
+12 positions becomes chained functions, since CPython limits how deeply
+blocks nest. Stage two always runs `extend`.
+
 Hierarchy is bottom-up: accepted matches of a sub-plan become bindable
 pseudo-nodes for the plans that contain it, and `recognize` orders plans so
 sub-plans always run first. Every plan's first stage runs before any second
@@ -88,7 +105,7 @@ in an order fixed by a total sort key, not by the order of exploration.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterator, Sequence, Set
+from collections.abc import Callable, Collection, Iterator, Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -305,6 +322,27 @@ def _order(tables: PlanTables, seed: str) -> list[_Step | None]:
     return order
 
 
+def _kernel(tables: PlanTables, seed: str) -> Callable | None:
+    """The generated stage one for seed's order: None on the order's first
+    search, which runs extend(); compiled on its second, and kept."""
+    kernels = tables.kernels
+    if seed not in kernels:
+        kernels[seed] = None
+        return None
+    kernel = kernels[seed]
+    if kernel is None:
+        from .kernel import compile_kernel  # loaded only by a search that compiles
+
+        kernel = kernels[seed] = compile_kernel(tables, _order(tables, seed))
+    return kernel
+
+
+def _ctrl_linked(ctrl_out, sources: Collection[int], targets: Collection[int], label: str | None) -> bool:
+    """Whether a ctrl edge with the label (any, for None) leads from sources to targets."""
+    return any(dst in targets and (label is None or lab == label)
+               for src in sources for dst, lab in ctrl_out.get(src, ()))
+
+
 class _Unifier:
     def __init__(self, g: FlowGraph, plan: Plan, budget: SearchBudget,
                  sub_matches: dict[str, list[MatchResult]], sub_plans: dict[str, Plan]):
@@ -414,10 +452,7 @@ class _Unifier:
 
     def ctrl_edge_ok(self, edge, binding: dict[str, int]) -> bool:
         a, b, label = edge
-        sources = self._ctrl_nodes(binding[a])
-        targets = self._ctrl_nodes(binding[b])
-        return any(dst in targets and (label is None or lab == label)
-                   for src in sources for dst, lab in self.ctrl_out.get(src, ()))
+        return _ctrl_linked(self.ctrl_out, self._ctrl_nodes(binding[a]), self._ctrl_nodes(binding[b]), label)
 
     def _ctrl_nodes(self, nid: int) -> set[int]:
         return {nid} if nid >= 0 else self.pseudo_by_id[nid].all_nodes
@@ -574,16 +609,21 @@ class _Unifier:
     def seed_rounds(self, start: int, stop: int) -> None:
         skipped = frozenset(self.seeds[:start])
         for seed in self.seeds[start:stop]:
+            kernel = None
             if skipped:
                 step = _Step(self.tables, seed, ())
             else:
                 self.order = _order(self.tables, seed)
                 step = self.order[0]
-            for nid in self.node_candidates(seed):
-                self.charge()
-                binding = {seed: nid}
-                if self.consistent(step, nid, binding):
-                    self.extend(binding, {nid}, skipped)
+                kernel = _kernel(self.tables, seed)
+            if kernel is not None:
+                kernel(self, self.node_candidates(seed))
+            else:
+                for nid in self.node_candidates(seed):
+                    self.charge()
+                    binding = {seed: nid}
+                    if self.consistent(step, nid, binding):
+                        self.extend(binding, {nid}, skipped)
             skipped = skipped | {seed}
 
     def charge(self) -> None:

@@ -33,6 +33,7 @@ sub-match.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -161,6 +162,9 @@ class PlanTables:
         # the matcher's compiled orders for branches that skip nothing, by seed
         # pid: at most one per pattern node
         self.orders: dict[str, list] = {}
+        # the matcher's generated stage-one kernels, by seed pid: None once an
+        # order has been searched generically, its kernel from the second search
+        self.kernels: dict[str, Callable | None] = {}
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import pytest
 from adil.frontend import CSyntaxError, parse_c
 
 from generators import random_program
-from test_frontend import STATEMENTS, statement_program
+from test_frontend import _ATOMS, _BINARY_OPS, STATEMENTS, _expression_program, statement_program
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -38,8 +38,8 @@ def _gcc(paths: list[Path]) -> subprocess.CompletedProcess:
 
 def _programs(corpus_cases) -> dict[str, str]:
     """File name -> source: the corpus, every workload item at one seed, 200
-    generated programs and 200 statement soups (the parser tests' pieces, of
-    which the soups adil accepts are kept)."""
+    generated programs, and 200 statement soups and 200 operator soups (the
+    parser tests' pieces, of which the soups adil accepts are kept)."""
     programs = {f"corpus-{prog.name}": prog.read_text() for prog, _ in corpus_cases}
     for workload in workloads.WORKLOADS:
         for item in workloads.make_items(workload, 3, ROOT):
@@ -54,7 +54,23 @@ def _programs(corpus_cases) -> dict[str, str]:
         except CSyntaxError:
             continue
         programs[f"soup-{seed:03d}.c"] = source
+    for seed in range(200):
+        source = _operator_soup(random.Random(seed))
+        try:
+            parse_c(source)
+        except CSyntaxError:
+            continue
+        programs[f"operators-{seed:03d}.c"] = source
     return programs
+
+
+def _operator_soup(rng: random.Random) -> str:
+    """An operator soup as test_property_parser_matches_reference_on_operator_soups
+    draws one: operators and atoms in turn, with brackets that may not match."""
+    pieces = [(rng.choice(_BINARY_OPS + [","]), rng.choice(["", "", "(", "-", "!", "a[", "f("]),
+               rng.choice(_ATOMS), rng.choice(["", "", ")", "]"])) for _ in range(rng.randrange(13))]
+    soup = "x" + "".join(f" {op} {before}{atom}{after}" for op, before, atom, after in pieces)
+    return _expression_program(soup, rng.random() < 0.5)
 
 
 def test_gcc_accepts_every_program_adil_accepts(tmp_path, corpus_cases):
@@ -64,6 +80,7 @@ def test_gcc_accepts_every_program_adil_accepts(tmp_path, corpus_cases):
         paths.append(tmp_path / name)
         paths[-1].write_text(source)
     assert len(paths) > 21 + 168 + 5 + 5 + 100 + 200
+    assert sum(path.name.startswith("operators-") for path in paths) >= 20  # 25 at these seeds
     proc = _gcc(paths)
     assert proc.returncode == 0, proc.stderr[:4000]
 

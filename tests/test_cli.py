@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from adil import debugger, explain, flowgraph, frontend, planlib
+from adil import debugger, explain, flowgraph, frontend, kernel, planlib
 from adil.cli import main
 
 from conftest import SUM_SOURCE
@@ -201,10 +201,54 @@ def test_analyze_leaves_plan_dir_untouched(work, capsys):
     assert snapshot == {p.name: p.read_bytes() for p in (work / "plans").glob("*.plan")}
 
 
+def test_one_shot_analyze_compiles_no_kernel(work, monkeypatch, capsys):
+    # each run loads its own plan base, so every order is searched once, generically
+    def refuse(*args):
+        raise AssertionError("a one-shot analyze compiled a stage-one kernel")
+
+    monkeypatch.setattr(kernel, "compile_kernel", refuse)
+    for program in ("sum.c", "sum_buggy.c", "sum.c"):
+        assert _analyze(work, program) in (0, 1)
+    capsys.readouterr()
+
+
 def test_max_findings_caps_output(work, capsys):
-    assert _analyze(work, "sum_buggy.c", "--max-findings", "0") == 0
+    # the cap hides findings from the text only: the exit code still reports them
+    assert _analyze(work, "sum_buggy.c", "--max-findings", "0") == 1
     out = capsys.readouterr().out
     assert "off-by-one" not in out
+
+
+def test_max_findings_keeps_every_finding_in_the_json_report(work, capsys):
+    assert _analyze(work, "sum_buggy.c", "--report-json", str(work / "all.json")) == 1
+    full = capsys.readouterr().out
+    shown = {}
+    for cap in ("0", "1", "5"):
+        assert _analyze(work, "sum_buggy.c", "--max-findings", cap,
+                        "--report-json", str(work / "capped.json")) == 1
+        shown[cap] = capsys.readouterr().out
+        assert (work / "capped.json").read_bytes() == (work / "all.json").read_bytes()
+    assert shown["1"] == shown["5"] == full  # one finding, and a cap of 1 or more shows it
+    assert shown["0"] == "Not shown\n---------\n1 more finding(s) not shown (--max-findings 0).\n"
+
+
+@pytest.mark.parametrize("cap", ["-1", "x"])
+def test_max_findings_rejects_a_bad_count(work, capsys, cap):
+    assert _analyze(work, "sum_buggy.c", "--max-findings", cap) == 2
+    assert "--max-findings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, value", [("ADIL_BUDGET", "abc"), ("ADIL_BUDGET", "1.5"), ("ADIL_THETA", "x")])
+@pytest.mark.parametrize("command", ["analyze", "graph"])
+def test_a_malformed_environment_number_exits_2_naming_it(work, monkeypatch, capsys, name, value, command):
+    monkeypatch.setenv(name, value)
+    argv = ["graph", str(work / "sum.c")] if command == "graph" else \
+        ["analyze", str(work / "sum.c"), "--spec", str(work / "sum.spec"), "--plans", str(work / "plans")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"adil: environment variable {name}={value!r} is not a valid " \
+        f"{'int' if name == 'ADIL_BUDGET' else 'float'}\n"
 
 
 def test_env_defaults_and_flag_precedence(work, monkeypatch, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import dataclasses
 import gc
 import json
 import os
@@ -14,9 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adil import matcher
+from adil import debugger, kernel, matcher
+from adil.acquire import acquire_plan
+from adil.frontend import desugar, parse_c
 from adil.matcher import (
     BudgetExceeded,
+    MatchResult,
     SearchBudget,
     check_constraints,
     maximal_bindings,
@@ -24,20 +29,29 @@ from adil.matcher import (
     unify,
 )
 from adil.debugger import diagnose, parse_spec
-from adil.flowgraph import COMMUTATIVE, NodeKind
+from adil.flowgraph import COMMUTATIVE, NodeKind, OpCode, build_flow_graph
 from adil.planlib import (
+    PatternNode,
+    Plan,
     PlanBase,
+    Predicate,
     base_add,
     dependency_order,
     load_plan_base,
     parse_plan,
     parse_plans,
+    print_plan,
     sub_closure,
 )
 
-from conftest import FLAT_RUNNING_TOTAL, GOAL_AND_BUG_PROGRAMS, SUM_SOURCE, graph_of
+from conftest import FLAT_RUNNING_TOTAL, GOAL_AND_BUG_PROGRAMS, ROOT, SUM_SOURCE, graph_of
 from generators import random_instance
 from oracle import brute_force_accepted
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import pipeline  # noqa: E402
+import workloads  # noqa: E402
 
 PRODUCT_SOURCE = SUM_SOURCE.replace("s + a[i]", "s * a[i]")
 OFF_BY_ONE_SOURCE = SUM_SOURCE.replace("i < n", "i <= n")
@@ -894,3 +908,240 @@ def test_recognition_keeps_no_search_state(base):
     rec = recognize(graph_of(OFF_BY_ONE_SOURCE), base, goals=["running-total"])
     for search, _ in rec._ranked.values():
         assert not (search.seen or search.recorded or search.deferred)
+
+
+# -- generated stage-one kernels
+
+def _compiled_from_the_start(plan: Plan) -> None:
+    """Marks every order of plan as searched once, so that even its first
+    search runs a generated kernel."""
+    for pid in plan.tables.pid_order:
+        plan.tables.kernels.setdefault(pid, None)
+
+
+def _state(search) -> tuple:
+    """Steps, recorded bindings in order (each in bound order) and deferred branches."""
+    return (search.steps, [list(b.items()) for b in search.recorded],
+            [(list(b.items()), used, skipped) for b, used, skipped in search.deferred])
+
+
+def _stages(search) -> list[tuple]:
+    """Both stages, as recognize runs them: per stage, the bindings it
+    returns (None when it is truncated, since what finish() keeps then
+    follows from the recorded ones), whether it was truncated, and the
+    search's state after it. A truncated stage one is not resumed."""
+    out = []
+    for stage in (search.first_stage, search.resume):
+        try:
+            found = [list(b.items()) for b in stage()]
+        except BudgetExceeded:
+            found = None
+        out.append((found, found is None, _state(search)))
+        if found is None:
+            break
+    return out
+
+
+class _Tiers:
+    """Two copies of a plan, each with its own tables: one searched through
+    extend() alone, the other through generated kernels, each compiled on
+    its first search and kept for every later one."""
+
+    def __init__(self, plan: Plan):
+        self.generic, self.compiled = dataclasses.replace(plan), dataclasses.replace(plan)
+
+    def agree(self, g, budget=None, sub_matches=None, sub_plans=None):
+        """Searches both copies; they leave the same steps, records, deferred
+        branches, results and truncation after either stage. Returns the
+        generic search's stages, and the search."""
+        runs = []
+        for plan in (self.generic, self.compiled):
+            if plan is self.generic:
+                plan.tables.kernels.clear()
+            else:
+                _compiled_from_the_start(plan)
+            search = matcher._Unifier(g, plan, budget or SearchBudget(), sub_matches or {}, sub_plans or {})
+            runs.append((_stages(search), search))
+        (generic, search), (compiled, kernel_search) = runs
+        assert all(kernel is None for kernel in self.generic.tables.kernels.values())
+        assert all(self.compiled.tables.kernels[seed] is not None for seed in kernel_search.seeds[:1])
+        assert compiled == generic, self.generic.name
+        return generic, search
+
+
+def _tiers_agree(g, plan, budget=None, sub_matches=None, sub_plans=None):
+    return _Tiers(plan).agree(g, budget, sub_matches, sub_plans)
+
+
+def _accepted(stages, search) -> list[MatchResult]:
+    return [r for r in (search.result(dict(b)) for b in stages[-1][0]) if r.accepted]
+
+
+def _tiers_agree_on_base(g, base: PlanBase, tiers: dict[Plan, _Tiers]) -> None:
+    """Every plan of base, bottom-up, each sub-plan's accepted matches bound
+    by the plans above it; tiers keeps each plan's copies across calls."""
+    accepted: dict[str, list] = {}
+    for level in dependency_order(base, base.names()):
+        for name in level:
+            plan = base.plans[name]
+            if plan not in tiers:
+                tiers[plan] = _Tiers(plan)
+            stages, search = tiers[plan].agree(g, None, accepted, base.plans)
+            accepted[name] = _accepted(stages, search)
+
+
+def test_kernels_agree_with_extend_on_the_corpus_and_the_dense_chain(corpus_dir, base):
+    tiers: dict[Plan, _Tiers] = {}
+    for path in sorted(corpus_dir.glob("*/*.c")):
+        _tiers_agree_on_base(graph_of(path.read_text(), path.name), base, tiers)
+    stages, _ = _tiers_agree(graph_of(dense_source()), parse_plan(CHAIN_PLAN))
+    assert len(stages[0][0]) == 288 and stages[1][2][0] == 1084
+
+
+def _workload_cases(seed: int):
+    """(graph, base) for every item of every benchmark workload at one seed,
+    each with its workload's base; an authoring item's base also holds the
+    plan acquired from it, as the benchmark grades it."""
+    for workload in workloads.WORKLOADS:
+        items = workloads.make_items(workload, seed, ROOT)
+        shared = pipeline.setup(ROOT, workload, workloads.spec_texts(items)).base
+        for item in items:
+            ast = parse_c(item.source, filename=item.name)
+            base = shared
+            if workload == "authoring":
+                base = PlanBase(dict(shared.plans))
+                for plan in parse_plans(print_plan(acquire_plan(ast, item.plan_name))):
+                    base_add(base, plan)
+            yield build_flow_graph(desugar(ast)), base
+
+
+def test_kernels_agree_with_extend_on_every_workload_item():
+    cases = 0
+    tiers: dict[Plan, _Tiers] = {}
+    for g, base in _workload_cases(3):
+        _tiers_agree_on_base(g, base, tiers)
+        cases += 1
+    assert cases == 278
+
+
+def test_kernels_agree_with_extend_on_the_oracle_instances():
+    full = 0
+    for seed in range(220):
+        stages, _ = _tiers_agree(*random_instance(seed))
+        full += bool(stages[0][0])
+    assert full  # some instances have full matches, found by stage one
+
+
+@pytest.mark.parametrize("case", ["dense-chain", "bugs/count__wrong_init.c"])
+def test_kernels_agree_with_extend_at_every_budget(case, corpus_dir, base):
+    # every budget from 1 to one past a plan's whole search, so the budget
+    # runs out at every step of either stage, or not at all
+    if case == "dense-chain":
+        g, plans, sub_plans = graph_of(dense_source()), [parse_plan(CHAIN_PLAN)], {}
+    else:
+        g = graph_of((corpus_dir / case).read_text(), case)
+        plans = [base.plans[name] for level in dependency_order(base, base.names()) for name in level]
+        sub_plans = base.plans
+    accepted: dict[str, list] = {}
+    truncations = 0
+    for plan in plans:
+        tiers = _Tiers(plan)
+        stages, search = tiers.agree(g, None, accepted, sub_plans)
+        accepted[plan.name] = _accepted(stages, search)
+        steps = stages[-1][2][0]
+        for budget in range(1, steps + 2):
+            cut, _ = tiers.agree(g, SearchBudget(max_extension_steps=budget), accepted, sub_plans)
+            truncations += cut[-1][1]
+            assert cut[-1][1] is (budget < steps)
+    assert truncations > (1000 if case == "dense-chain" else 100)
+
+
+@pytest.mark.parametrize("theta", (0.3, 0.6))
+def test_a_kernel_records_a_partial_leaf_only_at_theta(theta):
+    # The plan parser refuses a disconnected plan; built directly, the one
+    # MUL ties for the rarest seed and comes first, and no edge leads on
+    # from it, so stage one's leaf binds a third of the plan, which only
+    # theta 0.3 records.
+    plan = Plan(name="two-parts", kind="cliche", category="pe", corrupts=None, doc_template="",
+                pnodes=(PatternNode("m", NodeKind.OP, OpCode.MUL), PatternNode("c", NodeKind.CONST, const=1),
+                        PatternNode("a", NodeKind.OP, OpCode.ADD)),
+                pdata=((("c", 0), ("a", 1)),), pctrl=(), constraints=(), exports=())
+    g = graph_of("int f(int u) { int x0; int x1; x0 = u + 1; x1 = x0 * u; return x1; }")
+    stages, _ = _tiers_agree(g, plan, SearchBudget(theta=theta))
+    assert stages[0][2][1] == ([[("m", 4)]] if theta < 1 / 3 else [])
+
+
+def _chain_plan(n: int) -> Plan:
+    text = f'plan "chain-{n}" kind=cliche category=pe\n'
+    text += "".join(f"node a{i} kind=OP op=ADD\n" for i in range(n))
+    text += "".join(f"data a{i}:0 -> a{i + 1}:0\n" for i in range(n - 1))
+    return parse_plan(text + "end\n")
+
+
+def test_a_long_order_compiles_into_chained_functions():
+    # 40 positions: four chained functions of at most 12 each, since CPython
+    # refuses more than 20 nested blocks in one
+    plan = _chain_plan(40)
+    k = 50
+    decls = "".join(f"    int x{i};\n" for i in range(k))
+    body = "    x0 = u + 1;\n" + "".join(f"    x{i} = x{i - 1} + 1;\n" for i in range(1, k))
+    g = graph_of(f"int f(int u) {{\n{decls}{body}    return x{k - 1};\n}}\n")
+    stages, _ = _tiers_agree(g, plan)
+    assert len(stages[0][0]) == k - 40 + 1
+    fn = kernel.compile_kernel(plan.tables, matcher._order(plan.tables, "a0"))
+    assert [name for name in fn.__globals__ if name.startswith("_chunk")] == [f"_chunk{i}" for i in range(4)]
+
+
+HOSTILE = ['a"', "b'\n)", "c) or True or (", "d\\", 'e"""']
+
+
+def _hostile_plan() -> Plan:
+    """Built directly, past the plan parser: pattern node ids, ctrl labels and
+    the plan's name full of quotes, newlines and parentheses."""
+    c, a, b, d, e = HOSTILE
+    return Plan(
+        name='evil")\n', kind="cliche", category="pe", corrupts=None, doc_template="",
+        pnodes=(PatternNode(c, NodeKind.CONST, const=1), PatternNode(a, NodeKind.OP, OpCode.ADD),
+                PatternNode(b, NodeKind.OP, OpCode.ADD), PatternNode(d, NodeKind.OP, OpCode.ADD),
+                PatternNode(e, NodeKind.OP)),
+        pdata=(((c, 0), (a, 1)), ((a, 0), (b, 0)), ((b, 0), (d, 1))),
+        pctrl=((a, b, None), (d, e, "se'q)\n")),
+        constraints=(Predicate("commutable", (d,)),), exports=(),
+    )
+
+
+def test_generated_sources_hold_no_plan_text():
+    plan = _hostile_plan()
+    g = graph_of("int f(int u) { int x0; int x1; int x2; int x3; x0 = u + 1; x1 = x0 + u; "
+                 "x2 = x1 + u; x3 = x2 * x1; return x3; }")
+    stages, _ = _tiers_agree(g, plan)
+    # the last label fits no edge: no full match, a deferred branch, and the
+    # near-miss it leads to binds every other pattern node
+    assert stages[0][0] == [] and len(stages[0][2][2]) == 1
+    assert [len(b) for b in stages[1][0]] == [4]
+    texts = HOSTILE + [plan.name, "se'q"]
+    for seed in plan.tables.pid_order:
+        source = kernel._KernelWriter(plan.tables, matcher._order(plan.tables, seed)).source()
+        assert not any(text in source for text in texts), seed
+        # the only constants are ports, step counts and None / False
+        constants = {type(node.value) for node in ast.walk(ast.parse(source))
+                     if isinstance(node, ast.Constant)}
+        assert constants <= {int, bool, type(None)}, (seed, constants)
+
+
+def test_a_plan_compiles_each_order_it_searches_on_the_second_search(monkeypatch, plans_dir):
+    compiled = []
+    compile_kernel = kernel.compile_kernel
+    monkeypatch.setattr(kernel, "compile_kernel",
+                        lambda tables, order: compiled.append((id(tables), order[0].pid))
+                        or compile_kernel(tables, order))
+    base = load_plan_base(plans_dir)
+    spec = parse_spec('spec "sum"\ngoal "running-total" required\nend\n')
+    reports = [debugger.report_to_json(diagnose(graph_of(OFF_BY_ONE_SOURCE), spec, base))]
+    searched = [(id(plan.tables), seed) for plan in base.plans.values() for seed in plan.tables.kernels]
+    assert searched and not compiled  # one diagnosis compiles nothing
+    reports.append(debugger.report_to_json(diagnose(graph_of(OFF_BY_ONE_SOURCE), spec, base)))
+    assert sorted(compiled) == sorted(searched)  # the second compiles each order it searches, once
+    reports.append(debugger.report_to_json(diagnose(graph_of(OFF_BY_ONE_SOURCE), spec, base)))
+    assert len(compiled) == len(searched)
+    assert reports[0] == reports[1] == reports[2]
