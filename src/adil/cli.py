@@ -249,6 +249,12 @@ def _refused(base: planlib.PlanBase, edit: str) -> bool:
 def _install(plans_dir: str, new_plans: list[planlib.Plan]) -> bool:
     """Write each new plan to <plans_dir>/<name>.plan, but only if the base
     they make is valid and no file is overwritten; else say why and write nothing."""
+    unsafe = [plan.name for plan in new_plans
+              if plan.name in ("", ".", "..") or "/" in plan.name or "\\" in plan.name]
+    if unsafe:
+        print(f"adil: refusing to add {', '.join(map(repr, unsafe))}: a plan name must be"
+              " usable as one file name in the plan directory", file=sys.stderr)
+        return False
     base = planlib.load_plan_base(plans_dir)
     try:
         for plan in new_plans:

@@ -21,7 +21,7 @@ from . import explain
 from .flowgraph import FlowGraph, UnboundVariable
 from .matcher import (MatchResult, Recognition, SearchBudget, binding_values, recognize,
                       theta_fraction)
-from .planlib import Plan, PlanBase, strip_comment, sub_closure
+from .planlib import _STRING, Plan, PlanBase, _unescape, strip_comment, sub_closure
 from .records import record
 from .source import SourceSpan, span_hull
 
@@ -46,9 +46,6 @@ class ProgramSpec:
     notes: tuple[str, ...] = ()
 
 
-_SPEC_STRING = r'"((?:[^"\\]|\\.)*)"'
-
-
 def parse_spec(text: str, filename: str = "<spec>") -> ProgramSpec:
     """Parse a `.spec` file: spec "<title>" / goal "<name>" required|optional / note / end."""
     title: str | None = None
@@ -62,17 +59,17 @@ def parse_spec(text: str, filename: str = "<spec>") -> ProgramSpec:
             continue
         if ended:
             raise SpecSyntaxError(span, "content after end")
-        if m := re.fullmatch(rf"spec\s+{_SPEC_STRING}", line):
+        if m := re.fullmatch(rf"spec\s+{_STRING}", line):
             if title is not None:
                 raise SpecSyntaxError(span, "duplicate spec line")
-            title = m.group(1)
-        elif m := re.fullmatch(rf"goal\s+{_SPEC_STRING}\s+(required|optional)", line):
-            name = m.group(1)
+            title = _unescape(m.group(1))
+        elif m := re.fullmatch(rf"goal\s+{_STRING}\s+(required|optional)", line):
+            name = _unescape(m.group(1))
             if any(g.name == name for g in goals):
                 raise SpecSyntaxError(span, f"duplicate goal {name!r}")
             goals.append(Goal(name, m.group(2) == "required"))
-        elif m := re.fullmatch(rf"note\s+{_SPEC_STRING}", line):
-            notes.append(m.group(1))
+        elif m := re.fullmatch(rf"note\s+{_STRING}", line):
+            notes.append(_unescape(m.group(1)))
         elif line == "end":
             ended = True
         else:

@@ -43,7 +43,6 @@ _SEVERITY = {
 class Explanation:
     sections: tuple[tuple[str, str], ...]  # (heading, body)
     source_excerpts: dict[SourceSpan, str] = field(default_factory=dict)
-    audience: str = "student"
 
 
 def interpolate(template: str, slots: dict[str, str], roles: dict[str, str], plan_name: str) -> str:

@@ -18,14 +18,16 @@ nodes (those ends go through `_source`, `_sink`, `_producers`,
 
 The source holds no text from the plan: pattern node ids, kinds, opcodes,
 constants, labels and sub-plan names are bound to generated names in the
-exec namespace, and ports enter as int literals. CPython refuses more than
-20 nested blocks, so an order is split into chained functions of at most
-CHUNK positions each; every order compiles, whatever its length.
+exec namespace, and ports enter as int literals.
+
+An order becomes exactly one function, one nested `for` per position.
+CPython 3.10 to 3.12 refuse a 21st statically nested block, so
+`matcher._kernel` brings only orders of at most `matcher.MAX_POSITIONS`
+positions here; a longer order keeps running `extend`.
 """
 
 from __future__ import annotations
 
-import re
 from collections.abc import Callable, Collection
 
 from .matcher import BudgetExceeded, _ctrl_linked, _Step
@@ -48,8 +50,8 @@ def _indent(text: str) -> str:
     return "".join("    " + line for line in text.splitlines(True))
 
 
-# The pieces of a kernel's source. A function binds the search's tables that
-# its body reads to locals; each position is one loop that charges a step per
+# The pieces of a kernel's source. The function binds the search's tables to
+# locals, read or not; each position is one loop that charges a step per
 # candidate and skips the candidate when a test fails.
 _PROLOGUE = """\
 nodes = u.g.nodes
@@ -70,6 +72,7 @@ record = u.recorded.append
 defer = u.deferred.append
 may_defer = u.max_skipped > 0
 leaf_ok = %d * u.theta_den >= u.theta_num * u.size
+steps = u.steps
 """
 _LOOP = """\
 for n%(i)d in %(candidates)s:
@@ -91,11 +94,7 @@ pr%(i)d = False
 class _KernelWriter:
     """Position i of the order is one `for n<i>` loop, nested in position
     i-1's, over the candidates `candidates_via_edges` would list, with the
-    tests of `consistent` written out for the position's edges. A function
-    calls the next one with the bound nodes and the step count, and hands
-    the count back to the search itself when the budget runs out."""
-
-    CHUNK = 12
+    tests of `consistent` written out for the position's edges."""
 
     def __init__(self, tables: PlanTables, order: list[_Step | None]):
         self.steps = order[:-1]
@@ -107,38 +106,22 @@ class _KernelWriter:
         for i, step in enumerate(self.steps):
             self.ns.update({f"P{i}": step.pid, f"F{i}": frozenset((step.pid,)), f"S{i}": step.subplan,
                             f"K{i}": step.kind, f"O{i}": step.opcode, f"C{i}": step.const})
-        self.lo = 0  # the first position of the function being written
 
     def source(self) -> str:
-        n = len(self.steps)
-        return "".join(self.function(lo, min(lo + self.CHUNK, n)) for lo in range(0, n, self.CHUNK))
+        body = _PROLOGUE % len(self.steps) + self.position(0) + "u.steps = steps\n"
+        return "def kernel(u, cands):\n" + _indent(body)
 
     def compile(self) -> Callable:
         exec(compile(self.source(), "<stage-one kernel>", "exec"), self.ns)
-        return self.ns["_chunk0"]
+        return self.ns["kernel"]
 
-    def function(self, lo: int, hi: int) -> str:
-        self.lo = lo
-        body = self.position(lo, hi)
-        if lo:
-            head = f"def _chunk{lo // self.CHUNK}(u, {self.bound(lo)}, steps):\n"
-            body += "return steps\n"
-        else:
-            head = "def _chunk0(u, cands):\n"
-            body = f"steps = u.steps\n{body}u.steps = steps\n"
-        prologue = [line for line in (_PROLOGUE % len(self.steps)).splitlines(True)
-                    if re.search(rf"\b{line.split()[0]}\b", body)]
-        return head + _indent("".join(prologue) + body)
-
-    def position(self, i: int, hi: int) -> str:
-        """Position i's loop, with every later position of the function inside it."""
+    def position(self, i: int) -> str:
+        """Position i's loop, with every later position inside it."""
         if i + 1 == len(self.steps):  # the leaf
             full = "{%s}" % ", ".join(f"P{j}: n{j}" for j in range(i + 1))
             inner = f"record({full})\n" if i + 1 == self.size else f"if leaf_ok:\n    record({full})\n"
-        elif i + 1 == hi:
-            inner = f"steps = _chunk{hi // self.CHUNK}(u, {self.bound(hi)}, steps)\n"
         else:
-            inner = self.position(i + 1, hi)
+            inner = self.position(i + 1)
         tests = self.tests(i)
         if not i:
             loop = _LOOP % {"i": 0, "candidates": "cands", "tests": " or ".join(tests) or "False"}
@@ -146,17 +129,11 @@ class _KernelWriter:
         tests.insert(0, " or ".join(f"n{i} == n{j}" for j in range(i)))  # injectivity
         loop = _LOOP % {"i": i, "candidates": self.candidates(i), "tests": " or ".join(tests)}
         return _EXTENSION % {"i": i, "loop": loop, "inner": _indent(inner),
-                             "binding": ", ".join(f"P{j}: n{j}" for j in range(i)), "bound": self.bound(i)}
-
-    def bound(self, i: int) -> str:
-        return ", ".join(f"n{j}" for j in range(i))
+                             "binding": ", ".join(f"P{j}: n{j}" for j in range(i)),
+                             "bound": ", ".join(f"n{j}" for j in range(i))}
 
     def real(self, i: int) -> bool:
         return self.steps[i].subplan is None
-
-    def node(self, i: int) -> str:
-        """The graph node bound at position i."""
-        return f"d{i}" if i >= self.lo else f"nodes[n{i}]"
 
     def ctrl_nodes(self, i: int) -> str:
         return f"(n{i},)" if self.real(i) else f"_ctrl_nodes(n{i})"
@@ -181,7 +158,7 @@ class _KernelWriter:
             if self.real(a) and self.real(b):
                 # n<a> has out-port po and produces n<b>'s in-port pi, or the
                 # other operand when pattern node b is commutable()
-                tests.append(f"{self.node(a)}.out_ports <= {po}")
+                tests.append(f"d{a}.out_ports <= {po}")
                 test = f"producer_of.get((n{b}, {pi}), NO)[0] != n{a}"
                 if self.steps[b].pid in self.commutable and pi in (0, 1):
                     test = (f"({test} and (n{b} not in commutative"
@@ -212,8 +189,8 @@ class _KernelWriter:
             a, po, b, pi = self.pos[a], int(po), self.pos[b], int(pi)
             if a != i:
                 parts.append(f"_consumers(_source(n{a}, {po}))" if not self.real(a) else
-                             f"([t for op in range({self.node(a)}.out_ports) for t, _ in "
-                             f"consumers_of.get((n{a}, op), ())] if {self.node(a)}.out_ports > {po} else ())")
+                             f"([t for op in range(d{a}.out_ports) for t, _ in "
+                             f"consumers_of.get((n{a}, op), ())] if d{a}.out_ports > {po} else ())")
             elif not self.real(b):
                 parts.append(f"_producers(*_sink(P{b}, n{b}, {pi}))")
             else:

@@ -84,9 +84,10 @@ sub-matches) settled in its source. It takes the same candidates in the same
 order, charges the same steps and leaves the same records and deferred
 branches as `extend`, also when the budget runs out. No text from the plan
 enters the source: pattern node ids, labels, kinds and the like are names
-bound in its namespace, and ports are int literals. An order longer than
-12 positions becomes chained functions, since CPython limits how deeply
-blocks nest. Stage two always runs `extend`.
+bound in its namespace, and ports are int literals. An order of more than
+MAX_POSITIONS positions is never compiled and always runs `extend`: CPython
+3.10 to 3.12 refuse a 21st statically nested block, and no shipped plan
+comes near that. Stage two always runs `extend`.
 
 Hierarchy is bottom-up: accepted matches of a sub-plan become bindable
 pseudo-nodes for the plans that contain it, and `recognize` orders plans so
@@ -176,10 +177,6 @@ class MatchResult:
             else:
                 nodes.update(self.sub_matches[pid].real_nodes())
         return nodes
-
-    def export_node(self, plan: Plan, role: str) -> int:
-        pid = dict(plan.exports)[role]
-        return self.binding[pid]
 
 
 class BudgetExceeded(Exception):
@@ -322,18 +319,27 @@ def _order(tables: PlanTables, seed: str) -> list[_Step | None]:
     return order
 
 
+# The longest order compiled into a kernel, which nests one loop per position:
+# CPython 3.10 to 3.12 refuse a 21st statically nested block.
+MAX_POSITIONS = 20
+
+
 def _kernel(tables: PlanTables, seed: str) -> Callable | None:
     """The generated stage one for seed's order: None on the order's first
-    search, which runs extend(); compiled on its second, and kept."""
+    search, which runs extend(); compiled on its second, and kept. An order
+    longer than MAX_POSITIONS is never compiled."""
     kernels = tables.kernels
     if seed not in kernels:
         kernels[seed] = None
         return None
     kernel = kernels[seed]
     if kernel is None:
+        order = _order(tables, seed)
+        if len(order) - 1 > MAX_POSITIONS:
+            return None
         from .kernel import compile_kernel  # loaded only by a search that compiles
 
-        kernel = kernels[seed] = compile_kernel(tables, _order(tables, seed))
+        kernel = kernels[seed] = compile_kernel(tables, order)
     return kernel
 
 

@@ -212,6 +212,22 @@ def test_one_shot_analyze_compiles_no_kernel(work, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_a_one_shot_analyze_never_imports_the_kernel_generator(work, corpus_dir):
+    # the generator is imported only to compile, so a fresh run neither
+    # loads it nor holds its memory
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "adil", "analyze",
+         str(corpus_dir / "bugs" / "sum__off_by_one.c"), "--spec", str(corpus_dir / "correct" / "sum.spec"),
+         "--plans", str(work / "plans")],
+        capture_output=True, text=True,
+        env={"PATH": "", "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+    )
+    assert proc.returncode == 1, proc.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "adil.matcher" in imported and "adil.kernel" not in imported
+
+
 def test_max_findings_caps_output(work, capsys):
     # the cap hides findings from the text only: the exit code still reports them
     assert _analyze(work, "sum_buggy.c", "--max-findings", "0") == 1
@@ -401,6 +417,29 @@ def test_plan_add_refuses_an_invalid_base(work, tmp_path, capsys):
     assert main(["plan", "add", str(tmp_path / "bugs.plan"), "--plans", str(work / "plans")]) == 1
     assert "refusing to overwrite" in capsys.readouterr().err
     assert _plan_dir_bytes(work) == before
+
+
+@pytest.mark.parametrize("name", ["../escaped", "sub/dir", "back\\slash", "..", ".", ""])
+def test_plan_add_refuses_a_name_that_is_no_file_name(work, tmp_path, capsys, name):
+    before = _plan_dir_bytes(work)
+    escaped = name.replace("\\", "\\\\")
+    (tmp_path / "new.plan").write_text(f'plan "{escaped}" kind=cliche category=pe\nnode n1 kind=TEST\nend\n')
+    outside = sorted(tmp_path.iterdir())
+    assert main(["plan", "add", str(tmp_path / "new.plan"), "--plans", str(work / "plans")]) == 1
+    assert f"refusing to add {name!r}" in capsys.readouterr().err
+    assert _plan_dir_bytes(work) == before and sorted(tmp_path.iterdir()) == outside
+
+
+def test_acquire_accept_refuses_a_name_that_is_no_file_name(work, tmp_path, capsys):
+    before = _plan_dir_bytes(work)
+    draft = tmp_path / "draft.plan"
+    assert main(["acquire", str(work / "sum.c"), "--name", "../escaped", "-o", str(draft)]) == 0
+    outside = sorted(tmp_path.iterdir())
+    code = main(["acquire", str(work / "sum.c"), "--name", "../escaped", "-o", str(draft),
+                 "--accept", "--plans", str(work / "plans")])
+    assert code == 1
+    assert "refusing to add '../escaped'" in capsys.readouterr().err
+    assert _plan_dir_bytes(work) == before and sorted(tmp_path.iterdir()) == outside
 
 
 def test_acquire_accept_refuses_an_invalid_base(work, tmp_path, capsys):

@@ -57,6 +57,20 @@ def test_parse_spec_notes_and_comments():
     assert spec.notes == ("uses a sentinel; beware",)
 
 
+def test_parse_spec_unescapes_strings_as_plans_do(base):
+    spec = parse_spec('spec "a \\"quoted\\" \\\\ title"\ngoal "say \\"hi\\"" required\n'
+                      'note "C:\\\\temp"\nend\n')
+    assert spec.title == 'a "quoted" \\ title'
+    assert spec.notes == ("C:\\temp",)
+    plan = planlib.parse_plan('plan "say \\"hi\\"" kind=cliche category=pe\nnode n1 kind=TEST\nend\n')
+    assert [g.name for g in spec.goals] == [plan.name] == ['say "hi"']
+    # so such a plan can be a goal
+    base = planlib.PlanBase(dict(base.plans))
+    planlib.base_add(base, plan)
+    report = diagnose(build_flow_graph(desugar(parse_c(SUM_SOURCE))), spec, base)
+    assert report.verdicts == {'say "hi"': "RECOGNIZED"}
+
+
 def test_pinpoint_single_node():
     g = graph_of(SUM_SOURCE)
     nid = next(n.id for n in g.nodes.values() if n.kind is NodeKind.AREAD)

@@ -964,7 +964,10 @@ class _Tiers:
             runs.append((_stages(search), search))
         (generic, search), (compiled, kernel_search) = runs
         assert all(kernel is None for kernel in self.generic.tables.kernels.values())
-        assert all(self.compiled.tables.kernels[seed] is not None for seed in kernel_search.seeds[:1])
+        # a kernel exactly when the order fits in one function
+        for seed in kernel_search.seeds[:1]:
+            fits = len(matcher._order(self.compiled.tables, seed)) - 1 <= matcher.MAX_POSITIONS
+            assert (self.compiled.tables.kernels[seed] is not None) is fits
         assert compiled == generic, self.generic.name
         return generic, search
 
@@ -1078,18 +1081,34 @@ def _chain_plan(n: int) -> Plan:
     return parse_plan(text + "end\n")
 
 
-def test_a_long_order_compiles_into_chained_functions():
-    # 40 positions: four chained functions of at most 12 each, since CPython
-    # refuses more than 20 nested blocks in one
-    plan = _chain_plan(40)
-    k = 50
+def _chain_graph(k: int):
+    """k additions, each feeding the next one's left operand."""
     decls = "".join(f"    int x{i};\n" for i in range(k))
     body = "    x0 = u + 1;\n" + "".join(f"    x{i} = x{i - 1} + 1;\n" for i in range(1, k))
-    g = graph_of(f"int f(int u) {{\n{decls}{body}    return x{k - 1};\n}}\n")
+    return graph_of(f"int f(int u) {{\n{decls}{body}    return x{k - 1};\n}}\n")
+
+
+def test_the_longest_order_compiles_into_one_function():
+    n, k = matcher.MAX_POSITIONS, matcher.MAX_POSITIONS + 10
+    plan = _chain_plan(n)
+    stages, _ = _tiers_agree(_chain_graph(k), plan)
+    assert len(stages[0][0]) == k - n + 1
+    source = kernel._KernelWriter(plan.tables, matcher._order(plan.tables, "a0")).source()
+    nodes = list(ast.walk(ast.parse(source)))
+    assert sum(isinstance(node, ast.FunctionDef) for node in nodes) == 1
+    assert sum(isinstance(node, ast.For) for node in nodes) == n
+
+
+def test_an_order_too_long_for_one_function_is_never_compiled():
+    n, k = matcher.MAX_POSITIONS + 1, matcher.MAX_POSITIONS + 11
+    plan = _chain_plan(n)
+    g = _chain_graph(k)
+    for _ in range(3):
+        assert sum(r.score == 1 for r in matcher.unify(g, plan)) == k - n + 1
+    assert plan.tables.kernels == {"a0": None}
     stages, _ = _tiers_agree(g, plan)
-    assert len(stages[0][0]) == k - 40 + 1
-    fn = kernel.compile_kernel(plan.tables, matcher._order(plan.tables, "a0"))
-    assert [name for name in fn.__globals__ if name.startswith("_chunk")] == [f"_chunk{i}" for i in range(4)]
+    assert len(stages[0][0]) == k - n + 1
+    assert len(_same_search(g, plan, 1.0)) == k - n + 1
 
 
 HOSTILE = ['a"', "b'\n)", "c) or True or (", "d\\", 'e"""']
