@@ -118,10 +118,10 @@ class FlowGraph:
     entry: int
     exit: int
     # adjacency, built once in __post_init__; read-only, and the matcher reads
-    # it directly. A producer is keyed (node, in_port) and a consumer list
-    # (node, out_port); every list is in ascending order.
+    # it directly. A producer is keyed (node, in_port); a node's successors
+    # are the distinct nodes that consume any of its out-ports. Lists ascend.
     producer_of: dict[tuple[int, int], tuple[int, int]] = field(init=False, repr=False)
-    consumers_of: dict[tuple[int, int], list[tuple[int, int]]] = field(init=False, repr=False)
+    successors: dict[int, list[int]] = field(init=False, repr=False)
     ctrl_out: dict[int, list[tuple[int, str]]] = field(init=False, repr=False)
     ctrl_in: dict[int, list[tuple[int, str]]] = field(init=False, repr=False)
     # derived views, built on first use by node_index / value_chains / commutative_nodes
@@ -131,10 +131,10 @@ class FlowGraph:
 
     def __post_init__(self) -> None:
         producer_of: dict[tuple[int, int], tuple[int, int]] = {}
-        consumers_of: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        successors: dict[int, list[int]] = {}
         for src, dst in self.data_edges:
             producer_of[dst] = src
-            consumers_of.setdefault(src, []).append(dst)
+            successors.setdefault(src[0], []).append(dst[0])
         if len(producer_of) < len(self.data_edges):
             # two edges feed one in-port (validate reports it): the larger
             # (src, out_port) wins, as the last one in sorted edge order
@@ -146,18 +146,15 @@ class FlowGraph:
         for src, dst, label in self.ctrl_edges:
             ctrl_out.setdefault(src, []).append((dst, label))
             ctrl_in.setdefault(dst, []).append((src, label))
-        for adjacency in (consumers_of, ctrl_out, ctrl_in):
-            for entries in adjacency.values():
+        for adjacency in (successors, ctrl_out, ctrl_in):
+            for key, entries in adjacency.items():
                 if len(entries) > 1:
-                    entries.sort()
-        self.producer_of, self.consumers_of = producer_of, consumers_of
+                    adjacency[key] = sorted(set(entries))  # only successors repeat
+        self.producer_of, self.successors = producer_of, successors
         self.ctrl_out, self.ctrl_in = ctrl_out, ctrl_in
 
     def producer(self, node: int, in_port: int) -> tuple[int, int] | None:
         return self.producer_of.get((node, in_port))
-
-    def consumers(self, node: int, out_port: int) -> list[tuple[int, int]]:
-        return self.consumers_of.get((node, out_port), [])
 
     def ctrl_succs(self, node: int) -> list[tuple[int, str]]:
         return self.ctrl_out.get(node, [])

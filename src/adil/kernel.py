@@ -7,9 +7,10 @@ order here and keeps the function on `Plan.tables.kernels`. This module is
 imported only then, so a one-shot run neither loads it nor compiles one.
 
 A kernel does exactly what `extend` does on a branch that skips nothing, in
-the same order: the same candidates (`sorted(set(...))` for a real node,
-reverse-sorted for a sub-match), one step charged per candidate before the
-injectivity test, the same leaf records and the same deferred branches.
+the same order: the same candidates (a lone producer or `FlowGraph.successors`
+list as it stands, `sorted(set(...))` over anything else, reverse-sorted for
+a sub-match), one step charged per candidate before the injectivity test,
+the same leaf records and the same deferred branches.
 What depends only on the plan is settled when the source is written: each
 edge's direction, ports and commutable() alternative, each node's kind,
 opcode and constant test, the ctrl labels, and which ends are sub-plan
@@ -56,7 +57,7 @@ def _indent(text: str) -> str:
 _PROLOGUE = """\
 nodes = u.g.nodes
 producer_of = u.producer_of
-consumers_of = u.consumers_of
+succ = u.successors
 commutative = u.commutative
 ctrl_out = u.ctrl_out
 ctrl_in = u.ctrl_in
@@ -147,6 +148,7 @@ class _KernelWriter:
         """consistent() at position i, as conditions any of which rejects n<i>."""
         step = self.steps[i]
         tests = []
+        guarded = self.successor_source(i)
         if step.subplan is None:
             tests.append(f"(d{i} := nodes[n{i}]).kind is not K{i}")
             if step.opcode is not None:
@@ -158,7 +160,8 @@ class _KernelWriter:
             if self.real(a) and self.real(b):
                 # n<a> has out-port po and produces n<b>'s in-port pi, or the
                 # other operand when pattern node b is commutable()
-                tests.append(f"d{a}.out_ports <= {po}")
+                if (a, po) != guarded:  # else candidates() already needs it
+                    tests.append(f"d{a}.out_ports <= {po}")
                 test = f"producer_of.get((n{b}, {pi}), NO)[0] != n{a}"
                 if self.steps[b].pid in self.commutable and pi in (0, 1):
                     test = (f"({test} and (n{b} not in commutative"
@@ -171,6 +174,16 @@ class _KernelWriter:
             tests.append(f"not _ctrl_linked(ctrl_out, {self.ctrl_nodes(self.pos[a])}, "
                          f"{self.ctrl_nodes(self.pos[b])}, {self.label(label)})")
         return tests
+
+    def successor_source(self, i: int) -> tuple[int, int] | None:
+        """(a, po) when position i's only candidates are n<a>'s successors,
+        listed only if n<a> has out-port po."""
+        step = self.steps[i]
+        if step.subplan is not None or step.ctrl_gen or len(step.data_gen) != 1:
+            return None
+        (a, po), _ = step.data_gen[0]
+        a = self.pos[a]
+        return (a, int(po)) if a != i and self.real(a) else None
 
     def candidates(self, i: int) -> str:
         """candidates_via_edges() at position i."""
@@ -189,8 +202,7 @@ class _KernelWriter:
             a, po, b, pi = self.pos[a], int(po), self.pos[b], int(pi)
             if a != i:
                 parts.append(f"_consumers(_source(n{a}, {po}))" if not self.real(a) else
-                             f"([t for op in range(d{a}.out_ports) for t, _ in "
-                             f"consumers_of.get((n{a}, op), ())] if d{a}.out_ports > {po} else ())")
+                             f"(succ.get(n{a}, ()) if d{a}.out_ports > {po} else ())")
             elif not self.real(b):
                 parts.append(f"_producers(*_sink(P{b}, n{b}, {pi}))")
             else:
@@ -202,8 +214,8 @@ class _KernelWriter:
                 if self.pos[a] == i else
                 f"_ctrl_adjacent(ctrl_out, {self.ctrl_nodes(self.pos[a])}, {self.label(label)})"
                 for a, b, label in step.ctrl_gen]
-        if len(parts) == 1 and not ctrl and parts[0].endswith("[:1]"):
-            return parts[0]  # at most one node: already sorted and distinct
+        if len(parts) == 1 and not ctrl and not parts[0].startswith("_producers"):
+            return parts[0]  # at most one producer, or one node's successors: sorted and distinct
         if len(parts) + len(ctrl) == 1:
             return f"sorted(set({(parts + ctrl)[0]}))"
         listed = " or ".join(f"[{', '.join('*' + part for part in group)}]"

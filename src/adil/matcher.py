@@ -18,19 +18,19 @@ full matches builds one.
 
 Each candidate assignment is checked only against the pattern edges
 incident to its pattern node. An edge whose two ends are real graph nodes
-is checked straight against the graph's adjacency maps
-(`FlowGraph.producer_of`): the source has the edge's out-port, and it
-produces the target's in-port, or the other operand when the target's
-pattern node is commutable() and the node is in `commutative_nodes(g)`.
-Candidates for a real pattern node are read from the same maps, producers
-and consumers of its bound neighbours. Only an edge with a sub-match at an
-end first resolves that end to the export node its port addresses. A
-sub-plan pattern node's candidates are the sub-matches whose export node is
-a producer or consumer of an already-bound neighbour, found through an
-index by export node rather than by trying every sub-match. The incident
-edges and the plan's other lookup tables (`Plan.tables`) are built once per
-Plan and live on it, so they are shared by every graph the plan is matched
-against and die with the plan.
+is checked straight against `FlowGraph.producer_of`: the source has the
+edge's out-port, and it produces the target's in-port, or the other operand
+when the target's pattern node is commutable() and the node is in
+`commutative_nodes(g)`. A real pattern node's candidates are the producers
+of its bound neighbours and their `FlowGraph.successors` lists (each node's
+distinct consumers, ascending, built once per graph), so one source needs
+no sort. Only an edge with a sub-match at an end first resolves that end to
+the export node its port addresses. A sub-plan pattern node's candidates
+are the sub-matches whose export node is a producer or consumer of an
+already-bound neighbour, found through an index by export node rather than
+by trying every sub-match. The incident edges and the plan's other lookup
+tables (`Plan.tables`) are built once per Plan and live on it, so they are
+shared by every graph the plan is matched against and die with the plan.
 
 The search attempts nothing that could only record a binding below theta.
 A pattern node it skipped is never bound, so once the skipped nodes leave
@@ -54,8 +54,9 @@ Every stage-two branch leaves unbound a pattern node that every stage-one
 binding holds, a deferred branch its skipped node and seed rounds 1 and up
 the first seed, so stage two never reaches a stage-one binding either; its
 own branches, which can meet again through different skips, keep the
-seen-set (`record`). Full bindings are ranked by a key compiled once per
-search (`operator.itemgetter` over the pattern order).
+seen-set (`record`). A plan without sub nodes ranks its full bindings by
+(lowest node, nodes in pattern order), built by `map` with no Python call
+per binding; other bindings go through `rank`.
 
 The order in which a branch binds pattern nodes depends only on the plan,
 the nodes it has bound and the nodes it has skipped: next comes the first
@@ -360,7 +361,7 @@ class _Unifier:
         self.steps = 0
         self.index = node_index(g)
         self.commutative = commutative_nodes(g)
-        self.producer_of, self.consumers_of = g.producer_of, g.consumers_of
+        self.producer_of, self.successors = g.producer_of, g.successors
         self.ctrl_out, self.ctrl_in = g.ctrl_out, g.ctrl_in
         tables = plan.tables
         self.size = len(tables.pid_order)
@@ -448,13 +449,9 @@ class _Unifier:
         producer_of = self.producer_of
         return [src[0] for ip in ports if (src := producer_of.get((target, ip))) is not None]
 
-    def _consumers(self, src: int | None) -> list[int]:
-        """The nodes consuming any output of src."""
-        if src is None:
-            return []
-        consumers_of = self.consumers_of
-        return [dst for op in range(self.g.nodes[src].out_ports)
-                for dst, _ in consumers_of.get((src, op), ())]
+    def _consumers(self, src: int | None) -> Sequence[int]:
+        """The nodes consuming any output of src, ascending."""
+        return () if src is None else self.successors.get(src, ())
 
     def ctrl_edge_ok(self, edge, binding: dict[str, int]) -> bool:
         a, b, label = edge
@@ -507,7 +504,7 @@ class _Unifier:
         if step.subplan is not None:
             return self.pseudo_candidates(step, binding)
         pid = step.pid
-        producer_of, consumers_of = self.producer_of, self.consumers_of
+        producer_of = self.producer_of
         out: list[int] = []
         for edge in step.data_gen:
             (a, po), (b, pi) = edge
@@ -528,11 +525,8 @@ class _Unifier:
                 if na < 0:
                     out.extend(self._consumers(self._source(na, po)))
                     continue
-                out_ports = self.g.nodes[na].out_ports
-                if po < out_ports:
-                    for op in range(out_ports):
-                        for dst, _ in consumers_of.get((na, op), ()):
-                            out.append(dst)
+                if po < self.g.nodes[na].out_ports:
+                    out.extend(self.successors.get(na, ()))
         if not out:
             for a, b, label in step.ctrl_gen:
                 if a == pid:
@@ -591,8 +585,6 @@ class _Unifier:
         this stage finds every full match; it returns their bindings, best
         first.
         """
-        if self.size > len(self.g.nodes):
-            return []  # pigeonhole: no full match can exist
         # Seed at the rarest pattern key first. Later rounds skip earlier
         # seeds entirely, so near-misses that exclude any one pattern node
         # are still reachable; their supersets from earlier rounds win in
@@ -715,11 +707,15 @@ class _Unifier:
         results. Results are built from these by result(), each once over
         both stages, and only when someone reads them.
         """
-        if full_only:
-            bindings = [b for b in self.recorded if len(b) == self.size]
-        else:
-            bindings = maximal_bindings(self.recorded)
-        bindings.sort(key=self.rank)
+        if not full_only:
+            return sorted(maximal_bindings(self.recorded), key=self.rank)
+        bindings = [b for b in self.recorded if len(b) == self.size]
+        if self.subplan_of:
+            bindings.sort(key=self.rank)
+        elif len(bindings) > 1:  # rank()'s key, without a Python call per binding
+            nodes = list(map(self.full_nodes, bindings))
+            keys = sorted(zip(map(min, nodes), nodes, range(len(nodes))))
+            bindings = [bindings[i] for _, _, i in keys]
         return bindings
 
     def rank(self, binding: dict[str, int]) -> tuple:

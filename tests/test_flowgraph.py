@@ -317,22 +317,26 @@ def test_validate_reports_a_data_cycle_outside_joins():
 
 def _sorted_edge_views(g):
     """The adjacency maps built from every edge in sorted order, so that the
-    last edge into an in-port is its producer, and the commutative nodes by
-    their definition."""
-    producer_of, consumers_of, ctrl_out, ctrl_in = {}, {}, {}, {}
+    last edge into an in-port is its producer and each node's successors
+    come in ascending order, once each; and the commutative nodes by their
+    definition."""
+    producer_of, successors, ctrl_out, ctrl_in = {}, {}, {}, {}
     for src, dst in sorted(g.data_edges):
         producer_of[dst] = src
-        consumers_of.setdefault(src, []).append(dst)
+        listed = successors.setdefault(src[0], [])
+        if dst[0] not in listed:
+            listed.append(dst[0])
+    successors = {node: sorted(listed) for node, listed in successors.items()}
     for src, dst, label in sorted(g.ctrl_edges):
         ctrl_out.setdefault(src, []).append((dst, label))
         ctrl_in.setdefault(dst, []).append((src, label))
     commutative = {nid for nid, n in g.nodes.items()
                    if n.kind is NodeKind.OP and n.opcode in COMMUTATIVE and n.in_ports == 2}
-    return producer_of, consumers_of, ctrl_out, ctrl_in, commutative
+    return producer_of, successors, ctrl_out, ctrl_in, commutative
 
 
 def _assert_views_match_sorted_edges(g):
-    views = (g.producer_of, g.consumers_of, g.ctrl_out, g.ctrl_in, commutative_nodes(g))
+    views = (g.producer_of, g.successors, g.ctrl_out, g.ctrl_in, commutative_nodes(g))
     assert views == _sorted_edge_views(g)
     assert commutative_nodes(g) is commutative_nodes(g)
 

@@ -83,6 +83,77 @@ def test_pigeonhole_returns_empty(rt_plan):
     assert unify(tiny, rt_plan) == []
 
 
+LARGER_THAN_GRAPH_PLAN = """\
+plan "add-then-products" kind=cliche category=pe
+node a kind=PARAM
+node c kind=CONST const=1
+node o kind=OP op=ADD
+node x kind=EXIT
+node o2 kind=OP op=MUL
+node o3 kind=OP op=MUL
+data a:0 -> o:0
+data c:0 -> o:1
+data o:0 -> x:0
+data o:0 -> o2:0
+data o2:0 -> o3:0
+end
+"""
+
+
+@pytest.mark.parametrize("op", ["MUL", "ADD"])
+@pytest.mark.parametrize("body, nodes", [("", 5), ("int z; z = 7; ", 6)])
+def test_a_plan_larger_than_the_graph_keeps_its_near_miss(op, body, nodes):
+    # Six pattern nodes: on five graph nodes no full match can exist, but the
+    # near-miss is the same as on six. With two ADDs the seed of round 0 has
+    # a candidate, and the near-miss comes from the branch that round defers.
+    g = graph_of("int f(int a) { %sreturn a + 1; }" % body)
+    assert len(g.nodes) == nodes
+    plan = parse_plan(LARGER_THAN_GRAPH_PLAN.replace("MUL", op))
+    results = _same_search(g, plan, 0.6)
+    assert [(r.score, sorted(r.binding)) for r in results] == [(Fraction(2, 3), ["a", "c", "o", "x"])]
+
+
+SUB_NODE_PLANS = """\
+plan "the-param" kind=cliche category=pe
+node p kind=PARAM
+export value = p
+end
+plan "the-add" kind=cliche category=pe
+node o kind=OP op=ADD
+export sum = o
+end
+plan "param-add-exit" kind=cliche category=pe
+sub sp plan="the-param"
+sub sa plan="the-add"
+node a kind=PARAM
+node c kind=CONST const=1
+node o kind=OP op=ADD
+node x kind=EXIT
+data a:0 -> o:0
+data sp:0 -> o:0
+data c:0 -> o:1
+data o:0 -> x:0
+data sa:0 -> x:0
+end
+"""
+
+
+def test_a_plan_with_sub_nodes_can_outnumber_the_graph_nodes():
+    # six pattern nodes on five graph nodes, but two of them bind sub-matches:
+    # the four real ones fit, and stage one finds the full match
+    base = PlanBase()
+    for plan in parse_plans(SUB_NODE_PLANS):
+        base_add(base, plan)
+    g = graph_of("int f(int a) { return a + 1; }")
+    assert len(g.nodes) == 5
+    accepted: dict[str, list] = {}
+    for level in dependency_order(base, base.names()):
+        for name in level:
+            accepted[name] = [r for r in _same_search(g, base.plans[name], 1.0, accepted, base.plans)
+                              if r.accepted]
+    assert len(accepted["param-add-exit"]) == 1
+
+
 def test_sum_fixture_has_exactly_one_accepted_match(rt_plan, sum_graph):
     results = unify(sum_graph, rt_plan)
     accepted = [r for r in results if r.accepted]
@@ -565,9 +636,10 @@ class _ReferenceUnifier(matcher._Unifier):
                 target, ports = self.in_targets(b, binding[b], pi)
                 out += [src[0] for ip in ports if (src := self.g.producer(target, ip)) is not None]
             elif b == pid and a in binding:
-                out += [dst for src in self.out_sources(binding[a], po)
-                        for op in range(self.g.nodes[src].out_ports)
-                        for dst, _ in self.g.consumers(src, op)]
+                # straight from the edges, not from the successor lists
+                sources = self.out_sources(binding[a], po)
+                out += [dst for (src, op), (dst, _) in self.g.data_edges
+                        if src in sources and op < self.g.nodes[src].out_ports]
         if not out:
             for _, (a, b, label) in self.plan.tables.ctrl_at[pid]:
                 if a == pid and b in binding:
@@ -579,8 +651,6 @@ class _ReferenceUnifier(matcher._Unifier):
         return sorted(set(out))
 
     def run(self):
-        if self.size > len(self.g.nodes):
-            return []
         by_rarity = sorted(self.pid_order, key=lambda pid: len(self.node_candidates(pid)))
         skipped: frozenset = frozenset()
         for seed in by_rarity:
@@ -1001,6 +1071,22 @@ def test_kernels_agree_with_extend_on_the_corpus_and_the_dense_chain(corpus_dir,
     assert len(stages[0][0]) == 288 and stages[1][2][0] == 1084
 
 
+def _doubling_chain():
+    """The dense chain with one doubling step: x3 reads x2 on both operands."""
+    g = graph_of(dense_source().replace("x3 = x2 + x1;", "x3 = x2 + x2;"))
+    x2, x3 = (nid for nid, n in g.nodes.items() if n.ann.var_name in ("x2", "x3") and n.kind is NodeKind.OP)
+    return g, x2, x3
+
+
+def test_kernels_agree_with_extend_on_a_dense_chain_with_a_doubling_step():
+    g, x2, x3 = _doubling_chain()
+    assert sorted(dst for (src, _), (dst, _) in g.data_edges if src == x2).count(x3) == 2
+    assert g.successors[x2].count(x3) == 1  # listed once, so tried once
+    plan = parse_plan(CHAIN_PLAN)
+    stages, _ = _tiers_agree(g, plan)
+    assert stages[0][0] and stages[0][0] == [list(r.binding.items()) for r in _same_search(g, plan, 1.0)]
+
+
 def _workload_cases(seed: int):
     """(graph, base) for every item of every benchmark workload at one seed,
     each with its workload's base; an authoring item's base also holds the
@@ -1057,6 +1143,55 @@ def test_kernels_agree_with_extend_at_every_budget(case, corpus_dir, base):
             truncations += cut[-1][1]
             assert cut[-1][1] is (budget < steps)
     assert truncations > (1000 if case == "dense-chain" else 100)
+
+
+# -- ranking full matches
+
+@pytest.fixture()
+def full_rankings(monkeypatch):
+    """Checks each first stage's full bindings against sorted(key=rank), and
+    lists (plan, number of full bindings, whether the plan has sub nodes)."""
+    checked = []
+    first_stage = matcher._Unifier.first_stage
+
+    def checking(self):
+        full = first_stage(self)
+        assert full == sorted((b for b in self.recorded if len(b) == self.size), key=self.rank), self.plan.name
+        checked.append((self.plan.name, len(full), bool(self.plan.tables.subplans)))
+        return full
+
+    monkeypatch.setattr(matcher._Unifier, "first_stage", checking)
+    return checked
+
+
+def test_full_matches_rank_as_rank_orders_them_on_the_corpus(full_rankings, corpus_dir, base):
+    for path in sorted(corpus_dir.glob("*/*.c")):
+        recognize(graph_of(path.read_text(), path.name), base)
+    # no corpus program has two full matches of one plan; eight sum loops do
+    assert {subs for _, n, subs in full_rankings if n} == {False, True}
+    full_rankings.clear()
+    recognize(graph_of(_sum_loops_source(8)), base)
+    assert {subs for _, n, subs in full_rankings if n == 8} == {False, True}
+
+
+def test_full_matches_rank_as_rank_orders_them_on_chains_and_one_node(full_rankings):
+    # pattern order starts at the reversed chain's last node, so its matches
+    # order by their lowest node before their nodes in pattern order
+    reversed_chain = CHAIN_PLAN.replace("add-chain", "reversed-chain").translate(str.maketrans("12345", "54321"))
+    one_add = 'plan "one-add" kind=cliche category=pe\nnode a kind=OP op=ADD\nend\n'
+    for g in (graph_of(dense_source()), _doubling_chain()[0]):
+        for text in (CHAIN_PLAN, reversed_chain):
+            unify(g, parse_plan(text))
+        assert len(unify(g, parse_plan(one_add))) == 24  # one per addition
+    assert len(full_rankings) == 6 and all(n > 1 for _, n, _ in full_rankings)
+    reversed_matches = unify(graph_of(dense_source()), parse_plan(reversed_chain))
+    assert all(r.binding["a1"] > r.binding["a5"] for r in reversed_matches if r.score == 1)
+
+
+def test_full_matches_rank_as_rank_orders_them_on_every_workload_item(full_rankings):
+    for g, base in _workload_cases(3):
+        recognize(g, base)
+    assert {subs for _, n, subs in full_rankings if n > 1} == {False, True}
 
 
 @pytest.mark.parametrize("theta", (0.3, 0.6))
