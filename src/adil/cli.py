@@ -299,7 +299,7 @@ def cmd_acquire(args: argparse.Namespace) -> int:
     ast = _parse_program(args.program)
     try:
         draft = acq.acquire_plan(ast, args.name)
-    except acq.AcquireError as err:
+    except (acq.AcquireError, flowgraph.UnboundVariable) as err:
         print(f"adil: {err}", file=sys.stderr)
         return 1
     draft_path.write_text(acq.review_stub(draft), encoding="utf-8")

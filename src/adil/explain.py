@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 import textwrap
-from dataclasses import field
 from typing import TYPE_CHECKING
 
 from .matcher import MatchResult, binding_values
@@ -42,7 +41,6 @@ _SEVERITY = {
 @record
 class Explanation:
     sections: tuple[tuple[str, str], ...]  # (heading, body)
-    source_excerpts: dict[SourceSpan, str] = field(default_factory=dict)
 
 
 def interpolate(template: str, slots: dict[str, str], roles: dict[str, str], plan_name: str) -> str:
@@ -83,7 +81,6 @@ def render(report: "DiagnosticReport", source: str, base: PlanBase) -> Explanati
     """One section per finding, plus meaning and truncation sections when due."""
     source_lines = source.splitlines()
     sections: list[tuple[str, str]] = []
-    excerpts: dict[SourceSpan, str] = {}
 
     for f in report.findings:
         heading = _heading(f)
@@ -95,7 +92,6 @@ def render(report: "DiagnosticReport", source: str, base: PlanBase) -> Explanati
         paragraphs.append(f"Evidence: {f.evidence}.")
         excerpt = _excerpt(f.span, source_lines)
         if excerpt and f.kind.value != "MISSING_GOAL":
-            excerpts[f.span] = excerpt
             paragraphs.append(excerpt)
         if f.goal:
             paragraphs.append(f"Intended cliche: {f.goal}.")
@@ -109,7 +105,7 @@ def render(report: "DiagnosticReport", source: str, base: PlanBase) -> Explanati
             "The matching budget ran out before the search finished, so this "
             "report may be incomplete. Re-run with a larger budget.",
         ))
-    return Explanation(tuple(sections), excerpts)
+    return Explanation(tuple(sections))
 
 
 def _heading(f) -> str:

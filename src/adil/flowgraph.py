@@ -36,6 +36,11 @@ from .source import SourceSpan
 
 
 class NodeKind(Enum):
+    # Enum hashes a member's name in Python; identity is equality for members,
+    # so the C identity hash serves, and SHAPES and node_index lookups make no
+    # Python call
+    __hash__ = object.__hash__
+
     ENTRY = "ENTRY"
     EXIT = "EXIT"
     CONST = "CONST"
@@ -52,6 +57,8 @@ class NodeKind(Enum):
 
 
 class OpCode(Enum):
+    __hash__ = object.__hash__  # as NodeKind's
+
     ADD = "ADD"
     SUB = "SUB"
     MUL = "MUL"
@@ -70,6 +77,7 @@ class OpCode(Enum):
 
 
 COMMUTATIVE = {OpCode.ADD, OpCode.MUL, OpCode.AND, OpCode.OR, OpCode.EQ, OpCode.NE}
+UNARY = {OpCode.NOT, OpCode.NEG}
 
 _BINOP = {
     "+": OpCode.ADD, "-": OpCode.SUB, "*": OpCode.MUL, "/": OpCode.DIV, "%": OpCode.MOD,
@@ -77,6 +85,55 @@ _BINOP = {
     "==": OpCode.EQ, "!=": OpCode.NE, "&&": OpCode.AND, "||": OpCode.OR,
 }
 _UNOP = {"!": OpCode.NOT, "-": OpCode.NEG}
+
+# Node shapes: (in-ports, out-ports) per kind, as the builder makes them. In-
+# ports are None where the builder sets the count per node: a CALL's
+# arguments, an OUTPUT's values, EXIT's returns. An OP has one in-port per
+# operand of its opcode (shape()). No kind has more than one out-port. Plan
+# checking (planlib.check_plan) refuses a pattern edge at a port its kind
+# lacks, so the matcher never tests a graph node's ports.
+SHAPES: dict[NodeKind, tuple[int | None, int]] = {
+    NodeKind.ENTRY: (0, 0),
+    NodeKind.EXIT: (None, 0),
+    NodeKind.CONST: (0, 1),
+    NodeKind.PARAM: (0, 1),
+    NodeKind.OP: (2, 1),
+    NodeKind.TEST: (1, 0),
+    NodeKind.JOIN: (2, 1),
+    NodeKind.LOOPHEAD: (0, 0),
+    NodeKind.INPUT: (0, 1),
+    NodeKind.OUTPUT: (None, 0),
+    NodeKind.AREAD: (2, 1),
+    NodeKind.AWRITE: (3, 1),
+    NodeKind.CALL: (None, 1),
+}
+
+# Ctrl labels that fix the kind at one end of their edge, as (end, kind) with
+# end 0 the source and 1 the target: a branch leaves a TEST, and a back edge
+# enters a LOOPHEAD. A seq edge joins any two nodes.
+LABEL_ENDS: dict[str, tuple[int, NodeKind]] = {
+    "true": (0, NodeKind.TEST),
+    "false": (0, NodeKind.TEST),
+    "back": (1, NodeKind.LOOPHEAD),
+}
+
+
+def shape(kind: NodeKind, opcode: OpCode | None = None) -> tuple[int | None, int]:
+    """(in-ports, out-ports) of a node of this kind and opcode; an OP without
+    an opcode gets the most in-ports any opcode has."""
+    if opcode in UNARY:
+        return 1, 1
+    return SHAPES[kind]
+
+
+def label_fault(label: str | None, src: NodeKind | None, dst: NodeKind | None) -> str | None:
+    """What a ctrl edge with this label lacks between a source and a target
+    of these kinds ("does not leave a TEST"), or None if nothing; a None
+    kind, a sub-plan's, fits every label."""
+    end, kind = LABEL_ENDS.get(label, (0, None))
+    if kind is None or (src, dst)[end] in (None, kind):
+        return None
+    return f"does not {('leave', 'target')[end]} a {kind.value}"
 
 
 class UnboundVariable(Exception):
@@ -181,11 +238,14 @@ class _Builder:
 
     # -- nodes and edges
 
-    def node(self, kind: NodeKind, span: SourceSpan, *, in_ports: int = 0, out_ports: int = 0,
+    def node(self, kind: NodeKind, span: SourceSpan, *, in_ports: int = 0,
              opcode: OpCode | None = None, value: int | None = None,
              var_name: str | None = None, role: str | None = None) -> int:
+        """A new node, its ports as SHAPES gives them; in_ports counts only
+        for the kinds whose count the builder sets per node."""
         nid = len(self.nodes)
-        self.nodes[nid] = GraphNode(nid, kind, in_ports, out_ports,
+        fixed, out_ports = shape(kind, opcode)
+        self.nodes[nid] = GraphNode(nid, kind, in_ports if fixed is None else fixed, out_ports,
                                     Annotation(span, var_name, role), opcode, value)
         for tail, label in self.frontier:
             self.ctrl_edges.add((tail, nid, label))
@@ -206,19 +266,16 @@ class _Builder:
         self.node(NodeKind.ENTRY, func.span, role=f"entry of {func.name}")
         for slot, p in enumerate(func.params):
             self.slot_names.append(p.name)
-            pid = self.node(NodeKind.PARAM, p.span, out_ports=1, var_name=p.name,
+            pid = self.node(NodeKind.PARAM, p.span, var_name=p.name,
                             role="array parameter" if p.is_array else "parameter")
             self.env[slot] = (pid, 0)
         self.stmt(func.body)
-        exit_id = len(self.nodes)
-        self.nodes[exit_id] = GraphNode(exit_id, NodeKind.EXIT, len(self.returns), 0,
-                                        Annotation(func.span, None, f"exit of {func.name}"))
-        for port, (ref, tails) in enumerate(self.returns):
-            self.data_edges.add((ref, (exit_id, port)))
-            for tail, label in tails:
-                self.ctrl_edges.add((tail, exit_id, label))
-        for tail, label in self.frontier:
-            self.ctrl_edges.add((tail, exit_id, label))
+        for _, tails in self.returns:
+            self.frontier.extend(tails)
+        exit_id = self.node(NodeKind.EXIT, func.span, in_ports=len(self.returns),
+                            role=f"exit of {func.name}")
+        for port, (ref, _) in enumerate(self.returns):
+            self.data(ref, exit_id, port)
         return FlowGraph(self.nodes, frozenset(self.data_edges), frozenset(self.ctrl_edges),
                          entry=0, exit=exit_id)
 
@@ -235,7 +292,7 @@ class _Builder:
     def var_decl(self, s: fe.VarDecl) -> None:
         self.slot_names.append(s.name)
         if s.array_size is not None:
-            pid = self.node(NodeKind.PARAM, s.span, out_ports=1, var_name=s.name,
+            pid = self.node(NodeKind.PARAM, s.span, var_name=s.name,
                             role=f"array[{s.array_size}]")
             self.env[s.slot] = (pid, 0)
         elif s.init is not None:
@@ -246,8 +303,7 @@ class _Builder:
     def input_stmt(self, s: fe.Input) -> None:
         for target in s.targets:
             var_name = target.name if isinstance(target, fe.VarRef) else None
-            ref = (self.node(NodeKind.INPUT, s.span, out_ports=1, var_name=var_name,
-                             role="stdin"), 0)
+            ref = (self.node(NodeKind.INPUT, s.span, var_name=var_name, role="stdin"), 0)
             self.assign(target, ref)
 
     def output_stmt(self, s: fe.Output) -> None:
@@ -273,8 +329,8 @@ class _Builder:
         else:
             arr = self.env[target.slot]  # arrays are always bound at declaration
             idx = self.expr(target.index)
-            aw = self.node(NodeKind.AWRITE, target.span, in_ports=3, out_ports=1,
-                           var_name=target.name, role=f"{target.name}[{fe.pp_expr(target.index)}]")
+            aw = self.node(NodeKind.AWRITE, target.span, var_name=target.name,
+                           role=f"{target.name}[{fe.pp_expr(target.index)}]")
             self.data(arr, aw, 0)
             self.data(idx, aw, 1)
             self.data(ref, aw, 2)
@@ -282,7 +338,7 @@ class _Builder:
 
     def if_stmt(self, s: fe.If) -> None:
         cond = self.expr(s.cond)
-        test = self.node(NodeKind.TEST, s.cond.span, in_ports=1, role="branch test")
+        test = self.node(NodeKind.TEST, s.cond.span, role="branch test")
         self.data(cond, test, 0)
 
         saved = dict(self.env)
@@ -308,8 +364,7 @@ class _Builder:
         self.env = merged
         self.frontier = then_frontier + else_frontier
         for slot, t, e in joins:
-            j = self.node(NodeKind.JOIN, s.span, in_ports=2, out_ports=1,
-                          var_name=self.slot_names[slot], role="merge")
+            j = self.node(NodeKind.JOIN, s.span, var_name=self.slot_names[slot], role="merge")
             self.data(t, j, 0)
             self.data(e, j, 1)
             self.env[slot] = (j, 0)
@@ -323,14 +378,14 @@ class _Builder:
             if ref is None:
                 unbound.append(slot)
                 continue
-            j = self.node(NodeKind.JOIN, s.span, in_ports=2, out_ports=1,
-                          var_name=self.slot_names[slot], role="loop variable")
+            j = self.node(NodeKind.JOIN, s.span, var_name=self.slot_names[slot],
+                          role="loop variable")
             self.data(ref, j, 0)
             self.env[slot] = (j, 0)
             joins.append((slot, j))
 
         cond = self.expr(s.cond)
-        test = self.node(NodeKind.TEST, s.cond.span, in_ports=1, role="loop test")
+        test = self.node(NodeKind.TEST, s.cond.span, role="loop test")
         self.data(cond, test, 0)
 
         self.frontier = [(test, "true")]
@@ -356,7 +411,7 @@ class _Builder:
         return build(self, e)
 
     def int_lit(self, e: fe.IntLit) -> _Ref:
-        return (self.node(NodeKind.CONST, e.span, out_ports=1, value=e.value), 0)
+        return (self.node(NodeKind.CONST, e.span, value=e.value), 0)
 
     def var_ref(self, e: fe.VarRef) -> _Ref:
         ref = self.env.get(e.slot)
@@ -369,29 +424,28 @@ class _Builder:
         if arr is None:
             raise UnboundVariable(e.name, e.span)
         idx = self.expr(e.index)
-        ar = self.node(NodeKind.AREAD, e.span, in_ports=2, out_ports=1,
-                       role=f"{e.name}[{fe.pp_expr(e.index)}]")
+        ar = self.node(NodeKind.AREAD, e.span, role=f"{e.name}[{fe.pp_expr(e.index)}]")
         self.data(arr, ar, 0)
         self.data(idx, ar, 1)
         return (ar, 0)
 
     def unary(self, e: fe.Unary) -> _Ref:
         ref = self.expr(e.operand)
-        op = self.node(NodeKind.OP, e.span, in_ports=1, out_ports=1, opcode=_UNOP[e.op])
+        op = self.node(NodeKind.OP, e.span, opcode=_UNOP[e.op])
         self.data(ref, op, 0)
         return (op, 0)
 
     def binary(self, e: fe.Binary) -> _Ref:
         lhs = self.expr(e.lhs)
         rhs = self.expr(e.rhs)
-        op = self.node(NodeKind.OP, e.span, in_ports=2, out_ports=1, opcode=_BINOP[e.op])
+        op = self.node(NodeKind.OP, e.span, opcode=_BINOP[e.op])
         self.data(lhs, op, 0)
         self.data(rhs, op, 1)
         return (op, 0)
 
     def call(self, e: fe.Call) -> _Ref:
         refs = [self.expr(a) for a in e.args]
-        call = self.node(NodeKind.CALL, e.span, in_ports=len(refs), out_ports=1, role=e.name)
+        call = self.node(NodeKind.CALL, e.span, in_ports=len(refs), role=e.name)
         for port, ref in enumerate(refs):
             self.data(ref, call, port)
         return (call, 0)
@@ -465,12 +519,12 @@ def _index_nodes(g: FlowGraph) -> dict[tuple[NodeKind, OpCode | None], list[int]
 
 
 def commutative_nodes(g: FlowGraph) -> frozenset[int]:
-    """Binary OP nodes with a COMMUTATIVE opcode: the nodes whose two operands
-    a commutable() pattern node may bind in either order."""
+    """OP nodes with a COMMUTATIVE opcode, every one of them binary: the nodes
+    whose two operands a commutable() pattern node may bind in either order."""
     if g._commutative_nodes is None:
         g._commutative_nodes = frozenset(
             nid for nid, node in g.nodes.items()
-            if node.kind is NodeKind.OP and node.opcode in COMMUTATIVE and node.in_ports == 2)
+            if node.kind is NodeKind.OP and node.opcode in COMMUTATIVE)
     return g._commutative_nodes
 
 
@@ -602,6 +656,11 @@ def validate(g: FlowGraph) -> list[str]:
     for _, dst in g.data_edges:
         producers[dst] = producers.get(dst, 0) + 1
     for nid, n in g.nodes.items():
+        ins, outs = shape(n.kind, n.opcode)
+        if n.out_ports != outs or ins not in (None, n.in_ports):
+            what = n.kind.value + (f" {n.opcode.value}" if n.opcode else "")
+            problems.append(f"node {nid} ({what}) has {n.in_ports} in- and {n.out_ports} out-ports,"
+                            f" not {'any' if ins is None else ins} and {outs}")
         for port in range(n.in_ports):
             count = producers.get((nid, port), 0)
             if count != 1:
@@ -649,6 +708,7 @@ def validate(g: FlowGraph) -> list[str]:
             if backs != 1:
                 problems.append(f"loophead {nid} has {backs} back edges")
     for src, dst, label in g.ctrl_edges:
-        if label == "back" and g.nodes[dst].kind is not NodeKind.LOOPHEAD:
-            problems.append(f"back edge {src}->{dst} does not target a LOOPHEAD")
+        fault = label_fault(label, g.nodes[src].kind, g.nodes[dst].kind)
+        if fault:
+            problems.append(f"{label} edge {src}->{dst} {fault}")
     return problems

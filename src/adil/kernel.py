@@ -15,7 +15,10 @@ What depends only on the plan is settled when the source is written: each
 edge's direction, ports and commutable() alternative, each node's kind,
 opcode and constant test, the ctrl labels, and which ends are sub-plan
 nodes (those ends go through `_source`, `_sink`, `_producers`,
-`_consumers` and `_ctrl_nodes`, as in `extend`).
+`_consumers` and `_ctrl_nodes`, as in `extend`). As in `consistent`, no
+graph node's ports are tested: a checked plan names only ports that its
+nodes' kinds have (`flowgraph.SHAPES`), so a real node's successors are the
+candidates of every edge leaving it.
 
 The source holds no text from the plan: pattern node ids, kinds, opcodes,
 constants, labels and sub-plan names are bound to generated names in the
@@ -148,7 +151,6 @@ class _KernelWriter:
         """consistent() at position i, as conditions any of which rejects n<i>."""
         step = self.steps[i]
         tests = []
-        guarded = self.successor_source(i)
         if step.subplan is None:
             tests.append(f"(d{i} := nodes[n{i}]).kind is not K{i}")
             if step.opcode is not None:
@@ -158,10 +160,8 @@ class _KernelWriter:
         for (a, po), (b, pi) in step.data_checks:
             a, po, b, pi = self.pos[a], int(po), self.pos[b], int(pi)
             if self.real(a) and self.real(b):
-                # n<a> has out-port po and produces n<b>'s in-port pi, or the
-                # other operand when pattern node b is commutable()
-                if (a, po) != guarded:  # else candidates() already needs it
-                    tests.append(f"d{a}.out_ports <= {po}")
+                # n<a> produces n<b>'s in-port pi, or the other operand when
+                # pattern node b is commutable()
                 test = f"producer_of.get((n{b}, {pi}), NO)[0] != n{a}"
                 if self.steps[b].pid in self.commutable and pi in (0, 1):
                     test = (f"({test} and (n{b} not in commutative"
@@ -174,16 +174,6 @@ class _KernelWriter:
             tests.append(f"not _ctrl_linked(ctrl_out, {self.ctrl_nodes(self.pos[a])}, "
                          f"{self.ctrl_nodes(self.pos[b])}, {self.label(label)})")
         return tests
-
-    def successor_source(self, i: int) -> tuple[int, int] | None:
-        """(a, po) when position i's only candidates are n<a>'s successors,
-        listed only if n<a> has out-port po."""
-        step = self.steps[i]
-        if step.subplan is not None or step.ctrl_gen or len(step.data_gen) != 1:
-            return None
-        (a, po), _ = step.data_gen[0]
-        a = self.pos[a]
-        return (a, int(po)) if a != i and self.real(a) else None
 
     def candidates(self, i: int) -> str:
         """candidates_via_edges() at position i."""
@@ -201,8 +191,8 @@ class _KernelWriter:
         for (a, po), (b, pi) in step.data_gen:
             a, po, b, pi = self.pos[a], int(po), self.pos[b], int(pi)
             if a != i:
-                parts.append(f"_consumers(_source(n{a}, {po}))" if not self.real(a) else
-                             f"(succ.get(n{a}, ()) if d{a}.out_ports > {po} else ())")
+                parts.append(f"succ.get(n{a}, ())" if self.real(a) else
+                             f"_consumers(_source(n{a}, {po}))")
             elif not self.real(b):
                 parts.append(f"_producers(*_sink(P{b}, n{b}, {pi}))")
             else:

@@ -18,10 +18,14 @@ full matches builds one.
 
 Each candidate assignment is checked only against the pattern edges
 incident to its pattern node. An edge whose two ends are real graph nodes
-is checked straight against `FlowGraph.producer_of`: the source has the
-edge's out-port, and it produces the target's in-port, or the other operand
-when the target's pattern node is commutable() and the node is in
-`commutative_nodes(g)`. A real pattern node's candidates are the producers
+is checked straight against `FlowGraph.producer_of`: the source produces the
+target's in-port, or the other operand when the target's pattern node is
+commutable() and the node is in `commutative_nodes(g)`. No port is tested
+against a graph node: `planlib.check_plan` refuses a pattern edge at a port
+its node's kind lacks (`flowgraph.SHAPES`), and the builder gives every
+node its kind's ports, so the one out-port of a real node is the edge's. A
+Plan built directly, past the plan parser, is the caller's to check. A real
+pattern node's candidates are the producers
 of its bound neighbours and their `FlowGraph.successors` lists (each node's
 distinct consumers, ascending, built once per graph), so one source needs
 no sort. Only an edge with a sub-match at an end first resolves that end to
@@ -424,10 +428,9 @@ class _Unifier:
         return found
 
     def _source(self, nid: int, port: int) -> int | None:
-        """The graph node whose output bound endpoint nid:port stands for."""
-        if nid >= 0:
-            return nid if port < self.g.nodes[nid].out_ports else None
-        return self._export_target(nid, port)
+        """The graph node whose output bound endpoint nid:port stands for: a
+        real node itself, since a checked plan names only its one out-port."""
+        return nid if nid >= 0 else self._export_target(nid, port)
 
     def _sink(self, pid: str, nid: int, port: int) -> tuple[int | None, Sequence[int]]:
         """The graph node and in-ports that the input pid:port, bound to nid,
@@ -479,10 +482,8 @@ class _Unifier:
             (a, po), (b, pi) = edge
             na, nb = binding[a], binding[b]
             if na >= 0 and nb >= 0:
-                # na has out-port po and produces nb's in-port pi, or the
-                # other operand when pattern node b is commutable()
-                if po >= self.g.nodes[na].out_ports:
-                    return False
+                # na produces nb's in-port pi, or the other operand when
+                # pattern node b is commutable()
                 src = producer_of.get((nb, pi))
                 if src is None or src[0] != na:
                     if not (b in self.commutable and nb in self.commutative and pi in (0, 1)):
@@ -524,8 +525,7 @@ class _Unifier:
                 na = binding[a]
                 if na < 0:
                     out.extend(self._consumers(self._source(na, po)))
-                    continue
-                if po < self.g.nodes[na].out_ports:
+                else:
                     out.extend(self.successors.get(na, ()))
         if not out:
             for a, b, label in step.ctrl_gen:

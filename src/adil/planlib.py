@@ -28,6 +28,15 @@ Edges to a `sub` pattern node address the sub-plan's exported nodes: port k
 of a sub node is the node bound to the k-th export role in lexicographic
 role order. Control edges to/from a sub node accept any node bound by the
 sub-match.
+
+Every edge must fit the node shapes the flow graph builder makes
+(`flowgraph.SHAPES`): a data edge leaves an out-port that its source's kind
+has (no kind has more than port 0) and enters an in-port that its target's
+kind has (a JOIN has ports 0 and 1, an OP one per operand of its opcode,
+and a CALL, OUTPUT or EXIT any); a `true` or `false` ctrl edge leaves a
+TEST, and a `back` one enters a LOOPHEAD. The parser refuses a plan that breaks one of
+these, since no graph could match it; `base_validate` refuses a port on a
+sub node at or beyond its sub-plan's export count.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .flowgraph import NodeKind, OpCode
+from .flowgraph import LABEL_ENDS, NodeKind, OpCode, label_fault, shape
 from .records import record
 from .source import SourceSpan
 
@@ -352,30 +361,44 @@ class _PlanFileParser:
 
 
 def check_plan(plan: Plan) -> None:
-    """Single-plan invariants; cross-base references are base_validate's job."""
+    """Single-plan invariants, edges that fit the node shapes of flowgraph's
+    SHAPES and LABEL_ENDS among them; cross-base references, sub-plan ports
+    too, are base_validate's job."""
     pids = [pn.pid for pn in plan.pnodes]
     if len(set(pids)) != len(pids):
         raise PlanSemanticError("duplicate pattern-node id")
     if not pids:
         raise PlanSemanticError("a plan needs at least one pattern node")
-    pidset = set(pids)
+    nodes = {pn.pid: pn for pn in plan.pnodes}
     slots = plan.slots()
     if len(set(slots)) != len(slots):
         raise PlanSemanticError("a slot may be bound by only one pattern node")
     slotset = {f"${s}" for s in slots}
 
-    for (a, _), (b, _) in plan.pdata:
-        for pid in (a, b):
-            if pid not in pidset:
-                raise PlanSemanticError(f"data edge references unknown pattern node {pid!r}")
-    for a, b, _ in plan.pctrl:
-        for pid in (a, b):
-            if pid not in pidset:
-                raise PlanSemanticError(f"ctrl edge references unknown pattern node {pid!r}")
+    ports = {pn.pid: shape(pn.kind, pn.opcode) for pn in plan.pnodes if pn.subplan is None}
+    for (a, po), (b, pi) in plan.pdata:
+        if a not in nodes or b not in nodes:
+            unknown = a if a not in nodes else b
+            raise PlanSemanticError(f"data edge references unknown pattern node {unknown!r}")
+        if a in ports and po >= ports[a][1]:
+            raise PlanSemanticError(f"data edge {a}:{po} -> {b}:{pi}: {_kind_text(nodes[a])}"
+                                    f" has no out-port {po}")
+        ins = ports[b][0] if b in ports else None
+        if ins is not None and pi >= ins:
+            raise PlanSemanticError(f"data edge {a}:{po} -> {b}:{pi}: {_kind_text(nodes[b])}"
+                                    f" has no in-port {pi}")
+    for a, b, label in plan.pctrl:
+        if a not in nodes or b not in nodes:
+            unknown = a if a not in nodes else b
+            raise PlanSemanticError(f"ctrl edge references unknown pattern node {unknown!r}")
+        if label in LABEL_ENDS:  # the labels that fix an end's kind
+            fault = label_fault(label, nodes[a].kind, nodes[b].kind)
+            if fault:
+                raise PlanSemanticError(f"ctrl edge {a} -> {b} label={label} {fault}")
     for role, pid in plan.exports:
-        if pid not in pidset:
+        if pid not in nodes:
             raise PlanSemanticError(f"export {role!r} references unknown pattern node {pid!r}")
-        if plan.pnode(pid).subplan is not None:
+        if nodes[pid].subplan is not None:
             raise PlanSemanticError(f"export {role!r} must reference a node, not a sub-plan")
     roles = [role for role, _ in plan.exports]
     if len(set(roles)) != len(roles):
@@ -388,7 +411,7 @@ def check_plan(plan: Plan) -> None:
             if arg.startswith("$"):
                 if arg not in slotset:
                     raise PlanSemanticError(f"constraint references unbound slot {arg}")
-            elif arg not in pidset:
+            elif arg not in nodes:
                 raise PlanSemanticError(f"constraint references unknown pattern node {arg!r}")
 
     for marker in MARKER_RE.finditer(plan.doc_template):
@@ -413,8 +436,14 @@ def check_plan(plan: Plan) -> None:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        if seen != pidset:
+        if seen != nodes.keys():
             raise PlanSemanticError("pattern graph is not connected")
+
+
+def _kind_text(pn: PatternNode) -> str:
+    """A real pattern node as its plan line names it: `n1 (kind=OP op=NOT)`."""
+    op = f" op={pn.opcode.value}" if pn.opcode is not None else ""
+    return f"{pn.pid} (kind={pn.kind.value}{op})"
 
 
 def parse_plans(text: str, filename: str = "<plan>") -> list[Plan]:
@@ -522,7 +551,8 @@ def base_list(base: PlanBase, kind: str | None = None, category: str | None = No
 
 
 def base_validate(base: PlanBase) -> list[str]:
-    """Cross-plan diagnostics: dangling references, bad targets, sub-plan cycles."""
+    """Cross-plan diagnostics: dangling references, bad targets, sub node ports
+    beyond the sub-plan's exports, sub-plan cycles."""
     diagnostics: list[str] = []
     for name in base.names():
         plan = base.plans[name]
@@ -537,8 +567,14 @@ def base_validate(base: PlanBase) -> list[str]:
                 target = base.plans.get(pn.subplan)
                 if target is None:
                     diagnostics.append(f"{name}: sub {pn.pid} references unknown plan {pn.subplan!r}")
-                elif target.kind != "cliche":
+                    continue
+                if target.kind != "cliche":
                     diagnostics.append(f"{name}: sub {pn.pid} references bug plan {pn.subplan!r}")
+                ports = len(target.exports)  # one per exported role
+                for _, ((a, po), (b, pi)) in plan.tables.data_at[pn.pid]:
+                    if a == pn.pid and po >= ports or b == pn.pid and pi >= ports:
+                        diagnostics.append(f"{name}: data edge {a}:{po} -> {b}:{pi}: sub {pn.pid} has"
+                                           f" {ports} port(s), one per role {pn.subplan!r} exports")
 
     state: dict[str, int] = {}
 

@@ -485,6 +485,62 @@ def test_acquire_oversized_exemplar(work, tmp_path, capsys):
     capsys.readouterr()
 
 
+# Single edits to running-total that no graph the builder makes could match:
+# (replaced line, its replacement), the exit code of `plan check` and
+# `plan add`, and what the message says. Port and label errors are the
+# plan's own (exit 2, as a parse error); a sub-plan port needs the base.
+_IMPOSSIBLE_EDITS = {
+    "in-port-beyond-a-join": (("data c0:0 -> js:0", "data c0:0 -> js:2"), 2,
+                              "js (kind=JOIN) has no in-port 2"),
+    "port-beyond-the-sub-plan-exports": (("data cl:0 -> ar:1", "data cl:7 -> ar:1"), 1,
+                                         "cl:7 -> ar:1: sub cl has 2 port(s), one per role 'counted-loop' exports"),
+    "second-out-port-of-an-op": (("data add:0 -> js:1", "data add:1 -> js:1"), 2,
+                                 "add (kind=OP op=ADD) has no out-port 1"),
+    "true-edge-from-an-aread": (("data cl:0 -> ar:1", "data cl:0 -> ar:1\nctrl ar -> add label=true"), 2,
+                                "ctrl edge ar -> add label=true does not leave a TEST"),
+    "back-edge-into-an-op": (("data cl:0 -> ar:1", "data cl:0 -> ar:1\nctrl ar -> add label=back"), 2,
+                             "ctrl edge ar -> add label=back does not target a LOOPHEAD"),
+    "test-as-a-data-source": (("data ar:0 -> add:1", "node t kind=TEST\ndata t:0 -> add:1"), 2,
+                              "t (kind=TEST) has no out-port 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_IMPOSSIBLE_EDITS))
+def test_an_impossible_edit_of_a_shipped_plan_is_refused(work, tmp_path, capsys, case):
+    (line, replacement), code, message = _IMPOSSIBLE_EDITS[case]
+    shipped = work / "plans" / "running-total.plan"
+    text = shipped.read_text()
+    assert text.count(line + "\n") == 1
+    edited = text.replace(line + "\n", replacement + "\n")
+    before = _plan_dir_bytes(work)
+    # added under a name of its own, so only the edit can be refused
+    new_plan = tmp_path / "edited.plan"
+    new_plan.write_text(edited.replace('plan "running-total"', 'plan "running-total-edited"'))
+    assert main(["plan", "add", str(new_plan), "--plans", str(work / "plans")]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.startswith("adil: plan 'running-total-edited' (line 4): " if code == 2 else
+                          "adil: refusing to add running-total-edited")
+    assert _plan_dir_bytes(work) == before
+    shipped.write_text(edited)
+    assert main(["plan", "check", "--plans", str(work / "plans")]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert err.startswith("adil: plan 'running-total' (line 4): ") and message in err
+    else:
+        assert message in out and out.endswith("16 plan(s), 1 problem(s)\n")
+
+
+@pytest.mark.parametrize("command", ["graph", "acquire"])
+def test_a_variable_read_before_assignment_exits_1_with_a_message(work, tmp_path, capsys, command):
+    program = tmp_path / "unb.c"
+    program.write_text("int main() { int x; int y; y = x + 1; return y; }\n")
+    extra = ["--name", "foo", "-o", str(tmp_path / "foo.plan")] if command == "acquire" else []
+    assert main([command, str(program), *extra]) == 1
+    assert capsys.readouterr() == ("", f"adil: {program}:1:32: variable 'x' may be read before it is assigned\n")
+    assert not (tmp_path / "foo.plan").exists()
+
+
 _C_PIECES = ["int", "main", "f", "x", "a", "(", ")", "{", "}", "[", "]", ";", ",", "=", "&", "0", "1",
              "if", "else", "while", "for", "return", "scanf", "printf", '"%d"', '"%d %d"',
              "+", "-", "*", "/", "%", "<", "<=", "==", "&&", "||", "!", "@", "/*", "//", '"']

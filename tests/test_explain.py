@@ -111,11 +111,11 @@ def test_excerpts_are_faithful_to_source(base):
     report = _report(source, base)
     explanation = render(report, source, base)
     lines = source.splitlines()
-    for span, excerpt in explanation.source_excerpts.items():
-        for quoted in excerpt.splitlines():
-            m = re.match(r"\s*(\d+) \| (.*)$", quoted)
-            if m:
-                assert lines[int(m.group(1)) - 1] == m.group(2)
+    quoted = [m for _, body in explanation.sections for line in body.splitlines()
+              if (m := re.match(r"\s*(\d+) \| (.*)$", line))]
+    assert quoted
+    for m in quoted:
+        assert lines[int(m.group(1)) - 1] == m.group(2)
 
 
 def test_render_text_deterministic_and_wrapped(base):

@@ -366,13 +366,13 @@ def test_two_producers_on_one_in_port_keep_the_larger_source():
     _assert_views_match_sorted_edges(doubled)
     assert commutative_nodes(doubled) == {nid for nid, n in g.nodes.items()
                                           if n.opcode in (OpCode.ADD, OpCode.MUL)}
-    # a commutative opcode on a node without two operands has no order to swap
+    # every MUL has two operands, so one built with a single in-port fits no
+    # node shape
     n = g.nodes[mul]
     nodes = dict(g.nodes)
     nodes[mul] = flowgraph.GraphNode(n.id, n.kind, 1, n.out_ports, n.ann, n.opcode, n.value)
     unary = flowgraph.FlowGraph(nodes, g.data_edges, g.ctrl_edges, g.entry, g.exit)
-    _assert_views_match_sorted_edges(unary)
-    assert mul not in commutative_nodes(unary)
+    assert f"node {mul} (OP MUL) has 1 in- and 1 out-ports, not 2 and 1" in validate(unary)
 
 
 # validate as it was before it counted each LOOPHEAD's back edges from
@@ -469,3 +469,12 @@ def test_validate_matches_reference_on_broken_back_edges():
     }
     for broken, problem in cases.items():
         assert validate(broken) == _reference_validate(broken) == [problem]
+
+
+def test_validate_reports_a_branch_edge_that_leaves_no_test():
+    g = graph_of(SUM_SOURCE)
+    seq = next(e for e in sorted(g.ctrl_edges) if e[2] == "seq")
+    assert g.nodes[seq[0]].kind is not NodeKind.TEST
+    for label in ("true", "false"):
+        problem = f"{label} edge {seq[0]}->{seq[1]} does not leave a TEST"
+        assert validate(_relabel(g, {seq: label})) == [problem]

@@ -34,6 +34,7 @@ from adil.planlib import (
     PatternNode,
     Plan,
     PlanBase,
+    PlanSemanticError,
     Predicate,
     base_add,
     dependency_order,
@@ -722,14 +723,15 @@ def _same_search(g, plan, theta, sub_matches=None, sub_plans=None):
 
 
 @pytest.mark.parametrize("theta", (0.5, 1.0))
-def test_an_edge_from_a_missing_out_port_binds_no_real_pair(theta, sum_graph):
-    # the loop's JOIN feeds the ADD at in-port 0, but every graph node has
-    # one out-port, so an edge leaving port 1 fits no pair of nodes; the
-    # ADD is seeded first, so consistent() is what must reject the JOIN
-    results = _same_search(sum_graph, parse_plan(OUT_PORT_1_PLAN), theta)
-    assert all(r.score < 1 for r in results)
+def test_an_edge_from_a_missing_out_port_is_refused_at_parse(theta, sum_graph):
+    # the loop's JOIN feeds the ADD at in-port 0, but a JOIN has one
+    # out-port, so an edge leaving port 1 fits no pair of nodes: the parser
+    # refuses it, and the search never tests a node's ports; the same edge
+    # from port 0 is found whole at each theta
+    with pytest.raises(PlanSemanticError, match=r"total \(kind=JOIN\) has no out-port 1"):
+        parse_plan(OUT_PORT_1_PLAN)
     port_0 = parse_plan(OUT_PORT_1_PLAN.replace("total:1", "total:0"))
-    assert any(r.score == 1 for r in unify(sum_graph, port_0))
+    assert any(r.score == 1 for r in _same_search(sum_graph, port_0, theta))
 
 
 SELF_LOOP_PLAN = """\

@@ -90,12 +90,12 @@ def test_print_round_trips_fixtures():
 def test_print_is_canonical_under_reordering():
     reordered = (
         'plan "zero-init" kind=cliche category=pl\n'
-        "node n2 kind=CONST const=1\nnode n1 kind=CONST const=0\n"
+        "node n2 kind=JOIN\nnode n1 kind=CONST const=0\n"
         "data n1:0 -> n2:0\nend\n"
     )
     ordered = (
         'plan "zero-init" kind=cliche category=pl\n'
-        "node n1 kind=CONST const=0\nnode n2 kind=CONST const=1\n"
+        "node n1 kind=CONST const=0\nnode n2 kind=JOIN\n"
         "data n1:0 -> n2:0\nend\n"
     )
     assert parse_plan(reordered) == parse_plan(ordered)
