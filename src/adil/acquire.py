@@ -11,7 +11,7 @@ comments.
 
 from __future__ import annotations
 
-from .flowgraph import NodeKind, OpCode, build_flow_graph
+from .flowgraph import NodeKind, OpCode, build_flow_graph, threaded_pairs
 from .frontend import Ast, desugar
 from .planlib import PatternNode, Plan, Predicate, check_plan, print_plan
 from .records import record
@@ -54,22 +54,10 @@ def acquire_plan(exemplar: Ast, name: str, opts: AcquireOptions | None = None) -
                 slot = f"c{slot_count}"
         pnodes.append(PatternNode(pid(nid), node.kind, node.opcode, const, slot))
 
-    pdata = tuple(sorted(((pid(src), op), (pid(dst), ip))
-                         for (src, op), (dst, ip) in g.data_edges))
+    pdata = tuple(sorted(((pid(src), 0), (pid(dst), ip)) for src, (dst, ip) in g.data_edges))
     pctrl = tuple(sorted((pid(src), pid(dst), label) for src, dst, label in g.ctrl_edges))
 
-    constraints: list[Predicate] = []
-    for nid in sorted(g.nodes):
-        node = g.nodes[nid]
-        if node.kind is NodeKind.JOIN:
-            for port in (0, 1):
-                src = g.producer(nid, port)
-                if src is not None:
-                    constraints.append(Predicate("samevar", (pid(nid), pid(src[0]))))
-        elif node.kind is NodeKind.AWRITE:
-            src = g.producer(nid, 0)
-            if src is not None:
-                constraints.append(Predicate("samevar", (pid(nid), pid(src[0]))))
+    constraints = [Predicate("samevar", (pid(nid), pid(src))) for nid, src in threaded_pairs(g)]
     for nid in sorted(g.nodes):
         node = g.nodes[nid]
         if node.kind is NodeKind.OP and node.opcode in (OpCode.ADD, OpCode.MUL):

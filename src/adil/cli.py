@@ -194,7 +194,15 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     if args.plan_command == "check":
-        base = planlib.load_plan_base(args.plans)
+        errors: list[Exception] = []  # each file's first plan error, then a duplicate name
+        try:
+            base = planlib.load_plan_base(args.plans, errors)
+        except planlib.DuplicatePlan as err:
+            errors.append(err)
+        for err in errors:
+            print(f"adil: {err}", file=sys.stderr)
+        if errors:
+            return 2
         problems = planlib.base_validate(base)
         for problem in problems:
             print(problem)

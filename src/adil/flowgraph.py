@@ -5,7 +5,8 @@ fresh value node, control merges insert JOIN nodes (in0 = then/initial value,
 in1 = else/back value), and every loop contributes one LOOPHEAD marker plus a
 single back-labeled control edge. Plain copies (`y = x;`) create no node;
 "same variable" is therefore a property of the value threading, not of names,
-which is what makes plan matching independent of the surface language.
+which is what makes plan matching independent of the surface language. A
+value is the node that makes it, and a data edge feeds it to an in-port.
 
 A local array declaration binds the array to a fresh PARAM node (role
 "array"): element-level initialization tracking is out of scope, so arrays
@@ -89,9 +90,10 @@ _UNOP = {"!": OpCode.NOT, "-": OpCode.NEG}
 # Node shapes: (in-ports, out-ports) per kind, as the builder makes them. In-
 # ports are None where the builder sets the count per node: a CALL's
 # arguments, an OUTPUT's values, EXIT's returns. An OP has one in-port per
-# operand of its opcode (shape()). No kind has more than one out-port. Plan
-# checking (planlib.check_plan) refuses a pattern edge at a port its kind
-# lacks, so the matcher never tests a graph node's ports.
+# operand of its opcode (shape()). A kind with one out-port makes a value,
+# the node itself; one with none makes no value, and no data edge leaves it.
+# Plan checking (planlib.check_plan) refuses a pattern edge at a port its
+# kind lacks, so the matcher never tests a graph node's ports.
 SHAPES: dict[NodeKind, tuple[int | None, int]] = {
     NodeKind.ENTRY: (0, 0),
     NodeKind.EXIT: (None, 0),
@@ -157,13 +159,12 @@ class GraphNode:
     id: int
     kind: NodeKind
     in_ports: int
-    out_ports: int
     ann: Annotation
     opcode: OpCode | None = None
     value: int | None = None
 
 
-DataEdge = tuple[tuple[int, int], tuple[int, int]]  # (src, out_port) -> (dst, in_port)
+DataEdge = tuple[int, tuple[int, int]]  # src -> (dst, in_port)
 CtrlEdge = tuple[int, int, str]  # src -> dst with label seq|true|false|back
 
 
@@ -176,8 +177,8 @@ class FlowGraph:
     exit: int
     # adjacency, built once in __post_init__; read-only, and the matcher reads
     # it directly. A producer is keyed (node, in_port); a node's successors
-    # are the distinct nodes that consume any of its out-ports. Lists ascend.
-    producer_of: dict[tuple[int, int], tuple[int, int]] = field(init=False, repr=False)
+    # are the distinct nodes that consume its value. Lists ascend.
+    producer_of: dict[tuple[int, int], int] = field(init=False, repr=False)
     successors: dict[int, list[int]] = field(init=False, repr=False)
     ctrl_out: dict[int, list[tuple[int, str]]] = field(init=False, repr=False)
     ctrl_in: dict[int, list[tuple[int, str]]] = field(init=False, repr=False)
@@ -187,14 +188,14 @@ class FlowGraph:
     _commutative_nodes: frozenset[int] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        producer_of: dict[tuple[int, int], tuple[int, int]] = {}
+        producer_of: dict[tuple[int, int], int] = {}
         successors: dict[int, list[int]] = {}
         for src, dst in self.data_edges:
             producer_of[dst] = src
-            successors.setdefault(src[0], []).append(dst[0])
+            successors.setdefault(src, []).append(dst[0])
         if len(producer_of) < len(self.data_edges):
             # two edges feed one in-port (validate reports it): the larger
-            # (src, out_port) wins, as the last one in sorted edge order
+            # source wins, as the last one in sorted edge order
             for src, dst in self.data_edges:
                 if src > producer_of[dst]:
                     producer_of[dst] = src
@@ -210,20 +211,11 @@ class FlowGraph:
         self.producer_of, self.successors = producer_of, successors
         self.ctrl_out, self.ctrl_in = ctrl_out, ctrl_in
 
-    def producer(self, node: int, in_port: int) -> tuple[int, int] | None:
-        return self.producer_of.get((node, in_port))
-
-    def ctrl_succs(self, node: int) -> list[tuple[int, str]]:
-        return self.ctrl_out.get(node, [])
-
-    def ctrl_preds(self, node: int) -> list[tuple[int, str]]:
-        return self.ctrl_in.get(node, [])
-
 
 # ---------------------------------------------------------------------------
 # Builder
 
-_Ref = tuple[int, int]  # (node id, out port)
+_Ref = int  # the node that makes the value
 
 
 class _Builder:
@@ -241,11 +233,11 @@ class _Builder:
     def node(self, kind: NodeKind, span: SourceSpan, *, in_ports: int = 0,
              opcode: OpCode | None = None, value: int | None = None,
              var_name: str | None = None, role: str | None = None) -> int:
-        """A new node, its ports as SHAPES gives them; in_ports counts only
-        for the kinds whose count the builder sets per node."""
+        """A new node, its in-ports as SHAPES gives them; in_ports counts
+        only for the kinds whose count the builder sets per node."""
         nid = len(self.nodes)
-        fixed, out_ports = shape(kind, opcode)
-        self.nodes[nid] = GraphNode(nid, kind, in_ports if fixed is None else fixed, out_ports,
+        fixed = shape(kind, opcode)[0]
+        self.nodes[nid] = GraphNode(nid, kind, in_ports if fixed is None else fixed,
                                     Annotation(span, var_name, role), opcode, value)
         for tail, label in self.frontier:
             self.ctrl_edges.add((tail, nid, label))
@@ -268,7 +260,7 @@ class _Builder:
             self.slot_names.append(p.name)
             pid = self.node(NodeKind.PARAM, p.span, var_name=p.name,
                             role="array parameter" if p.is_array else "parameter")
-            self.env[slot] = (pid, 0)
+            self.env[slot] = pid
         self.stmt(func.body)
         for _, tails in self.returns:
             self.frontier.extend(tails)
@@ -294,17 +286,16 @@ class _Builder:
         if s.array_size is not None:
             pid = self.node(NodeKind.PARAM, s.span, var_name=s.name,
                             role=f"array[{s.array_size}]")
-            self.env[s.slot] = (pid, 0)
+            self.env[s.slot] = pid
         elif s.init is not None:
             ref = self.expr(s.init)
-            self.rename(ref[0], s.name)
+            self.rename(ref, s.name)
             self.env[s.slot] = ref
 
     def input_stmt(self, s: fe.Input) -> None:
         for target in s.targets:
             var_name = target.name if isinstance(target, fe.VarRef) else None
-            ref = (self.node(NodeKind.INPUT, s.span, var_name=var_name, role="stdin"), 0)
-            self.assign(target, ref)
+            self.assign(target, self.node(NodeKind.INPUT, s.span, var_name=var_name, role="stdin"))
 
     def output_stmt(self, s: fe.Output) -> None:
         refs = [self.expr(a) for a in s.args]
@@ -324,7 +315,7 @@ class _Builder:
 
     def assign(self, target: fe.LValue, ref: _Ref) -> None:
         if isinstance(target, fe.VarRef):
-            self.rename(ref[0], target.name)
+            self.rename(ref, target.name)
             self.env[target.slot] = ref
         else:
             arr = self.env[target.slot]  # arrays are always bound at declaration
@@ -334,7 +325,7 @@ class _Builder:
             self.data(arr, aw, 0)
             self.data(idx, aw, 1)
             self.data(ref, aw, 2)
-            self.env[target.slot] = (aw, 0)
+            self.env[target.slot] = aw
 
     def if_stmt(self, s: fe.If) -> None:
         cond = self.expr(s.cond)
@@ -367,7 +358,7 @@ class _Builder:
             j = self.node(NodeKind.JOIN, s.span, var_name=self.slot_names[slot], role="merge")
             self.data(t, j, 0)
             self.data(e, j, 1)
-            self.env[slot] = (j, 0)
+            self.env[slot] = j
 
     def while_stmt(self, s: fe.While) -> None:
         loophead = self.node(NodeKind.LOOPHEAD, s.span, role="loop head")
@@ -381,7 +372,7 @@ class _Builder:
             j = self.node(NodeKind.JOIN, s.span, var_name=self.slot_names[slot],
                           role="loop variable")
             self.data(ref, j, 0)
-            self.env[slot] = (j, 0)
+            self.env[slot] = j
             joins.append((slot, j))
 
         cond = self.expr(s.cond)
@@ -393,7 +384,7 @@ class _Builder:
 
         for slot, j in joins:
             self.data(self.env[slot], j, 1)
-            self.env[slot] = (j, 0)
+            self.env[slot] = j
         for slot in unbound:
             self.env.pop(slot, None)  # unbound on the zero-iteration path
 
@@ -411,7 +402,7 @@ class _Builder:
         return build(self, e)
 
     def int_lit(self, e: fe.IntLit) -> _Ref:
-        return (self.node(NodeKind.CONST, e.span, value=e.value), 0)
+        return self.node(NodeKind.CONST, e.span, value=e.value)
 
     def var_ref(self, e: fe.VarRef) -> _Ref:
         ref = self.env.get(e.slot)
@@ -427,13 +418,13 @@ class _Builder:
         ar = self.node(NodeKind.AREAD, e.span, role=f"{e.name}[{fe.pp_expr(e.index)}]")
         self.data(arr, ar, 0)
         self.data(idx, ar, 1)
-        return (ar, 0)
+        return ar
 
     def unary(self, e: fe.Unary) -> _Ref:
         ref = self.expr(e.operand)
         op = self.node(NodeKind.OP, e.span, opcode=_UNOP[e.op])
         self.data(ref, op, 0)
-        return (op, 0)
+        return op
 
     def binary(self, e: fe.Binary) -> _Ref:
         lhs = self.expr(e.lhs)
@@ -441,14 +432,14 @@ class _Builder:
         op = self.node(NodeKind.OP, e.span, opcode=_BINOP[e.op])
         self.data(lhs, op, 0)
         self.data(rhs, op, 1)
-        return (op, 0)
+        return op
 
     def call(self, e: fe.Call) -> _Ref:
         refs = [self.expr(a) for a in e.args]
         call = self.node(NodeKind.CALL, e.span, in_ports=len(refs), role=e.name)
         for port, ref in enumerate(refs):
             self.data(ref, call, port)
-        return (call, 0)
+        return call
 
 
 _STMT_BUILDERS = {
@@ -540,8 +531,21 @@ def value_chains(g: FlowGraph) -> dict[int, int]:
     return g._value_chains
 
 
+_THREADED_PORTS = {NodeKind.JOIN: (0, 1), NodeKind.AWRITE: (0,)}
+
+
+def threaded_pairs(g: FlowGraph) -> list[tuple[int, int]]:
+    """(node, producer) for each in-port whose producer holds the node's own
+    variable, by node id and then port: a JOIN's initial/then and back/else
+    values, and the array an AWRITE updates. value_chains unites the pairs."""
+    producer_of = g.producer_of
+    return [(nid, src) for nid in sorted(g.nodes)
+            for port in _THREADED_PORTS.get(g.nodes[nid].kind, ())
+            if (src := producer_of.get((nid, port))) is not None]
+
+
 def _thread_values(g: FlowGraph) -> dict[int, int]:
-    """Union-find over JOIN inputs and AWRITE array inputs."""
+    """Union-find over threaded_pairs."""
     parent = {nid: nid for nid in g.nodes}
 
     def find(x: int) -> int:
@@ -555,22 +559,13 @@ def _thread_values(g: FlowGraph) -> dict[int, int]:
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    for nid in sorted(g.nodes):
-        node = g.nodes[nid]
-        if node.kind is NodeKind.JOIN:
-            for port in (0, 1):
-                src = g.producer(nid, port)
-                if src is not None:
-                    union(nid, src[0])
-        elif node.kind is NodeKind.AWRITE:
-            src = g.producer(nid, 0)
-            if src is not None:
-                union(nid, src[0])
+    for nid, src in threaded_pairs(g):
+        union(nid, src)
     return {nid: find(nid) for nid in g.nodes}
 
 
 def to_dot(g: FlowGraph) -> str:
-    """Graphviz rendering: solid data edges with port labels, dashed control edges."""
+    """Graphviz rendering: solid data edges labeled 0->in-port, dashed control edges."""
     lines = ["digraph flow {", "  node [shape=box, fontname=monospace];"]
     for nid in sorted(g.nodes):
         n = g.nodes[nid]
@@ -583,8 +578,8 @@ def to_dot(g: FlowGraph) -> str:
             bits.append(n.ann.var_name)
         bits.append(f"L{n.ann.span.line_start}")
         lines.append(f'  n{nid} [label="{nid}: ' + " ".join(bits) + '"];')
-    for (src, op), (dst, ip) in sorted(g.data_edges):
-        lines.append(f'  n{src} -> n{dst} [label="{op}->{ip}"];')
+    for src, (dst, ip) in sorted(g.data_edges):
+        lines.append(f'  n{src} -> n{dst} [label="0->{ip}"];')
     for src, dst, label in sorted(g.ctrl_edges):
         lines.append(f'  n{src} -> n{dst} [style=dashed, color=gray, label="{label}"];')
     lines.append("}")
@@ -612,8 +607,8 @@ def to_json(g: FlowGraph) -> str:
             for nid, n in sorted(g.nodes.items())
         ],
         "data_edges": [
-            {"src": src, "out_port": op, "dst": dst, "in_port": ip}
-            for (src, op), (dst, ip) in sorted(g.data_edges)
+            {"src": src, "out_port": 0, "dst": dst, "in_port": ip}
+            for src, (dst, ip) in sorted(g.data_edges)
         ],
         "ctrl_edges": [
             {"src": src, "dst": dst, "label": label} for src, dst, label in sorted(g.ctrl_edges)
@@ -656,22 +651,24 @@ def validate(g: FlowGraph) -> list[str]:
     for _, dst in g.data_edges:
         producers[dst] = producers.get(dst, 0) + 1
     for nid, n in g.nodes.items():
-        ins, outs = shape(n.kind, n.opcode)
-        if n.out_ports != outs or ins not in (None, n.in_ports):
+        ins = shape(n.kind, n.opcode)[0]
+        if ins not in (None, n.in_ports):
             what = n.kind.value + (f" {n.opcode.value}" if n.opcode else "")
-            problems.append(f"node {nid} ({what}) has {n.in_ports} in- and {n.out_ports} out-ports,"
-                            f" not {'any' if ins is None else ins} and {outs}")
+            problems.append(f"node {nid} ({what}) has {n.in_ports} in-ports, not {ins}")
         for port in range(n.in_ports):
             count = producers.get((nid, port), 0)
             if count != 1:
                 problems.append(f"node {nid} in_port {port} has {count} producers")
-    for (src, op), (dst, ip) in g.data_edges:
-        if op >= g.nodes[src].out_ports or ip >= g.nodes[dst].in_ports:
-            problems.append(f"edge ({src}:{op})->({dst}:{ip}) out of port range")
+    for src, (dst, ip) in g.data_edges:
+        kind = g.nodes[src].kind
+        if not SHAPES[kind][1]:
+            problems.append(f"edge {src}->({dst}:{ip}) leaves a {kind.value}, which makes no value")
+        if ip >= g.nodes[dst].in_ports:
+            problems.append(f"edge {src}->({dst}:{ip}) out of port range")
 
     # data cycles must pass through a JOIN's back/else input
     succs: dict[int, list[int]] = {nid: [] for nid in g.nodes}
-    for (src, _), (dst, ip) in g.data_edges:
+    for src, (dst, ip) in g.data_edges:
         if g.nodes[dst].kind is NodeKind.JOIN and ip == 1:
             continue
         succs[src].append(dst)
@@ -682,7 +679,7 @@ def validate(g: FlowGraph) -> list[str]:
     stack = [g.entry]
     while stack:
         v = stack.pop()
-        for w, _ in g.ctrl_succs(v):
+        for w, _ in g.ctrl_out.get(v, ()):
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -694,7 +691,7 @@ def validate(g: FlowGraph) -> list[str]:
     stack = [g.exit]
     while stack:
         v = stack.pop()
-        for w, _ in g.ctrl_preds(v):
+        for w, _ in g.ctrl_in.get(v, ()):
             if w not in reaches_exit:
                 reaches_exit.add(w)
                 stack.append(w)
@@ -704,7 +701,7 @@ def validate(g: FlowGraph) -> list[str]:
 
     for nid, n in g.nodes.items():
         if n.kind is NodeKind.LOOPHEAD:
-            backs = sum(label == "back" for _, label in g.ctrl_preds(nid))
+            backs = sum(label == "back" for _, label in g.ctrl_in.get(nid, ()))
             if backs != 1:
                 problems.append(f"loophead {nid} has {backs} back edges")
     for src, dst, label in g.ctrl_edges:

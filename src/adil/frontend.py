@@ -776,7 +776,7 @@ def _desugar_stmt(stmt: Stmt) -> Stmt:
 
 
 # ---------------------------------------------------------------------------
-# Pretty printer (test utility, and used by acquire for readable drafts).
+# Pretty printer: an Ast back as C source (for the tests' round trips and the demos).
 
 def pretty_print(ast: Ast) -> str:
     return "\n".join(_pp_function(f) for f in ast.functions) + "\n"

@@ -17,8 +17,8 @@ opcode and constant test, the ctrl labels, and which ends are sub-plan
 nodes (those ends go through `_source`, `_sink`, `_producers`,
 `_consumers` and `_ctrl_nodes`, as in `extend`). As in `consistent`, no
 graph node's ports are tested: a checked plan names only ports that its
-nodes' kinds have (`flowgraph.SHAPES`), so a real node's successors are the
-candidates of every edge leaving it.
+nodes' kinds have (`flowgraph.SHAPES`), and a real node is its own value, so
+its successors are the candidates of every edge leaving it.
 
 The source holds no text from the plan: pattern node ids, kinds, opcodes,
 constants, labels and sub-plan names are bound to generated names in the
@@ -32,9 +32,9 @@ positions here; a longer order keeps running `extend`.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection
+from collections.abc import Callable
 
-from .matcher import BudgetExceeded, _ctrl_linked, _Step
+from .matcher import BudgetExceeded, _ctrl_adjacent, _ctrl_linked, _Step
 from .planlib import PlanTables
 
 
@@ -42,12 +42,6 @@ def compile_kernel(tables: PlanTables, order: list[_Step | None]) -> Callable:
     """The stage one of an order (`matcher._order`) as one function
     `(search, seed_candidates)`, which leaves the search as extend() would."""
     return _KernelWriter(tables, order).compile()
-
-
-def _ctrl_adjacent(adjacency, nodes: Collection[int], label: str | None) -> list[int]:
-    """The nodes one ctrl edge with the label (any, for None) away from nodes."""
-    return [other for nid in nodes for other, lab in adjacency.get(nid, ())
-            if label is None or lab == label]
 
 
 def _indent(text: str) -> str:
@@ -87,6 +81,9 @@ for n%(i)d in %(candidates)s:
     if %(tests)s:
         continue
 """
+# n<b>'s producer at an in-port, as a tuple of the one node or of none; q is
+# read at once, so every part of every position may reuse the name
+_LONE_PRODUCER = "((q,) if (q := producer_of.get((n%d, %d))) is not None else ())"
 _EXTENSION = """\
 pr%(i)d = False
 %(loop)s    pr%(i)d = True
@@ -105,7 +102,7 @@ class _KernelWriter:
         self.size = len(tables.pid_order)
         self.commutable = tables.commutable
         self.pos = {step.pid: i for i, step in enumerate(self.steps)}
-        self.ns: dict = {"BudgetExceeded": BudgetExceeded, "NO": (None,),
+        self.ns: dict = {"BudgetExceeded": BudgetExceeded,
                          "_ctrl_linked": _ctrl_linked, "_ctrl_adjacent": _ctrl_adjacent}
         for i, step in enumerate(self.steps):
             self.ns.update({f"P{i}": step.pid, f"F{i}": frozenset((step.pid,)), f"S{i}": step.subplan,
@@ -162,10 +159,10 @@ class _KernelWriter:
             if self.real(a) and self.real(b):
                 # n<a> produces n<b>'s in-port pi, or the other operand when
                 # pattern node b is commutable()
-                test = f"producer_of.get((n{b}, {pi}), NO)[0] != n{a}"
+                test = f"producer_of.get((n{b}, {pi})) != n{a}"
                 if self.steps[b].pid in self.commutable and pi in (0, 1):
                     test = (f"({test} and (n{b} not in commutative"
-                            f" or producer_of.get((n{b}, {1 - pi}), NO)[0] != n{a}))")
+                            f" or producer_of.get((n{b}, {1 - pi})) != n{a}))")
                 tests.append(test)
             else:
                 tests.append(f"(s := _source(n{a}, {po})) is None"
@@ -196,10 +193,9 @@ class _KernelWriter:
             elif not self.real(b):
                 parts.append(f"_producers(*_sink(P{b}, n{b}, {pi}))")
             else:
-                parts.append(f"producer_of.get((n{b}, {pi}), ())[:1]")  # the node, or none
+                parts.append(_LONE_PRODUCER % (b, pi))
                 if self.steps[b].pid in self.commutable and pi in (0, 1):
-                    parts.append(f"(producer_of.get((n{b}, {1 - pi}), ())[:1]"
-                                 f" if n{b} in commutative else ())")
+                    parts.append(f"({_LONE_PRODUCER % (b, 1 - pi)} if n{b} in commutative else ())")
         ctrl = [f"_ctrl_adjacent(ctrl_in, {self.ctrl_nodes(self.pos[b])}, {self.label(label)})"
                 if self.pos[a] == i else
                 f"_ctrl_adjacent(ctrl_out, {self.ctrl_nodes(self.pos[a])}, {self.label(label)})"

@@ -22,8 +22,8 @@ is checked straight against `FlowGraph.producer_of`: the source produces the
 target's in-port, or the other operand when the target's pattern node is
 commutable() and the node is in `commutative_nodes(g)`. No port is tested
 against a graph node: `planlib.check_plan` refuses a pattern edge at a port
-its node's kind lacks (`flowgraph.SHAPES`), and the builder gives every
-node its kind's ports, so the one out-port of a real node is the edge's. A
+its node's kind lacks (`flowgraph.SHAPES`), and a graph value is the node
+that makes it, so an edge's source is the real node bound to its end. A
 Plan built directly, past the plan parser, is the caller's to check. A real
 pattern node's candidates are the producers
 of its bound neighbours and their `FlowGraph.successors` lists (each node's
@@ -354,6 +354,13 @@ def _ctrl_linked(ctrl_out, sources: Collection[int], targets: Collection[int], l
                for src in sources for dst, lab in ctrl_out.get(src, ()))
 
 
+def _ctrl_adjacent(adjacency, nodes: Collection[int], label: str | None) -> list[int]:
+    """The nodes one ctrl edge with the label (any, for None) away from nodes,
+    along ctrl_out or ctrl_in."""
+    return [other for nid in nodes for other, lab in adjacency.get(nid, ())
+            if label is None or lab == label]
+
+
 class _Unifier:
     def __init__(self, g: FlowGraph, plan: Plan, budget: SearchBudget,
                  sub_matches: dict[str, list[MatchResult]], sub_plans: dict[str, Plan]):
@@ -428,8 +435,8 @@ class _Unifier:
         return found
 
     def _source(self, nid: int, port: int) -> int | None:
-        """The graph node whose output bound endpoint nid:port stands for: a
-        real node itself, since a checked plan names only its one out-port."""
+        """The graph node whose value bound endpoint nid:port stands for: a
+        real node itself, the export node port addresses for a sub-match."""
         return nid if nid >= 0 else self._export_target(nid, port)
 
     def _sink(self, pid: str, nid: int, port: int) -> tuple[int | None, Sequence[int]]:
@@ -450,10 +457,10 @@ class _Unifier:
     def _producers(self, target: int | None, ports: Sequence[int]) -> list[int]:
         """The nodes producing target's given in-ports."""
         producer_of = self.producer_of
-        return [src[0] for ip in ports if (src := producer_of.get((target, ip))) is not None]
+        return [src for ip in ports if (src := producer_of.get((target, ip))) is not None]
 
     def _consumers(self, src: int | None) -> Sequence[int]:
-        """The nodes consuming any output of src, ascending."""
+        """The nodes consuming src's value, ascending."""
         return () if src is None else self.successors.get(src, ())
 
     def ctrl_edge_ok(self, edge, binding: dict[str, int]) -> bool:
@@ -484,12 +491,10 @@ class _Unifier:
             if na >= 0 and nb >= 0:
                 # na produces nb's in-port pi, or the other operand when
                 # pattern node b is commutable()
-                src = producer_of.get((nb, pi))
-                if src is None or src[0] != na:
+                if producer_of.get((nb, pi)) != na:
                     if not (b in self.commutable and nb in self.commutative and pi in (0, 1)):
                         return False
-                    src = producer_of.get((nb, 1 - pi))
-                    if src is None or src[0] != na:
+                    if producer_of.get((nb, 1 - pi)) != na:
                         return False
             else:
                 source = self._source(na, po)
@@ -516,11 +521,11 @@ class _Unifier:
                     continue
                 src = producer_of.get((nb, pi))
                 if src is not None:
-                    out.append(src[0])
+                    out.append(src)
                 if b in self.commutable and nb in self.commutative and pi in (0, 1):
                     src = producer_of.get((nb, 1 - pi))
                     if src is not None:
-                        out.append(src[0])
+                        out.append(src)
             else:
                 na = binding[a]
                 if na < 0:
@@ -530,13 +535,9 @@ class _Unifier:
         if not out:
             for a, b, label in step.ctrl_gen:
                 if a == pid:
-                    for t in self._ctrl_nodes(binding[b]):
-                        out.extend(src for src, lab in self.ctrl_in.get(t, ())
-                                   if label is None or lab == label)
+                    out.extend(_ctrl_adjacent(self.ctrl_in, self._ctrl_nodes(binding[b]), label))
                 else:
-                    for s in self._ctrl_nodes(binding[a]):
-                        out.extend(dst for dst, lab in self.ctrl_out.get(s, ())
-                                   if label is None or lab == label)
+                    out.extend(_ctrl_adjacent(self.ctrl_out, self._ctrl_nodes(binding[a]), label))
         return sorted(set(out))
 
     def pseudo_candidates(self, step: _Step, binding: dict[str, int]) -> list[int]:

@@ -31,12 +31,13 @@ sub-match.
 
 Every edge must fit the node shapes the flow graph builder makes
 (`flowgraph.SHAPES`): a data edge leaves an out-port that its source's kind
-has (no kind has more than port 0) and enters an in-port that its target's
-kind has (a JOIN has ports 0 and 1, an OP one per operand of its opcode,
-and a CALL, OUTPUT or EXIT any); a `true` or `false` ctrl edge leaves a
-TEST, and a `back` one enters a LOOPHEAD. The parser refuses a plan that breaks one of
-these, since no graph could match it; `base_validate` refuses a port on a
-sub node at or beyond its sub-plan's export count.
+has (port 0, the node's value, for a kind that makes one) and enters an
+in-port that its target's kind has (a JOIN has ports 0 and 1, an OP one per
+operand of its opcode, and a CALL, OUTPUT or EXIT any); a `true` or `false`
+ctrl edge leaves a TEST, and a `back` one enters a LOOPHEAD. The parser
+refuses a plan that breaks one of these, since no graph could match it;
+`base_validate` refuses a port on a sub node at or beyond its sub-plan's
+export count.
 """
 
 from __future__ import annotations
@@ -663,19 +664,28 @@ def dependency_order(base: PlanBase, names: list[str]) -> list[list[str]]:
     return [sorted(grouped[d]) for d in sorted(grouped)]
 
 
-def plan_files(directory: str | Path) -> dict[Path, list[Plan]]:
-    """The plans of every `.plan` file in the directory, lexicographic filename order."""
+def plan_files(directory: str | Path, errors: list[Exception] | None = None) -> dict[Path, list[Plan]]:
+    """The plans of every `.plan` file in the directory, lexicographic filename
+    order. A file's first plan error is raised, or appended to errors if given."""
     root = Path(directory)
     if not root.is_dir():
         raise FileNotFoundError(f"plan base directory not found: {root}")
-    return {path: parse_plans(path.read_text(encoding="utf-8"), str(path))
-            for path in sorted(root.glob("*.plan"))}
+    files = {}
+    for path in sorted(root.glob("*.plan")):
+        try:
+            files[path] = parse_plans(path.read_text(encoding="utf-8"), str(path))
+        except (PlanSyntaxError, PlanSemanticError) as err:
+            if errors is None:
+                raise
+            errors.append(err)
+    return files
 
 
-def load_plan_base(directory: str | Path) -> PlanBase:
-    """Load every `.plan` file in the directory, lexicographic filename order."""
+def load_plan_base(directory: str | Path, errors: list[Exception] | None = None) -> PlanBase:
+    """Load every `.plan` file in the directory, lexicographic filename order;
+    errors as for plan_files."""
     base = PlanBase()
-    for plans in plan_files(directory).values():
+    for plans in plan_files(directory, errors).values():
         for plan in plans:
             base_add(base, plan)
     return base

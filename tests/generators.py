@@ -79,7 +79,7 @@ def random_plan(rng: random.Random, g: FlowGraph, name: str = "generated") -> Pl
     while len(chosen) < size:
         frontier: list[int] = []
         for nid in chosen:
-            for (src, _), (dst, _) in g.data_edges:
+            for src, (dst, _) in g.data_edges:
                 if src == nid and dst not in chosen:
                     frontier.append(dst)
                 if dst == nid and src not in chosen:
@@ -112,8 +112,8 @@ def random_plan(rng: random.Random, g: FlowGraph, name: str = "generated") -> Pl
 
     chosen_set = set(chosen)
     pdata = tuple(sorted(
-        ((pid_of[src], po), (pid_of[dst], pi))
-        for (src, po), (dst, pi) in g.data_edges
+        ((pid_of[src], 0), (pid_of[dst], pi))
+        for src, (dst, pi) in g.data_edges
         if src in chosen_set and dst in chosen_set
     ))
     pctrl = tuple(sorted(

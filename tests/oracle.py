@@ -35,7 +35,7 @@ def _chains(g: FlowGraph) -> dict[int, int]:
         return x
 
     edges_into: dict[tuple[int, int], int] = {}
-    for (src, _), (dst, ip) in g.data_edges:
+    for src, (dst, ip) in g.data_edges:
         edges_into[(dst, ip)] = src
     for nid, node in g.nodes.items():
         ports = (0, 1) if node.kind is NodeKind.JOIN else (0,) if node.kind is NodeKind.AWRITE else ()
@@ -50,13 +50,13 @@ def _chains(g: FlowGraph) -> dict[int, int]:
 
 def _structure_ok(g: FlowGraph, plan: Plan, binding: dict[str, int],
                   swaps: dict[str, bool]) -> bool:
-    data = set(g.data_edges)
+    data = set(g.data_edges)  # a graph value is its node: port 0 of it
     for (a, po), (b, pi) in plan.pdata:
         nb = binding[b]
         eff = pi
         if swaps.get(b) and g.nodes[nb].in_ports == 2 and pi in (0, 1):
             eff = 1 - pi
-        if ((binding[a], po), (nb, eff)) not in data:
+        if po != 0 or (binding[a], (nb, eff)) not in data:
             return False
     ctrl = set(g.ctrl_edges)
     for a, b, label in plan.pctrl:

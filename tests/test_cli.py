@@ -531,6 +531,24 @@ def test_an_impossible_edit_of_a_shipped_plan_is_refused(work, tmp_path, capsys,
         assert message in out and out.endswith("16 plan(s), 1 problem(s)\n")
 
 
+def test_plan_check_names_the_first_plan_error_of_every_file(work, capsys):
+    edits = {"counted-loop": ("data c1:0 -> inc:1", "data c1:0 -> inc:2"),
+             "running-total": ("data c0:0 -> js:0", "data c0:0 -> js:2")}
+    for name, (line, replacement) in edits.items():
+        path = work / "plans" / f"{name}.plan"
+        text = path.read_text()
+        assert text.count(line + "\n") == 1
+        path.write_text(text.replace(line + "\n", replacement + "\n"))
+    assert main(["plan", "check", "--plans", str(work / "plans")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert [line.split(":")[:2] for line in lines] == [["adil", " plan 'counted-loop' (line 5)"],
+                                                     ["adil", " plan 'running-total' (line 4)"]]
+    assert "inc (kind=OP op=ADD) has no in-port 2" in lines[0]
+    assert "js (kind=JOIN) has no in-port 2" in lines[1]
+
+
 @pytest.mark.parametrize("command", ["graph", "acquire"])
 def test_a_variable_read_before_assignment_exits_1_with_a_message(work, tmp_path, capsys, command):
     program = tmp_path / "unb.c"

@@ -56,8 +56,8 @@ def test_straight_line_assignments():
     assert add.ann.var_name == "y"
     one = next(n for n in g.nodes.values() if n.kind is NodeKind.CONST and n.value == 1)
     two = next(n for n in g.nodes.values() if n.kind is NodeKind.CONST and n.value == 2)
-    assert ((one.id, 0), (add.id, 0)) in g.data_edges
-    assert ((two.id, 0), (add.id, 1)) in g.data_edges
+    assert (one.id, (add.id, 0)) in g.data_edges
+    assert (two.id, (add.id, 1)) in g.data_edges
     assert one.ann.var_name == "x"
 
 
@@ -187,7 +187,7 @@ def test_straight_line_graphs_are_acyclic():
     # no joins at all, so removing nothing must leave a DAG: validate covers
     # the loop-aware rule; here we assert no data cycle exists outright
     succ = {}
-    for (src, _), (dst, _) in g.data_edges:
+    for src, (dst, _) in g.data_edges:
         succ.setdefault(src, []).append(dst)
     state = {}
 
@@ -310,7 +310,7 @@ def test_validate_reports_a_data_cycle_outside_joins():
     (add,) = [nid for nid, n in g.nodes.items() if n.opcode is OpCode.ADD]
     (mul,) = [nid for nid, n in g.nodes.items() if n.opcode is OpCode.MUL]
     # feed the product back into the sum that it is computed from
-    edges = {e for e in g.data_edges if e[1] != (add, 0)} | {((mul, 0), (add, 0))}
+    edges = {e for e in g.data_edges if e[1] != (add, 0)} | {(mul, (add, 0))}
     cyclic = flowgraph.FlowGraph(g.nodes, frozenset(edges), g.ctrl_edges, g.entry, g.exit)
     assert validate(cyclic) == ["data edges contain a cycle that avoids JOIN back-inputs"]
 
@@ -323,7 +323,7 @@ def _sorted_edge_views(g):
     producer_of, successors, ctrl_out, ctrl_in = {}, {}, {}, {}
     for src, dst in sorted(g.data_edges):
         producer_of[dst] = src
-        listed = successors.setdefault(src[0], [])
+        listed = successors.setdefault(src, [])
         if dst[0] not in listed:
             listed.append(dst[0])
     successors = {node: sorted(listed) for node, listed in successors.items()}
@@ -359,10 +359,10 @@ def test_two_producers_on_one_in_port_keep_the_larger_source():
     mul, = [nid for nid, n in g.nodes.items() if n.opcode is OpCode.MUL]
     add = max(nid for nid, n in g.nodes.items() if n.opcode is OpCode.ADD)
     param, = [nid for nid, n in g.nodes.items() if n.kind is NodeKind.PARAM]
-    edges = g.data_edges | {((param, 0), (add, 0)), ((mul, 0), (add, 0))}
+    edges = g.data_edges | {(param, (add, 0)), (mul, (add, 0))}
     doubled = flowgraph.FlowGraph(g.nodes, frozenset(edges), g.ctrl_edges, g.entry, g.exit)
     assert "node %d in_port 0 has 3 producers" % add in validate(doubled)
-    assert doubled.producer(add, 0) == max(src for src, dst in edges if dst == (add, 0))
+    assert doubled.producer_of[(add, 0)] == max(src for src, dst in edges if dst == (add, 0))
     _assert_views_match_sorted_edges(doubled)
     assert commutative_nodes(doubled) == {nid for nid, n in g.nodes.items()
                                           if n.opcode in (OpCode.ADD, OpCode.MUL)}
@@ -370,9 +370,9 @@ def test_two_producers_on_one_in_port_keep_the_larger_source():
     # node shape
     n = g.nodes[mul]
     nodes = dict(g.nodes)
-    nodes[mul] = flowgraph.GraphNode(n.id, n.kind, 1, n.out_ports, n.ann, n.opcode, n.value)
+    nodes[mul] = flowgraph.GraphNode(n.id, n.kind, 1, n.ann, n.opcode, n.value)
     unary = flowgraph.FlowGraph(nodes, g.data_edges, g.ctrl_edges, g.entry, g.exit)
-    assert f"node {mul} (OP MUL) has 1 in- and 1 out-ports, not 2 and 1" in validate(unary)
+    assert f"node {mul} (OP MUL) has 1 in-ports, not 2" in validate(unary)
 
 
 # validate as it was before it counted each LOOPHEAD's back edges from
@@ -387,12 +387,15 @@ def _reference_validate(g) -> list[str]:
             count = producers.get((nid, port), 0)
             if count != 1:
                 problems.append(f"node {nid} in_port {port} has {count} producers")
-    for (src, op), (dst, ip) in g.data_edges:
-        if op >= g.nodes[src].out_ports or ip >= g.nodes[dst].in_ports:
-            problems.append(f"edge ({src}:{op})->({dst}:{ip}) out of port range")
+    for src, (dst, ip) in g.data_edges:
+        kind = g.nodes[src].kind
+        if not flowgraph.SHAPES[kind][1]:
+            problems.append(f"edge {src}->({dst}:{ip}) leaves a {kind.value}, which makes no value")
+        if ip >= g.nodes[dst].in_ports:
+            problems.append(f"edge {src}->({dst}:{ip}) out of port range")
 
     succs: dict[int, list[int]] = {nid: [] for nid in g.nodes}
-    for (src, _), (dst, ip) in g.data_edges:
+    for src, (dst, ip) in g.data_edges:
         if g.nodes[dst].kind is NodeKind.JOIN and ip == 1:
             continue
         succs[src].append(dst)
@@ -403,7 +406,7 @@ def _reference_validate(g) -> list[str]:
     stack = [g.entry]
     while stack:
         v = stack.pop()
-        for w, _ in g.ctrl_succs(v):
+        for w, _ in g.ctrl_out.get(v, ()):
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -415,7 +418,7 @@ def _reference_validate(g) -> list[str]:
     stack = [g.exit]
     while stack:
         v = stack.pop()
-        for w, _ in g.ctrl_preds(v):
+        for w, _ in g.ctrl_in.get(v, ()):
             if w not in reaches_exit:
                 reaches_exit.add(w)
                 stack.append(w)
@@ -478,3 +481,19 @@ def test_validate_reports_a_branch_edge_that_leaves_no_test():
     for label in ("true", "false"):
         problem = f"{label} edge {seq[0]}->{seq[1]} does not leave a TEST"
         assert validate(_relabel(g, {seq: label})) == [problem]
+
+
+def test_validate_reports_a_data_edge_from_each_kind_that_makes_no_value():
+    g = graph_of('int main(){int i;i=0;while(i<3){printf("%d", i);i=i+1;}return i;}')
+    first = {n.kind: nid for nid, n in sorted(g.nodes.items(), reverse=True)}
+    kinds = [kind for kind, (_, outs) in flowgraph.SHAPES.items() if not outs]
+    assert kinds == [NodeKind.ENTRY, NodeKind.EXIT, NodeKind.TEST, NodeKind.LOOPHEAD, NodeKind.OUTPUT]
+    for kind in kinds:
+        # the edge replaces the one into the return value's (or, from EXIT,
+        # the printed value's) in-port, so nothing else is wrong
+        src = first[kind]
+        dst = first[NodeKind.OUTPUT if kind is NodeKind.EXIT else NodeKind.EXIT]
+        edges = {e for e in g.data_edges if e[1] != (dst, 0)} | {(src, (dst, 0))}
+        broken = flowgraph.FlowGraph(g.nodes, frozenset(edges), g.ctrl_edges, g.entry, g.exit)
+        problem = f"edge {src}->({dst}:0) leaves a {kind.value}, which makes no value"
+        assert validate(broken) == _reference_validate(broken) == [problem]

@@ -331,7 +331,7 @@ def test_an_array_argument_is_a_bare_array_name():
     # the graph passes the array itself: the CALL's in-port 0 is fed by b's node
     g = build_flow_graph(desugar(ast))
     (node,) = [n for n in g.nodes.values() if n.ann.role == "g"]
-    src, _ = g.producer(node.id, 0)
+    src = g.producer_of[(node.id, 0)]
     assert g.nodes[src].ann.var_name == "b" and g.nodes[src].ann.role == "array[2]"
 
 

@@ -591,7 +591,7 @@ class _ReferenceUnifier(matcher._Unifier):
 
     def out_sources(self, nid, port):
         if nid >= 0:
-            return {nid} if port < self.g.nodes[nid].out_ports else set()
+            return {nid} if port == 0 else set()  # a graph value is its node
         exports = self.pseudo_by_id[nid].export_nodes
         return {exports[port]} if port < len(exports) else set()
 
@@ -607,8 +607,7 @@ class _ReferenceUnifier(matcher._Unifier):
         (a, po), (b, pi) = edge
         sources = self.out_sources(binding[a], po)
         target, ports = self.in_targets(b, binding[b], pi)
-        return any((src := self.g.producer(target, ip)) is not None and src[0] in sources
-                   for ip in ports)
+        return any(self.g.producer_of.get((target, ip)) in sources for ip in ports)
 
     def ctrl_nodes(self, nid):
         return {nid} if nid >= 0 else self.pseudo_by_id[nid].all_nodes
@@ -617,7 +616,7 @@ class _ReferenceUnifier(matcher._Unifier):
         a, b, label = edge
         targets = self.ctrl_nodes(binding[b])
         return any(dst in targets and (label is None or lab == label)
-                   for src in self.ctrl_nodes(binding[a]) for dst, lab in self.g.ctrl_succs(src))
+                   for src in self.ctrl_nodes(binding[a]) for dst, lab in self.g.ctrl_out.get(src, ()))
 
     def consistent(self, pid, nid, binding):
         return (self.node_matches(pid, nid)
@@ -635,20 +634,19 @@ class _ReferenceUnifier(matcher._Unifier):
             (a, po), (b, pi) = edge
             if a == pid and b in binding:
                 target, ports = self.in_targets(b, binding[b], pi)
-                out += [src[0] for ip in ports if (src := self.g.producer(target, ip)) is not None]
+                out += [src for ip in ports if (src := self.g.producer_of.get((target, ip))) is not None]
             elif b == pid and a in binding:
                 # straight from the edges, not from the successor lists
                 sources = self.out_sources(binding[a], po)
-                out += [dst for (src, op), (dst, _) in self.g.data_edges
-                        if src in sources and op < self.g.nodes[src].out_ports]
+                out += [dst for src, (dst, _) in self.g.data_edges if src in sources]
         if not out:
             for _, (a, b, label) in self.plan.tables.ctrl_at[pid]:
                 if a == pid and b in binding:
                     out += [src for t in self.ctrl_nodes(binding[b])
-                            for src, lab in self.g.ctrl_preds(t) if label is None or lab == label]
+                            for src, lab in self.g.ctrl_in.get(t, ()) if label is None or lab == label]
                 elif b == pid and a in binding:
                     out += [dst for s in self.ctrl_nodes(binding[a])
-                            for dst, lab in self.g.ctrl_succs(s) if label is None or lab == label]
+                            for dst, lab in self.g.ctrl_out.get(s, ()) if label is None or lab == label]
         return sorted(set(out))
 
     def run(self):
@@ -1082,7 +1080,7 @@ def _doubling_chain():
 
 def test_kernels_agree_with_extend_on_a_dense_chain_with_a_doubling_step():
     g, x2, x3 = _doubling_chain()
-    assert sorted(dst for (src, _), (dst, _) in g.data_edges if src == x2).count(x3) == 2
+    assert sorted(dst for src, (dst, _) in g.data_edges if src == x2).count(x3) == 2
     assert g.successors[x2].count(x3) == 1  # listed once, so tried once
     plan = parse_plan(CHAIN_PLAN)
     stages, _ = _tiers_agree(g, plan)

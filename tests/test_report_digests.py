@@ -1,13 +1,14 @@
 """Report and graph bytes are pinned: a sha256 over report JSON plus
-rendered text, and one over flow-graph JSON.
+rendered text, one over flow-graph JSON and one over flow-graph DOT.
 
 Any change that is meant to leave adil's output alone must keep these
 digests. One report digest covers each benchmark workload (its items at
 seeds 3 and 17, graded through the benchmark's own pipeline), and one covers
 the 21 corpus programs graded as `adil analyze` grades them. The graph
 digests cover the same programs, each lowered by `build_flow_graph` as
-`adil graph --json` prints it. A change that alters reports or graphs on
-purpose re-derives the pins and says why.
+`adil graph --json` prints it and, for the DOT digests, as `adil graph`
+prints it. A change that alters reports or graphs on purpose re-derives the
+pins and says why.
 """
 
 from __future__ import annotations
@@ -45,6 +46,14 @@ WORKLOAD_GRAPH_DIGESTS = {
 }
 CORPUS_GRAPH_DIGEST = "80c438876c1816c3d63395a7f884fb04b377b32c980c7389ecc76bd05b5406ed"
 
+WORKLOAD_DOT_DIGESTS = {
+    "class-batch": "f261aa8d3463f61fa4bb233bfb3680acbf2f0365cd71a8d5287357ffefcf2e12",
+    "large-program": "6afece2f5bd32ed3b978efa7548527a4d295dece326039672e893e32718eeed1",
+    "dense-chain": "4191d4c9a0509e208349f0dcad4d39ca24408e43d6ed6784ef65794ad6b61590",
+    "authoring": "a76549b48a7f10e18d59d8d8e40c3f97f78603aa8e9bb34326d4b8478743b8fa",
+}
+CORPUS_DOT_DIGEST = "62dd2ddb526d0bb0376f3e4d48984409b36ec3bc233793669b164d58852986b8"
+
 
 def _digest(parts) -> str:
     h = hashlib.sha256()
@@ -55,14 +64,14 @@ def _digest(parts) -> str:
     return h.hexdigest()
 
 
-def graph_digest(programs) -> str:
-    """Digest of each (name, source)'s graph JSON, or of the UnboundVariable
-    message where the build stops at one."""
+def graph_digest(programs, render=flowgraph.to_json) -> str:
+    """Digest of each (name, source)'s graph as render writes it (JSON by
+    default), or of the UnboundVariable message where the build stops at one."""
     parts = []
     for name, source in programs:
         ast = frontend.desugar(frontend.parse_c(source, filename=name))
         try:
-            parts.append(flowgraph.to_json(flowgraph.build_flow_graph(ast)))
+            parts.append(render(flowgraph.build_flow_graph(ast)))
         except flowgraph.UnboundVariable as err:
             parts.append(str(err))
     return _digest(parts)
@@ -124,3 +133,12 @@ def test_workload_graphs_are_byte_identical(workload):
 
 def test_corpus_graphs_are_byte_identical(corpus_cases):
     assert graph_digest(_corpus_programs(corpus_cases)) == CORPUS_GRAPH_DIGEST
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_workload_dots_are_byte_identical(workload):
+    assert graph_digest(_workload_programs(workload), flowgraph.to_dot) == WORKLOAD_DOT_DIGESTS[workload]
+
+
+def test_corpus_dots_are_byte_identical(corpus_cases):
+    assert graph_digest(_corpus_programs(corpus_cases), flowgraph.to_dot) == CORPUS_DOT_DIGEST
