@@ -1,7 +1,11 @@
 """Unification in action: exact matches, near-misses, constraint failures.
 
 Matches the shipped running-total cliche against a correct sum, a product
-(wrong operator), and a wrong-initializer variant. Run from the repo root:
+(wrong operator), and a wrong-initializer variant, and lists every result of
+every plan in the goal's closure. A plan's near-miss stage runs the first
+time its near-misses are read; `by_plan` reads them all, so recognized plans
+and bug cliches list theirs too, where a diagnosis would read only those it
+reports. Run from the repo root:
 
     python demos/03_recognition.py
 """

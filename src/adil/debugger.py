@@ -19,8 +19,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import explain
 from .flowgraph import FlowGraph, UnboundVariable
-from .matcher import (MatchResult, Recognition, SearchBudget, binding_values, recognize,
-                      theta_fraction)
+from .matcher import MatchResult, Recognition, SearchBudget, binding_values, recognize
 from .planlib import _STRING, Plan, PlanBase, _unescape, strip_comment, sub_closure
 from .records import record
 from .source import SourceSpan, span_hull
@@ -105,9 +104,8 @@ class Finding:
     span: SourceSpan
     evidence: str
     confidence: Fraction
-    # render support, never serialized: the match backing this finding and
-    # the plan whose doc template explains it
-    match: MatchResult | None = field(default=None, compare=False)
+    # render support, never serialized: the plan whose doc template explains
+    # this finding, and the values it is filled with
     doc_plan: str | None = field(default=None, compare=False)
     doc_env: tuple[dict[str, str], dict[str, str]] | None = field(default=None, compare=False)
 
@@ -144,13 +142,13 @@ def diagnose(g: FlowGraph, spec: ProgramSpec, base: PlanBase,
         base.get(name)  # unresolvable goals are a caller error, not a finding
     rec = recognize(g, base, goal_names if use_filtering else None, budget)
 
-    theta = theta_fraction(budget.theta)
     findings: list[Finding] = []
     verdicts: dict[str, str] = {}
     recognized: dict[str, MatchResult] = {}
+    missing: list[tuple[str, list[str]]] = []  # required goals found MISSING, with their plans
 
     for goal in spec.goals:
-        relevant = rec.scopes[goal.name] if use_filtering else sub_closure(base, goal.name)
+        relevant = sub_closure(base, goal.name)
         goal_findings: list[Finding] = []
 
         accepted = rec.best_accepted(goal.name)
@@ -169,7 +167,7 @@ def diagnose(g: FlowGraph, spec: ProgramSpec, base: PlanBase,
         if accepted is None:
             for plan_name in relevant:
                 near = rec.best_near_miss(plan_name)
-                if near is None or near.score < theta:
+                if near is None:
                     continue
                 failures = [o for o in near.constraint_outcomes if o.evaluated and not o.passed]
                 for outcome in failures:
@@ -183,9 +181,12 @@ def diagnose(g: FlowGraph, spec: ProgramSpec, base: PlanBase,
         else:
             verdicts[goal.name] = "MISSING"
             if goal.required:
-                goal_findings.append(_missing_finding(goal.name, relevant, rec, g))
+                missing.append((goal.name, relevant))
         findings.extend(goal_findings)
 
+    # after every goal has read its plans: each read may resume a search the
+    # budget then cuts short, and a MISSING finding notes any truncation
+    findings.extend(_missing_finding(goal, relevant, rec, g) for goal, relevant in missing)
     findings.sort(key=lambda f: (f.span.line_start, _KIND_ORDER[f.kind], f.goal, f.bug_plan or ""))
 
     meaning: str | None = None
@@ -261,7 +262,6 @@ def _bug_finding(goal: str, bug: Plan, bug_match: MatchResult, rec: Recognition,
         span=pinpoint(delta, g),
         evidence=evidence,
         confidence=bug_match.score,
-        match=bug_match,
         doc_plan=bug.name,
         doc_env=_doc_env(bug, bug_match, g),
     )
@@ -291,7 +291,6 @@ def _violation_finding(goal: str, plan: Plan, near: MatchResult, outcome, g: Flo
         span=span,
         evidence=outcome.detail,
         confidence=near.score * Fraction(passing, total),
-        match=near,
         doc_plan=plan.name,
         doc_env=_doc_env(plan, near, g),
     )

@@ -96,14 +96,12 @@ comes near that. Stage two always runs `extend`.
 
 Hierarchy is bottom-up: accepted matches of a sub-plan become bindable
 pseudo-nodes for the plans that contain it, and `recognize` orders plans so
-sub-plans always run first. Every plan's first stage runs before any second
-stage, so those accepted lists are final when they are bound; they are the
-only results `recognize` builds for itself. Given goals,
-`recognize` resumes only the plans whose near-misses a diagnosis reads: the
-sub-closure of each goal without an accepted match, and the plan each
-accepted bug plan corrupts when a goal's sub-closure holds it. Every other
-plan lists its full matches alone; every accepted list is the same as with
-the whole search.
+sub-plans always run first. `recognize` runs first stages only, so those
+accepted lists are final when they are bound; they are the only results it
+builds for itself. A plan's second stage runs the first time a reader of the
+returned `Recognition` asks for more than its full matches, so a diagnosis
+resumes just the plans whose near-misses it reads. Every other plan lists its
+full matches alone; every accepted list is the same as with the whole search.
 
 Results are deterministic: identical inputs produce identical result lists,
 in an order fixed by a total sort key, not by the order of exploration.
@@ -118,7 +116,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .flowgraph import FlowGraph, NodeKind, commutative_nodes, node_index, value_chains
-from .planlib import Plan, PlanBase, PlanTables, Predicate, closure, dependency_order, sub_closure
+from .planlib import Plan, PlanBase, PlanTables, Predicate, closure, dependency_order
 from .records import record
 from .source import SourceSpan
 
@@ -197,11 +195,12 @@ class Recognition:
     """recognize() output: per-plan results plus the plans whose search was cut short.
 
     A plan's results are every maximal match scoring at least theta, best
-    first, for each plan whose near-miss stage ran. The others (when
-    recognize was given goals: bug plans, plans of recognized goals unless an
-    accepted bug plan corrupts them, and sub-plans only bug plans use) list
-    their full matches (score 1) only. A truncated plan lists what its search
-    found before the budget ran out.
+    first. recognize ran each plan's first stage, which finds its full
+    matches; its near-miss stage runs once, the first time a reader asks for
+    more than those (`best`, `best_near_miss`, `by_plan`). So `truncated`
+    grows as plans are read. A plan truncated in the first stage is never
+    resumed, and a truncated plan lists what its search found before the
+    budget ran out.
 
     Each plan keeps its bindings in result order, and a MatchResult (with its
     constraint checks) is built only when a reader reaches it, and once.
@@ -210,20 +209,33 @@ class Recognition:
     every plan, the first time it is read.
     """
 
-    def __init__(self, ranked: dict[str, tuple[_Unifier, list[dict[str, int]]]],
-                 truncated: frozenset[str], scopes: dict[str, list[str]]):
-        self._ranked = ranked  # plan -> (its finished search, bindings best first)
-        self.truncated = truncated
-        self.scopes = scopes  # goal -> its sub_closure; empty when recognize had no goals
+    def __init__(self) -> None:
+        # plan -> (its search, bindings best first)
+        self._ranked: dict[str, tuple[_Unifier, list[dict[str, int]]]] = {}
+        self._pending: dict[str, _Unifier] = {}  # plan -> its search, before its near-miss stage
+        self.truncated: set[str] = set()
         self._by_plan: dict[str, list[MatchResult]] | None = None
+
+    def run_stage(self, name: str, search: _Unifier, stage: Callable[[], list[dict[str, int]]]) -> None:
+        """Runs one stage of name's search and keeps its bindings; a stage the
+        budget cuts short keeps what it found, and marks the plan truncated."""
+        try:
+            self._ranked[name] = (search, stage())
+        except BudgetExceeded:
+            self._ranked[name] = (search, search.finish())
+            self.truncated.add(name)
 
     @property
     def by_plan(self) -> dict[str, list[MatchResult]]:
         if self._by_plan is None:
-            self._by_plan = {name: list(self._results(name, False)) for name in self._ranked}
+            self._by_plan = {name: list(self._results(name, False)) for name in sorted(self._ranked)}
         return self._by_plan
 
     def _results(self, plan: str, full_only: bool) -> Iterator[MatchResult]:
+        if not full_only and plan in self._pending:
+            search = self._pending.pop(plan)
+            self.run_stage(plan, search, search.resume)
+            search.end_search()
         search, bindings = self._ranked.get(plan, (None, ()))
         for binding in bindings:
             if full_only and len(binding) < search.size:
@@ -852,60 +864,32 @@ def recognize(g: FlowGraph, base: PlanBase, goals: set[str] | list[str] | None =
               budget: SearchBudget | None = None) -> Recognition:
     """Match the goal closure (or the whole base) bottom-up against the graph.
 
-    Every plan first runs the search's first stage, which finds all its full
+    Every plan runs the search's first stage, which finds all its full
     matches, so the accepted lists that parent plans bind are final. Only
     plans that another plan binds as a sub-plan have their accepted results
-    built here, since those become pseudo-nodes; every other plan is asked
-    only whether it has an accepted match. Then the near-miss stage resumes,
-    once each, only the plans whose near-misses a diagnosis reads: the
-    sub-closure of each goal with no accepted match, and the plan each
-    accepted bug plan corrupts when that plan lies in a goal's sub-closure.
-    Without goals, every plan is resumed. A plan never resumed lists its full
-    matches only; a plan truncated in the first stage is not resumed. The
-    returned Recognition builds any other result when it is first read.
+    built here, since those become pseudo-nodes. A plan's near-miss stage
+    runs when the returned Recognition is first asked for more than its full
+    matches, so only the plans a reader needs are resumed; a plan truncated
+    in the first stage never is. The Recognition builds every other result
+    when it is first read.
     """
     budget = budget or SearchBudget()
     names = base.names() if goals is None else closure(base, list(goals))
-    scopes = {} if goals is None else {goal: sub_closure(base, goal) for goal in goals}
     sub_plans = {name: base.plans[name] for name in names}
     bound_as_sub = {sub for name in names for sub in base.plans[name].tables.subplans}
-    ranked: dict[str, tuple[_Unifier, list[dict[str, int]]]] = {}
-    found = Recognition(ranked, frozenset(), scopes)  # reads the plans ranked so far
+    rec = Recognition()
     accepted: dict[str, list[MatchResult]] = {}
-    searches: dict[str, _Unifier] = {}
-    truncated: set[str] = set()
-
-    def run_stage(name: str, search: _Unifier, stage) -> None:
-        try:
-            ranked[name] = (search, stage())
-        except BudgetExceeded:
-            ranked[name] = (search, search.finish())
-            truncated.add(name)
-
     for level in dependency_order(base, names):
         for name in level:
             search = _Unifier(g, base.plans[name], budget, accepted, sub_plans)
-            run_stage(name, search, search.first_stage)
-            if name not in truncated:
-                searches[name] = search
+            rec.run_stage(name, search, search.first_stage)
+            if name in rec.truncated:
+                search.end_search()
+            else:
+                rec._pending[name] = search
             if name in bound_as_sub:
-                accepted[name] = found.accepted(name)
-
-    if goals is None:
-        wanted = set(names)
-    else:
-        in_scope = {name for scope in scopes.values() for name in scope}
-        wanted = {name for goal, scope in scopes.items()
-                  if found.best_accepted(goal) is None for name in scope}
-        wanted.update(base.plans[name].corrupts for name in names
-                      if base.plans[name].kind == "bug" and base.plans[name].corrupts in in_scope
-                      and found.best_accepted(name) is not None)
-    for name in names:
-        if name in wanted and name in searches:
-            run_stage(name, searches[name], searches[name].resume)
-    for search, _ in ranked.values():
-        search.end_search()
-    return Recognition({name: ranked[name] for name in names}, frozenset(truncated), scopes)
+                accepted[name] = rec.accepted(name)
+    return rec
 
 
 # ---------------------------------------------------------------------------

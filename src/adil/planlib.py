@@ -357,7 +357,7 @@ class _PlanFileParser:
         try:
             check_plan(plan)
         except PlanSemanticError as err:
-            raise PlanSemanticError(f"plan {plan.name!r} (line {header_line}): {err}") from None
+            raise PlanSemanticError(f"{self.span(header_line)}: plan {plan.name!r}: {err}") from None
         return plan
 
 

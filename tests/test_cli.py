@@ -519,14 +519,14 @@ def test_an_impossible_edit_of_a_shipped_plan_is_refused(work, tmp_path, capsys,
     assert main(["plan", "add", str(new_plan), "--plans", str(work / "plans")]) == code
     err = capsys.readouterr().err
     assert message in err
-    assert err.startswith("adil: plan 'running-total-edited' (line 4): " if code == 2 else
+    assert err.startswith(f"adil: {new_plan}:4:1: plan 'running-total-edited': " if code == 2 else
                           "adil: refusing to add running-total-edited")
     assert _plan_dir_bytes(work) == before
     shipped.write_text(edited)
     assert main(["plan", "check", "--plans", str(work / "plans")]) == code
     out, err = capsys.readouterr()
     if code == 2:
-        assert err.startswith("adil: plan 'running-total' (line 4): ") and message in err
+        assert err.startswith(f"adil: {shipped}:4:1: plan 'running-total': ") and message in err
     else:
         assert message in out and out.endswith("16 plan(s), 1 problem(s)\n")
 
@@ -543,8 +543,10 @@ def test_plan_check_names_the_first_plan_error_of_every_file(work, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     lines = err.splitlines()
-    assert [line.split(":")[:2] for line in lines] == [["adil", " plan 'counted-loop' (line 5)"],
-                                                     ["adil", " plan 'running-total' (line 4)"]]
+    plans = work / "plans"
+    assert [line.split(": data edge")[0] for line in lines] == [
+        f"adil: {plans / 'counted-loop.plan'}:5:1: plan 'counted-loop'",
+        f"adil: {plans / 'running-total.plan'}:4:1: plan 'running-total'"]
     assert "inc (kind=OP op=ADD) has no in-port 2" in lines[0]
     assert "js (kind=JOIN) has no in-port 2" in lines[1]
 

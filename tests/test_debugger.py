@@ -161,10 +161,10 @@ def test_diagnose_never_mutates_inputs(base):
 
 
 def test_diagnose_filtering_is_conservative(base, corpus_cases):
-    # filtering by goal closure (which runs the near-miss stage only for the
-    # plans a diagnosis reads) must not change a byte of the report or its
-    # rendering; the extra programs need the plans that accepted bug plans
-    # corrupt resumed although their goal is recognized
+    # filtering by goal closure (which searches only the plans a diagnosis
+    # may read) must not change a byte of the report or its rendering; the
+    # extra programs need the plans that accepted bug plans corrupt read
+    # although their goal is recognized
     cases = [(program.read_text(), program.name, parse_spec(spec_path.read_text()))
              for program, spec_path in corpus_cases]
     cases += [(source, name, parse_spec(_spec())) for name, source in GOAL_AND_BUG_PROGRAMS]
@@ -185,7 +185,7 @@ def test_diagnose_computes_each_goal_sub_closure_once(base, corpus_cases, monkey
         calls.append(name)
         return real(b, name)
 
-    for module in (planlib, matcher, debugger):
+    for module in (planlib, debugger):
         monkeypatch.setattr(module, "sub_closure", counted)
     for program, spec_path in corpus_cases:
         spec = parse_spec(spec_path.read_text())
@@ -293,6 +293,22 @@ def test_budget_truncation_sets_flag():
     roomy = diagnose(g, spec, chain_base, SearchBudget(max_extension_steps=1_000_000))
     assert roomy.budget_truncated is False
     assert roomy.verdicts == {"add-chain": "RECOGNIZED"}
+
+
+
+def test_a_missing_goal_notes_truncation_by_a_later_goal(base):
+    # no first stage is cut short at this budget; the near-miss stages of
+    # running-total and counted-loop are, when the second goal (unrecognized)
+    # reads its plans, so the first goal's MISSING finding is written only
+    # once every goal has read its plans
+    path = ROOT / "corpus" / "bugs" / "average__swapped_operands.c"
+    g = graph_of(path.read_text(), path.name)
+    spec = parse_spec(_spec('goal "sentinel-input-loop" required\ngoal "average" required'))
+    report = diagnose(g, spec, base, SearchBudget(max_extension_steps=9))
+    assert report.verdicts == {"sentinel-input-loop": "MISSING", "average": "BUGGY"}
+    [missing] = [f for f in report.findings if f.kind is FindingKind.MISSING_GOAL]
+    assert missing.evidence.endswith("(search was truncated by the matching budget)")
+    assert report.budget_truncated
 
 
 # -- the report writer against json.dumps

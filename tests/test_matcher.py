@@ -461,7 +461,7 @@ def test_steps_per_plan_on_the_corpus(steps_per_plan, corpus_dir, base):
     for relpath, expected in CORPUS_STEPS.items():
         path = corpus_dir / relpath
         steps_per_plan.clear()
-        recognize(graph_of(path.read_text(), path.name), base)
+        recognize(graph_of(path.read_text(), path.name), base).by_plan  # runs every near-miss stage
         assert tuple(steps_per_plan[name] for name in STEP_PLANS) == expected, relpath
 
 
@@ -486,7 +486,7 @@ base = load_plan_base(ROOT / "plans")
 for relpath in sys.argv[1:]:
     counted.clear()
     path = ROOT / "corpus" / relpath
-    matcher.recognize(graph_of(path.read_text(), path.name), base)
+    matcher.recognize(graph_of(path.read_text(), path.name), base).by_plan
     found[relpath] = [counted[name] for name in sorted(base.plans)]
 print(json.dumps(found))
 """
@@ -517,10 +517,10 @@ def test_one_base_shares_its_compiled_orders_across_graphs(plans_dir, corpus_dir
         for path in paths:
             steps.clear()
             fresh = recognize(graphs[path], load_plan_base(plans_dir))
-            fresh_steps = dict(steps)
+            found = (fresh.by_plan, fresh.truncated, dict(steps))  # by_plan first: it resumes
             steps.clear()
             got = recognize(graphs[path], shared)
-            assert (got.by_plan, got.truncated, steps) == (fresh.by_plan, fresh.truncated, fresh_steps), path
+            assert (got.by_plan, got.truncated, steps) == found, path
 
     with pytest.MonkeyPatch.context() as mp:
         steps = _count_steps(mp.setattr)
@@ -842,7 +842,7 @@ def test_no_binding_is_recorded_twice_or_by_both_stages(theta, corpus_dir, base)
 
 
 def _resumed(base, goals, everything):
-    """The plans a goal-directed recognize resumes, from the whole-base results:
+    """The plans a diagnosis of goals resumes, from the whole-base results:
     the sub-closure of each goal without an accepted match, and the plan each
     accepted bug plan corrupts when that plan lies in a goal's sub-closure."""
     in_scope = {name for goal in goals for name in sub_closure(base, goal)}
@@ -853,27 +853,44 @@ def _resumed(base, goals, everything):
     return wanted
 
 
-def test_goal_directed_recognize_searches_bug_plans_for_full_matches(corpus_cases, base):
-    cases = [(program.read_text(), program.name,
-              [goal.name for goal in parse_spec(spec_path.read_text()).goals])
+def test_goal_directed_recognize_searches_bug_plans_for_full_matches(corpus_cases, base, monkeypatch):
+    # a plan's near-miss stage runs when a reader first asks for more than
+    # its full matches; diagnose asks exactly for the plans _resumed names
+    resumed: list[str] = []
+    resume = matcher._Unifier.resume
+
+    def spied(self):
+        resumed.append(self.plan.name)
+        return resume(self)
+
+    monkeypatch.setattr(matcher._Unifier, "resume", spied)
+    cases = [(program.read_text(), program.name, parse_spec(spec_path.read_text()))
              for program, spec_path in corpus_cases]
-    cases += [(source, name, ["running-total"]) for name, source in GOAL_AND_BUG_PROGRAMS]
+    running_total = parse_spec('spec "sum"\ngoal "running-total" required\nend\n')
+    cases += [(source, name, running_total) for name, source in GOAL_AND_BUG_PROGRAMS]
     unread_near_misses = 0
     resumed_for_a_bug = 0
-    for source, program, goals in cases:
+    for source, program, spec in cases:
         g = graph_of(source, program)
-        directed = recognize(g, base, goals=goals)
+        goals = [goal.name for goal in spec.goals]
+        resumed.clear()
+        diagnose(g, spec, base)
+        read = sorted(resumed)
         everything = recognize(g, base)
-        resumed = _resumed(base, goals, everything)
-        resumed_for_a_bug += any(everything.accepted(goal) for goal in goals) and bool(resumed)
+        expected = _resumed(base, goals, everything)
+        assert read == sorted(expected), program  # each plan resumed once
+        resumed_for_a_bug += any(everything.accepted(goal) for goal in goals) and bool(expected)
+        directed = recognize(g, base, goals=goals)
         for name, results in directed.by_plan.items():
-            assert directed.accepted(name) == everything.accepted(name), (program, name)
-            if name in resumed:
-                assert results == everything.by_plan[name], (program, name)
-            else:
-                full = [r for r in everything.by_plan[name] if r.score == 1]
-                assert results == full, (program, name)
-                unread_near_misses += len(everything.by_plan[name]) - len(full)
+            assert results == everything.by_plan[name], (program, name)
+            if name not in expected:
+                unread_near_misses += sum(r.score < 1 for r in results)
+        # a second read of the same plan resumes nothing
+        rec = recognize(g, base, goals=goals)
+        resumed.clear()
+        for _ in range(2):
+            rec.best_near_miss(goals[0])
+        assert resumed == [goals[0]], program
     assert unread_near_misses  # the whole-base search does find near-misses there
     assert resumed_for_a_bug  # and a recognized goal's plan is resumed for a bug cliche
 
@@ -975,7 +992,10 @@ def test_no_search_outlives_its_diagnosis(monkeypatch, base):
 
 
 def test_recognition_keeps_no_search_state(base):
+    # a search drops its state once its near-miss stage has run, and by_plan
+    # runs every plan's
     rec = recognize(graph_of(OFF_BY_ONE_SOURCE), base, goals=["running-total"])
+    assert rec.by_plan["running-total"]
     for search, _ in rec._ranked.values():
         assert not (search.seen or search.recorded or search.deferred)
 

@@ -74,6 +74,14 @@ def test_parse_rejects_disconnected_pattern():
         parse_plan(text)
 
 
+def test_a_plan_error_names_its_file_and_header_line():
+    text = (MINIMAL + "\n; a second plan, not connected\n"
+            'plan "x" kind=cliche category=pe\nnode n1 kind=TEST\nnode n2 kind=TEST\nend\n')
+    header = text.splitlines().index('plan "x" kind=cliche category=pe') + 1
+    with pytest.raises(PlanSemanticError) as err:
+        parse_plans(text, "base/x.plan")
+    assert str(err.value) == f"base/x.plan:{header}:1: plan 'x': pattern graph is not connected"
+
 def test_parse_corrupts_only_on_bug_plans():
     with pytest.raises(PlanSyntaxError):
         parse_plan('plan "x" kind=cliche corrupts="y" category=pe\nnode n1 kind=TEST\nend\n')
