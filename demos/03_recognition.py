@@ -15,8 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "src"))
 
-from adil.flowgraph import build_flow_graph
-from adil.frontend import desugar, parse_c
+from adil.flowgraph import graph_of
 from adil.matcher import recognize
 from adil.planlib import load_plan_base
 
@@ -25,7 +24,7 @@ base = load_plan_base(Path(__file__).parents[1] / "plans")
 
 
 def show(title: str, source: str) -> None:
-    g = build_flow_graph(desugar(parse_c(source, filename="demo.c")))
+    g = graph_of(source, "demo.c")
     rec = recognize(g, base, goals=["running-total"])
     print(f"--- {title} ---")
     for name in sorted(rec.by_plan):

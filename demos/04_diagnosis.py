@@ -12,10 +12,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "src"))
 
-from adil.debugger import diagnose, parse_spec, report_to_json
+from adil.debugger import analyze, parse_spec, report_to_json
 from adil.explain import render, render_text
-from adil.flowgraph import build_flow_graph
-from adil.frontend import desugar, parse_c
 from adil.planlib import load_plan_base
 
 ROOT = Path(__file__).parents[1]
@@ -25,8 +23,7 @@ base = load_plan_base(ROOT / "plans")
 def run(program: str, spec_path: str) -> None:
     source = (ROOT / program).read_text()
     spec = parse_spec((ROOT / spec_path).read_text())
-    g = build_flow_graph(desugar(parse_c(source, filename=program)))
-    report = diagnose(g, spec, base)
+    report = analyze(source, program, spec, base)
     print(f"=== {program} against '{spec.title}' ===")
     print("verdicts:", report.verdicts)
     print(render_text(render(report, source, base)))
@@ -38,7 +35,7 @@ run("corpus/bugs/sum__wrong_init.c", "corpus/correct/sum.spec")
 
 # The same report, machine-readable: this is what --report-json writes.
 source = (ROOT / "corpus/bugs/sum__off_by_one.c").read_text()
-g = build_flow_graph(desugar(parse_c(source, filename="corpus/bugs/sum__off_by_one.c")))
-report = diagnose(g, parse_spec((ROOT / "corpus/correct/sum.spec").read_text()), base)
+spec = parse_spec((ROOT / "corpus/correct/sum.spec").read_text())
+report = analyze(source, "corpus/bugs/sum__off_by_one.c", spec, base)
 print("=== JSON report ===")
 print(report_to_json(report))

@@ -13,8 +13,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parents[1] / "src"))
 
 from adil.acquire import acquire_plan, review_stub
-from adil.flowgraph import build_flow_graph
-from adil.frontend import desugar, parse_c
+from adil.flowgraph import graph_of
+from adil.frontend import parse_c
 from adil.matcher import unify
 
 EXEMPLAR = """\
@@ -38,12 +38,12 @@ draft = acquire_plan(ast, "scale-in-place")
 print("--- draft with review stubs (note: 12 became a free slot, 0 and 1 stayed) ---")
 print(review_stub(draft))
 
-g = build_flow_graph(desugar(ast))
+g = graph_of(EXEMPLAR, "scale.c")
 accepted = [r for r in unify(g, draft) if r.accepted]
 print(f"--- self-recognition: {len(accepted)} accepted match(es), "
       f"score {accepted[0].score} ---")
 
 perturbed = EXEMPLAR.replace("12", "99")
-g2 = build_flow_graph(desugar(parse_c(perturbed, filename="scale99.c")))
+g2 = graph_of(perturbed, "scale99.c")
 print(f"--- constant-perturbed variant accepted: "
       f"{any(r.accepted for r in unify(g2, draft))} ---")

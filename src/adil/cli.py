@@ -64,10 +64,6 @@ def _add_plans_flag(p: argparse.ArgumentParser) -> None:
                    help="plan base directory (default ./plans or $ADIL_PLANS)")
 
 
-def _budget_from(args: argparse.Namespace) -> SearchBudget:
-    return SearchBudget(max_extension_steps=args.budget, theta=args.theta)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="adil", description="knowledge-based static debugger")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -146,21 +142,13 @@ def _load_base(plans_dir: str) -> planlib.PlanBase:
     return base
 
 
-def _parse_program(path: str) -> frontend.Ast:
-    source = Path(path).read_text(encoding="utf-8")
-    return frontend.desugar(frontend.parse_c(source, filename=path))
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
+    # first, so a bad --budget or --theta is reported before any file is read
+    budget = SearchBudget(max_extension_steps=args.budget, theta=args.theta)
     source = Path(args.program).read_text(encoding="utf-8")
     spec = debugger.parse_spec(Path(args.spec).read_text(encoding="utf-8"), args.spec)
     base = _load_base(args.plans)
-    ast = frontend.desugar(frontend.parse_c(source, filename=args.program))
-    try:
-        g = flowgraph.build_flow_graph(ast)
-        report = debugger.diagnose(g, spec, base, _budget_from(args))
-    except flowgraph.UnboundVariable as err:
-        report = debugger.unbound_report(args.program, spec, err)
+    report = debugger.analyze(source, args.program, spec, base, budget)
 
     if args.report_json:  # first, so an unwritable path exits 2 before any report is shown
         Path(args.report_json).write_text(debugger.report_to_json(report), encoding="utf-8")
@@ -182,9 +170,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    ast = _parse_program(args.program)
+    source = Path(args.program).read_text(encoding="utf-8")
     try:
-        g = flowgraph.build_flow_graph(ast)
+        g = flowgraph.graph_of(source, args.program)
     except flowgraph.UnboundVariable as err:
         print(f"adil: {err}", file=sys.stderr)
         return 1
@@ -304,7 +292,7 @@ def cmd_acquire(args: argparse.Namespace) -> int:
             print(f"installed {plan.name} into {args.plans}")
         return 0
 
-    ast = _parse_program(args.program)
+    ast = frontend.parse_c(Path(args.program).read_text(encoding="utf-8"), filename=args.program)
     try:
         draft = acq.acquire_plan(ast, args.name)
     except (acq.AcquireError, flowgraph.UnboundVariable) as err:

@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import explain
+from . import explain, flowgraph
 from .flowgraph import FlowGraph, UnboundVariable
 from .matcher import MatchResult, Recognition, SearchBudget, binding_values, recognize
 from .planlib import _STRING, Plan, PlanBase, _unescape, strip_comment, sub_closure
@@ -132,6 +132,17 @@ def pinpoint(nodes: set[int] | list[int], g: FlowGraph) -> SourceSpan:
 # ---------------------------------------------------------------------------
 # Diagnosis
 
+def analyze(source: str, filename: str, spec: ProgramSpec, base: PlanBase,
+            budget: SearchBudget | None = None) -> DiagnosticReport:
+    """Diagnose C-subset source against its specification: the report on it.
+    A variable that may be read before it is assigned is the one finding."""
+    try:
+        g = flowgraph.graph_of(source, filename)
+    except UnboundVariable as err:
+        return _unbound_report(filename, spec, err)
+    return diagnose(g, spec, base, budget)
+
+
 def diagnose(g: FlowGraph, spec: ProgramSpec, base: PlanBase,
              budget: SearchBudget | None = None, *,
              use_filtering: bool = True) -> DiagnosticReport:
@@ -206,7 +217,7 @@ def diagnose(g: FlowGraph, spec: ProgramSpec, base: PlanBase,
     )
 
 
-def unbound_report(program: str, spec: ProgramSpec, err: UnboundVariable) -> DiagnosticReport:
+def _unbound_report(program: str, spec: ProgramSpec, err: UnboundVariable) -> DiagnosticReport:
     """Degenerate report for programs whose graph cannot be finalized."""
     finding = Finding(
         kind=FindingKind.UNBOUND_VARIABLE,

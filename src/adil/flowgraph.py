@@ -487,6 +487,11 @@ def build_flow_graph(ast: fe.Ast, function: str | None = None) -> FlowGraph:
     return _Builder().build_function(func)
 
 
+def graph_of(source: str, filename: str = "<source>") -> FlowGraph:
+    """Parse C-subset source, desugar it and lower it: build_flow_graph's graph."""
+    return build_flow_graph(fe.desugar(fe.parse_c(source, filename=filename)))
+
+
 # ---------------------------------------------------------------------------
 # Derived views
 #

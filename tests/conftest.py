@@ -9,8 +9,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from adil.flowgraph import FlowGraph, build_flow_graph  # noqa: E402
-from adil.frontend import Ast, desugar, parse_c  # noqa: E402
 from adil.planlib import PlanBase, load_plan_base  # noqa: E402
 
 
@@ -45,14 +43,6 @@ def corpus_cases(corpus_dir: Path, bug_manifest: list[dict]) -> list[tuple[Path,
     correct = [(c, c.with_suffix(".spec")) for c in sorted((corpus_dir / "correct").glob("*.c"))]
     bugs = [(corpus_dir / e["bug"], corpus_dir / e["spec"]) for e in bug_manifest]
     return correct + bugs
-
-
-def ast_of(source: str, filename: str = "<test>") -> Ast:
-    return desugar(parse_c(source, filename=filename))
-
-
-def graph_of(source: str, filename: str = "<test>") -> FlowGraph:
-    return build_flow_graph(ast_of(source, filename))
 
 
 SUM_SOURCE = """\

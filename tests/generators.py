@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import random
 
-from adil.flowgraph import FlowGraph, NodeKind, build_flow_graph
-from adil.frontend import desugar, parse_c
+from adil.flowgraph import FlowGraph, NodeKind, graph_of
 from adil.planlib import PatternNode, Plan, Predicate, check_plan
 
 _CONSTS = [0, 1, 2, 3, 5, 7]
@@ -65,7 +64,7 @@ def random_program(rng: random.Random) -> str:
 
 
 def random_graph(rng: random.Random) -> FlowGraph:
-    g = build_flow_graph(desugar(parse_c(random_program(rng), filename="<generated>")))
+    g = graph_of(random_program(rng), "<generated>")
     assert len(g.nodes) <= 12, "generator must stay within the oracle-friendly size"
     return g
 

@@ -16,10 +16,9 @@ from pathlib import Path
 import pytest
 
 from adil.acquire import acquire_plan
-from adil.cli import main
-from adil.debugger import diagnose, parse_spec, report_to_json
-from adil.flowgraph import build_flow_graph
-from adil.frontend import desugar, parse_c
+from adil.debugger import analyze, diagnose, parse_spec, report_to_json
+from adil.flowgraph import graph_of
+from adil.frontend import parse_c
 from adil.matcher import BudgetExceeded, SearchBudget, unify
 from adil.planlib import parse_plan, print_plan
 
@@ -51,9 +50,7 @@ def criterion(capsys):
 
 
 def _report(source: str, spec_text: str, base, budget=None, filename: str = "prog.c"):
-    spec = parse_spec(spec_text)
-    g = build_flow_graph(desugar(parse_c(source, filename=filename)))
-    return diagnose(g, spec, base, budget or SearchBudget())
+    return analyze(source, filename, parse_spec(spec_text), base, budget)
 
 
 def _corpus_cases(corpus_dir: Path) -> list[tuple[Path, Path]]:
@@ -145,7 +142,7 @@ def test_determinism(criterion, base, corpus_dir, bug_manifest, tmp_path):
 def test_budget_guard(criterion):
     with criterion("pathological fixture truncates at 1e3 steps, succeeds at 1e6, "
                    "truncated results are a subset"):
-        g = build_flow_graph(desugar(parse_c(dense_source(), filename="dense.c")))
+        g = graph_of(dense_source(), "dense.c")
         plan = parse_plan(CHAIN_PLAN)
         with pytest.raises(BudgetExceeded) as err:
             unify(g, plan, SearchBudget(max_extension_steps=1000))
@@ -158,7 +155,7 @@ def test_budget_guard(criterion):
         # 40 additions for the diagnosis: a recognized goal's search ends with
         # its first stage, which takes 612 steps at 24 additions and 1108 at 40
         from adil.planlib import PlanBase, base_add
-        g = build_flow_graph(desugar(parse_c(dense_source(40), filename="dense.c")))
+        g = graph_of(dense_source(40), "dense.c")
         chain_base = PlanBase()
         base_add(chain_base, parse_plan(CHAIN_PLAN))
         spec = parse_spec('spec "dense"\ngoal "add-chain" required\nend\n')
@@ -184,13 +181,12 @@ def test_acquisition_self_recognition(criterion, corpus_dir):
                    "consistently renamed variant"):
         for program, _ in _corpus_cases(corpus_dir):
             source = program.read_text()
-            ast = parse_c(source, filename=str(program))
-            draft = acquire_plan(ast, f"draft-{program.stem}")
-            g = build_flow_graph(desugar(ast))
+            draft = acquire_plan(parse_c(source, filename=str(program)), f"draft-{program.stem}")
+            g = graph_of(source, str(program))
             accepted = [r for r in unify(g, draft) if r.accepted]
             assert accepted and accepted[0].score == 1, program.name
             renamed = rename_variant(source)
-            g2 = build_flow_graph(desugar(parse_c(renamed, filename="renamed.c")))
+            g2 = graph_of(renamed, "renamed.c")
             assert any(r.accepted for r in unify(g2, draft)), program.name
 
 

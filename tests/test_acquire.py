@@ -1,12 +1,10 @@
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from adil.acquire import AcquireError, AcquireOptions, acquire_plan, review_stub
-from adil.flowgraph import NodeKind, build_flow_graph
-from adil.frontend import desugar, parse_c
+from adil.flowgraph import NodeKind, graph_of
+from adil.frontend import parse_c
 from adil.matcher import SearchBudget, unify
 from adil.planlib import parse_plan, print_plan
 
@@ -43,9 +41,8 @@ def test_keep_list_is_configurable():
 
 
 def test_draft_self_recognizes_sum():
-    ast = parse_c(SUM_SOURCE, filename="sum.c")
-    plan = acquire_plan(ast, "sum-draft")
-    g = build_flow_graph(desugar(ast))
+    plan = _draft(SUM_SOURCE, "sum-draft")
+    g = graph_of(SUM_SOURCE, "sum.c")
     accepted = [r for r in unify(g, plan, SearchBudget()) if r.accepted]
     assert accepted and accepted[0].score == 1
 
@@ -54,7 +51,7 @@ def test_draft_accepts_renamed_and_perturbed_variant():
     source = "int f(int u){int x;int y;x=u+7;y=x*3;return y;}"
     plan = _draft(source)
     variant = rename_variant(source).replace("7", "9").replace("3", "4")
-    g = build_flow_graph(desugar(parse_c(variant, filename="variant.c")))
+    g = graph_of(variant, "variant.c")
     assert any(r.accepted for r in unify(g, plan, SearchBudget()))
 
 
@@ -95,7 +92,6 @@ def test_review_stub_flags_every_slot_plus_doc():
 
 def test_corpus_drafts_self_recognize(corpus_dir):
     for path in sorted((corpus_dir / "correct").glob("*.c"))[:4]:
-        ast = parse_c(path.read_text(), filename=str(path))
-        plan = acquire_plan(ast, f"draft-{path.stem}")
-        g = build_flow_graph(desugar(ast))
+        plan = _draft(path.read_text(), f"draft-{path.stem}")
+        g = graph_of(path.read_text(), str(path))
         assert any(r.accepted for r in unify(g, plan, SearchBudget())), path.name

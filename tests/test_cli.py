@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from adil import debugger, explain, flowgraph, frontend, kernel, planlib
+from adil import debugger, explain, frontend, kernel, planlib
 from adil.cli import main
 
 from conftest import SUM_SOURCE
@@ -55,6 +55,16 @@ def test_exit_2_on_syntax_error(work, tmp_path, capsys):
     code = main(["analyze", str(bad), "--spec", str(work / "sum.spec"),
                  "--plans", str(work / "plans")])
     assert code == 2
+
+
+def test_a_bad_flag_is_reported_before_the_program_is_read(work, capsys):
+    (work / "bad.c").write_text("int main() { int x; x =; return x; }\n")
+    (work / "unb.c").write_text("int main() { int x; int y; y = x + 1; return y; }\n")
+    assert _analyze(work, "bad.c") == 2
+    assert capsys.readouterr().err == f"adil: {work / 'bad.c'}:1:24: expected an expression, found ';'\n"
+    for program in ("bad.c", "unb.c", "nope.c"):
+        assert _analyze(work, program, "--theta", "2") == 2
+        assert capsys.readouterr() == ("", "adil: theta must be in (0, 1]\n")
 
 
 def test_exit_2_on_bad_usage(capsys):
@@ -102,8 +112,7 @@ def test_nesting_limit_leaves_a_recursion_margin(base, corpus_dir, shape):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 500)
     try:
-        ast = frontend.desugar(frontend.parse_c(source))
-        report = debugger.diagnose(flowgraph.build_flow_graph(ast), spec, base)
+        report = debugger.analyze(source, "deep.c", spec, base)
         text = explain.render_text(explain.render(report, source, base))
     finally:
         sys.setrecursionlimit(limit)
@@ -559,6 +568,19 @@ def test_a_variable_read_before_assignment_exits_1_with_a_message(work, tmp_path
     assert main([command, str(program), *extra]) == 1
     assert capsys.readouterr() == ("", f"adil: {program}:1:32: variable 'x' may be read before it is assigned\n")
     assert not (tmp_path / "foo.plan").exists()
+
+
+def test_analyze_reports_a_variable_read_before_assignment(work, tmp_path, capsys):
+    program = tmp_path / "unb.c"
+    program.write_text("int main() { int x; int y; y = x + 1; return y; }\n")
+    report = tmp_path / "unb.json"
+    assert main(["analyze", str(program), "--spec", str(work / "sum.spec"),
+                 "--plans", str(work / "plans"), "--report-json", str(report)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "Error: variable may be unassigned (line 1)"
+    doc = json.loads(report.read_text())
+    assert doc["program"] == str(program)
+    assert [(f["kind"], f["span"]["line_start"], f["span"]["col_start"]) for f in doc["findings"]] \
+        == [("UNBOUND_VARIABLE", 1, 32)]
 
 
 _C_PIECES = ["int", "main", "f", "x", "a", "(", ")", "{", "}", "[", "]", ";", ",", "=", "&", "0", "1",

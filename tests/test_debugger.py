@@ -12,18 +12,18 @@ from adil import debugger, matcher, planlib
 from adil.debugger import (
     FindingKind,
     SpecSyntaxError,
+    analyze,
     diagnose,
     parse_spec,
     pinpoint,
     report_to_json,
-    unbound_report,
 )
 from adil.explain import render, render_text
-from adil.flowgraph import NodeKind, UnboundVariable, build_flow_graph
+from adil.flowgraph import NodeKind, build_flow_graph, graph_of
 from adil.frontend import desugar, parse_c
 from adil.matcher import SearchBudget
 
-from conftest import GOAL_AND_BUG_PROGRAMS, ROOT, SUM_SOURCE, ast_of, graph_of
+from conftest import GOAL_AND_BUG_PROGRAMS, ROOT, SUM_SOURCE
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -67,7 +67,7 @@ def test_parse_spec_unescapes_strings_as_plans_do(base):
     # so such a plan can be a goal
     base = planlib.PlanBase(dict(base.plans))
     planlib.base_add(base, plan)
-    report = diagnose(build_flow_graph(desugar(parse_c(SUM_SOURCE))), spec, base)
+    report = analyze(SUM_SOURCE, "prog.c", spec, base)
     assert report.verdicts == {'say "hi"': "RECOGNIZED"}
 
 
@@ -95,9 +95,7 @@ def test_pinpoint_interval_hull():
 
 
 def _diagnose(source: str, base, goals: str | None = None):
-    spec = parse_spec(_spec(goals) if goals else _spec())
-    g = build_flow_graph(desugar(parse_c(source, filename="prog.c")))
-    return diagnose(g, spec, base, SearchBudget())
+    return analyze(source, "prog.c", parse_spec(_spec(goals) if goals else _spec()), base)
 
 
 def test_diagnose_correct_sum(base):
@@ -152,7 +150,7 @@ def test_diagnose_optional_goal_missing_is_quiet(base):
 
 def test_diagnose_never_mutates_inputs(base):
     source = SUM_SOURCE.replace("i < n", "i <= n")
-    ast = ast_of(source, "prog.c")
+    ast = desugar(parse_c(source, filename="prog.c"))
     snapshot = copy.deepcopy(ast)
     g = build_flow_graph(ast)
     spec = parse_spec(_spec())
@@ -169,7 +167,7 @@ def test_diagnose_filtering_is_conservative(base, corpus_cases):
              for program, spec_path in corpus_cases]
     cases += [(source, name, parse_spec(_spec())) for name, source in GOAL_AND_BUG_PROGRAMS]
     for source, name, spec in cases:
-        g = build_flow_graph(desugar(parse_c(source, filename=name)))
+        g = graph_of(source, name)
         filtered = diagnose(g, spec, base, SearchBudget(), use_filtering=True)
         unfiltered = diagnose(g, spec, base, SearchBudget(), use_filtering=False)
         assert report_to_json(filtered) == report_to_json(unfiltered), name
@@ -189,7 +187,7 @@ def test_diagnose_computes_each_goal_sub_closure_once(base, corpus_cases, monkey
         monkeypatch.setattr(module, "sub_closure", counted)
     for program, spec_path in corpus_cases:
         spec = parse_spec(spec_path.read_text())
-        g = build_flow_graph(desugar(parse_c(program.read_text(), filename=program.name)))
+        g = graph_of(program.read_text(), program.name)
         for use_filtering in (True, False):
             calls.clear()
             diagnose(g, spec, base, SearchBudget(), use_filtering=use_filtering)
@@ -243,13 +241,15 @@ def test_diagnose_main_style_program_with_two_loops(base):
     assert report.findings[0].span.line_start == 14  # the sum loop's test, not the fill loop's
 
 
-def test_unbound_report_shape():
-    spec = parse_spec(_spec())
-    err = UnboundVariable("s", graph_of(SUM_SOURCE).nodes[3].ann.span)
-    report = unbound_report("prog.c", spec, err)
-    assert report.verdicts == {"running-total": "MISSING"}
-    assert report.findings[0].kind is FindingKind.UNBOUND_VARIABLE
-    assert report.findings[0].confidence == Fraction(1)
+def test_a_variable_read_before_assignment_is_the_one_finding(base):
+    spec = parse_spec(_spec('goal "running-total" required\ngoal "copy-loop" optional'))
+    report = analyze("int main() { int x; int y; y = x + 1; return y; }\n", "unb.c", spec, base)
+    assert report.verdicts == {"running-total": "MISSING", "copy-loop": "MISSING"}
+    [finding] = report.findings
+    assert finding.kind is FindingKind.UNBOUND_VARIABLE
+    assert finding.confidence == Fraction(1)
+    assert (finding.span.file, finding.span.line_start, finding.span.col_start) == ("unb.c", 1, 32)
+    assert report.program == "unb.c"
 
 
 def test_report_json_key_order(base):
@@ -286,7 +286,7 @@ def test_budget_truncation_sets_flag():
     base_add(chain_base, parse_plan(CHAIN_PLAN))
     # 40 additions: finding the full matches alone takes 1108 steps (24
     # additions take 612, and a recognized goal is never searched further)
-    g = build_flow_graph(desugar(parse_c(dense_source(40), filename="dense.c")))
+    g = graph_of(dense_source(40), "dense.c")
     spec = parse_spec('spec "dense"\ngoal "add-chain" required\nend\n')
     tight = diagnose(g, spec, chain_base, SearchBudget(max_extension_steps=1000))
     assert tight.budget_truncated is True
@@ -371,11 +371,7 @@ def test_report_json_matches_json_dumps_on_the_corpus_and_the_workloads(base, co
     reports = []
     for program, spec_path in corpus_cases:
         spec = parse_spec(spec_path.read_text(), spec_path.name)
-        ast = desugar(parse_c(program.read_text(), filename=program.name))
-        try:
-            reports.append(diagnose(build_flow_graph(ast), spec, base))
-        except UnboundVariable as err:
-            reports.append(unbound_report(program.name, spec, err))
+        reports.append(analyze(program.read_text(), program.name, spec, base))
     for workload in workloads.WORKLOADS:
         items = workloads.make_items(workload, 5, ROOT)
         setup = pipeline.setup(ROOT, workload, workloads.spec_texts(items))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adil.debugger import diagnose, parse_spec
+from adil.debugger import analyze, parse_spec
 from adil.explain import (
     TemplateError,
     Explanation,
@@ -16,8 +16,7 @@ from adil.explain import (
     render,
     render_text,
 )
-from adil.flowgraph import build_flow_graph
-from adil.frontend import desugar, parse_c
+from adil.flowgraph import graph_of
 from adil.matcher import SearchBudget
 
 from conftest import SUM_SOURCE
@@ -27,8 +26,7 @@ MARKER = re.compile(r"[$@][A-Za-z_]")
 
 def _report(source: str, base, goal: str = "running-total", budget: SearchBudget | None = None):
     spec = parse_spec(f'spec "exercise"\ngoal "{goal}" required\nend\n')
-    g = build_flow_graph(desugar(parse_c(source, filename="prog.c")))
-    return diagnose(g, spec, base, budget or SearchBudget())
+    return analyze(source, "prog.c", spec, base, budget)
 
 
 def test_interpolate_slots_and_roles():
@@ -82,8 +80,7 @@ def test_section_count_matches_findings(base, corpus_dir, bug_manifest):
     for entry in bug_manifest:
         source = (corpus_dir / entry["bug"]).read_text()
         spec = parse_spec((corpus_dir / entry["spec"]).read_text())
-        g = build_flow_graph(desugar(parse_c(source, filename=entry["bug"])))
-        report = diagnose(g, spec, base, SearchBudget())
+        report = analyze(source, entry["bug"], spec, base)
         explanation = render(report, source, base)
         expected = len(report.findings)
         if report.meaning is not None:
@@ -100,8 +97,7 @@ def test_no_unresolved_markers_across_corpus(base, corpus_dir, bug_manifest):
               for e in bug_manifest]
     for source, spec_text in cases:
         spec = parse_spec(spec_text)
-        g = build_flow_graph(desugar(parse_c(source, filename="prog.c")))
-        report = diagnose(g, spec, base, SearchBudget())
+        report = analyze(source, "prog.c", spec, base)
         text = render_text(render(report, source, base))
         assert not MARKER.search(text), text
 
@@ -152,7 +148,7 @@ def test_compose_meaning_indents_sub_plans(base):
     report = _report(SUM_SOURCE, base)
     meaning = compose_meaning(
         [("running-total", report.recognized["running-total"])], base,
-        build_flow_graph(desugar(parse_c(SUM_SOURCE, filename="prog.c"))))
+        graph_of(SUM_SOURCE, "prog.c"))
     lines = meaning.splitlines()
     assert lines[0].startswith("running-total:")
     assert lines[1].startswith("  counted-loop:")
@@ -192,7 +188,6 @@ def test_property_render_text_matches_wrapping_every_line(sections, width):
 def test_render_text_matches_wrapping_every_line_on_the_corpus(base, corpus_cases):
     for program, spec_path in corpus_cases:
         source = program.read_text()
-        g = build_flow_graph(desugar(parse_c(source, filename=program.name)))
-        e = render(diagnose(g, parse_spec(spec_path.read_text()), base, SearchBudget()), source, base)
+        e = render(analyze(source, program.name, parse_spec(spec_path.read_text()), base), source, base)
         for width in (20, 40, 80):
             assert render_text(e, width) == _render_text_wrapping_every_line(e, width), program.name

@@ -19,6 +19,7 @@ from adil.flowgraph import (
     UnboundVariable,
     build_flow_graph,
     commutative_nodes,
+    graph_of,
     node_index,
     to_dot,
     to_json,
@@ -26,7 +27,7 @@ from adil.flowgraph import (
     value_chains,
 )
 
-from conftest import SUM_SOURCE, graph_of
+from conftest import SUM_SOURCE
 from generators import random_graph, random_program, rename_variant
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -204,8 +205,8 @@ def test_straight_line_graphs_are_acyclic():
 
 def test_renaming_yields_isomorphic_graph():
     src = SUM_SOURCE
-    g1 = build_flow_graph(fe.desugar(fe.parse_c(src)))
-    g2 = build_flow_graph(fe.desugar(fe.parse_c(rename_variant(src))))
+    g1 = graph_of(src)
+    g2 = graph_of(rename_variant(src))
     strip = lambda g: (
         sorted((n.id, n.kind.value, n.opcode.value if n.opcode else None, n.value)
                for n in g.nodes.values()),
@@ -274,7 +275,7 @@ def test_corpus_graphs_are_well_formed(corpus_dir):
     programs += sorted((corpus_dir / "bugs").glob("*.c"))
     assert len(programs) >= 21
     for path in programs:
-        g = graph_of(path.read_text(), filename=str(path))
+        g = graph_of(path.read_text(), str(path))
         assert validate(g) == [], path.name
 
 

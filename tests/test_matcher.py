@@ -29,7 +29,7 @@ from adil.matcher import (
     unify,
 )
 from adil.debugger import diagnose, parse_spec
-from adil.flowgraph import COMMUTATIVE, NodeKind, OpCode, build_flow_graph
+from adil.flowgraph import COMMUTATIVE, NodeKind, OpCode, build_flow_graph, graph_of
 from adil.planlib import (
     PatternNode,
     Plan,
@@ -45,7 +45,7 @@ from adil.planlib import (
     sub_closure,
 )
 
-from conftest import FLAT_RUNNING_TOTAL, GOAL_AND_BUG_PROGRAMS, ROOT, SUM_SOURCE, graph_of
+from conftest import FLAT_RUNNING_TOTAL, GOAL_AND_BUG_PROGRAMS, ROOT, SUM_SOURCE
 from generators import random_instance
 from oracle import brute_force_accepted
 
@@ -475,8 +475,9 @@ def test_steps_on_the_dense_chain(steps_per_plan):
 _STEPS_SCRIPT = """
 import json, sys
 from adil import matcher
+from adil.flowgraph import graph_of
 from adil.planlib import load_plan_base, parse_plan
-from conftest import ROOT, graph_of
+from conftest import ROOT
 from test_matcher import CHAIN_PLAN, _count_steps, dense_source
 
 counted = _count_steps(setattr)

@@ -5,7 +5,7 @@ Any change that is meant to leave adil's output alone must keep these
 digests. One report digest covers each benchmark workload (its items at
 seeds 3 and 17, graded through the benchmark's own pipeline), and one covers
 the 21 corpus programs graded as `adil analyze` grades them. The graph
-digests cover the same programs, each lowered by `build_flow_graph` as
+digests cover the same programs, each lowered by `flowgraph.graph_of` as
 `adil graph --json` prints it and, for the DOT digests, as `adil graph`
 prints it. A change that alters reports or graphs on purpose re-derives the
 pins and says why.
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from adil import debugger, explain, flowgraph, frontend
+from adil import debugger, explain, flowgraph
 from adil.planlib import load_plan_base
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,9 +69,8 @@ def graph_digest(programs, render=flowgraph.to_json) -> str:
     default), or of the UnboundVariable message where the build stops at one."""
     parts = []
     for name, source in programs:
-        ast = frontend.desugar(frontend.parse_c(source, filename=name))
         try:
-            parts.append(render(flowgraph.build_flow_graph(ast)))
+            parts.append(render(flowgraph.graph_of(source, name)))
         except flowgraph.UnboundVariable as err:
             parts.append(str(err))
     return _digest(parts)
@@ -106,11 +105,7 @@ def corpus_digest(corpus_cases) -> str:
         name = prog.relative_to(ROOT).as_posix()
         source = prog.read_text(encoding="utf-8")
         spec = debugger.parse_spec(spec_path.read_text(encoding="utf-8"), spec_path.name)
-        ast = frontend.desugar(frontend.parse_c(source, filename=name))
-        try:
-            report = debugger.diagnose(flowgraph.build_flow_graph(ast), spec, base)
-        except flowgraph.UnboundVariable as err:
-            report = debugger.unbound_report(name, spec, err)
+        report = debugger.analyze(source, name, spec, base)
         text = explain.render_text(explain.render(report, source, base))
         outputs += (debugger.report_to_json(report), text)
     return _digest(outputs)
