@@ -45,6 +45,11 @@ class ProgramSpec:
     notes: tuple[str, ...] = ()
 
 
+_SPEC_RE = re.compile(rf"spec\s+{_STRING}")
+_GOAL_RE = re.compile(rf"goal\s+{_STRING}\s+(required|optional)")
+_NOTE_RE = re.compile(rf"note\s+{_STRING}")
+
+
 def parse_spec(text: str, filename: str = "<spec>") -> ProgramSpec:
     """Parse a `.spec` file: spec "<title>" / goal "<name>" required|optional / note / end."""
     title: str | None = None
@@ -58,16 +63,16 @@ def parse_spec(text: str, filename: str = "<spec>") -> ProgramSpec:
             continue
         if ended:
             raise SpecSyntaxError(span, "content after end")
-        if m := re.fullmatch(rf"spec\s+{_STRING}", line):
+        if m := _SPEC_RE.fullmatch(line):
             if title is not None:
                 raise SpecSyntaxError(span, "duplicate spec line")
             title = _unescape(m.group(1))
-        elif m := re.fullmatch(rf"goal\s+{_STRING}\s+(required|optional)", line):
+        elif m := _GOAL_RE.fullmatch(line):
             name = _unescape(m.group(1))
             if any(g.name == name for g in goals):
                 raise SpecSyntaxError(span, f"duplicate goal {name!r}")
             goals.append(Goal(name, m.group(2) == "required"))
-        elif m := re.fullmatch(rf"note\s+{_STRING}", line):
+        elif m := _NOTE_RE.fullmatch(line):
             notes.append(_unescape(m.group(1)))
         elif line == "end":
             ended = True
@@ -135,7 +140,8 @@ def pinpoint(nodes: set[int] | list[int], g: FlowGraph) -> SourceSpan:
 def analyze(source: str, filename: str, spec: ProgramSpec, base: PlanBase,
             budget: SearchBudget | None = None) -> DiagnosticReport:
     """Diagnose C-subset source against its specification: the report on it.
-    A variable that may be read before it is assigned is the one finding."""
+    A variable read before it is assigned is the one finding; an unknown goal raises UnknownPlan."""
+    _goal_names(spec, base)
     try:
         g = flowgraph.graph_of(source, filename)
     except UnboundVariable as err:
@@ -143,14 +149,17 @@ def analyze(source: str, filename: str, spec: ProgramSpec, base: PlanBase,
     return diagnose(g, spec, base, budget)
 
 
+def _goal_names(spec: ProgramSpec, base: PlanBase) -> list[str]:
+    """The spec's goal names; one the base lacks is a caller error (UnknownPlan), not a finding."""
+    return [base.get(goal.name).name for goal in spec.goals]
+
+
 def diagnose(g: FlowGraph, spec: ProgramSpec, base: PlanBase,
              budget: SearchBudget | None = None, *,
              use_filtering: bool = True) -> DiagnosticReport:
     """Verify each spec goal against the graph and localize what went wrong."""
     budget = budget or SearchBudget()
-    goal_names = [goal.name for goal in spec.goals]
-    for name in goal_names:
-        base.get(name)  # unresolvable goals are a caller error, not a finding
+    goal_names = _goal_names(spec, base)
     rec = recognize(g, base, goal_names if use_filtering else None, budget)
 
     findings: list[Finding] = []

@@ -60,17 +60,15 @@ def compose_meaning(goal_matches: list[tuple[str, MatchResult]], base: PlanBase,
                     g: "FlowGraph") -> str:
     """Hierarchical program meaning: each goal's doc, sub-plan docs indented below."""
     lines: list[str] = []
-
-    def emit(match: MatchResult, depth: int) -> None:
+    # depth-first with a stack: a recursive closure would hold g in a reference cycle
+    stack = [(match, 0) for _goal, match in reversed(goal_matches)]
+    while stack:
+        match, depth = stack.pop()
         plan = base.get(match.plan)
         slots, roles = binding_values(plan, match, g)
         text = interpolate(plan.doc_template, slots, roles, plan.name)
         lines.append("  " * depth + f"{plan.name}: {text}")
-        for pid in sorted(match.sub_matches):
-            emit(match.sub_matches[pid], depth + 1)
-
-    for _goal, match in goal_matches:
-        emit(match, 0)
+        stack += [(match.sub_matches[pid], depth + 1) for pid in sorted(match.sub_matches, reverse=True)]
     return "\n".join(lines)
 
 

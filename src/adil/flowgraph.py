@@ -8,6 +8,9 @@ single back-labeled control edge. Plain copies (`y = x;`) create no node;
 which is what makes plan matching independent of the surface language. A
 value is the node that makes it, and a data edge feeds it to an in-port.
 
+The graph is its adjacency, which the builder writes as it adds nodes and
+edges; the edge sets `data_edges` and `ctrl_edges` are views derived from it.
+
 A local array declaration binds the array to a fresh PARAM node (role
 "array"): element-level initialization tracking is out of scope, so arrays
 count as initialized storage from their declaration on. Scalars stay unbound
@@ -30,6 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from . import frontend as fe
 from .records import record
@@ -171,45 +175,28 @@ CtrlEdge = tuple[int, int, str]  # src -> dst with label seq|true|false|back
 @dataclass(eq=False)
 class FlowGraph:
     nodes: dict[int, GraphNode]
-    data_edges: frozenset[DataEdge]
-    ctrl_edges: frozenset[CtrlEdge]
+    # the adjacency is the graph, read directly by the matcher: one producer per
+    # (node, in_port); a node's successors are the distinct consumers of its value. Lists ascend.
+    producer_of: dict[tuple[int, int], int]
+    successors: dict[int, list[int]]
+    ctrl_out: dict[int, list[tuple[int, str]]]
+    ctrl_in: dict[int, list[tuple[int, str]]]
     entry: int
     exit: int
-    # adjacency, built once in __post_init__; read-only, and the matcher reads
-    # it directly. A producer is keyed (node, in_port); a node's successors
-    # are the distinct nodes that consume its value. Lists ascend.
-    producer_of: dict[tuple[int, int], int] = field(init=False, repr=False)
-    successors: dict[int, list[int]] = field(init=False, repr=False)
-    ctrl_out: dict[int, list[tuple[int, str]]] = field(init=False, repr=False)
-    ctrl_in: dict[int, list[tuple[int, str]]] = field(init=False, repr=False)
     # derived views, built on first use by node_index / value_chains / commutative_nodes
     _node_index: dict[tuple[NodeKind, OpCode | None], list[int]] | None = field(default=None, repr=False)
     _value_chains: dict[int, int] | None = field(default=None, repr=False)
     _commutative_nodes: frozenset[int] | None = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        producer_of: dict[tuple[int, int], int] = {}
-        successors: dict[int, list[int]] = {}
-        for src, dst in self.data_edges:
-            producer_of[dst] = src
-            successors.setdefault(src, []).append(dst[0])
-        if len(producer_of) < len(self.data_edges):
-            # two edges feed one in-port (validate reports it): the larger
-            # source wins, as the last one in sorted edge order
-            for src, dst in self.data_edges:
-                if src > producer_of[dst]:
-                    producer_of[dst] = src
-        ctrl_out: dict[int, list[tuple[int, str]]] = {}
-        ctrl_in: dict[int, list[tuple[int, str]]] = {}
-        for src, dst, label in self.ctrl_edges:
-            ctrl_out.setdefault(src, []).append((dst, label))
-            ctrl_in.setdefault(dst, []).append((src, label))
-        for adjacency in (successors, ctrl_out, ctrl_in):
-            for key, entries in adjacency.items():
-                if len(entries) > 1:
-                    adjacency[key] = sorted(set(entries))  # only successors repeat
-        self.producer_of, self.successors = producer_of, successors
-        self.ctrl_out, self.ctrl_in = ctrl_out, ctrl_in
+    @cached_property
+    def data_edges(self) -> frozenset[DataEdge]:
+        """Every data edge: a view of producer_of."""
+        return frozenset((src, dst) for dst, src in self.producer_of.items())
+
+    @cached_property
+    def ctrl_edges(self) -> frozenset[CtrlEdge]:
+        """Every ctrl edge: a view of ctrl_out."""
+        return frozenset((src, dst, label) for src, outs in self.ctrl_out.items() for dst, label in outs)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +208,11 @@ _Ref = int  # the node that makes the value
 class _Builder:
     def __init__(self) -> None:
         self.nodes: dict[int, GraphNode] = {}
-        self.data_edges: set[DataEdge] = set()
-        self.ctrl_edges: set[CtrlEdge] = set()
+        # the graph's adjacency (see FlowGraph), written as edges are added
+        self.producer_of: dict[tuple[int, int], int] = {}
+        self.successors: dict[int, list[int]] = {}
+        self.ctrl_out: dict[int, list[tuple[int, str]]] = {}
+        self.ctrl_in: dict[int, list[tuple[int, str]]] = {}
         self.frontier: list[tuple[int, str]] = []
         self.slot_names: list[str] = []  # by slot, the declarations built so far
         self.env: dict[int, _Ref] = {}  # slot -> its current value
@@ -240,12 +230,17 @@ class _Builder:
         self.nodes[nid] = GraphNode(nid, kind, in_ports if fixed is None else fixed,
                                     Annotation(span, var_name, role), opcode, value)
         for tail, label in self.frontier:
-            self.ctrl_edges.add((tail, nid, label))
+            self.ctrl(tail, nid, label)
         self.frontier = [(nid, "seq")]
         return nid
 
     def data(self, src: _Ref, dst: int, in_port: int) -> None:
-        self.data_edges.add((src, (dst, in_port)))
+        self.producer_of[(dst, in_port)] = src
+        self.successors.setdefault(src, []).append(dst)
+
+    def ctrl(self, src: int, dst: int, label: str) -> None:
+        self.ctrl_out.setdefault(src, []).append((dst, label))
+        self.ctrl_in.setdefault(dst, []).append((src, label))
 
     def rename(self, nid: int, name: str) -> None:
         ann = self.nodes[nid].ann
@@ -268,8 +263,12 @@ class _Builder:
                             role=f"exit of {func.name}")
         for port, (ref, _) in enumerate(self.returns):
             self.data(ref, exit_id, port)
-        return FlowGraph(self.nodes, frozenset(self.data_edges), frozenset(self.ctrl_edges),
-                         entry=0, exit=exit_id)
+        adjacency = (self.successors, self.ctrl_out, self.ctrl_in)
+        for lists in adjacency:
+            for key, entries in lists.items():
+                if len(entries) > 1:  # a value read twice, a ctrl edge from two frontier entries
+                    lists[key] = sorted(set(entries))
+        return FlowGraph(self.nodes, self.producer_of, *adjacency, entry=0, exit=exit_id)
 
     def stmt(self, s: fe.Stmt) -> None:
         build = _STMT_BUILDERS.get(s.__class__)
@@ -390,7 +389,7 @@ class _Builder:
 
         back_tail = max(nid for nid, _ in self.frontier)
         for nid, _ in self.frontier:
-            self.ctrl_edges.add((nid, loophead, "back" if nid == back_tail else "seq"))
+            self.ctrl(nid, loophead, "back" if nid == back_tail else "seq")
         self.frontier = [(test, "false")]
 
     # -- expressions, dispatched on the Ast class by _EXPR_BUILDERS
@@ -652,31 +651,24 @@ def _has_cycle(succs: dict[int, list[int]]) -> bool:
 
 def validate(g: FlowGraph) -> list[str]:
     problems: list[str] = []
-    producers: dict[tuple[int, int], int] = {}
-    for _, dst in g.data_edges:
-        producers[dst] = producers.get(dst, 0) + 1
     for nid, n in g.nodes.items():
         ins = shape(n.kind, n.opcode)[0]
         if ins not in (None, n.in_ports):
             what = n.kind.value + (f" {n.opcode.value}" if n.opcode else "")
             problems.append(f"node {nid} ({what}) has {n.in_ports} in-ports, not {ins}")
         for port in range(n.in_ports):
-            count = producers.get((nid, port), 0)
-            if count != 1:
-                problems.append(f"node {nid} in_port {port} has {count} producers")
+            if (nid, port) not in g.producer_of:
+                problems.append(f"node {nid} in_port {port} has 0 producers")
+    succs: dict[int, list[int]] = {nid: [] for nid in g.nodes}  # data edges but JOIN back-inputs
     for src, (dst, ip) in g.data_edges:
         kind = g.nodes[src].kind
         if not SHAPES[kind][1]:
             problems.append(f"edge {src}->({dst}:{ip}) leaves a {kind.value}, which makes no value")
         if ip >= g.nodes[dst].in_ports:
             problems.append(f"edge {src}->({dst}:{ip}) out of port range")
-
+        if not (g.nodes[dst].kind is NodeKind.JOIN and ip == 1):
+            succs[src].append(dst)
     # data cycles must pass through a JOIN's back/else input
-    succs: dict[int, list[int]] = {nid: [] for nid in g.nodes}
-    for src, (dst, ip) in g.data_edges:
-        if g.nodes[dst].kind is NodeKind.JOIN and ip == 1:
-            continue
-        succs[src].append(dst)
     if _has_cycle(succs):
         problems.append("data edges contain a cycle that avoids JOIN back-inputs")
 

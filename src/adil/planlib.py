@@ -144,7 +144,9 @@ class PlanTables:
     step; closure, sub_closure and dependency_order read subplan_of too."""
 
     def __init__(self, plan: Plan):
-        self.pid_order = tuple(pn.pid for pn in plan.pnodes)
+        # tuples from lists, not generators: tuple() resizes to fit a generator, and
+        # resized tuples, once freed, fill free lists only a full collection empties
+        self.pid_order = tuple([pn.pid for pn in plan.pnodes])
         self.pnodes = {pn.pid: pn for pn in plan.pnodes}
         self.commutable = frozenset(plan.commutable_pids())
         # sub pattern node -> the sub-plan it stands for; a real node has no entry
@@ -167,8 +169,8 @@ class PlanTables:
         self.data_at = {pid: tuple(edges) for pid, edges in data_at.items()}
         self.ctrl_at = {pid: tuple(edges) for pid, edges in ctrl_at.items()}
         # the pattern nodes each node reaches over one data (ctrl) edge
-        self.data_nbrs = {pid: tuple(o for o, _ in edges) for pid, edges in data_at.items()}
-        self.ctrl_nbrs = {pid: tuple(o for o, _ in edges) for pid, edges in ctrl_at.items()}
+        self.data_nbrs = {pid: tuple([o for o, _ in edges]) for pid, edges in data_at.items()}
+        self.ctrl_nbrs = {pid: tuple([o for o, _ in edges]) for pid, edges in ctrl_at.items()}
         # the matcher's compiled orders for branches that skip nothing, by seed
         # pid: at most one per pattern node
         self.orders: dict[str, list] = {}
@@ -186,16 +188,19 @@ _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _PLAN_RE = re.compile(
     rf'^plan\s+{_STRING}\s+kind=(cliche|bug)(?:\s+corrupts={_STRING})?\s+category=(pl|pe|cbt)\s*$'
 )
-_DOC_RE = re.compile(rf"^doc\s+{_STRING}\s*$")
-_NODE_RE = re.compile(
-    rf"^node\s+({_IDENT})\s+kind=({_IDENT})"
-    rf"(?:\s+op=({_IDENT}))?(?:\s+const=(-?\d+)|\s+slot=\$({_IDENT}))?\s*$"
-)
-_SUB_RE = re.compile(rf"^sub\s+({_IDENT})\s+plan={_STRING}\s*$")
-_DATA_RE = re.compile(rf"^data\s+({_IDENT}):(\d+)\s*->\s*({_IDENT}):(\d+)\s*$")
-_CTRL_RE = re.compile(rf"^ctrl\s+({_IDENT})\s*->\s*({_IDENT})(?:\s+label=(seq|true|false|back))?\s*$")
-_CONSTRAINT_RE = re.compile(rf"^constraint\s+({_IDENT})\s*\(([^)]*)\)\s*$")
-_EXPORT_RE = re.compile(rf"^export\s+({_IDENT})\s*=\s*({_IDENT})\s*$")
+# a directive line's pattern, by the line's first word
+_DIRECTIVE_RES = {
+    "doc": re.compile(rf"^doc\s+{_STRING}\s*$"),
+    "node": re.compile(rf"^node\s+({_IDENT})\s+kind=({_IDENT})"
+                       rf"(?:\s+op=({_IDENT}))?(?:\s+const=(-?\d+)|\s+slot=\$({_IDENT}))?\s*$"),
+    "sub": re.compile(rf"^sub\s+({_IDENT})\s+plan={_STRING}\s*$"),
+    "data": re.compile(rf"^data\s+({_IDENT}):(\d+)\s*->\s*({_IDENT}):(\d+)\s*$"),
+    "ctrl": re.compile(rf"^ctrl\s+({_IDENT})\s*->\s*({_IDENT})(?:\s+label=(seq|true|false|back))?\s*$"),
+    "constraint": re.compile(rf"^constraint\s+({_IDENT})\s*\(([^)]*)\)\s*$"),
+    "export": re.compile(rf"^export\s+({_IDENT})\s*=\s*({_IDENT})\s*$"),
+}
+# a predicate argument: an int (group 1), a $slot or a pattern-node id
+_ARG_RE = re.compile(rf"(-?\d+)|\$?{_IDENT}")
 
 # A doc template's `$slot` and `@role` markers: (sigil, name).
 MARKER_RE = re.compile(r"([$@])([A-Za-z_][A-Za-z0-9_]*)")
@@ -275,10 +280,14 @@ class _PlanFileParser:
         return plans
 
     def _directive(self, cur: dict, line: str, lineno: int) -> None:
-        if m := _DOC_RE.match(line):
+        keyword = line.split(None, 1)[0]
+        pattern = _DIRECTIVE_RES.get(keyword)
+        m = pattern.match(line) if pattern is not None else None
+        if m is None:
+            raise PlanSyntaxError(self.span(lineno), f"unrecognized directive: {line!r}")
+        if keyword == "doc":
             cur["doc"] = _unescape(m.group(1))
-            return
-        if m := _NODE_RE.match(line):
+        elif keyword == "node":
             pid, kind_s, op_s, const_s, slot = m.groups()
             try:
                 kind = NodeKind(kind_s)
@@ -296,26 +305,18 @@ class _PlanFileParser:
                 raise PlanSyntaxError(self.span(lineno), "const= is only meaningful on kind=CONST nodes")
             cur["nodes"].append(PatternNode(pid, kind, opcode,
                                             int(const_s) if const_s is not None else None, slot))
-            return
-        if m := _SUB_RE.match(line):
+        elif keyword == "sub":
             pid, plan_name = m.groups()
             cur["nodes"].append(PatternNode(pid, subplan=_unescape(plan_name)))
-            return
-        if m := _DATA_RE.match(line):
+        elif keyword == "data":
             a, po, b, pi = m.groups()
             cur["data"].append(((a, int(po)), (b, int(pi))))
-            return
-        if m := _CTRL_RE.match(line):
-            a, b, label = m.groups()
-            cur["ctrl"].append((a, b, label))
-            return
-        if m := _CONSTRAINT_RE.match(line):
+        elif keyword == "ctrl":
+            cur["ctrl"].append(m.groups())
+        elif keyword == "constraint":
             cur["constraints"].append(self._predicate(m.group(1), m.group(2), lineno))
-            return
-        if m := _EXPORT_RE.match(line):
-            cur["exports"].append((m.group(1), m.group(2)))
-            return
-        raise PlanSyntaxError(self.span(lineno), f"unrecognized directive: {line!r}")
+        else:
+            cur["exports"].append(m.groups())
 
     def _predicate(self, op: str, argtext: str, lineno: int) -> Predicate:
         if op not in PREDICATE_OPS:
@@ -323,25 +324,18 @@ class _PlanFileParser:
         args: list[str | int] = []
         parts = [p.strip() for p in argtext.split(",")] if argtext.strip() else []
         for part in parts:
-            if re.fullmatch(r"-?\d+", part):
-                args.append(int(part))
-            elif re.fullmatch(rf"\${_IDENT}", part):
-                args.append(part)
-            elif re.fullmatch(_IDENT, part):
-                args.append(part)
-            else:
+            if not (m := _ARG_RE.fullmatch(part)):
                 raise PlanSyntaxError(self.span(lineno), f"bad predicate argument {part!r}")
+            args.append(int(part) if m.group(1) else part)
         arity = 1 if op == "commutable" else 2
         if len(args) != arity:
             raise PlanSyntaxError(self.span(lineno), f"{op} takes {arity} argument(s)")
         if op in COMPARISONS:
-            if not (isinstance(args[0], str) and args[0].startswith("$")):
+            lhs, rhs = args
+            if not (str(lhs).startswith("$") and (isinstance(rhs, int) or rhs.startswith("$"))):
                 raise PlanSyntaxError(self.span(lineno), f"{op} compares a $slot to an int or $slot")
-            if not (isinstance(args[1], int) or (isinstance(args[1], str) and args[1].startswith("$"))):
-                raise PlanSyntaxError(self.span(lineno), f"{op} compares a $slot to an int or $slot")
-        else:
-            if any(not isinstance(a, str) or a.startswith("$") for a in args):
-                raise PlanSyntaxError(self.span(lineno), f"{op} takes pattern-node ids")
+        elif any(not isinstance(a, str) or a.startswith("$") for a in args):
+            raise PlanSyntaxError(self.span(lineno), f"{op} takes pattern-node ids")
         return Predicate(op, tuple(args))
 
     def _finish(self, cur: dict, header_line: int) -> Plan:
@@ -578,23 +572,25 @@ def base_validate(base: PlanBase) -> list[str]:
                                            f" {ports} port(s), one per role {pn.subplan!r} exports")
 
     state: dict[str, int] = {}
-
-    def visit(name: str, trail: list[str]) -> None:
-        state[name] = 1
-        for pn in base.plans[name].pnodes:
-            if pn.subplan in base.plans:
-                if state.get(pn.subplan, 0) == 1:
-                    cycle = trail[trail.index(pn.subplan):] if pn.subplan in trail else trail
-                    diagnostics.append(
-                        f"sub-plan cycle: {' -> '.join(cycle + [name, pn.subplan])}")
-                elif state.get(pn.subplan, 0) == 0:
-                    visit(pn.subplan, trail + [name])
-        state[name] = 2
-
     for name in base.names():
         if state.get(name, 0) == 0:
-            visit(name, [])
+            _find_sub_plan_cycles(base, name, [], state, diagnostics)
     return diagnostics
+
+
+def _find_sub_plan_cycles(base: PlanBase, name: str, trail: list[str], state: dict[str, int],
+                          diagnostics: list[str]) -> None:
+    """Walk depth-first from name (state 1 on the walk, 2 done), noting each sub-plan cycle met."""
+    state[name] = 1
+    for pn in base.plans[name].pnodes:
+        if pn.subplan in base.plans:
+            if state.get(pn.subplan, 0) == 1:
+                cycle = trail[trail.index(pn.subplan):] if pn.subplan in trail else trail
+                diagnostics.append(
+                    f"sub-plan cycle: {' -> '.join(cycle + [name, pn.subplan])}")
+            elif state.get(pn.subplan, 0) == 0:
+                _find_sub_plan_cycles(base, pn.subplan, trail + [name], state, diagnostics)
+    state[name] = 2
 
 
 def sub_closure(base: PlanBase, name: str) -> list[str]:
@@ -647,21 +643,22 @@ def dependency_order(base: PlanBase, names: list[str]) -> list[list[str]]:
     its names sorted.
     """
     level: dict[str, int] = {}
-
-    def depth(name: str) -> int:
-        if name in level:
-            return level[name]
-        level[name] = 0  # cycle guard; base_validate reports real cycles
-        subs = [sub for sub in base.plans[name].tables.subplan_of.values() if sub in base.plans]
-        level[name] = 1 + max((depth(s) for s in subs), default=-1)
-        return level[name]
-
     for name in names:
-        depth(name)
+        _depth(base, name, level)
     grouped: dict[int, list[str]] = {}
     for name in names:
         grouped.setdefault(level[name], []).append(name)
     return [sorted(grouped[d]) for d in sorted(grouped)]
+
+
+def _depth(base: PlanBase, name: str, level: dict[str, int]) -> int:
+    """name's level: 0 without sub-plans, else one above its deepest sub-plan's."""
+    if name in level:
+        return level[name]
+    level[name] = 0  # cycle guard; base_validate reports real cycles
+    subs = [sub for sub in base.plans[name].tables.subplan_of.values() if sub in base.plans]
+    level[name] = 1 + max((_depth(base, s, level) for s in subs), default=-1)
+    return level[name]
 
 
 def plan_files(directory: str | Path, errors: list[Exception] | None = None) -> dict[Path, list[Plan]]:

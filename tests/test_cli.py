@@ -583,6 +583,14 @@ def test_analyze_reports_a_variable_read_before_assignment(work, tmp_path, capsy
         == [("UNBOUND_VARIABLE", 1, 32)]
 
 
+def test_an_unknown_goal_is_reported_before_the_program_is_lowered(work, capsys):
+    (work / "unb.c").write_text("int main() { int x; int y; y = x + 1; return y; }\n")
+    (work / "nope.spec").write_text('spec "nope"\ngoal "no-such-plan" required\nend\n')
+    assert main(["analyze", str(work / "unb.c"), "--spec", str(work / "nope.spec"),
+                 "--plans", str(work / "plans")]) == 2
+    assert capsys.readouterr() == ("", "adil: no plan named 'no-such-plan' in base\n")
+
+
 _C_PIECES = ["int", "main", "f", "x", "a", "(", ")", "{", "}", "[", "]", ";", ",", "=", "&", "0", "1",
              "if", "else", "while", "for", "return", "scanf", "printf", '"%d"', '"%d %d"',
              "+", "-", "*", "/", "%", "<", "<=", "==", "&&", "||", "!", "@", "/*", "//", '"']

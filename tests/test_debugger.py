@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -412,3 +414,20 @@ def test_report_json_matches_json_dumps_on_crafted_reports():
     # truncated search, strings json must escape, sub-matches two levels deep
     for report in _crafted_reports():
         assert report_to_json(report) == _reference_report_json(report)
+
+
+def test_a_diagnosed_graph_is_freed_by_reference_counting(corpus_dir, base):
+    source = (corpus_dir / "correct/sum.c").read_text()
+    spec = parse_spec((corpus_dir / "correct/sum.spec").read_text())
+    gc.disable()
+    try:
+        g = graph_of(source, "sum.c")
+        report = diagnose(g, spec, base)
+        assert report.meaning is not None
+        render(report, source, base)
+        report_to_json(report)
+        graph = weakref.ref(g)
+        del g, report
+        assert graph() is None  # freed with no help from the cyclic collector
+    finally:
+        gc.enable()
