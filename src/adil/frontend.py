@@ -13,6 +13,11 @@ pipeline's contract is that input programs are already syntactically
 valid, so anything else is out-of-scope input, not something to recover
 from.
 
+Inside the parser a token is a plain tuple (kind, text, line, col_start,
+col_end), as `_lex` makes it, and a SourceSpan is built only where an Ast
+node or an error keeps one. `tokenize()` returns the same tokens as `Token`
+records, each with its SourceSpan, for callers outside the parser.
+
 The parser resolves every name, once: each declaration gets a slot, a
 number that is unique within its function, and every VarRef, ArrayRef and
 VarDecl carries the slot of the declaration it means. The parameters are
@@ -102,11 +107,16 @@ class Token(NamedTuple):
     span: SourceSpan
 
 
-def tokenize(source: str, filename: str = "<source>") -> list[Token]:
-    """Split source into tokens, skipping whitespace, comments and #include lines."""
-    tokens: list[Token] = []
+# A lexed token as the parser reads it: (kind, text, line, col_start,
+# col_end), a plain tuple, on one line (see _lex).
+_Tok = tuple[str, str, int, int, int]
+
+
+def _lex(source: str, filename: str = "<source>") -> list[_Tok]:
+    """Split source into (kind, text, line, col_start, col_end) tuples,
+    skipping whitespace, comments and #include lines. Raises LexError."""
+    tokens: list[_Tok] = []
     append = tokens.append
-    new_tuple = tuple.__new__  # Token(...) and SourceSpan(...) are Python-level calls
     line, line_start, pos = 1, 0, 0  # line_start: offset of the current line's first char
     while True:
         for m in _TOKEN_RE.finditer(source, pos):
@@ -146,18 +156,21 @@ def tokenize(source: str, filename: str = "<source>") -> list[Token]:
                                else "unterminated string literal" if source[i] == '"'
                                else f"unexpected character {source[i]!r}")
                     raise LexError(SourceSpan(filename, line, col, line, col), message)
-                # Valid without re-checking: one line, col >= 1, and j > i.
-                span = new_tuple(SourceSpan, (filename, line, i - line_start + 1, line, j - line_start))
-                append(new_tuple(Token, (kind, text, span)))
+                append((kind, text, line, i - line_start + 1, j - line_start))
                 if j > m.end():  # the token ran past the match: scan on from its end
                     pos = j
                     break
                 continue
             col_end = m.end() - line_start  # a word or punctuator ends the match
-            span = new_tuple(SourceSpan, (filename, line, col_end - len(text) + 1, line, col_end))
-            append(new_tuple(Token, (kind, text, span)))
+            append((kind, text, line, col_end - len(text) + 1, col_end))
         else:
             return tokens
+
+
+def tokenize(source: str, filename: str = "<source>") -> list[Token]:
+    """Split source into Tokens, skipping whitespace, comments and #include lines."""
+    return [Token(kind, text, SourceSpan(filename, line, col_start, line, col_end))
+            for kind, text, line, col_start, col_end in _lex(source, filename)]
 
 
 # ---------------------------------------------------------------------------
@@ -338,18 +351,21 @@ _REL_PREC = 3  # precedence of the comparison operators
 _END = "end of file"  # kind of the parser's end-of-input token; no lexed token has it
 
 
-def _found(tok: Token) -> str:
+def _found(tok: _Tok) -> str:
     """How an error message names the token it found."""
-    return _END if tok.kind == _END else repr(tok.text)
+    return _END if tok[0] == _END else repr(tok[1])
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], filename: str):
+    """Reads _lex's tuples by index (tok[0] the kind, tok[1] the text) and
+    builds a SourceSpan only where an Ast node or an error keeps one."""
+
+    def __init__(self, tokens: list[_Tok], filename: str):
         # The parser's copy of the tokens ends in an _END token, so the current
         # token and the one after an identifier are read without a bounds check.
-        last = tokens[-1].span if tokens else SourceSpan(filename, 1, 1, 1, 1)
-        eof = SourceSpan(filename, last.line_end, last.col_end, last.line_end, last.col_end)
-        self.tokens = [*tokens, Token(_END, "", eof)]
+        line, col = (tokens[-1][2], tokens[-1][4]) if tokens else (1, 1)
+        self.tokens = [*tokens, (_END, "", line, col, col)]
+        self.filename = filename
         self.end = len(tokens)
         self.pos = 0
         self.scopes: list[dict[str, tuple[int, bool]]] = []  # name -> (slot, is_array), innermost last
@@ -359,60 +375,86 @@ class _Parser:
 
     # -- token plumbing
 
+    def span(self, first: _Tok, last: _Tok) -> SourceSpan:
+        """From first's start to last's end; a token's own span is span(tok, tok)."""
+        # Valid without re-checking: a token is on one line, with 1 <= col_start
+        # <= col_end, and first is last or comes before it.
+        return tuple.__new__(SourceSpan, (self.filename, first[2], first[3], last[2], last[4]))
+
+    def span_to(self, first: _Tok, last: SourceSpan) -> SourceSpan:
+        """From first's start to the end of last, a node that comes after it."""
+        return tuple.__new__(SourceSpan, (self.filename, first[2], first[3], last.line_end,
+                                          last.col_end))
+
     def _eof_span(self) -> SourceSpan:
-        return self.tokens[self.end].span
+        eof = self.tokens[self.end]
+        return self.span(eof, eof)
 
     def at(self, kind: str) -> bool:
-        return self.tokens[self.pos].kind == kind
+        return self.tokens[self.pos][0] == kind
 
-    def advance(self) -> Token:
+    def advance(self) -> _Tok:
         """The current token, which the caller has looked at, and move past it."""
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, expected: str | None = None) -> Token:
+    def expect(self, kind: str, expected: str | None = None) -> _Tok:
         tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            raise CSyntaxError(tok.span, expected or repr(kind), _found(tok))
+        if tok[0] != kind:
+            raise CSyntaxError(self.span(tok, tok), expected or repr(kind), _found(tok))
         self.pos += 1
         return tok
 
-    def nest(self, tok: Token) -> None:
+    def nest(self, tok: _Tok) -> None:
         """Enter one nesting level at tok; leave it with `self.depth -= 1`."""
         if self.depth >= MAX_NESTING:
             raise self._too_deep(tok)
         self.depth += 1
 
-    def _too_deep(self, tok: Token) -> CSyntaxError:
-        return CSyntaxError(tok.span, f"at most {MAX_NESTING} levels of nested parentheses, blocks"
-                            " and operators", _found(tok))
+    def _too_deep(self, tok: _Tok) -> CSyntaxError:
+        return CSyntaxError(self.span(tok, tok), f"at most {MAX_NESTING} levels of nested"
+                            " parentheses, blocks and operators", _found(tok))
 
-    def binary(self, op: Token, lhs: Expr, rhs: Expr, limit: int = MAX_NESTING) -> Binary:
+    def binary(self, op: _Tok, lhs: Expr, rhs: Expr, limit: int = MAX_NESTING) -> Binary:
         """lhs op rhs, a CSyntaxError at op if it ends deeper than limit."""
-        node = Binary(op.kind, lhs, rhs, span_join(lhs.span, rhs.span))
+        node = Binary(op[0], lhs, rhs, span_join(lhs.span, rhs.span))
         if self.depth + node.height > limit:
             raise self._too_deep(op)
         return node
 
+    def int_value(self, tok: _Tok) -> int:
+        """The value of a `num` token; digits int() cannot read are a syntax error."""
+        text = tok[1]
+        if not text.isdecimal():  # "²" and other digits that are not decimal
+            raise CSyntaxError(self.span(tok, tok), "a decimal integer literal", repr(text))
+        try:
+            return int(text)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise CSyntaxError(self.span(tok, tok), "an integer literal of at most"
+                               f" {sys.get_int_max_str_digits()} digits",
+                               f"{len(text)} digits") from None
+
     # -- scopes
 
-    def declare(self, tok: Token, is_array: bool) -> int:
+    def declare(self, tok: _Tok, is_array: bool) -> int:
         """Put tok's name in the innermost scope under the function's next slot."""
         scope = self.scopes[-1]
-        if tok.text in scope:
-            raise CSyntaxError(tok.span, "a fresh variable name", f"redeclaration of {tok.text!r}")
-        scope[tok.text] = (self.slots, is_array)
+        name = tok[1]
+        if name in scope:
+            raise CSyntaxError(self.span(tok, tok), "a fresh variable name",
+                               f"redeclaration of {name!r}")
+        scope[name] = (self.slots, is_array)
         self.slots += 1
         return self.slots - 1
 
-    def lookup(self, tok: Token) -> tuple[int, bool]:
+    def lookup(self, tok: _Tok) -> tuple[int, bool]:
         """(slot, is_array) of the declaration tok's name refers to here."""
         for scope in reversed(self.scopes):
-            entry = scope.get(tok.text)
+            entry = scope.get(tok[1])
             if entry is not None:
                 return entry
-        raise CSyntaxError(tok.span, "a declared identifier", repr(tok.text))
+        raise CSyntaxError(self.span(tok, tok), "a declared identifier", repr(tok[1]))
 
     # -- grammar
 
@@ -428,8 +470,9 @@ class _Parser:
     def parse_function(self) -> FunctionDecl:
         start = self.expect("int", "'int' return type")
         name = self.expect("ident", "function name")
-        if name.text in self.functions:
-            raise CSyntaxError(name.span, "a fresh function name", f"redefinition of {name.text!r}")
+        if name[1] in self.functions:
+            raise CSyntaxError(self.span(name, name), "a fresh function name",
+                               f"redefinition of {name[1]!r}")
         self.expect("(")
         # The parameters are slots 0..n-1, in the scope of the body's outermost block.
         self.scopes, self.slots = [{}], 0
@@ -444,14 +487,14 @@ class _Parser:
                     self.expect("]")
                     is_array = True
                 self.declare(pname, is_array)
-                params.append(Param(pname.text, is_array, pname.span))
+                params.append(Param(pname[1], is_array, self.span(pname, pname)))
                 if self.at(","):
                     self.advance()
                     continue
                 break
         self.expect(")")
         body = self.parse_block(own_scope=False)
-        decl = FunctionDecl(name.text, tuple(params), body, span_join(start.span, body.span))
+        decl = FunctionDecl(name[1], tuple(params), body, self.span_to(start, body.span))
         self.functions[decl.name] = decl
         return decl
 
@@ -466,22 +509,22 @@ class _Parser:
         if own_scope:
             self.scopes.pop()
         close = self.expect("}")
-        return Block(tuple(stmts), span_join(open_.span, close.span))
+        return Block(tuple(stmts), self.span(open_, close))
 
     def parse_statement(self) -> list[Stmt]:
         """One syntactic statement; comma declarations expand to several VarDecls."""
         tok = self.tokens[self.pos]
-        kind = tok.kind
+        kind = tok[0]
         if kind == "ident":
-            if tok.text == "scanf":
+            if tok[1] == "scanf":
                 return [self.parse_scanf()]
-            if tok.text == "printf":
+            if tok[1] == "printf":
                 return [self.parse_printf()]
             # Either a call statement or an assignment.
-            if self.tokens[self.pos + 1].kind == "(":
+            if self.tokens[self.pos + 1][0] == "(":
                 call = self.parse_call(self.advance())
                 semi = self.expect(";")
-                return [ExprStmt(call, span_join(call.span, semi.span))]
+                return [ExprStmt(call, self.span(tok, semi))]
             return [self.parse_assignment(statement=True)]
         if kind == "int":
             return self.parse_declaration()
@@ -498,7 +541,7 @@ class _Parser:
             return [self.parse_for()]
         if kind == "return":
             return [self.parse_return()]
-        raise CSyntaxError(tok.span, "a statement", _found(tok))
+        raise CSyntaxError(self.span(tok, tok), "a statement", _found(tok))
 
     def parse_declaration(self) -> list[Stmt]:
         start = self.expect("int")
@@ -507,48 +550,50 @@ class _Parser:
             name = self.expect("ident", "variable name (pointers and other types are not supported)")
             size: int | None = None
             init: Expr | None = None
-            end_span = name.span
+            last = name  # the declarator's last token, unless it has an initializer
             if self.at("["):
                 self.advance()
-                size = _int_value(self.expect("num", "array size literal"))
-                end_span = self.expect("]").span
+                size = self.int_value(self.expect("num", "array size literal"))
+                last = self.expect("]")
             # as in C, the name is in scope from its declarator on, its initializer included
             slot = self.declare(name, size is not None)
             if size is None and self.at("="):
                 self.advance()
                 init = self.parse_expr()
-                end_span = init.span
             if self.at(","):
                 self.advance()
-                decls.append(VarDecl(name.text, slot, size, init, span_join(start.span, end_span)))
+                span = self.span(start, last) if init is None else self.span_to(start, init.span)
+                decls.append(VarDecl(name[1], slot, size, init, span))
                 continue
             # the last declarator's span runs to the ';'
             semi = self.expect(";")
-            decls.append(VarDecl(name.text, slot, size, init, span_join(start.span, semi.span)))
+            decls.append(VarDecl(name[1], slot, size, init, self.span(start, semi)))
             return decls
 
     def parse_assignment(self, statement: bool = False) -> Assign:
         """target = value; a statement also takes the ';', and its span runs to it."""
+        first = self.tokens[self.pos]
         target = self.parse_lvalue()
         self.expect("=", "'=' in assignment")
         value = self.parse_expr()
-        end = self.expect(";").span if statement else value.span
-        return Assign(target, value, span_join(target.span, end))
+        if statement:
+            return Assign(target, value, self.span(first, self.expect(";")))
+        return Assign(target, value, span_join(target.span, value.span))
 
     def parse_lvalue(self) -> LValue:
         name = self.expect("ident", "variable name")
         slot, is_array = self.lookup(name)
         if self.at("["):
             if not is_array:
-                raise CSyntaxError(name.span, "an array variable", repr(name.text))
+                raise CSyntaxError(self.span(name, name), "an array variable", repr(name[1]))
             self.nest(self.advance())
             index = self.parse_expr()
             close = self.expect("]")
             self.depth -= 1
-            return ArrayRef(name.text, slot, index, span_join(name.span, close.span))
+            return ArrayRef(name[1], slot, index, self.span(name, close))
         if is_array:
-            raise CSyntaxError(name.span, "an indexed array access", repr(name.text))
-        return VarRef(name.text, slot, name.span)
+            raise CSyntaxError(self.span(name, name), "an indexed array access", repr(name[1]))
+        return VarRef(name[1], slot, self.span(name, name))
 
     def parse_if(self) -> If:
         start = self.expect("if")
@@ -562,17 +607,18 @@ class _Parser:
             self.advance()
             orelse = self.parse_branch_body()
             end_span = orelse.span
-        return If(cond, then, orelse, span_join(start.span, end_span))
+        return If(cond, then, orelse, self.span_to(start, end_span))
 
     def parse_branch_body(self) -> Stmt:
         """The body of an if, else, while or for. C takes a declaration only
         inside a block, so `if (c) int y = 1;` is rejected, as gcc does."""
         tok = self.tokens[self.pos]
         self.nest(tok)
-        if tok.kind == "{":
+        if tok[0] == "{":
             body: Stmt = self.parse_block()
-        elif tok.kind == "int":
-            raise CSyntaxError(tok.span, "a statement (a declaration needs a block here)", _found(tok))
+        elif tok[0] == "int":
+            raise CSyntaxError(self.span(tok, tok), "a statement (a declaration needs a block here)",
+                               _found(tok))
         else:
             body = self.parse_statement()[0]
         self.depth -= 1
@@ -584,7 +630,7 @@ class _Parser:
         cond = self.parse_expr()
         self.expect(")")
         body = self.parse_branch_body()
-        return While(cond, body, span_join(start.span, body.span))
+        return While(cond, body, self.span_to(start, body.span))
 
     def parse_for(self) -> For:
         start = self.expect("for")
@@ -596,7 +642,7 @@ class _Parser:
         step = self.parse_assignment()
         self.expect(")")
         body = self.parse_branch_body()
-        return For(init, cond, step, body, span_join(start.span, body.span))
+        return For(init, cond, step, body, self.span_to(start, body.span))
 
     def parse_return(self) -> Return:
         start = self.expect("return")
@@ -604,15 +650,16 @@ class _Parser:
         if not self.at(";"):
             value = self.parse_expr()
         semi = self.expect(";")
-        return Return(value, span_join(start.span, semi.span))
+        return Return(value, self.span(start, semi))
 
     def parse_scanf(self) -> Input:
         start = self.advance()  # scanf
         self.expect("(")
         fmt = self.expect("string", "scanf format string")
-        conversions = fmt.text.count("%d")
-        if conversions == 0 or fmt.text.replace("%d", "").strip(" ") != "":
-            raise CSyntaxError(fmt.span, 'a "%d"-only scanf format', repr(fmt.text))
+        text = fmt[1]
+        conversions = text.count("%d")
+        if conversions == 0 or text.replace("%d", "").strip(" ") != "":
+            raise CSyntaxError(self.span(fmt, fmt), 'a "%d"-only scanf format', repr(text))
         targets: list[LValue] = []
         for _ in range(conversions):
             self.expect(",")
@@ -620,7 +667,7 @@ class _Parser:
             targets.append(self.parse_lvalue())
         self.expect(")")
         semi = self.expect(";")
-        return Input(tuple(targets), span_join(start.span, semi.span))
+        return Input(tuple(targets), self.span(start, semi))
 
     def parse_printf(self) -> Output:
         start = self.advance()  # printf
@@ -632,25 +679,26 @@ class _Parser:
             args.append(self.parse_expr())
         self.expect(")")
         semi = self.expect(";")
-        if fmt.text.count("%d") != len(args):
-            raise CSyntaxError(fmt.span, 'one argument per "%d"', f"{len(args)} arguments")
-        return Output(fmt.text, tuple(args), span_join(start.span, semi.span))
+        if fmt[1].count("%d") != len(args):
+            raise CSyntaxError(self.span(fmt, fmt), 'one argument per "%d"', f"{len(args)} arguments")
+        return Output(fmt[1], tuple(args), self.span(start, semi))
 
-    def parse_call(self, name: Token) -> Call:
-        if name.text not in self.functions:
-            raise CSyntaxError(name.span, "a previously defined function", repr(name.text))
-        params = self.functions[name.text].params
+    def parse_call(self, name: _Tok) -> Call:
+        callee = name[1]
+        if callee not in self.functions:
+            raise CSyntaxError(self.span(name, name), "a previously defined function", repr(callee))
+        params = self.functions[callee].params
         self.nest(self.expect("("))
         args: list[Expr] = []
         for param in params:
             if args:
                 self.expect(",", f"',' and an argument for parameter {param.name!r} "
-                                 f"of {name.text!r}")
-            args.append(self.parse_argument(name.text, param))
+                                 f"of {callee!r}")
+            args.append(self.parse_argument(callee, param))
         count = f"{len(params)} argument{'' if len(params) == 1 else 's'}"
-        close = self.expect(")", f"')' after {count} to {name.text!r}")
+        close = self.expect(")", f"')' after {count} to {callee!r}")
         self.depth -= 1
-        return Call(name.text, tuple(args), span_join(name.span, close.span))
+        return Call(callee, tuple(args), self.span(name, close))
 
     def parse_argument(self, callee: str, param: Param) -> Expr:
         """One call argument: a scalar expression for a scalar parameter (where
@@ -658,16 +706,16 @@ class _Parser:
         exactly a bare array name for an array parameter."""
         tok = self.tokens[self.pos]
         what = f"parameter {param.name!r} of {callee!r}"
-        if tok.kind == _END or tok.kind == ")":
-            raise CSyntaxError(tok.span, f"an argument for {what}", _found(tok))
+        if tok[0] == _END or tok[0] == ")":
+            raise CSyntaxError(self.span(tok, tok), f"an argument for {what}", _found(tok))
         if not param.is_array:
             return self.parse_expr()
-        if tok.kind == "ident" and self.tokens[self.pos + 1].kind in (",", ")"):
+        if tok[0] == "ident" and self.tokens[self.pos + 1][0] in (",", ")"):
             slot, is_array = self.lookup(tok)
             if is_array:
                 self.advance()
-                return VarRef(tok.text, slot, tok.span)
-        raise CSyntaxError(tok.span, f"a bare array name for array {what}", repr(tok.text))
+                return VarRef(tok[1], slot, self.span(tok, tok))
+        raise CSyntaxError(self.span(tok, tok), f"a bare array name for array {what}", repr(tok[1]))
 
     # Binary operators by precedence climbing over _PRECEDENCE (|| < && <
     # relational < additive < multiplicative), all left-associative except
@@ -687,7 +735,7 @@ class _Parser:
         tokens = self.tokens
         while True:  # the _END token has no precedence, so it ends the loop
             op = tokens[self.pos]
-            prec = _PRECEDENCE.get(op.kind, 0)
+            prec = _PRECEDENCE.get(op[0], 0)
             if prec < min_prec or (prec == _REL_PREC and closed):
                 break
             self.pos += 1
@@ -698,71 +746,76 @@ class _Parser:
 
     def parse_unary(self) -> Expr:
         tok = self.tokens[self.pos]
-        if tok.kind == "!" or tok.kind == "-":
+        if tok[0] == "!" or tok[0] == "-":
             self.nest(self.advance())
             operand = self.parse_unary()
             self.depth -= 1
-            return Unary(tok.kind, operand, span_join(tok.span, operand.span))
+            return Unary(tok[0], operand, self.span_to(tok, operand.span))
         return self.parse_primary()
 
     def parse_primary(self) -> Expr:
         tok = self.tokens[self.pos]
-        kind = tok.kind
+        kind = tok[0]
         if kind == "ident":
-            if self.tokens[self.pos + 1].kind == "(":
+            if self.tokens[self.pos + 1][0] == "(":
                 return self.parse_call(self.advance())
             return self.parse_lvalue()
         if kind == "num":
             self.pos += 1
-            return IntLit(_int_value(tok), tok.span)
+            return IntLit(self.int_value(tok), self.span(tok, tok))
         if kind == "(":
             self.nest(self.advance())
             inner = self.parse_expr()
             self.expect(")")
             self.depth -= 1
             return inner
-        raise CSyntaxError(tok.span, "an expression", _found(tok))
-
-
-def _int_value(tok: Token) -> int:
-    """The value of a `num` token; digits int() cannot read are a syntax error."""
-    if not tok.text.isdecimal():  # "²" and other digits that are not decimal
-        raise CSyntaxError(tok.span, "a decimal integer literal", repr(tok.text))
-    try:
-        return int(tok.text)
-    except ValueError:  # past sys.get_int_max_str_digits()
-        raise CSyntaxError(tok.span, f"an integer literal of at most {sys.get_int_max_str_digits()}"
-                           " digits", f"{len(tok.text)} digits") from None
+        raise CSyntaxError(self.span(tok, tok), "an expression", _found(tok))
 
 
 def parse_c(source: str, filename: str = "<source>") -> Ast:
     """Parse C-subset source into an Ast. Raises LexError / CSyntaxError."""
-    return _Parser(tokenize(source, filename), filename).parse_program()
+    return _Parser(_lex(source, filename), filename).parse_program()
 
 
 # ---------------------------------------------------------------------------
 # Desugaring: rewrite every for-loop as init; while (cond) { body; step }.
 
 def desugar(ast: Ast) -> Ast:
-    funcs = tuple(replace(f, body=_desugar_stmt(f.body)) for f in ast.functions)
+    """The Ast with every for-loop rewritten. A subtree with no for-loop in it
+    comes back as the same object, and so does an Ast with none at all."""
+    funcs = tuple(_desugar_function(f) for f in ast.functions)
+    if all(new is old for new, old in zip(funcs, ast.functions)):
+        return ast
     return replace(ast, functions=funcs)
+
+
+def _desugar_function(f: FunctionDecl) -> FunctionDecl:
+    body = _desugar_stmt(f.body)
+    return f if body is f.body else replace(f, body=body)
 
 
 def _desugar_stmt(stmt: Stmt) -> Stmt:
     if isinstance(stmt, Block):
         out: list[Stmt] = []
+        changed = False
         for s in stmt.stmts:
             d = _desugar_stmt(s)
-            if isinstance(d, Block) and isinstance(s, For):
-                out.extend(d.stmts)  # splice init; while at the for's position
-            else:
-                out.append(d)
-        return replace(stmt, stmts=tuple(out))
+            if d is not s:
+                changed = True
+                if isinstance(s, For):
+                    out.extend(d.stmts)  # splice init; while at the for's position
+                    continue
+            out.append(d)
+        return replace(stmt, stmts=tuple(out)) if changed else stmt
     if isinstance(stmt, If):
+        then = _desugar_stmt(stmt.then)
         orelse = _desugar_stmt(stmt.orelse) if stmt.orelse is not None else None
-        return replace(stmt, then=_desugar_stmt(stmt.then), orelse=orelse)
+        if then is stmt.then and orelse is stmt.orelse:
+            return stmt
+        return replace(stmt, then=then, orelse=orelse)
     if isinstance(stmt, While):
-        return replace(stmt, body=_desugar_stmt(stmt.body))
+        body = _desugar_stmt(stmt.body)
+        return stmt if body is stmt.body else replace(stmt, body=body)
     if isinstance(stmt, For):
         body = _desugar_stmt(stmt.body)
         if isinstance(body, Block):

@@ -5,11 +5,13 @@ that findings can be pinpointed back to the text the student wrote.
 
 A span is a validated tuple: `SourceSpan(...)` checks its coordinates, and
 spans compare, hash and sort as their field tuples. The front end builds
-thousands of spans per program, so three sites that can only produce valid
-spans skip the check by building the tuple directly: `frontend.tokenize`
-(one token on one line), `span_hull` (the hull of valid spans) and
-`span_join` (the start of one valid span and the end of another that starts
-and ends no earlier, which is the pair's hull).
+thousands of spans per program, so the sites that can only produce valid
+spans skip the check by building the tuple directly: the parser's token
+spans, `frontend._Parser.span` and `span_to` (from a lexed token, which lies
+on one line, to a token or node that does not come before it),
+`span_hull` (the hull of valid spans) and `span_join` (the start of one
+valid span and the end of another that starts and ends no earlier, which is
+the pair's hull).
 """
 
 from __future__ import annotations

@@ -156,6 +156,46 @@ def test_desugar_without_for_is_identity():
     assert desugar(ast) == ast
 
 
+def _statements(node) -> list:
+    """Every statement under node (an Ast or a statement), in pre-order."""
+    out = [node] if isinstance(node, Stmt) else []
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        for child in value if isinstance(value, tuple) else [value]:
+            if isinstance(child, (Stmt, frontend.FunctionDecl)):
+                out += _statements(child)
+    return out
+
+
+def test_desugar_shares_a_for_free_tree(corpus_cases):
+    sources = [program.read_text() for program, _ in corpus_cases]
+    sources.append("int f(int v) { if (v) { v = v - 1; } else v = 0; return v; }\n"
+                   "int main() { int s; s = f(2); while (s < 5) { { s = s + 1; } } return s; }\n")
+    checked = 0
+    for source in sources:
+        ast = parse_c(source)
+        if any(isinstance(s, For) for s in _statements(ast)):
+            continue
+        out = desugar(ast)
+        before, after = _statements(ast), _statements(out)
+        assert len(before) == len(after) and all(a is b for a, b in zip(before, after))
+        assert out is ast
+        checked += 1
+    assert checked >= 5
+
+
+def test_desugar_rebuilds_only_the_path_to_a_for():
+    ast = parse_c("int f(int v) { while (v) { v = v - 1; } return v; }\n"
+                  "int main() { int i; int s; s = 0; if (s) { s = 1; } else s = 2;\n"
+                  "while (s < 9) { s = s + 1; for (i = 0; i < 3; i = i + 1) s = s + i; } return s; }\n")
+    out = desugar(ast)
+    assert out.functions[0] is ast.functions[0]
+    before, after = ast.functions[1].body.stmts, out.functions[1].body.stmts
+    assert [a is b for a, b in zip(before, after)] == [True, True, True, True, False, True]
+    loop_before, loop_after = before[4].body.stmts, after[4].body.stmts
+    assert loop_after[0] is loop_before[0] and isinstance(loop_after[2], While)
+
+
 def test_desugar_nested_for_inside_while():
     src = "int main(){int i;int s;s=0;while(s<5){for(i=0;i<3;i=i+1){s=s+1;}}}"
     out = desugar(parse_c(src))
@@ -617,7 +657,7 @@ class _Peek:
     """The bounds-checked look at the current token that the reference
     parsers read, None at the end of input."""
 
-    def peek(self) -> Token | None:
+    def peek(self) -> tuple | None:
         return self.tokens[self.pos] if self.pos < self.end else None
 
 
@@ -644,21 +684,21 @@ class _ReferenceParser(_Peek, _Parser):
 
     def parse_rel(self) -> Expr:
         lhs = self.parse_add()
-        if self.peek() is not None and self.peek().kind in ("<", "<=", ">", ">=", "==", "!="):
+        if self.peek() is not None and self.peek()[0] in ("<", "<=", ">", ">=", "==", "!="):
             op = self.advance()
             return self.binary(op, lhs, self.parse_add(), MAX_NESTING + 1)
         return lhs
 
     def parse_add(self) -> Expr:
         lhs = self.parse_mul()
-        while self.peek() is not None and self.peek().kind in ("+", "-"):
+        while self.peek() is not None and self.peek()[0] in ("+", "-"):
             op = self.advance()
             lhs = self.binary(op, lhs, self.parse_mul())
         return lhs
 
     def parse_mul(self) -> Expr:
         lhs = self.parse_unary()
-        while self.peek() is not None and self.peek().kind in ("*", "/", "%"):
+        while self.peek() is not None and self.peek()[0] in ("*", "/", "%"):
             op = self.advance()
             lhs = self.binary(op, lhs, self.parse_unary())
         return lhs
@@ -675,8 +715,8 @@ def _heights(node) -> list[int]:
     return out
 
 
-def _parse_outcome(parser: type[_Parser], source: str | list[Token]):
-    tokens = tokenize(source) if isinstance(source, str) else source
+def _parse_outcome(parser: type[_Parser], source: str | list[tuple]):
+    tokens = frontend._lex(source) if isinstance(source, str) else source
     try:
         ast = parser(tokens, "<source>").parse_program()
     except CSyntaxError as err:
@@ -755,21 +795,21 @@ def test_comparisons_do_not_chain():
 class _ReferenceStatementParser(_Peek, _Parser):
     def at(self, kind: str) -> bool:
         tok = self.peek()
-        return tok is not None and tok.kind == kind
+        return tok is not None and tok[0] == kind
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
         tok = self.peek()
         if tok is None:
             raise CSyntaxError(self._eof_span(), "more input", "end of file")
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, expected: str | None = None) -> Token:
+    def expect(self, kind: str, expected: str | None = None) -> tuple:
         tok = self.peek()
         if tok is None:
             raise CSyntaxError(self._eof_span(), expected or repr(kind), "end of file")
-        if tok.kind != kind:
-            raise CSyntaxError(tok.span, expected or repr(kind), repr(tok.text))
+        if tok[0] != kind:
+            raise CSyntaxError(self.span(tok, tok), expected or repr(kind), repr(tok[1]))
         self.pos += 1
         return tok
 
@@ -780,7 +820,7 @@ class _ReferenceStatementParser(_Peek, _Parser):
         assign = Assign(target, value, span_hull([target.span, value.span]))
         if statement:
             semi = self.expect(";")
-            assign = dataclasses.replace(assign, span=span_hull([assign.span, semi.span]))
+            assign = dataclasses.replace(assign, span=span_hull([assign.span, self.span(semi, semi)]))
         return assign
 
     def parse_declaration(self) -> list[Stmt]:
@@ -790,23 +830,24 @@ class _ReferenceStatementParser(_Peek, _Parser):
             name = self.expect("ident", "variable name (pointers and other types are not supported)")
             size: int | None = None
             init: Expr | None = None
-            end_span = name.span
+            end_span = self.span(name, name)
             if self.at("["):
                 self.advance()
-                size = frontend._int_value(self.expect("num", "array size literal"))
-                end_span = self.expect("]").span
+                size = self.int_value(self.expect("num", "array size literal"))
+                close = self.expect("]")
+                end_span = self.span(close, close)
             slot = self.declare(name, size is not None)
             if size is None and self.at("="):
                 self.advance()
                 init = self.parse_expr()
                 end_span = init.span
-            decls.append(VarDecl(name.text, slot, size, init, span_hull([start.span, end_span])))
+            decls.append(VarDecl(name[1], slot, size, init, span_hull([self.span(start, start), end_span])))
             if self.at(","):
                 self.advance()
                 continue
             break
         semi = self.expect(";")
-        decls[-1] = dataclasses.replace(decls[-1], span=span_hull([decls[-1].span, semi.span]))
+        decls[-1] = dataclasses.replace(decls[-1], span=span_hull([decls[-1].span, self.span(semi, semi)]))
         return decls
 
 
@@ -827,9 +868,9 @@ def statement_program(pieces: list[str]) -> str:
             "int main() { int x; int y; int a[3];\n" + "\n".join(pieces) + "\nreturn x; }\n")
 
 
-def _statement_tokens(pieces: list[str], cut: int | None) -> list[Token]:
+def _statement_tokens(pieces: list[str], cut: int | None) -> list[tuple]:
     """Tokens of statement_program(pieces), less the last `cut` tokens."""
-    tokens = tokenize(statement_program(pieces))
+    tokens = frontend._lex(statement_program(pieces))
     return tokens if cut is None else tokens[:len(tokens) - cut]
 
 
@@ -858,3 +899,50 @@ def test_parsing_builds_each_statement_once(monkeypatch, corpus_cases):
     for program, _ in corpus_cases:
         parse_c(program.read_text(), filename=program.name)
     assert calls == []
+
+
+def test_parse_c_builds_no_token(monkeypatch, corpus_cases):
+    # the parser reads the lexer's plain tuples; Token is tokenize()'s alone
+    class NoToken:
+        def __new__(cls, *args):
+            raise AssertionError("a Token was built")
+
+    monkeypatch.setattr(frontend, "Token", NoToken)
+    for program, _ in corpus_cases:
+        parse_c(program.read_text(), filename=program.name)
+    with pytest.raises(AssertionError):
+        tokenize("int x;")
+
+
+def _span_types(node) -> set[type]:
+    """The types of every `span` in an Ast subtree."""
+    out = {type(node.span)} if hasattr(node, "span") else set()
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        for child in value if isinstance(value, tuple) else [value]:
+            if dataclasses.is_dataclass(child):
+                out |= _span_types(child)
+    return out
+
+
+def test_every_span_is_a_source_span(corpus_cases):
+    # a plain tuple compares equal to a SourceSpan, so equality would not tell
+    for program, _ in corpus_cases:
+        ast = parse_c(program.read_text(), filename=program.name)
+        lowered = desugar(ast)
+        graph = build_flow_graph(lowered)
+        assert _span_types(ast) == {SourceSpan}, program
+        assert _span_types(lowered) == {SourceSpan}, program
+        assert {type(n.ann.span) for n in graph.nodes.values()} == {SourceSpan}, program
+
+
+def test_tokenize_is_lex_field_by_field(corpus_cases):
+    sources = [program.read_text() for program, _ in corpus_cases]
+    sources += [random_program(random.Random(seed)) for seed in range(200)]
+    for source in sources:
+        tokens = tokenize(source, "f.c")
+        assert {(type(t), type(t.span)) for t in tokens} == {(Token, SourceSpan)}
+        fields = [(t.kind, t.text, t.span.file, t.span.line_start, t.span.col_start,
+                   t.span.line_end, t.span.col_end) for t in tokens]
+        assert fields == [(kind, text, "f.c", line, col_start, line, col_end)
+                          for kind, text, line, col_start, col_end in frontend._lex(source, "f.c")]
