@@ -165,7 +165,8 @@ def diagnose(g: FlowGraph, spec: ProgramSpec, base: PlanBase,
     findings: list[Finding] = []
     verdicts: dict[str, str] = {}
     recognized: dict[str, MatchResult] = {}
-    missing: list[tuple[str, list[str]]] = []  # required goals found MISSING, with their plans
+    # required goals found MISSING, with their plans and the bug plans that corrupt one
+    missing: list[tuple[str, list[str], list[str]]] = []
 
     for goal in spec.goals:
         relevant = sub_closure(base, goal.name)
@@ -175,10 +176,10 @@ def diagnose(g: FlowGraph, spec: ProgramSpec, base: PlanBase,
         if accepted is not None:
             recognized[goal.name] = accepted
 
-        for bug_name in sorted(base.plans):
+        bugs = [name for name, plan in sorted(base.plans.items())
+                if plan.kind == "bug" and plan.corrupts in relevant]
+        for bug_name in bugs:
             bug = base.plans[bug_name]
-            if bug.kind != "bug" or bug.corrupts not in relevant:
-                continue
             bug_match = rec.best_accepted(bug_name)
             if bug_match is None:
                 continue
@@ -201,12 +202,12 @@ def diagnose(g: FlowGraph, spec: ProgramSpec, base: PlanBase,
         else:
             verdicts[goal.name] = "MISSING"
             if goal.required:
-                missing.append((goal.name, relevant))
+                missing.append((goal.name, relevant, bugs))
         findings.extend(goal_findings)
 
-    # after every goal has read its plans: each read may resume a search the
-    # budget then cuts short, and a MISSING finding notes any truncation
-    findings.extend(_missing_finding(goal, relevant, rec, g) for goal, relevant in missing)
+    # after every goal has read its plans, so that a note sees every search
+    # that decides its goal and that the budget cut short
+    findings.extend(_missing_finding(goal, relevant, bugs, rec, g) for goal, relevant, bugs in missing)
     findings.sort(key=lambda f: (f.span.line_start, _KIND_ORDER[f.kind], f.goal, f.bug_plan or ""))
 
     meaning: str | None = None
@@ -316,7 +317,11 @@ def _violation_finding(goal: str, plan: Plan, near: MatchResult, outcome, g: Flo
     )
 
 
-def _missing_finding(goal: str, relevant: list[str], rec: Recognition, g: FlowGraph) -> Finding:
+def _missing_finding(goal: str, relevant: list[str], bugs: list[str], rec: Recognition,
+                     g: FlowGraph) -> Finding:
+    """The goal's MISSING finding: its best structural match, and a note when
+    a search that decides the goal (one of its plans, or a bug plan that
+    corrupts one) was cut short by the budget."""
     best: MatchResult | None = None
     for plan_name in relevant:
         candidate = rec.best(plan_name)
@@ -326,7 +331,7 @@ def _missing_finding(goal: str, relevant: list[str], rec: Recognition, g: FlowGr
         evidence = "no part of the expected structure was found"
     else:
         evidence = f"best structural match scored {best.score}"
-    if rec.truncated:
+    if not rec.truncated.isdisjoint(relevant) or not rec.truncated.isdisjoint(bugs):
         evidence += " (search was truncated by the matching budget)"
     return Finding(
         kind=FindingKind.MISSING_GOAL,

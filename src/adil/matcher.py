@@ -71,10 +71,17 @@ and seed (`_order`), one `_Step` per position, and kept on `Plan.tables`:
 at most one order per pattern node, shared by every graph and dropped with
 the plan. A step holds its pattern node's test and the incident edges whose
 other end is bound before it, so checking a candidate tests no edge for
-being bound. Branches with skips (the deferred ones, and seed rounds 1 and
-up) compile each step when they reach it (`_step`), unmemoized, since a
-plan built for one item would visit most of those states once. Either way
-the order, the candidates and so every step are the same.
+being bound. A branch that has skipped a node likewise binds exactly what
+the walk from its state reaches, its state being the nodes it has bound and
+the nodes it has skipped: a deferred branch when `resume` runs it, a
+stage-two branch that skips one more node, and seed rounds 1 and up, whose
+state is the seed and the seeds before it. So that order too is compiled
+once per plan and state (`_skip_order`) and kept on the tables, since every
+program a shared base grades meets the same states, and one search meets a
+state again from many candidates. A plan keeps at most MAX_SKIP_ORDERS of
+them; past that, an order is compiled for the branch that needs it and
+dropped with it. Every order is one walk over `_step`, indexed by the number
+of nodes bound, and `extend` reads each branch's next step from its order.
 
 Stage one runs in two tiers. The first time a plan searches from a seed,
 it runs `extend` over the compiled order. The second time, the order is
@@ -92,7 +99,7 @@ enters the source: pattern node ids, labels, kinds and the like are names
 bound in its namespace, and ports are int literals. An order of more than
 MAX_POSITIONS positions is never compiled and always runs `extend`: CPython
 3.10 to 3.12 refuse a 21st statically nested block, and no shipped plan
-comes near that. Stage two always runs `extend`.
+comes near that. Stage two always runs `extend`, over its compiled orders.
 
 Hierarchy is bottom-up: accepted matches of a sub-plan become bindable
 pseudo-nodes for the plans that contain it, and `recognize` orders plans so
@@ -289,8 +296,7 @@ class _Step:
         pn = tables.pnodes[pid]
         self.pid, self.subplan = pid, pn.subplan
         self.kind, self.opcode, self.const = pn.kind, pn.opcode, pn.const
-        # one pass per edge list: the branches that compile steps on the fly
-        # compile one per extension
+        # one pass per edge list
         self.data_gen, self.data_checks = data_gen, data_checks = [], []
         for other, edge in tables.data_at[pid]:
             if other in bound:
@@ -320,19 +326,48 @@ def _step(tables: PlanTables, bound: Set[str], skipped: Collection[str]) -> _Ste
     return None
 
 
+def _walk(tables: PlanTables, order: list[_Step | None], bound: set[str],
+          skipped: Collection[str]) -> list[_Step | None]:
+    """order, continued by the steps a branch that has bound `bound` takes
+    while it skips no node beyond `skipped`, one per node it binds, then None."""
+    while (step := _step(tables, bound, skipped)) is not None:
+        order.append(step)
+        bound.add(step.pid)
+    order.append(None)
+    return order
+
+
 def _order(tables: PlanTables, seed: str) -> list[_Step | None]:
     """The steps a branch that skips nothing takes from seed: the seed's own
     step first, then one per node it binds, then None. Compiled once per
     plan and seed, and kept on the plan's tables."""
     order = tables.orders.get(seed)
     if order is None:
-        order = [_Step(tables, seed, ())]
-        bound = {seed}
-        while (step := _step(tables, bound, ())) is not None:
-            order.append(step)
-            bound.add(step.pid)
-        order.append(None)
-        tables.orders[seed] = order
+        order = tables.orders[seed] = _walk(tables, [_Step(tables, seed, ())], {seed}, ())
+    return order
+
+
+# The most skip orders one plan keeps, over twice what any shipped plan needs
+# (see PlanTables.skip_orders); past it, an order is compiled for the branch
+# that needs it and dropped with the branch.
+MAX_SKIP_ORDERS = 64
+
+
+def _skip_order(tables: PlanTables, bound: frozenset[str], skipped: frozenset[str]) -> list[_Step | None]:
+    """The steps a branch takes once it has bound `bound` and skipped
+    `skipped`, indexed like a seed's order by the number of nodes bound.
+    Positions below len(bound) hold None and are never read, except position
+    0 of a lone seed's order: the seed's own step, where seed rounds 1 and up
+    start. Kept on the plan's tables, up to MAX_SKIP_ORDERS per plan."""
+    key = (bound, skipped)
+    order = tables.skip_orders.get(key)
+    if order is None:
+        start: list[_Step | None] = [None] * len(bound)
+        if len(bound) == 1:
+            start[0] = _Step(tables, next(iter(bound)), ())
+        order = _walk(tables, start, set(bound), skipped)
+        if len(tables.skip_orders) < MAX_SKIP_ORDERS:
+            tables.skip_orders[key] = order
     return order
 
 
@@ -423,7 +458,6 @@ class _Unifier:
 
         self.candidates: dict[str, list[int]] = {}  # node_candidates, per pid
         self.seeds: list[str] = []  # pids by rarity, set by first_stage
-        self.order: list[_Step | None] = []  # the rarest seed's compiled order, set by seed_rounds
         self.deferred: list[tuple[dict[str, int], set[int], frozenset]] = []  # for resume
         self.recorded: list[dict[str, int]] = []  # bindings at or above theta
         self.seen: set[frozenset] = set()
@@ -613,7 +647,7 @@ class _Unifier:
         1..max_skipped. Returns every maximal binding, best first."""
         deferred, self.deferred = self.deferred, []
         for binding, used, skipped in deferred:
-            self.extend(binding, used, skipped)
+            self.extend(binding, used, skipped, _skip_order(self.tables, frozenset(binding), skipped))
         self.seed_rounds(1, self.max_skipped + 1)
         return self.finish()
 
@@ -622,19 +656,19 @@ class _Unifier:
         for seed in self.seeds[start:stop]:
             kernel = None
             if skipped:
-                step = _Step(self.tables, seed, ())
+                order = _skip_order(self.tables, frozenset((seed,)), skipped)
             else:
-                self.order = _order(self.tables, seed)
-                step = self.order[0]
+                order = _order(self.tables, seed)
                 kernel = _kernel(self.tables, seed)
             if kernel is not None:
                 kernel(self, self.node_candidates(seed))
             else:
+                step = order[0]
                 for nid in self.node_candidates(seed):
                     self.charge()
                     binding = {seed: nid}
                     if self.consistent(step, nid, binding):
-                        self.extend(binding, {nid}, skipped)
+                        self.extend(binding, {nid}, skipped, order)
             skipped = skipped | {seed}
 
     def charge(self) -> None:
@@ -643,9 +677,9 @@ class _Unifier:
             # what was found so far is finish(); run() builds it for the error
             raise BudgetExceeded(self.plan.name, [])
 
-    def extend(self, binding: dict[str, int], used: set[int], skipped: frozenset) -> None:
-        # a branch that skipped nothing follows its seed's compiled order
-        step = _step(self.tables, binding.keys(), skipped) if skipped else self.order[len(binding)]
+    def extend(self, binding: dict[str, int], used: set[int], skipped: frozenset,
+               order: list[_Step | None]) -> None:
+        step = order[len(binding)]
         if step is None:
             if skipped:
                 self.record(binding)
@@ -668,7 +702,7 @@ class _Unifier:
             if self.consistent(step, nid, binding):
                 progressed = True
                 used.add(nid)
-                self.extend(binding, used, skipped)
+                self.extend(binding, used, skipped, order)
                 used.remove(nid)
             del binding[pid]
         if not progressed and len(skipped) < self.max_skipped:
@@ -676,7 +710,8 @@ class _Unifier:
             # report the largest structure that does exist. Only stage one
             # has branches that skipped nothing, and it leaves this to resume().
             if skipped:
-                self.extend(binding, used, skipped | {pid})
+                skipped = skipped | {pid}
+                self.extend(binding, used, skipped, _skip_order(self.tables, frozenset(binding), skipped))
             else:
                 self.deferred.append((dict(binding), set(used), frozenset((pid,))))
 

@@ -174,6 +174,11 @@ class PlanTables:
         # the matcher's compiled orders for branches that skip nothing, by seed
         # pid: at most one per pattern node
         self.orders: dict[str, list] = {}
+        # the matcher's compiled orders for branches that skipped a node, by
+        # (bound pids, skipped pids): at most matcher.MAX_SKIP_ORDERS. A shipped
+        # plan keeps at most 12 over the class-batch workload, and 26 when
+        # every plan's near-miss stage runs on every corpus program
+        self.skip_orders: dict[tuple[frozenset, frozenset], list] = {}
         # the matcher's generated stage-one kernels, by seed pid: None once an
         # order has been searched generically, its kernel from the second search
         self.kernels: dict[str, Callable | None] = {}

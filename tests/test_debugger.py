@@ -298,19 +298,30 @@ def test_budget_truncation_sets_flag():
 
 
 
-def test_a_missing_goal_notes_truncation_by_a_later_goal(base):
-    # no first stage is cut short at this budget; the near-miss stages of
-    # running-total and counted-loop are, when the second goal (unrecognized)
-    # reads its plans, so the first goal's MISSING finding is written only
-    # once every goal has read its plans
+def test_a_missing_goal_notes_only_the_truncation_of_its_own_searches(base):
+    # no first stage is cut short at these budgets. With average as the
+    # second goal, the near-miss stages of running-total and counted-loop
+    # are cut short when average reads them; sentinel-input-loop has no
+    # sub-plans and no bug plans, so its MISSING finding has no note, though
+    # the report says the analysis was truncated. With running-total as the
+    # second goal, that goal's own search is cut short, and its MISSING
+    # finding says so.
     path = ROOT / "corpus" / "bugs" / "average__swapped_operands.c"
     g = graph_of(path.read_text(), path.name)
-    spec = parse_spec(_spec('goal "sentinel-input-loop" required\ngoal "average" required'))
-    report = diagnose(g, spec, base, SearchBudget(max_extension_steps=9))
-    assert report.verdicts == {"sentinel-input-loop": "MISSING", "average": "BUGGY"}
-    [missing] = [f for f in report.findings if f.kind is FindingKind.MISSING_GOAL]
-    assert missing.evidence.endswith("(search was truncated by the matching budget)")
-    assert report.budget_truncated
+    note = " (search was truncated by the matching budget)"
+
+    def missing(second: str, steps: int):
+        spec = parse_spec(_spec(f'goal "sentinel-input-loop" required\ngoal "{second}" required'))
+        report = diagnose(g, spec, base, SearchBudget(max_extension_steps=steps))
+        assert report.budget_truncated
+        return report.verdicts, {f.goal: f.evidence for f in report.findings if f.kind is FindingKind.MISSING_GOAL}
+
+    assert missing("average", 9) == ({"sentinel-input-loop": "MISSING", "average": "BUGGY"},
+                                     {"sentinel-input-loop": "no part of the expected structure was found"})
+    assert missing("running-total", 8) == (
+        {"sentinel-input-loop": "MISSING", "running-total": "MISSING"},
+        {"sentinel-input-loop": "no part of the expected structure was found",
+         "running-total": "best structural match scored 4/5" + note})
 
 
 # -- the report writer against json.dumps

@@ -506,10 +506,19 @@ def test_steps_do_not_depend_on_the_hash_seed(seed):
                                        **{row: list(CORPUS_STEPS[row]) for row in rows}}
 
 
+def _compiled_orders(base: PlanBase) -> dict[str, tuple[dict, dict]]:
+    """Each plan's kept seed orders and skip orders, as copies of the dicts."""
+    return {name: (dict(plan.tables.orders), dict(plan.tables.skip_orders)) for name, plan in base.plans.items()}
+
+
 def test_one_base_shares_its_compiled_orders_across_graphs(plans_dir, corpus_dir):
-    # each plan compiles its skip-free matching order once per seed, on its
-    # tables; a base that grades every program, twice over in opposite
-    # orders, finds what a fresh base per program finds, in the same steps
+    # each plan compiles its skip-free matching order once per seed, and the
+    # order of each near-miss state once, on its tables; a base that grades
+    # every program, twice over in opposite orders, finds what a fresh base
+    # per program finds, in the same steps. by_plan runs every plan's
+    # near-miss stage, so every skip order any program needs is kept in the
+    # first pass, and the second pass compiles none again (orders hold
+    # _Steps, which compare by identity)
     paths = sorted(corpus_dir.glob("*/*.c"))
     graphs = {path: graph_of(path.read_text(), path.name) for path in paths}
     shared = load_plan_base(plans_dir)
@@ -526,10 +535,69 @@ def test_one_base_shares_its_compiled_orders_across_graphs(plans_dir, corpus_dir
     with pytest.MonkeyPatch.context() as mp:
         steps = _count_steps(mp.setattr)
         grade(paths, steps)
-        orders = {name: dict(plan.tables.orders) for name, plan in shared.plans.items()}
+        orders = _compiled_orders(shared)
         assert all(0 < len(plan.tables.orders) <= len(plan.tables.pid_order) for plan in shared.plans.values())
+        assert max(len(plan.tables.skip_orders) for plan in shared.plans.values()) < matcher.MAX_SKIP_ORDERS
+        assert sum(len(plan.tables.skip_orders) for plan in shared.plans.values()) > 0
         grade(paths[::-1], steps)
-    assert {name: plan.tables.orders for name, plan in shared.plans.items()} == orders  # none compiled
+    assert _compiled_orders(shared) == orders  # none compiled
+
+
+def _step_fields(step) -> tuple | None:
+    return None if step is None else tuple(getattr(step, name) for name in matcher._Step.__slots__)
+
+
+def test_every_kept_skip_order_is_the_walk_from_its_key(base, corpus_dir):
+    # a branch that has bound `bound` and skipped `skipped` takes the next
+    # node _step picks, binds it, and so on: the kept order lists exactly
+    # those steps from position len(bound), then None; below it, only a lone
+    # seed's position holds a step, the seed's own, where its round starts
+    for path in sorted(corpus_dir.glob("*/*.c")):
+        recognize(graph_of(path.read_text(), path.name), base).by_plan
+    kept = 0
+    for plan in base.plans.values():
+        tables = plan.tables
+        for (bound, skipped), order in tables.skip_orders.items():
+            assert bound and skipped and bound.isdisjoint(skipped)
+            head = [matcher._Step(tables, *bound, ())] if len(bound) == 1 else [None] * len(bound)
+            walked, now = list(head), set(bound)
+            while (step := matcher._step(tables, now, skipped)) is not None:
+                walked.append(step)
+                now.add(step.pid)
+            walked.append(None)
+            assert list(map(_step_fields, order)) == list(map(_step_fields, walked)), (plan.name, bound, skipped)
+            kept += 1
+    assert kept > 0
+
+
+def _recognized(g, base: PlanBase, counted: dict[str, int]):
+    counted.clear()
+    rec = recognize(g, base)
+    return rec.by_plan, rec.truncated, dict(counted)  # by_plan first: it resumes
+
+
+@pytest.mark.parametrize("cap", [0, 3])
+def test_the_skip_order_cap_changes_no_result_and_no_step(cap, plans_dir, corpus_dir, monkeypatch):
+    # an order past the cap is compiled for its branch and not kept, so the
+    # search is the same whichever orders are kept: every result, truncation
+    # and step count, on a base shared by the corpus and on each oracle instance
+    graphs = [graph_of(path.read_text(), path.name) for path in sorted(corpus_dir.glob("*/*.c"))]
+    instances = [random_instance(seed) for seed in range(220)]
+    counted = _count_steps(monkeypatch.setattr)
+
+    def run():
+        shared = load_plan_base(plans_dir)
+        found = [_recognized(g, shared, counted) for g in graphs]
+        for g, plan in instances:
+            single = PlanBase({plan.name: dataclasses.replace(plan)})  # its own tables
+            found.append(_recognized(g, single, counted))
+            assert len(single.plans[plan.name].tables.skip_orders) <= matcher.MAX_SKIP_ORDERS
+        assert all(len(plan.tables.skip_orders) <= matcher.MAX_SKIP_ORDERS for plan in shared.plans.values())
+        return found
+
+    default = run()
+    monkeypatch.setattr(matcher, "MAX_SKIP_ORDERS", cap)
+    assert run() == default
 
 
 def test_a_dropped_plan_is_garbage_collected(sum_graph):
