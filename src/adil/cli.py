@@ -145,8 +145,8 @@ def _load_base(plans_dir: str) -> planlib.PlanBase:
 def cmd_analyze(args: argparse.Namespace) -> int:
     # first, so a bad --budget or --theta is reported before any file is read
     budget = SearchBudget(max_extension_steps=args.budget, theta=args.theta)
-    source = Path(args.program).read_text(encoding="utf-8")
-    spec = debugger.parse_spec(Path(args.spec).read_text(encoding="utf-8"), args.spec)
+    source = Path(args.program).read_text(encoding="utf-8-sig")
+    spec = debugger.parse_spec(Path(args.spec).read_text(encoding="utf-8-sig"), args.spec)
     base = _load_base(args.plans)
     report = debugger.analyze(source, args.program, spec, base, budget)
 
@@ -170,7 +170,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    source = Path(args.program).read_text(encoding="utf-8")
+    source = Path(args.program).read_text(encoding="utf-8-sig")
     try:
         g = flowgraph.graph_of(source, args.program)
     except flowgraph.UnboundVariable as err:
@@ -204,7 +204,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
                   + (f" corrupts={plan.corrupts}" if plan.corrupts else ""))
         return 0
     if args.plan_command == "add":
-        new_plans = planlib.parse_plans(Path(args.file).read_text(encoding="utf-8"), args.file)
+        new_plans = planlib.parse_plans(Path(args.file).read_text(encoding="utf-8-sig"), args.file)
         if not _install(args.plans, new_plans):
             return 1
         for plan in new_plans:
@@ -222,7 +222,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         for path, plans in planlib.plan_files(args.plans).items():
             if any(p.name == args.name for p in plans):
                 if len(plans) > 1:  # cut only its lines, keeping the others and the comments
-                    text = path.read_text(encoding="utf-8")
+                    text = path.read_text(encoding="utf-8-sig")
                     _write_atomic(path, planlib.remove_plan_text(text, args.name, str(path)))
                 else:
                     path.unlink()
@@ -285,14 +285,14 @@ def cmd_acquire(args: argparse.Namespace) -> int:
             print(f"adil: no draft at {draft_path}; run acquire without --accept first",
                   file=sys.stderr)
             return 2
-        plans = planlib.parse_plans(draft_path.read_text(encoding="utf-8"), str(draft_path))
+        plans = planlib.parse_plans(draft_path.read_text(encoding="utf-8-sig"), str(draft_path))
         if not _install(args.plans, plans):
             return 1
         for plan in plans:
             print(f"installed {plan.name} into {args.plans}")
         return 0
 
-    ast = frontend.parse_c(Path(args.program).read_text(encoding="utf-8"), filename=args.program)
+    ast = frontend.parse_c(Path(args.program).read_text(encoding="utf-8-sig"), filename=args.program)
     try:
         draft = acq.acquire_plan(ast, args.name)
     except (acq.AcquireError, flowgraph.UnboundVariable) as err:

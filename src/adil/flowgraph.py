@@ -31,7 +31,7 @@ that skips the body, so the builder drops it after the loop.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -183,10 +183,6 @@ class FlowGraph:
     ctrl_in: dict[int, list[tuple[int, str]]]
     entry: int
     exit: int
-    # derived views, built on first use by node_index / value_chains / commutative_nodes
-    _node_index: dict[tuple[NodeKind, OpCode | None], list[int]] | None = field(default=None, repr=False)
-    _value_chains: dict[int, int] | None = field(default=None, repr=False)
-    _commutative_nodes: frozenset[int] | None = field(default=None, repr=False)
 
     @cached_property
     def data_edges(self) -> frozenset[DataEdge]:
@@ -197,6 +193,22 @@ class FlowGraph:
     def ctrl_edges(self) -> frozenset[CtrlEdge]:
         """Every ctrl edge: a view of ctrl_out."""
         return frozenset((src, dst, label) for src, outs in self.ctrl_out.items() for dst, label in outs)
+
+    @cached_property
+    def node_index(self) -> dict[tuple[NodeKind, OpCode | None], list[int]]:
+        """Nodes by (kind, opcode) (see node_index)."""
+        return _index_nodes(self)
+
+    @cached_property
+    def value_chains(self) -> dict[int, int]:
+        """Each node's variable-threading class representative (see value_chains)."""
+        return _thread_values(self)
+
+    @cached_property
+    def commutative_nodes(self) -> frozenset[int]:
+        """OP nodes with a COMMUTATIVE opcode (see commutative_nodes)."""
+        return frozenset(nid for nid, node in self.nodes.items()
+                         if node.kind is NodeKind.OP and node.opcode in COMMUTATIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -495,14 +507,13 @@ def graph_of(source: str, filename: str = "<source>") -> FlowGraph:
 # Derived views
 #
 # A FlowGraph is never mutated once build_flow_graph returns it, so each view
-# is computed on first use and cached on the graph: the matcher asks for them
-# once per plan and once per match result. Callers must not mutate them.
+# is a cached_property, computed on first use and kept on the graph: the
+# matcher asks for them once per plan and once per match result. A copy made
+# with dataclasses.replace computes its own. Callers must not mutate them.
 
 def node_index(g: FlowGraph) -> dict[tuple[NodeKind, OpCode | None], list[int]]:
     """Index nodes by (kind, opcode); id lists ascending. Seeds matcher anchoring."""
-    if g._node_index is None:
-        g._node_index = _index_nodes(g)
-    return g._node_index
+    return g.node_index
 
 
 def _index_nodes(g: FlowGraph) -> dict[tuple[NodeKind, OpCode | None], list[int]]:
@@ -516,11 +527,7 @@ def _index_nodes(g: FlowGraph) -> dict[tuple[NodeKind, OpCode | None], list[int]
 def commutative_nodes(g: FlowGraph) -> frozenset[int]:
     """OP nodes with a COMMUTATIVE opcode, every one of them binary: the nodes
     whose two operands a commutable() pattern node may bind in either order."""
-    if g._commutative_nodes is None:
-        g._commutative_nodes = frozenset(
-            nid for nid, node in g.nodes.items()
-            if node.kind is NodeKind.OP and node.opcode in COMMUTATIVE)
-    return g._commutative_nodes
+    return g.commutative_nodes
 
 
 def value_chains(g: FlowGraph) -> dict[int, int]:
@@ -530,9 +537,7 @@ def value_chains(g: FlowGraph) -> dict[int, int]:
     of JOIN merges (or AWRITE array updates) connects them; textual names
     play no part.
     """
-    if g._value_chains is None:
-        g._value_chains = _thread_values(g)
-    return g._value_chains
+    return g.value_chains
 
 
 _THREADED_PORTS = {NodeKind.JOIN: (0, 1), NodeKind.AWRITE: (0,)}

@@ -48,7 +48,8 @@ node; since a branch with a skipped node can never bind them all, it finds
 every full match. The second, resumable stage runs the deferred branches and
 then seed rounds 1 and up, which is where near-misses come from. Both stages
 charge one step counter, and a result is built once whichever stage needs it
-first. `unify` runs both.
+first. Both `recognize` and `unify` hand each search to `Recognition.add`,
+which runs stage one and keeps the search for its second.
 
 Stage one records its bindings without a seen-set. Its branches skip
 nothing, so each follows its seed's compiled order, and at each position
@@ -62,26 +63,23 @@ seen-set (`record`). A plan without sub nodes ranks its full bindings by
 (lowest node, nodes in pattern order), built by `map` with no Python call
 per binding; other bindings go through `rank`.
 
-The order in which a branch binds pattern nodes depends only on the plan,
-the nodes it has bound and the nodes it has skipped: next comes the first
-pattern node, in pattern order, with a bound data neighbour, else with a
-bound ctrl one. A branch that skipped nothing has bound exactly the nodes
-its seed's order reached so far, so that order is compiled once per plan
-and seed (`_order`), one `_Step` per position, and kept on `Plan.tables`:
-at most one order per pattern node, shared by every graph and dropped with
-the plan. A step holds its pattern node's test and the incident edges whose
+The order in which a branch binds pattern nodes depends only on the plan
+and the branch's state: the nodes it has bound and the nodes it has
+skipped. Next comes the first pattern node, in pattern order, with a bound
+data neighbour, else with a bound ctrl one. So a branch binds exactly what
+the walk from its state reaches, and that order is compiled once per plan
+and state (`_order`), one `_Step` per position, indexed by the number of
+nodes bound, and kept on `Plan.tables`, shared by every graph and dropped
+with the plan. A seed's order is the one from the seed alone, skipping
+nothing; seed rounds 1 and up start from the seed with the seeds before it
+skipped; a deferred branch, when `resume` runs it, and a stage-two branch
+that skips one more node start from their own state. Every program a
+shared base grades meets the same states, and one search meets a state
+again from many candidates. A plan keeps at most MAX_ORDERS orders; past
+that, an order is compiled for the branch that needs it and dropped with
+it. A step holds its pattern node's test and the incident edges whose
 other end is bound before it, so checking a candidate tests no edge for
-being bound. A branch that has skipped a node likewise binds exactly what
-the walk from its state reaches, its state being the nodes it has bound and
-the nodes it has skipped: a deferred branch when `resume` runs it, a
-stage-two branch that skips one more node, and seed rounds 1 and up, whose
-state is the seed and the seeds before it. So that order too is compiled
-once per plan and state (`_skip_order`) and kept on the tables, since every
-program a shared base grades meets the same states, and one search meets a
-state again from many candidates. A plan keeps at most MAX_SKIP_ORDERS of
-them; past that, an order is compiled for the branch that needs it and
-dropped with it. Every order is one walk over `_step`, indexed by the number
-of nodes bound, and `extend` reads each branch's next step from its order.
+being bound, and `extend` reads each branch's next step from its order.
 
 Stage one runs in two tiers. The first time a plan searches from a seed,
 it runs `extend` over the compiled order. The second time, the order is
@@ -190,7 +188,8 @@ class MatchResult:
 
 
 class BudgetExceeded(Exception):
-    """Search truncated, not proof of absence; unify() attaches the partial results."""
+    """Search truncated, not proof of absence. unify() raises it with the
+    plan's results so far: what its Recognition lists for a truncated plan."""
 
     def __init__(self, plan: str, results: list[MatchResult]):
         super().__init__(f"matching budget exhausted while unifying plan {plan!r}")
@@ -199,7 +198,8 @@ class BudgetExceeded(Exception):
 
 
 class Recognition:
-    """recognize() output: per-plan results plus the plans whose search was cut short.
+    """recognize() output, and unify()'s for its one plan: per-plan results
+    plus the plans whose search was cut short. `add` starts each search.
 
     A plan's results are every maximal match scoring at least theta, best
     first. recognize ran each plan's first stage, which finds its full
@@ -222,6 +222,15 @@ class Recognition:
         self._pending: dict[str, _Unifier] = {}  # plan -> its search, before its near-miss stage
         self.truncated: set[str] = set()
         self._by_plan: dict[str, list[MatchResult]] | None = None
+
+    def add(self, name: str, search: _Unifier) -> None:
+        """Runs stage one of name's search. A search the budget cut short
+        ends there; any other waits for its near-miss stage."""
+        self.run_stage(name, search, search.first_stage)
+        if name in self.truncated:
+            search.end_search()
+        else:
+            self._pending[name] = search
 
     def run_stage(self, name: str, search: _Unifier, stage: Callable[[], list[dict[str, int]]]) -> None:
         """Runs one stage of name's search and keeps its bindings; a stage the
@@ -326,48 +335,32 @@ def _step(tables: PlanTables, bound: Set[str], skipped: Collection[str]) -> _Ste
     return None
 
 
-def _walk(tables: PlanTables, order: list[_Step | None], bound: set[str],
-          skipped: Collection[str]) -> list[_Step | None]:
-    """order, continued by the steps a branch that has bound `bound` takes
-    while it skips no node beyond `skipped`, one per node it binds, then None."""
-    while (step := _step(tables, bound, skipped)) is not None:
-        order.append(step)
-        bound.add(step.pid)
-    order.append(None)
-    return order
+# The most orders one plan keeps, over twice what any shipped plan needs (see
+# PlanTables.orders); past it, an order is compiled for the branch that needs
+# it and dropped with the branch.
+MAX_ORDERS = 64
 
 
-def _order(tables: PlanTables, seed: str) -> list[_Step | None]:
-    """The steps a branch that skips nothing takes from seed: the seed's own
-    step first, then one per node it binds, then None. Compiled once per
-    plan and seed, and kept on the plan's tables."""
-    order = tables.orders.get(seed)
-    if order is None:
-        order = tables.orders[seed] = _walk(tables, [_Step(tables, seed, ())], {seed}, ())
-    return order
-
-
-# The most skip orders one plan keeps, over twice what any shipped plan needs
-# (see PlanTables.skip_orders); past it, an order is compiled for the branch
-# that needs it and dropped with the branch.
-MAX_SKIP_ORDERS = 64
-
-
-def _skip_order(tables: PlanTables, bound: frozenset[str], skipped: frozenset[str]) -> list[_Step | None]:
+def _order(tables: PlanTables, bound: frozenset[str], skipped: frozenset[str]) -> list[_Step | None]:
     """The steps a branch takes once it has bound `bound` and skipped
-    `skipped`, indexed like a seed's order by the number of nodes bound.
-    Positions below len(bound) hold None and are never read, except position
-    0 of a lone seed's order: the seed's own step, where seed rounds 1 and up
-    start. Kept on the plan's tables, up to MAX_SKIP_ORDERS per plan."""
+    `skipped`, one per node it binds, then None, indexed by the number of
+    nodes bound. Positions below len(bound) hold None and are never read,
+    except position 0 of a lone seed's order: the seed's own step, where its
+    seed round starts. A seed's order, which skips nothing, is the one for
+    ({seed}, {}). Kept on the plan's tables, up to MAX_ORDERS per plan."""
     key = (bound, skipped)
-    order = tables.skip_orders.get(key)
+    order = tables.orders.get(key)
     if order is None:
-        start: list[_Step | None] = [None] * len(bound)
+        order = [None] * len(bound)
         if len(bound) == 1:
-            start[0] = _Step(tables, next(iter(bound)), ())
-        order = _walk(tables, start, set(bound), skipped)
-        if len(tables.skip_orders) < MAX_SKIP_ORDERS:
-            tables.skip_orders[key] = order
+            order[0] = _Step(tables, next(iter(bound)), ())
+        now = set(bound)
+        while (step := _step(tables, now, skipped)) is not None:
+            order.append(step)
+            now.add(step.pid)
+        order.append(None)
+        if len(tables.orders) < MAX_ORDERS:
+            tables.orders[key] = order
     return order
 
 
@@ -376,7 +369,7 @@ def _skip_order(tables: PlanTables, bound: frozenset[str], skipped: frozenset[st
 MAX_POSITIONS = 20
 
 
-def _kernel(tables: PlanTables, seed: str) -> Callable | None:
+def _kernel(tables: PlanTables, seed: str, order: list[_Step | None]) -> Callable | None:
     """The generated stage one for seed's order: None on the order's first
     search, which runs extend(); compiled on its second, and kept. An order
     longer than MAX_POSITIONS is never compiled."""
@@ -386,7 +379,6 @@ def _kernel(tables: PlanTables, seed: str) -> Callable | None:
         return None
     kernel = kernels[seed]
     if kernel is None:
-        order = _order(tables, seed)
         if len(order) - 1 > MAX_POSITIONS:
             return None
         from .kernel import compile_kernel  # loaded only by a search that compiles
@@ -615,16 +607,6 @@ class _Unifier:
     # it after, so the dict always lists pattern nodes in the order they were
     # bound. record() keeps copies.
 
-    def run(self) -> list[MatchResult]:
-        """The whole search: both stages, every maximal match, best first."""
-        try:
-            self.first_stage()
-            bindings = self.resume()
-        except BudgetExceeded as err:
-            err.results = [self.result(b) for b in self.finish()]
-            raise
-        return [self.result(b) for b in bindings]
-
     def first_stage(self) -> list[dict[str, int]]:
         """Round 0 from the rarest seed, with every fallback skip deferred.
 
@@ -647,19 +629,15 @@ class _Unifier:
         1..max_skipped. Returns every maximal binding, best first."""
         deferred, self.deferred = self.deferred, []
         for binding, used, skipped in deferred:
-            self.extend(binding, used, skipped, _skip_order(self.tables, frozenset(binding), skipped))
+            self.extend(binding, used, skipped, _order(self.tables, frozenset(binding), skipped))
         self.seed_rounds(1, self.max_skipped + 1)
         return self.finish()
 
     def seed_rounds(self, start: int, stop: int) -> None:
         skipped = frozenset(self.seeds[:start])
         for seed in self.seeds[start:stop]:
-            kernel = None
-            if skipped:
-                order = _skip_order(self.tables, frozenset((seed,)), skipped)
-            else:
-                order = _order(self.tables, seed)
-                kernel = _kernel(self.tables, seed)
+            order = _order(self.tables, frozenset((seed,)), skipped)
+            kernel = None if skipped else _kernel(self.tables, seed, order)
             if kernel is not None:
                 kernel(self, self.node_candidates(seed))
             else:
@@ -674,7 +652,7 @@ class _Unifier:
     def charge(self) -> None:
         self.steps += 1
         if self.steps > self.max_steps:
-            # what was found so far is finish(); run() builds it for the error
+            # what was found so far is finish(); Recognition keeps it
             raise BudgetExceeded(self.plan.name, [])
 
     def extend(self, binding: dict[str, int], used: set[int], skipped: frozenset,
@@ -711,7 +689,7 @@ class _Unifier:
             # has branches that skipped nothing, and it leaves this to resume().
             if skipped:
                 skipped = skipped | {pid}
-                self.extend(binding, used, skipped, _skip_order(self.tables, frozenset(binding), skipped))
+                self.extend(binding, used, skipped, _order(self.tables, frozenset(binding), skipped))
             else:
                 self.deferred.append((dict(binding), set(used), frozenset((pid,))))
 
@@ -809,7 +787,9 @@ def maximal_bindings(bindings: list[dict[str, int]]) -> list[dict[str, int]]:
 def unify(g: FlowGraph, plan: Plan, budget: SearchBudget | None = None,
           sub_matches: dict[str, list[MatchResult]] | None = None,
           sub_plans: dict[str, Plan] | None = None) -> list[MatchResult]:
-    """All maximal matches of one plan against the graph, best first.
+    """All maximal matches of one plan against the graph, best first: the
+    plan's `Recognition.by_plan` entry, or BudgetExceeded carrying it when
+    the budget cuts the search short.
 
     Plans containing `sub` pattern nodes need the accepted matches of those
     sub-plans (and their Plan objects) passed in; `recognize` arranges this
@@ -819,7 +799,12 @@ def unify(g: FlowGraph, plan: Plan, budget: SearchBudget | None = None,
     missing = set(plan.tables.subplans) - set(sub_plans or {})
     if missing:
         raise ValueError(f"plan {plan.name!r} needs sub-plan definitions for {sorted(missing)}")
-    return _Unifier(g, plan, budget, sub_matches or {}, sub_plans or {}).run()
+    rec = Recognition()
+    rec.add(plan.name, _Unifier(g, plan, budget, sub_matches or {}, sub_plans or {}))
+    results = rec.by_plan[plan.name]
+    if plan.name in rec.truncated:
+        raise BudgetExceeded(plan.name, results)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -916,12 +901,7 @@ def recognize(g: FlowGraph, base: PlanBase, goals: set[str] | list[str] | None =
     accepted: dict[str, list[MatchResult]] = {}
     for level in dependency_order(base, names):
         for name in level:
-            search = _Unifier(g, base.plans[name], budget, accepted, sub_plans)
-            rec.run_stage(name, search, search.first_stage)
-            if name in rec.truncated:
-                search.end_search()
-            else:
-                rec._pending[name] = search
+            rec.add(name, _Unifier(g, base.plans[name], budget, accepted, sub_plans))
             if name in bound_as_sub:
                 accepted[name] = rec.accepted(name)
     return rec

@@ -171,14 +171,11 @@ class PlanTables:
         # the pattern nodes each node reaches over one data (ctrl) edge
         self.data_nbrs = {pid: tuple([o for o, _ in edges]) for pid, edges in data_at.items()}
         self.ctrl_nbrs = {pid: tuple([o for o, _ in edges]) for pid, edges in ctrl_at.items()}
-        # the matcher's compiled orders for branches that skip nothing, by seed
-        # pid: at most one per pattern node
-        self.orders: dict[str, list] = {}
-        # the matcher's compiled orders for branches that skipped a node, by
-        # (bound pids, skipped pids): at most matcher.MAX_SKIP_ORDERS. A shipped
-        # plan keeps at most 12 over the class-batch workload, and 26 when
-        # every plan's near-miss stage runs on every corpus program
-        self.skip_orders: dict[tuple[frozenset, frozenset], list] = {}
+        # the matcher's compiled orders, by (bound pids, skipped pids), a seed's
+        # own at ({seed}, {}): at most matcher.MAX_ORDERS. A shipped plan keeps
+        # at most 14 over the class-batch workload, and 30 when every plan's
+        # near-miss stage runs on every corpus program
+        self.orders: dict[tuple[frozenset, frozenset], list] = {}
         # the matcher's generated stage-one kernels, by seed pid: None once an
         # order has been searched generically, its kernel from the second search
         self.kernels: dict[str, Callable | None] = {}
@@ -524,9 +521,6 @@ class PlanBase:
             raise UnknownPlan(name)
         return self.plans[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.plans
-
 
 def base_add(base: PlanBase, plan: Plan) -> PlanBase:
     if plan.name in base.plans:
@@ -675,7 +669,7 @@ def plan_files(directory: str | Path, errors: list[Exception] | None = None) -> 
     files = {}
     for path in sorted(root.glob("*.plan")):
         try:
-            files[path] = parse_plans(path.read_text(encoding="utf-8"), str(path))
+            files[path] = parse_plans(path.read_text(encoding="utf-8-sig"), str(path))
         except (PlanSyntaxError, PlanSemanticError) as err:
             if errors is None:
                 raise

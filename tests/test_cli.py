@@ -42,6 +42,30 @@ def test_exit_1_on_findings(work, capsys):
     assert "off-by-one-bound" in out
 
 
+def test_files_that_start_with_a_utf8_bom_read_as_the_plain_files(work, monkeypatch, capsys):
+    # gcc accepts a C file that starts with a byte order mark; so does adil,
+    # for the program, the spec and every plan file, with the same exit
+    # codes, output and reports (verdicts, findings and spans)
+    bom = work / "bom"
+    (bom / "plans").mkdir(parents=True)
+    for path in [work / "sum.c", work / "sum_buggy.c", work / "sum.spec", *(work / "plans").glob("*.plan")]:
+        (bom / path.relative_to(work)).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    runs = []
+    for root in (work, bom):
+        monkeypatch.chdir(root)
+        run = []
+        for program in ("sum.c", "sum_buggy.c"):
+            code = main(["analyze", program, "--spec", "sum.spec", "--plans", "plans",
+                         "--report-json", "report.json"])
+            run.append((code, capsys.readouterr(), Path("report.json").read_text()))
+            run.append((main(["graph", "--json", program]), capsys.readouterr()))
+        run.append((main(["plan", "check", "--plans", "plans"]), capsys.readouterr()))
+        runs.append(run)
+    assert runs[1] == runs[0]
+    assert [step[0] for step in runs[0]] == [0, 0, 1, 0, 0]
+    assert json.loads(runs[0][2][2])["findings"]
+
+
 def test_exit_2_on_missing_spec(work, capsys):
     code = main(["analyze", str(work / "sum.c"), "--spec", str(work / "nope.spec"),
                  "--plans", str(work / "plans")])

@@ -301,6 +301,24 @@ def test_derived_views_are_built_once_per_graph(monkeypatch, corpus_dir, base):
         assert value_chains(g) is value_chains(g)
 
 
+def test_a_copy_made_with_replace_computes_its_own_views():
+    # the views are kept on the graph, not copied as its fields: a copy with
+    # its one ADD turned into a SUB indexes it as a SUB and does not mark it
+    # commutative, and the original keeps its own views
+    g = graph_of("int f(int a, int b) { int c; c = a + b; return c; }")
+    (add,) = node_index(g)[(NodeKind.OP, OpCode.ADD)]
+    assert commutative_nodes(g) == {add}
+    chains = value_chains(g)
+    nodes = dict(g.nodes)
+    nodes[add] = dataclasses.replace(g.nodes[add], opcode=OpCode.SUB)
+    h = dataclasses.replace(g, nodes=nodes)
+    assert commutative_nodes(h) == frozenset()
+    assert node_index(h)[(NodeKind.OP, OpCode.SUB)] == [add]
+    assert (NodeKind.OP, OpCode.ADD) not in node_index(h)
+    assert value_chains(h) == chains and value_chains(h) is not chains
+    assert commutative_nodes(g) == {add} and node_index(g)[(NodeKind.OP, OpCode.ADD)] == [add]
+
+
 def test_validate_handles_long_straight_line_programs():
     # a 1200-long data chain, deeper than Python's default recursion limit
     g = graph_of("int main() { int s; s = 0;\n" + "s = s + 1;\n" * 1200 + "return s; }\n")

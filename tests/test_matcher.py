@@ -434,8 +434,8 @@ CORPUS_STEPS = {
 
 def _count_steps(patch) -> dict[str, int]:
     """Wraps _Unifier's stages through patch(cls, name, value), and returns
-    the dict they fill: a plan's steps after its last stage. recognize runs
-    first_stage() and resume() separately, and run() calls both."""
+    the dict they fill: a plan's steps after its last stage. Recognition runs
+    first_stage() and resume() separately, for recognize and for unify."""
     counted: dict[str, int] = {}
 
     def counting(stage):
@@ -506,9 +506,9 @@ def test_steps_do_not_depend_on_the_hash_seed(seed):
                                        **{row: list(CORPUS_STEPS[row]) for row in rows}}
 
 
-def _compiled_orders(base: PlanBase) -> dict[str, tuple[dict, dict]]:
-    """Each plan's kept seed orders and skip orders, as copies of the dicts."""
-    return {name: (dict(plan.tables.orders), dict(plan.tables.skip_orders)) for name, plan in base.plans.items()}
+def _compiled_orders(base: PlanBase) -> dict[str, dict]:
+    """Each plan's kept orders, as copies of the dicts."""
+    return {name: dict(plan.tables.orders) for name, plan in base.plans.items()}
 
 
 def test_one_base_shares_its_compiled_orders_across_graphs(plans_dir, corpus_dir):
@@ -536,9 +536,11 @@ def test_one_base_shares_its_compiled_orders_across_graphs(plans_dir, corpus_dir
         steps = _count_steps(mp.setattr)
         grade(paths, steps)
         orders = _compiled_orders(shared)
-        assert all(0 < len(plan.tables.orders) <= len(plan.tables.pid_order) for plan in shared.plans.values())
-        assert max(len(plan.tables.skip_orders) for plan in shared.plans.values()) < matcher.MAX_SKIP_ORDERS
-        assert sum(len(plan.tables.skip_orders) for plan in shared.plans.values()) > 0
+        # a seed's order skips nothing
+        assert all(0 < sum(not skipped for _, skipped in plan.tables.orders) <= len(plan.tables.pid_order)
+                   for plan in shared.plans.values())
+        assert max(len(plan.tables.orders) for plan in shared.plans.values()) < matcher.MAX_ORDERS
+        assert sum(bool(skipped) for plan in shared.plans.values() for _, skipped in plan.tables.orders) > 0
         grade(paths[::-1], steps)
     assert _compiled_orders(shared) == orders  # none compiled
 
@@ -551,14 +553,15 @@ def test_every_kept_skip_order_is_the_walk_from_its_key(base, corpus_dir):
     # a branch that has bound `bound` and skipped `skipped` takes the next
     # node _step picks, binds it, and so on: the kept order lists exactly
     # those steps from position len(bound), then None; below it, only a lone
-    # seed's position holds a step, the seed's own, where its round starts
+    # seed's position holds a step, the seed's own, where its round starts.
+    # An order that skips nothing is a seed's own
     for path in sorted(corpus_dir.glob("*/*.c")):
         recognize(graph_of(path.read_text(), path.name), base).by_plan
     kept = 0
     for plan in base.plans.values():
         tables = plan.tables
-        for (bound, skipped), order in tables.skip_orders.items():
-            assert bound and skipped and bound.isdisjoint(skipped)
+        for (bound, skipped), order in tables.orders.items():
+            assert bound and (skipped or len(bound) == 1) and bound.isdisjoint(skipped)
             head = [matcher._Step(tables, *bound, ())] if len(bound) == 1 else [None] * len(bound)
             walked, now = list(head), set(bound)
             while (step := matcher._step(tables, now, skipped)) is not None:
@@ -566,7 +569,7 @@ def test_every_kept_skip_order_is_the_walk_from_its_key(base, corpus_dir):
                 now.add(step.pid)
             walked.append(None)
             assert list(map(_step_fields, order)) == list(map(_step_fields, walked)), (plan.name, bound, skipped)
-            kept += 1
+            kept += bool(skipped)
     assert kept > 0
 
 
@@ -591,13 +594,40 @@ def test_the_skip_order_cap_changes_no_result_and_no_step(cap, plans_dir, corpus
         for g, plan in instances:
             single = PlanBase({plan.name: dataclasses.replace(plan)})  # its own tables
             found.append(_recognized(g, single, counted))
-            assert len(single.plans[plan.name].tables.skip_orders) <= matcher.MAX_SKIP_ORDERS
-        assert all(len(plan.tables.skip_orders) <= matcher.MAX_SKIP_ORDERS for plan in shared.plans.values())
+            assert len(single.plans[plan.name].tables.orders) <= matcher.MAX_ORDERS
+        assert all(len(plan.tables.orders) <= matcher.MAX_ORDERS for plan in shared.plans.values())
         return found
 
     default = run()
-    monkeypatch.setattr(matcher, "MAX_SKIP_ORDERS", cap)
+    monkeypatch.setattr(matcher, "MAX_ORDERS", cap)
     assert run() == default
+
+
+def test_unify_and_recognize_agree_at_every_budget(corpus_dir, base):
+    # both run their searches through Recognition.add: at each budget, unify
+    # fed each sub-plan's accepted results returns for a plan that recognize
+    # leaves whole and raises for one it truncates, with the same results
+    names = [name for level in dependency_order(base, base.names()) for name in level]
+    budgets = [SearchBudget(max_extension_steps=n) for n in range(1, 41)] + [SearchBudget()]
+    raised = returned = 0
+    for path in sorted(corpus_dir.glob("*/*.c")):
+        g = graph_of(path.read_text(), path.name)
+        for budget in budgets:
+            rec = recognize(g, base, budget=budget)
+            expected = rec.by_plan  # runs every near-miss stage, so truncated is final
+            accepted: dict[str, list] = {}
+            for name in names:
+                try:
+                    results = unify(g, base.plans[name], budget, accepted, base.plans)
+                except BudgetExceeded as err:
+                    assert name in rec.truncated, (path.name, budget, name)
+                    results, raised = err.results, raised + 1
+                else:
+                    assert name not in rec.truncated, (path.name, budget, name)
+                    returned += 1
+                assert results == expected[name], (path.name, budget, name)
+                accepted[name] = [r for r in results if r.accepted]
+    assert raised and returned
 
 
 def test_a_dropped_plan_is_garbage_collected(sum_graph):
@@ -762,15 +792,25 @@ end
 """
 
 
+def _run(search) -> list[MatchResult]:
+    """The whole search, both stages, as unify runs it: every maximal match,
+    best first."""
+    rec = matcher.Recognition()
+    rec.add(search.plan.name, search)
+    results = rec.by_plan[search.plan.name]
+    assert not rec.truncated
+    return results
+
+
 def _same_search(g, plan, theta, sub_matches=None, sub_plans=None):
     """unify's results equal the reference search's, in fewer or as many steps;
-    and its two stages, run one after the other, are exactly run(): the first
+    and its two stages, run one after the other, are exactly _run(): the first
     holds every full (so every accepted) match, and the second builds none of
     the first's results again."""
     budget = SearchBudget(theta=theta)
     make = lambda cls: cls(g, plan, budget, sub_matches or {}, sub_plans or {})
     pruned, staged, reference = make(matcher._Unifier), make(matcher._Unifier), make(_ReferenceUnifier)
-    got, expected = pruned.run(), reference.run()
+    got, expected = _run(pruned), reference.run()
     # MatchResult equality covers binding, score, slots, constraint outcomes and spans
     assert got == expected
     # the search ranks bindings; the order is the results' own key
@@ -883,7 +923,7 @@ class _StageCheckedUnifier(matcher._Unifier):
 def _stage_checked(g, plan, theta, sub_matches=None, sub_plans=None):
     """unify's results, with every record checked; and the records per stage."""
     search = _StageCheckedUnifier(g, plan, SearchBudget(theta=theta), sub_matches or {}, sub_plans or {})
-    return search.run(), search.recorded.counts
+    return _run(search), search.recorded.counts
 
 
 @pytest.mark.parametrize("theta", THETAS)
@@ -1125,7 +1165,7 @@ class _Tiers:
         assert all(kernel is None for kernel in self.generic.tables.kernels.values())
         # a kernel exactly when the order fits in one function
         for seed in kernel_search.seeds[:1]:
-            fits = len(matcher._order(self.compiled.tables, seed)) - 1 <= matcher.MAX_POSITIONS
+            fits = len(matcher._order(self.compiled.tables, frozenset((seed,)), frozenset())) - 1 <= matcher.MAX_POSITIONS
             assert (self.compiled.tables.kernels[seed] is not None) is fits
         assert compiled == generic, self.generic.name
         return generic, search
@@ -1317,7 +1357,7 @@ def test_the_longest_order_compiles_into_one_function():
     plan = _chain_plan(n)
     stages, _ = _tiers_agree(_chain_graph(k), plan)
     assert len(stages[0][0]) == k - n + 1
-    source = kernel._KernelWriter(plan.tables, matcher._order(plan.tables, "a0")).source()
+    source = kernel._KernelWriter(plan.tables, matcher._order(plan.tables, frozenset({"a0"}), frozenset())).source()
     nodes = list(ast.walk(ast.parse(source)))
     assert sum(isinstance(node, ast.FunctionDef) for node in nodes) == 1
     assert sum(isinstance(node, ast.For) for node in nodes) == n
@@ -1364,7 +1404,7 @@ def test_generated_sources_hold_no_plan_text():
     assert [len(b) for b in stages[1][0]] == [4]
     texts = HOSTILE + [plan.name, "se'q"]
     for seed in plan.tables.pid_order:
-        source = kernel._KernelWriter(plan.tables, matcher._order(plan.tables, seed)).source()
+        source = kernel._KernelWriter(plan.tables, matcher._order(plan.tables, frozenset((seed,)), frozenset())).source()
         assert not any(text in source for text in texts), seed
         # the only constants are ports, step counts and None / False
         constants = {type(node.value) for node in ast.walk(ast.parse(source))
