@@ -53,9 +53,9 @@ for nid in sorted(g.nodes):
         label.append(n.opcode.value)
     if n.value is not None:
         label.append(str(n.value))
-    if n.ann.var_name:
-        label.append(f"({n.ann.var_name})")
-    print(f"  {nid:3} {' '.join(label):24} line {n.ann.span.line_start}")
+    if n.var_name:
+        label.append(f"({n.var_name})")
+    print(f"  {nid:3} {' '.join(label):24} line {n.span.line_start}")
 
 print("\n--- Graphviz DOT (pipe into `dot -Tpng` to draw it) ---")
 print(to_dot(g)[:400] + "...")

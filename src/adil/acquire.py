@@ -66,7 +66,7 @@ def acquire_plan(exemplar: Ast, name: str, opts: AcquireOptions | None = None) -
     exports: list[tuple[str, str]] = []
     seen_names: set[str] = set()
     for nid in sorted(g.nodes):
-        var = g.nodes[nid].ann.var_name
+        var = g.nodes[nid].var_name
         if var and var not in seen_names:
             seen_names.add(var)
             exports.append((var, pid(nid)))

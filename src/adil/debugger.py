@@ -127,11 +127,11 @@ class DiagnosticReport:
 
 
 def pinpoint(nodes: set[int] | list[int], g: FlowGraph) -> SourceSpan:
-    """Smallest source span covering every given node's annotation."""
+    """Smallest source span covering every given node's span."""
     ids = sorted(set(nodes))
     if not ids:
         raise ValueError("pinpoint needs at least one node")
-    return span_hull([g.nodes[nid].ann.span for nid in ids])
+    return span_hull([g.nodes[nid].span for nid in ids])
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +150,13 @@ def analyze(source: str, filename: str, spec: ProgramSpec, base: PlanBase,
 
 
 def _goal_names(spec: ProgramSpec, base: PlanBase) -> list[str]:
-    """The spec's goal names; one the base lacks is a caller error (UnknownPlan), not a finding."""
-    return [base.get(goal.name).name for goal in spec.goals]
+    """The spec's goal names. A goal the base lacks (UnknownPlan) or one that
+    names a bug cliche (ValueError) is a caller error, not a finding: a bug
+    cliche is what a program must not contain, never what it implements."""
+    for goal in spec.goals:
+        if base.get(goal.name).kind == "bug":
+            raise ValueError(f"goal {goal.name!r} names a bug cliche, not a cliche a program implements")
+    return [goal.name for goal in spec.goals]
 
 
 def diagnose(g: FlowGraph, spec: ProgramSpec, base: PlanBase,
@@ -217,7 +222,7 @@ def diagnose(g: FlowGraph, spec: ProgramSpec, base: PlanBase,
         meaning = explain.compose_meaning(shown, base, g)
 
     return DiagnosticReport(
-        program=g.nodes[g.entry].ann.span.file,
+        program=g.nodes[g.entry].span.file,
         spec_title=spec.title,
         verdicts=verdicts,
         findings=tuple(findings),
@@ -337,7 +342,7 @@ def _missing_finding(goal: str, relevant: list[str], bugs: list[str], rec: Recog
         kind=FindingKind.MISSING_GOAL,
         goal=goal,
         bug_plan=None,
-        span=g.nodes[g.entry].ann.span,
+        span=g.nodes[g.entry].span,
         evidence=evidence,
         confidence=Fraction(1),
     )

@@ -8,6 +8,11 @@ single back-labeled control edge. Plain copies (`y = x;`) create no node;
 which is what makes plan matching independent of the surface language. A
 value is the node that makes it, and a data edge feeds it to an in-port.
 
+Each node is one record (GraphNode) that carries its annotation: the
+source span it came from, the variable it holds if any, and its role
+("loop test", "stdin", ...), which let a finding be pinpointed and
+explained.
+
 The graph is its adjacency, which the builder writes as it adds nodes and
 edges; the edge sets `data_edges` and `ctrl_edges` are views derived from it.
 
@@ -152,20 +157,14 @@ class UnboundVariable(Exception):
 
 
 @record
-class Annotation:
-    span: SourceSpan
-    var_name: str | None = None
-    role: str | None = None
-
-
-@record
 class GraphNode:
-    id: int
     kind: NodeKind
     in_ports: int
-    ann: Annotation
+    span: SourceSpan
     opcode: OpCode | None = None
     value: int | None = None
+    var_name: str | None = None
+    role: str | None = None
 
 
 DataEdge = tuple[int, tuple[int, int]]  # src -> (dst, in_port)
@@ -206,7 +205,9 @@ class FlowGraph:
 
     @cached_property
     def commutative_nodes(self) -> frozenset[int]:
-        """OP nodes with a COMMUTATIVE opcode (see commutative_nodes)."""
+        """OP nodes with a COMMUTATIVE opcode, every one of them binary: the
+        nodes whose two operands a commutable() pattern node may bind in
+        either order."""
         return frozenset(nid for nid, node in self.nodes.items()
                          if node.kind is NodeKind.OP and node.opcode in COMMUTATIVE)
 
@@ -239,8 +240,8 @@ class _Builder:
         only for the kinds whose count the builder sets per node."""
         nid = len(self.nodes)
         fixed = shape(kind, opcode)[0]
-        self.nodes[nid] = GraphNode(nid, kind, in_ports if fixed is None else fixed,
-                                    Annotation(span, var_name, role), opcode, value)
+        self.nodes[nid] = GraphNode(kind, in_ports if fixed is None else fixed, span,
+                                    opcode, value, var_name, role)
         for tail, label in self.frontier:
             self.ctrl(tail, nid, label)
         self.frontier = [(nid, "seq")]
@@ -255,9 +256,9 @@ class _Builder:
         self.ctrl_in.setdefault(dst, []).append((src, label))
 
     def rename(self, nid: int, name: str) -> None:
-        ann = self.nodes[nid].ann
-        if ann.var_name is None:
-            ann.var_name = name
+        node = self.nodes[nid]
+        if node.var_name is None:
+            node.var_name = name
 
     # -- statements, dispatched on the Ast class by _STMT_BUILDERS
 
@@ -479,7 +480,7 @@ def _assigned_slots(s: fe.Stmt, out: set[int]) -> set[int]:
         _assigned_slots(s.then, out)
         if s.orelse is not None:
             _assigned_slots(s.orelse, out)
-    elif isinstance(s, (fe.While, fe.For)):
+    elif isinstance(s, fe.While):
         _assigned_slots(s.body, out)
     return out
 
@@ -522,12 +523,6 @@ def _index_nodes(g: FlowGraph) -> dict[tuple[NodeKind, OpCode | None], list[int]
         node = g.nodes[nid]
         index.setdefault((node.kind, node.opcode), []).append(nid)
     return index
-
-
-def commutative_nodes(g: FlowGraph) -> frozenset[int]:
-    """OP nodes with a COMMUTATIVE opcode, every one of them binary: the nodes
-    whose two operands a commutable() pattern node may bind in either order."""
-    return g.commutative_nodes
 
 
 def value_chains(g: FlowGraph) -> dict[int, int]:
@@ -583,9 +578,9 @@ def to_dot(g: FlowGraph) -> str:
             bits.append(n.opcode.value)
         if n.value is not None:
             bits.append(str(n.value))
-        if n.ann.var_name:
-            bits.append(n.ann.var_name)
-        bits.append(f"L{n.ann.span.line_start}")
+        if n.var_name:
+            bits.append(n.var_name)
+        bits.append(f"L{n.span.line_start}")
         lines.append(f'  n{nid} [label="{nid}: ' + " ".join(bits) + '"];')
     for src, (dst, ip) in sorted(g.data_edges):
         lines.append(f'  n{src} -> n{dst} [label="0->{ip}"];')
@@ -603,14 +598,14 @@ def to_json(g: FlowGraph) -> str:
                 "kind": n.kind.value,
                 "op": n.opcode.value if n.opcode else None,
                 "value": n.value,
-                "var": n.ann.var_name,
-                "role": n.ann.role,
+                "var": n.var_name,
+                "role": n.role,
                 "span": {
-                    "file": n.ann.span.file,
-                    "line_start": n.ann.span.line_start,
-                    "col_start": n.ann.span.col_start,
-                    "line_end": n.ann.span.line_end,
-                    "col_end": n.ann.span.col_end,
+                    "file": n.span.file,
+                    "line_start": n.span.line_start,
+                    "col_start": n.span.col_start,
+                    "line_end": n.span.line_end,
+                    "col_end": n.span.col_end,
                 },
             }
             for nid, n in sorted(g.nodes.items())
@@ -626,88 +621,3 @@ def to_json(g: FlowGraph) -> str:
         "exit": g.exit,
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Well-formedness (exercised by tests; cheap enough to run after every build)
-
-def _has_cycle(succs: dict[int, list[int]]) -> bool:
-    """Depth-first search for a back edge, with an explicit stack."""
-    state: dict[int, int] = {}  # 1 on the current path, 2 finished
-    for root in succs:
-        if root in state:
-            continue
-        state[root] = 1
-        stack = [(root, iter(succs[root]))]
-        while stack:
-            v, todo = stack[-1]
-            for w in todo:
-                if state.get(w) == 1:
-                    return True
-                if w not in state:
-                    state[w] = 1
-                    stack.append((w, iter(succs[w])))
-                    break
-            else:
-                state[v] = 2
-                stack.pop()
-    return False
-
-
-def validate(g: FlowGraph) -> list[str]:
-    problems: list[str] = []
-    for nid, n in g.nodes.items():
-        ins = shape(n.kind, n.opcode)[0]
-        if ins not in (None, n.in_ports):
-            what = n.kind.value + (f" {n.opcode.value}" if n.opcode else "")
-            problems.append(f"node {nid} ({what}) has {n.in_ports} in-ports, not {ins}")
-        for port in range(n.in_ports):
-            if (nid, port) not in g.producer_of:
-                problems.append(f"node {nid} in_port {port} has 0 producers")
-    succs: dict[int, list[int]] = {nid: [] for nid in g.nodes}  # data edges but JOIN back-inputs
-    for src, (dst, ip) in g.data_edges:
-        kind = g.nodes[src].kind
-        if not SHAPES[kind][1]:
-            problems.append(f"edge {src}->({dst}:{ip}) leaves a {kind.value}, which makes no value")
-        if ip >= g.nodes[dst].in_ports:
-            problems.append(f"edge {src}->({dst}:{ip}) out of port range")
-        if not (g.nodes[dst].kind is NodeKind.JOIN and ip == 1):
-            succs[src].append(dst)
-    # data cycles must pass through a JOIN's back/else input
-    if _has_cycle(succs):
-        problems.append("data edges contain a cycle that avoids JOIN back-inputs")
-
-    seen = {g.entry}
-    stack = [g.entry]
-    while stack:
-        v = stack.pop()
-        for w, _ in g.ctrl_out.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    for nid in g.nodes:
-        if nid not in seen:
-            problems.append(f"node {nid} unreachable from entry via ctrl edges")
-
-    reaches_exit = {g.exit}
-    stack = [g.exit]
-    while stack:
-        v = stack.pop()
-        for w, _ in g.ctrl_in.get(v, ()):
-            if w not in reaches_exit:
-                reaches_exit.add(w)
-                stack.append(w)
-    for nid in g.nodes:
-        if nid not in reaches_exit:
-            problems.append(f"exit unreachable from node {nid}")
-
-    for nid, n in g.nodes.items():
-        if n.kind is NodeKind.LOOPHEAD:
-            backs = sum(label == "back" for _, label in g.ctrl_in.get(nid, ()))
-            if backs != 1:
-                problems.append(f"loophead {nid} has {backs} back edges")
-    for src, dst, label in g.ctrl_edges:
-        fault = label_fault(label, g.nodes[src].kind, g.nodes[dst].kind)
-        if fault:
-            problems.append(f"{label} edge {src}->{dst} {fault}")
-    return problems

@@ -74,7 +74,6 @@ MAX_NESTING = 100
 # Tokens
 
 KEYWORDS = {"int", "if", "else", "while", "for", "return"}
-INTRINSICS = {"scanf", "printf"}
 
 # Each match skips blanks and a line comment (`#` lines and `//`, which run
 # to the end of the line), then takes one lexical case, the common ones

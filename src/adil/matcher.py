@@ -20,7 +20,7 @@ Each candidate assignment is checked only against the pattern edges
 incident to its pattern node. An edge whose two ends are real graph nodes
 is checked straight against `FlowGraph.producer_of`: the source produces the
 target's in-port, or the other operand when the target's pattern node is
-commutable() and the node is in `commutative_nodes(g)`. No port is tested
+commutable() and the node is in `g.commutative_nodes`. No port is tested
 against a graph node: `planlib.check_plan` refuses a pattern edge at a port
 its node's kind lacks (`flowgraph.SHAPES`), and a graph value is the node
 that makes it, so an edge's source is the real node bound to its end. A
@@ -120,7 +120,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
-from .flowgraph import FlowGraph, NodeKind, commutative_nodes, node_index, value_chains
+from .flowgraph import FlowGraph, NodeKind, node_index, value_chains
 from .planlib import Plan, PlanBase, PlanTables, Predicate, closure, dependency_order
 from .records import record
 from .source import SourceSpan
@@ -410,7 +410,7 @@ class _Unifier:
         self.theta_num, self.theta_den = theta.numerator, theta.denominator
         self.steps = 0
         self.index = node_index(g)
-        self.commutative = commutative_nodes(g)
+        self.commutative = g.commutative_nodes
         self.producer_of, self.successors = g.producer_of, g.successors
         self.ctrl_out, self.ctrl_in = g.ctrl_out, g.ctrl_in
         tables = plan.tables
@@ -825,14 +825,14 @@ def check_constraints(m: MatchResult, plan: Plan, g: FlowGraph) -> MatchResult:
             slots[pn.slot] = node.value
         else:
             rep = chains[nid]
-            name = node.ann.var_name or g.nodes[rep].ann.var_name
+            name = node.var_name or g.nodes[rep].var_name
             slots[pn.slot] = VarIdentity(rep, name)
 
     outcomes: list[ConstraintOutcome] = []
     for pred in plan.constraints:
         outcomes.append(_evaluate(pred, m, slots, chains, g))
 
-    spans = tuple(sorted(g.nodes[nid].ann.span for nid in m.real_nodes()))
+    spans = tuple(sorted(g.nodes[nid].span for nid in m.real_nodes()))
     return MatchResult(m.plan, m.binding, m.sub_matches, slots, m.score, tuple(outcomes), spans)
 
 
@@ -847,7 +847,7 @@ def _evaluate(pred: Predicate, m: MatchResult, slots: dict, chains: dict[int, in
         reps = [chains[m.binding[pid]] for pid in pids]
         same = reps[0] == reps[1]
         passed = same if pred.op == "samevar" else not same
-        names = [g.nodes[m.binding[pid]].ann.var_name or f"node {m.binding[pid]}" for pid in pids]
+        names = [g.nodes[m.binding[pid]].var_name or f"node {m.binding[pid]}" for pid in pids]
         relation = "the same variable" if same else "different variables"
         return ConstraintOutcome(pred, passed, True, f"{names[0]} and {names[1]} are {relation}")
 
@@ -921,10 +921,10 @@ def binding_values(plan: Plan, m: MatchResult, g: FlowGraph) -> tuple[dict[str, 
             role_strs[role] = m.sub_matches[pid].plan
             continue
         node = g.nodes[nid]
-        if node.ann.var_name:
-            role_strs[role] = node.ann.var_name
-        elif node.ann.role:
-            role_strs[role] = node.ann.role
+        if node.var_name:
+            role_strs[role] = node.var_name
+        elif node.role:
+            role_strs[role] = node.role
         elif node.kind is NodeKind.CONST:
             role_strs[role] = str(node.value)
         else:

@@ -117,12 +117,6 @@ class Plan:
     constraints: tuple[Predicate, ...]
     exports: tuple[tuple[str, str], ...]  # (role, pid), sorted by role
 
-    def pnode(self, pid: str) -> PatternNode:
-        for pn in self.pnodes:
-            if pn.pid == pid:
-                return pn
-        raise KeyError(pid)
-
     def export_roles(self) -> list[str]:
         return [role for role, _ in self.exports]
 

@@ -40,15 +40,6 @@ class SourceSpan(_SpanFields):
             raise ValueError(f"span ends before it starts: {file}:{line_start}:{col_start}")
         return tuple.__new__(cls, (file, line_start, col_start, line_end, col_end))
 
-    def contains(self, other: "SourceSpan") -> bool:
-        return (self.line_start, self.col_start) <= (other.line_start, other.col_start) and (
-            other.line_end,
-            other.col_end,
-        ) <= (self.line_end, self.col_end)
-
-    def contains_line(self, line: int) -> bool:
-        return self.line_start <= line <= self.line_end
-
     def __str__(self) -> str:
         return f"{self.file}:{self.line_start}:{self.col_start}"
 

@@ -73,8 +73,9 @@ def _constraints_ok(g: FlowGraph, plan: Plan, binding: dict[str, int]) -> bool:
     slots: dict[str, int | tuple] = {}
     for pn in plan.pnodes:
         if pn.slot is not None:
-            node = g.nodes[binding[pn.pid]]
-            slots[pn.slot] = node.value if node.kind is NodeKind.CONST else ("var", chains[node.id])
+            nid = binding[pn.pid]
+            node = g.nodes[nid]
+            slots[pn.slot] = node.value if node.kind is NodeKind.CONST else ("var", chains[nid])
 
     for pred in plan.constraints:
         if pred.op == "commutable":
@@ -106,8 +107,8 @@ def brute_force_accepted(g: FlowGraph, plan: Plan) -> set[frozenset]:
     assert not any(pn.subplan is not None for pn in plan.pnodes), "oracle handles flat plans only"
     pids = [pn.pid for pn in plan.pnodes]
     candidates = [
-        [nid for nid in sorted(g.nodes) if _node_ok(plan.pnode(pid), g.nodes[nid])]
-        for pid in pids
+        [nid for nid in sorted(g.nodes) if _node_ok(pn, g.nodes[nid])]
+        for pn in plan.pnodes
     ]
     commutable = plan.commutable_pids()
     accepted: set[frozenset] = set()

@@ -98,7 +98,8 @@ def test_seeded_bug_corpus(criterion, base, corpus_dir, bug_manifest):
                              (corpus_dir / entry["spec"]).read_text(), base,
                              filename=entry["bug"])
             assert report.findings, entry["bug"]
-            assert any(f.span.contains_line(entry["bug_line"]) for f in report.findings), \
+            assert any(f.span.line_start <= entry["bug_line"] <= f.span.line_end
+                       for f in report.findings), \
                 (entry["bug"], [(f.span.line_start, f.span.line_end) for f in report.findings])
             paired = _report((corpus_dir / entry["correct"]).read_text(),
                              (corpus_dir / entry["spec"]).read_text(), base,

@@ -615,6 +615,16 @@ def test_an_unknown_goal_is_reported_before_the_program_is_lowered(work, capsys)
     assert capsys.readouterr() == ("", "adil: no plan named 'no-such-plan' in base\n")
 
 
+def test_a_goal_naming_a_bug_cliche_is_a_usage_error(work, capsys):
+    # graded as a cliche, the buggy program passed and the correct one failed
+    (work / "bug.spec").write_text('spec "bug"\ngoal "off-by-one-bound" required\nend\n')
+    for program in ("sum.c", "sum_buggy.c"):
+        assert main(["analyze", str(work / program), "--spec", str(work / "bug.spec"),
+                     "--plans", str(work / "plans")]) == 2, program
+        assert capsys.readouterr() == ("", "adil: goal 'off-by-one-bound' names a bug cliche, "
+                                           "not a cliche a program implements\n"), program
+
+
 _C_PIECES = ["int", "main", "f", "x", "a", "(", ")", "{", "}", "[", "]", ";", ",", "=", "&", "0", "1",
              "if", "else", "while", "for", "return", "scanf", "printf", '"%d"', '"%d %d"',
              "+", "-", "*", "/", "%", "<", "<=", "==", "&&", "||", "!", "@", "/*", "//", '"']

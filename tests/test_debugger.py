@@ -75,22 +75,22 @@ def test_parse_spec_unescapes_strings_as_plans_do(base):
 
 def test_pinpoint_single_node():
     g = graph_of(SUM_SOURCE)
-    nid = next(n.id for n in g.nodes.values() if n.kind is NodeKind.AREAD)
-    assert pinpoint({nid}, g) == g.nodes[nid].ann.span
+    nid = next(nid for nid, n in g.nodes.items() if n.kind is NodeKind.AREAD)
+    assert pinpoint({nid}, g) == g.nodes[nid].span
 
 
 def test_pinpoint_two_nodes_same_line():
     g = graph_of("int main(){int x;int y;x=1;y=x+2;}")
-    consts = [n.id for n in g.nodes.values() if n.kind is NodeKind.CONST]
+    consts = [nid for nid, n in g.nodes.items() if n.kind is NodeKind.CONST]
     span = pinpoint(consts, g)
     assert span.line_start == span.line_end == 1
 
 
 def test_pinpoint_interval_hull():
     g = graph_of(SUM_SOURCE)
-    s_init = next(n.id for n in g.nodes.values()
-                  if n.kind is NodeKind.CONST and n.ann.var_name == "s")  # line 4
-    one = next(n.id for n in g.nodes.values()
+    s_init = next(nid for nid, n in g.nodes.items()
+                  if n.kind is NodeKind.CONST and n.var_name == "s")  # line 4
+    one = next(nid for nid, n in g.nodes.items()
                if n.kind is NodeKind.CONST and n.value == 1)  # line 8
     span = pinpoint({s_init, one}, g)
     assert (span.line_start, span.line_end) == (4, 8)
@@ -140,6 +140,15 @@ def test_diagnose_missing_goal(base):
     assert f.kind is FindingKind.MISSING_GOAL
     # spans the whole function
     assert f.span.line_start <= 2 and f.span.line_end >= 8
+
+
+def test_a_goal_naming_a_bug_cliche_is_refused(base):
+    spec = parse_spec(_spec('goal "running-total" required\ngoal "off-by-one-bound" optional'))
+    for source in (SUM_SOURCE, SUM_SOURCE.replace("i < n", "i <= n")):
+        for run in (lambda: analyze(source, "prog.c", spec, base),
+                    lambda: diagnose(graph_of(source), spec, base)):
+            with pytest.raises(ValueError, match="goal 'off-by-one-bound' names a bug cliche"):
+                run()
 
 
 def test_diagnose_optional_goal_missing_is_quiet(base):

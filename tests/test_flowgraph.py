@@ -19,17 +19,16 @@ from adil.flowgraph import (
     OpCode,
     UnboundVariable,
     build_flow_graph,
-    commutative_nodes,
     graph_of,
     node_index,
     to_dot,
     to_json,
-    validate,
     value_chains,
 )
 
 from conftest import SUM_SOURCE
 from generators import random_graph, random_program, rename_variant
+from wellformed import has_cycle, validate
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -53,14 +52,14 @@ def test_straight_line_assignments():
     g = graph_of("int main(){int x;int y;x=1;y=x+2;}")
     assert len(g.nodes) == 5
     assert kinds_count(g, NodeKind.CONST) == 2
-    add = next(n for n in g.nodes.values() if n.kind is NodeKind.OP)
-    assert add.opcode is OpCode.ADD
-    assert add.ann.var_name == "y"
-    one = next(n for n in g.nodes.values() if n.kind is NodeKind.CONST and n.value == 1)
-    two = next(n for n in g.nodes.values() if n.kind is NodeKind.CONST and n.value == 2)
-    assert (one.id, (add.id, 0)) in g.data_edges
-    assert (two.id, (add.id, 1)) in g.data_edges
-    assert one.ann.var_name == "x"
+    add = next(nid for nid, n in g.nodes.items() if n.kind is NodeKind.OP)
+    assert g.nodes[add].opcode is OpCode.ADD
+    assert g.nodes[add].var_name == "y"
+    one = next(nid for nid, n in g.nodes.items() if n.kind is NodeKind.CONST and n.value == 1)
+    two = next(nid for nid, n in g.nodes.items() if n.kind is NodeKind.CONST and n.value == 2)
+    assert (one, (add, 0)) in g.data_edges
+    assert (two, (add, 1)) in g.data_edges
+    assert g.nodes[one].var_name == "x"
 
 
 def test_sum_loop_shape():
@@ -151,8 +150,8 @@ def test_node_index_partitions_every_node():
 def test_value_chains_follow_joins():
     g = graph_of(SUM_SOURCE)
     chains = value_chains(g)
-    joins = {n.ann.var_name: n.id for n in g.nodes.values() if n.kind is NodeKind.JOIN}
-    adds = {n.ann.var_name: n.id for n in g.nodes.values()
+    joins = {n.var_name: nid for nid, n in g.nodes.items() if n.kind is NodeKind.JOIN}
+    adds = {n.var_name: nid for nid, n in g.nodes.items()
             if n.kind is NodeKind.OP and n.opcode is OpCode.ADD}
     assert chains[joins["s"]] == chains[adds["s"]]
     assert chains[joins["i"]] == chains[adds["i"]]
@@ -209,8 +208,8 @@ def test_renaming_yields_isomorphic_graph():
     g1 = graph_of(src)
     g2 = graph_of(rename_variant(src))
     strip = lambda g: (
-        sorted((n.id, n.kind.value, n.opcode.value if n.opcode else None, n.value)
-               for n in g.nodes.values()),
+        sorted((nid, n.kind.value, n.opcode.value if n.opcode else None, n.value)
+               for nid, n in g.nodes.items()),
         sorted(g.data_edges),
         sorted(g.ctrl_edges),
     )
@@ -262,8 +261,8 @@ def test_a_loop_body_declaring_in_an_if_branch_is_rejected():
 def test_a_loop_carries_the_outer_variables_its_body_assigns(body, carried):
     g = graph_of(f"int main() {{ int x; int s; x = 0; s = 0; while (x < 3) {body} return s; }}")
     assert validate(g) == []
-    joins = sorted(n.id for n in g.nodes.values() if n.ann.role == "loop variable")
-    assert [g.nodes[nid].ann.var_name for nid in joins] == carried
+    joins = sorted(nid for nid, n in g.nodes.items() if n.role == "loop variable")
+    assert [g.nodes[nid].var_name for nid in joins] == carried
 
 
 def test_if_with_empty_branch():
@@ -307,16 +306,16 @@ def test_a_copy_made_with_replace_computes_its_own_views():
     # commutative, and the original keeps its own views
     g = graph_of("int f(int a, int b) { int c; c = a + b; return c; }")
     (add,) = node_index(g)[(NodeKind.OP, OpCode.ADD)]
-    assert commutative_nodes(g) == {add}
+    assert g.commutative_nodes == {add}
     chains = value_chains(g)
     nodes = dict(g.nodes)
     nodes[add] = dataclasses.replace(g.nodes[add], opcode=OpCode.SUB)
     h = dataclasses.replace(g, nodes=nodes)
-    assert commutative_nodes(h) == frozenset()
+    assert h.commutative_nodes == frozenset()
     assert node_index(h)[(NodeKind.OP, OpCode.SUB)] == [add]
     assert (NodeKind.OP, OpCode.ADD) not in node_index(h)
     assert value_chains(h) == chains and value_chains(h) is not chains
-    assert commutative_nodes(g) == {add} and node_index(g)[(NodeKind.OP, OpCode.ADD)] == [add]
+    assert g.commutative_nodes == {add} and node_index(g)[(NodeKind.OP, OpCode.ADD)] == [add]
 
 
 def test_validate_handles_long_straight_line_programs():
@@ -364,9 +363,9 @@ def _with_edges(g, data_edges, ctrl_edges):
 
 
 def _assert_views_match_sorted_edges(g):
-    views = (g.producer_of, g.successors, g.ctrl_out, g.ctrl_in, commutative_nodes(g))
+    views = (g.producer_of, g.successors, g.ctrl_out, g.ctrl_in, g.commutative_nodes)
     assert views == _sorted_edge_views(g)
-    assert commutative_nodes(g) is commutative_nodes(g)
+    assert g.commutative_nodes is g.commutative_nodes
 
 
 def test_adjacency_views_match_sorted_edges_on_the_corpus(corpus_dir):
@@ -387,7 +386,7 @@ def test_a_mul_built_with_one_in_port_fits_no_node_shape():
     mul, = [nid for nid, n in g.nodes.items() if n.opcode is OpCode.MUL]
     n = g.nodes[mul]
     nodes = dict(g.nodes)
-    nodes[mul] = flowgraph.GraphNode(n.id, n.kind, 1, n.ann, n.opcode, n.value)
+    nodes[mul] = flowgraph.GraphNode(n.kind, 1, n.span, n.opcode, n.value, n.var_name, n.role)
     unary = dataclasses.replace(g, nodes=nodes)
     assert f"node {mul} (OP MUL) has 1 in-ports, not 2" in validate(unary)
 
@@ -416,7 +415,7 @@ def _reference_validate(g) -> list[str]:
         if g.nodes[dst].kind is NodeKind.JOIN and ip == 1:
             continue
         succs[src].append(dst)
-    if flowgraph._has_cycle(succs):
+    if has_cycle(succs):
         problems.append("data edges contain a cycle that avoids JOIN back-inputs")
 
     seen = {g.entry}

@@ -1203,7 +1203,7 @@ def test_kernels_agree_with_extend_on_the_corpus_and_the_dense_chain(corpus_dir,
 def _doubling_chain():
     """The dense chain with one doubling step: x3 reads x2 on both operands."""
     g = graph_of(dense_source().replace("x3 = x2 + x1;", "x3 = x2 + x2;"))
-    x2, x3 = (nid for nid, n in g.nodes.items() if n.ann.var_name in ("x2", "x3") and n.kind is NodeKind.OP)
+    x2, x3 = (nid for nid, n in g.nodes.items() if n.var_name in ("x2", "x3") and n.kind is NodeKind.OP)
     return g, x2, x3
 
 

@@ -100,3 +100,12 @@ def test_unfrozen_records_keep_value_equality():
                        "col_end=5)), span=SourceSpan(file='f.c', line_start=1, col_start=1, "
                        "line_end=1, col_end=5))")
     assert [f.name for f in dataclasses.fields(Binary)] == ["op", "lhs", "rhs", "span", "height"]
+
+
+def test_a_graph_node_is_one_record_carrying_its_annotation():
+    """A flow-graph node holds its span, variable and role itself."""
+    from adil import flowgraph
+
+    assert [f.name for f in dataclasses.fields(flowgraph.GraphNode)] == \
+        ["kind", "in_ports", "span", "opcode", "value", "var_name", "role"]
+    assert not hasattr(flowgraph, "Annotation")
