@@ -119,17 +119,24 @@ def _heading(f) -> str:
 
 
 def _excerpt(span: SourceSpan, source_lines: list[str]) -> str:
-    """Quote the spanned lines with a caret under the span's columns."""
+    """Quote the spanned lines with a caret under the span's columns.
+
+    The caret line's prefix is as wide as the quoted line's, and it is
+    padded with the quoted line's own tabs, every other character becoming
+    a space, so the caret stays under its columns at any tab width and on
+    any line number."""
     if span.line_start > len(source_lines):
         return ""
     out: list[str] = []
     for lineno in range(span.line_start, min(span.line_end, len(source_lines)) + 1):
         text = source_lines[lineno - 1]
-        out.append(f"  {lineno:>4} | {text}")
+        prefix = f"  {lineno:>4} | "
+        out.append(prefix + text)
         if lineno == span.line_start:
             end = span.col_end if span.line_end == span.line_start else len(text)
             width = max(1, end - span.col_start + 1)
-            out.append("  " + " " * 4 + " | " + " " * (span.col_start - 1) + "^" * width)
+            pad = "".join("\t" if c == "\t" else " " for c in text[:span.col_start - 1])
+            out.append(" " * (len(prefix) - 3) + " | " + pad + "^" * width)
     return "\n".join(out)
 
 

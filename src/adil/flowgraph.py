@@ -541,7 +541,8 @@ _THREADED_PORTS = {NodeKind.JOIN: (0, 1), NodeKind.AWRITE: (0,)}
 def threaded_pairs(g: FlowGraph) -> list[tuple[int, int]]:
     """(node, producer) for each in-port whose producer holds the node's own
     variable, by node id and then port: a JOIN's initial/then and back/else
-    values, and the array an AWRITE updates. value_chains unites the pairs."""
+    values, and the array an AWRITE updates. value_chains unites the same
+    pairs, and acquire turns them into samevar constraints in this order."""
     producer_of = g.producer_of
     return [(nid, src) for nid in sorted(g.nodes)
             for port in _THREADED_PORTS.get(g.nodes[nid].kind, ())
@@ -549,7 +550,10 @@ def threaded_pairs(g: FlowGraph) -> list[tuple[int, int]]:
 
 
 def _thread_values(g: FlowGraph) -> dict[int, int]:
-    """Union-find over threaded_pairs."""
+    """Union-find over the pairs threaded_pairs lists, reached through
+    node_index, since only JOIN and AWRITE nodes thread a variable. The lower
+    root wins each union, so a class's representative is its lowest node
+    whatever order the pairs are united in."""
     parent = {nid: nid for nid in g.nodes}
 
     def find(x: int) -> int:
@@ -563,8 +567,12 @@ def _thread_values(g: FlowGraph) -> dict[int, int]:
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    for nid, src in threaded_pairs(g):
-        union(nid, src)
+    producer_of = g.producer_of
+    for (kind, _), nids in g.node_index.items():
+        for port in _THREADED_PORTS.get(kind, ()):
+            for nid in nids:
+                if (src := producer_of.get((nid, port))) is not None:
+                    union(nid, src)
     return {nid: find(nid) for nid in g.nodes}
 
 

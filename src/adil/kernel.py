@@ -10,7 +10,10 @@ A kernel does exactly what `extend` does on a branch that skips nothing, in
 the same order: the same candidates (a lone producer or `FlowGraph.successors`
 list as it stands, `sorted(set(...))` over anything else, reverse-sorted for
 a sub-match), one step charged per candidate before the injectivity test,
-the same leaf records and the same deferred branches.
+the same leaf records and the same deferred branches. A full leaf records
+the tuple of its loop variables in pattern order (`PlanTables.pid_order`),
+as `extend` records a full match; a partial leaf, which only a disconnected
+plan reaches, records a `{pid: node}` binding, and only at theta.
 What depends only on the plan is settled when the source is written: each
 edge's direction, ports and commutable() alternative, each node's kind,
 opcode and constant test, the ctrl labels, and which ends are sub-plan
@@ -99,6 +102,7 @@ class _KernelWriter:
 
     def __init__(self, tables: PlanTables, order: list[_Step | None]):
         self.steps = order[:-1]
+        self.pid_order = tables.pid_order
         self.size = len(tables.pid_order)
         self.commutable = tables.commutable
         self.pos = {step.pid: i for i, step in enumerate(self.steps)}
@@ -119,8 +123,10 @@ class _KernelWriter:
     def position(self, i: int) -> str:
         """Position i's loop, with every later position inside it."""
         if i + 1 == len(self.steps):  # the leaf
-            full = "{%s}" % ", ".join(f"P{j}: n{j}" for j in range(i + 1))
-            inner = f"record({full})\n" if i + 1 == self.size else f"if leaf_ok:\n    record({full})\n"
+            if i + 1 == self.size:  # a full match: its nodes in pattern order
+                inner = "record((%s,))\n" % ", ".join(f"n{self.pos[pid]}" for pid in self.pid_order)
+            else:
+                inner = "if leaf_ok:\n    record({%s})\n" % ", ".join(f"P{j}: n{j}" for j in range(i + 1))
         else:
             inner = self.position(i + 1)
         tests = self.tests(i)

@@ -7,14 +7,17 @@ Subgraph matching is NP-hard in general, so every attempted assignment
 burns one step of an explicit budget; hitting the ceiling raises
 BudgetExceeded with the results found so far attached.
 
-The search records bare bindings, and scores them as integer pairs (bound
+The search records bare matches, and scores them as integer pairs (bound
 nodes over plan size, against theta as a rational converted once per theta
-value). Only when it ends (or the budget runs out) does an exact maximality
-filter drop every binding that another one strictly contains. The survivors
-are put in result order by a key computed from the binding alone, and a
-MatchResult, with its constraint checks and Fraction score, is built only
-when a reader reaches it: `Recognition.best_accepted` on a plan with 200
-full matches builds one.
+value). A full match that stage one finds is recorded as the tuple of its
+graph nodes in pattern order, the pattern-indexed mapping VF2 keeps; every
+other match as a {pid: node} binding. Only when the search ends (or the
+budget runs out) does an exact maximality filter drop every binding that
+another one strictly contains. The survivors are put in result order by a
+key computed from the match alone, and a MatchResult, with its {pid: node}
+binding, constraint checks and Fraction score, is built only when a reader
+reaches it: `Recognition.best_accepted` on a plan with 200 full matches
+builds one binding and one result.
 
 Each candidate assignment is checked only against the pattern edges
 incident to its pattern node. An edge whose two ends are real graph nodes
@@ -51,17 +54,24 @@ charge one step counter, and a result is built once whichever stage needs it
 first. Both `recognize` and `unify` hand each search to `Recognition.add`,
 which runs stage one and keeps the search for its second.
 
-Stage one records its bindings without a seen-set. Its branches skip
+Stage one records its matches without a seen-set. Its branches skip
 nothing, so each follows its seed's compiled order, and at each position
 `candidates_via_edges` offers every node once: two stage-one leaves differ
 at the first position where their branches part, so none is recorded twice.
 Every stage-two branch leaves unbound a pattern node that every stage-one
-binding holds, a deferred branch its skipped node and seed rounds 1 and up
-the first seed, so stage two never reaches a stage-one binding either; its
+match holds, a deferred branch its skipped node and seed rounds 1 and up
+the first seed, so stage two never reaches a stage-one match either; its
 own branches, which can meet again through different skips, keep the
-seen-set (`record`). A plan without sub nodes ranks its full bindings by
-(lowest node, nodes in pattern order), built by `map` with no Python call
-per binding; other bindings go through `rank`.
+seen-set (`record`), and each binding they record skips a node, so none is
+full. Every tuple recorded is therefore a full match, and the only bindings
+stage one records are the partial leaves of a disconnected plan, at theta.
+Stage one ranks its tuples as they are, by lowest real node, then tuple:
+that is `rank`'s order, since every full match has the plan's size. It
+sorts the tuples, then sorts them stably by lowest real node, which for a
+plan without sub nodes is `min`, so no Python code runs per match.
+A tuple becomes a binding in only two places: `result`, for a match that a
+reader reaches, and `finish` for a resumed or budget-cut search, whose
+maximality filter and `rank` read bindings.
 
 The order in which a branch binds pattern nodes depends only on the plan
 and the branch's state: the nodes it has bound and the nodes it has
@@ -144,6 +154,12 @@ def theta_fraction(theta: float) -> Fraction:
     return Fraction(theta).limit_denominator(10**6)
 
 
+# A match as the search records it: a full stage-one match as the tuple of its
+# graph nodes in pattern order (PlanTables.pid_order), any other as a
+# {pid: node} binding.
+Recorded = dict[str, int] | tuple[int, ...]
+
+
 @record
 class VarIdentity:
     """A slot bound to a value chain rather than a constant."""
@@ -217,8 +233,8 @@ class Recognition:
     """
 
     def __init__(self) -> None:
-        # plan -> (its search, bindings best first)
-        self._ranked: dict[str, tuple[_Unifier, list[dict[str, int]]]] = {}
+        # plan -> (its search, its recorded matches best first)
+        self._ranked: dict[str, tuple[_Unifier, list[Recorded]]] = {}
         self._pending: dict[str, _Unifier] = {}  # plan -> its search, before its near-miss stage
         self.truncated: set[str] = set()
         self._by_plan: dict[str, list[MatchResult]] | None = None
@@ -232,8 +248,8 @@ class Recognition:
         else:
             self._pending[name] = search
 
-    def run_stage(self, name: str, search: _Unifier, stage: Callable[[], list[dict[str, int]]]) -> None:
-        """Runs one stage of name's search and keeps its bindings; a stage the
+    def run_stage(self, name: str, search: _Unifier, stage: Callable[[], list[Recorded]]) -> None:
+        """Runs one stage of name's search and keeps its matches; a stage the
         budget cuts short keeps what it found, and marks the plan truncated."""
         try:
             self._ranked[name] = (search, stage())
@@ -421,7 +437,8 @@ class _Unifier:
         self.max_skipped = self.size + (-self.theta_num * self.size // self.theta_den)
         self.tables = tables
         self.pid_order = tables.pid_order
-        # a full binding's node per pattern node, as rank() orders it
+        # a full binding's node per pattern node: how stage one records a
+        # full match, and how rank() orders it
         nodes_of = itemgetter(*self.pid_order)
         self.full_nodes = nodes_of if self.size > 1 else lambda binding: (nodes_of(binding),)
         self.pnodes = tables.pnodes
@@ -451,7 +468,7 @@ class _Unifier:
         self.candidates: dict[str, list[int]] = {}  # node_candidates, per pid
         self.seeds: list[str] = []  # pids by rarity, set by first_stage
         self.deferred: list[tuple[dict[str, int], set[int], frozenset]] = []  # for resume
-        self.recorded: list[dict[str, int]] = []  # bindings at or above theta
+        self.recorded: list[Recorded] = []  # matches at or above theta
         self.seen: set[frozenset] = set()
         self.built: dict[frozenset, MatchResult] = {}  # results, by binding key
 
@@ -605,14 +622,14 @@ class _Unifier:
     # One binding dict and one set of its bound nodes are shared by the whole
     # search: each level adds its pattern node before recursing and removes
     # it after, so the dict always lists pattern nodes in the order they were
-    # bound. record() keeps copies.
+    # bound. record() keeps copies, and stage one's leaf a full match's nodes.
 
-    def first_stage(self) -> list[dict[str, int]]:
+    def first_stage(self) -> list[tuple[int, ...]]:
         """Round 0 from the rarest seed, with every fallback skip deferred.
 
         A branch that skipped a pattern node can never bind all of them, so
-        this stage finds every full match; it returns their bindings, best
-        first.
+        this stage finds every full match; it returns them best first, each
+        as the tuple of its nodes in pattern order.
         """
         # Seed at the rarest pattern key first. Later rounds skip earlier
         # seeds entirely, so near-misses that exclude any one pattern node
@@ -662,9 +679,11 @@ class _Unifier:
             if skipped:
                 self.record(binding)
             # a stage-one leaf is reached once and never by stage two (see the
-            # module docstring), so it needs no seen-set, only record()'s theta
-            # test, which a full binding always passes (only a disconnected
-            # plan has partial ones)
+            # module docstring), so it needs no seen-set. A full match is kept
+            # as its nodes in pattern order; a partial leaf (only a disconnected
+            # plan has one) as a binding, and only at theta, as record() would
+            elif len(binding) == self.size:
+                self.recorded.append(self.full_nodes(binding))
             elif len(binding) * self.theta_den >= self.theta_num * self.size:
                 self.recorded.append(binding.copy())
             return
@@ -704,7 +723,11 @@ class _Unifier:
             return
         self.recorded.append(dict(binding))
 
-    def result(self, binding: dict[str, int]) -> MatchResult:
+    def result(self, binding: Recorded) -> MatchResult:
+        """The binding's MatchResult, built once, whether a full match reaches
+        it as a stage-one tuple or as a binding."""
+        if type(binding) is tuple:
+            binding = dict(zip(self.pid_order, binding))
         key = frozenset(binding.items())
         found = self.built.get(key)
         if found is None:
@@ -724,34 +747,40 @@ class _Unifier:
         )
         return check_constraints(result, self.plan, self.g)
 
-    def finish(self, full_only: bool = False) -> list[dict[str, int]]:
-        """The recorded bindings a result list shows, best first.
+    def finish(self, full_only: bool = False) -> list[Recorded]:
+        """The recorded matches a result list shows, best first.
 
-        Drops every binding that another one strictly contains; a full
-        binding is never strictly contained, so full_only needs no filter.
-        Also runs on BudgetExceeded, so a truncated search keeps its partial
-        results. Results are built from these by result(), each once over
-        both stages, and only when someone reads them.
+        With full_only, stage one's full matches, the tuples of their nodes
+        in pattern order, ranked as they are by lowest real node, then tuple:
+        rank()'s order, since every full match has the plan's size. A full
+        match is never strictly contained, so they need no filter. Otherwise
+        every binding, tuples turned into dicts, less those that another one
+        strictly contains. Also runs on BudgetExceeded, so a truncated search
+        keeps its partial results. Results are built from these by result(),
+        each once over both stages, and only when someone reads them.
         """
         if not full_only:
-            return sorted(maximal_bindings(self.recorded), key=self.rank)
-        bindings = [b for b in self.recorded if len(b) == self.size]
-        if self.subplan_of:
-            bindings.sort(key=self.rank)
-        elif len(bindings) > 1:  # rank()'s key, without a Python call per binding
-            nodes = list(map(self.full_nodes, bindings))
-            keys = sorted(zip(map(min, nodes), nodes, range(len(nodes))))
-            bindings = [bindings[i] for _, _, i in keys]
-        return bindings
+            pid_order = self.pid_order
+            bindings = [dict(zip(pid_order, b)) if type(b) is tuple else b for b in self.recorded]
+            return sorted(maximal_bindings(bindings), key=self.rank)
+        full = [b for b in self.recorded if type(b) is tuple]
+        full.sort()  # then a stable sort by lowest real node keeps tuple order on ties
+        full.sort(key=self.lowest if self.subplan_of else min)  # min: every node is real
+        return full
+
+    def lowest(self, nodes: Collection[int]) -> int:
+        """The lowest real node a match binds; a sub-match stands for its
+        real nodes, never empty."""
+        lowest = min(nodes, default=0)
+        if lowest < 0:
+            lowest = min(nid if nid >= 0 else min(self.pseudo_by_id[nid].all_nodes) for nid in nodes)
+        return lowest
 
     def rank(self, binding: dict[str, int]) -> tuple:
         """Result order, from the binding alone: score (size is fixed, so the
         bound count), lowest real node, then node per pattern node. A total
         order: distinct bindings differ at some pid."""
-        lowest = min(binding.values(), default=0)
-        if lowest < 0:  # a sub-match stands for its real nodes, never empty
-            lowest = min(nid if nid >= 0 else min(self.pseudo_by_id[nid].all_nodes)
-                         for nid in binding.values())
+        lowest = self.lowest(binding.values())
         if len(binding) == self.size:
             return (-self.size, lowest, self.full_nodes(binding))
         return (-len(binding), lowest, tuple([binding.get(pid, -10**9) for pid in self.pid_order]))

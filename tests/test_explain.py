@@ -69,6 +69,21 @@ def test_render_off_by_one_quotes_the_test_with_caret(base):
     assert "running-total" in body  # names the intended cliche
 
 
+@pytest.mark.parametrize("indent, lead", [("\t", 0), ("    ", 10_000)], ids=["tab-indented", "line-10007"])
+def test_the_caret_stays_under_the_loop_test(indent, lead, base, corpus_dir):
+    # a quoted line keeps its tabs, so the caret line must pad with them; lead
+    # blank lines give the loop test a five-digit line number, which widens
+    # the quoted line's prefix
+    source = (corpus_dir / "bugs/sum__off_by_one.c").read_text()
+    source = "\n" * lead + re.sub(r"(?m)^(    )+", lambda m: indent * (len(m.group()) // 4), source)
+    assert f"\n{indent}while (i <= n) {{" in source
+    (_, body), = render(_report(source, base), source, base).sections
+    lines = body.splitlines()
+    (at,) = [n for n, line in enumerate(lines) if "while (i <= n)" in line]
+    code, caret = lines[at].expandtabs(), lines[at + 1].expandtabs()
+    assert caret.index("^") == code.index("i <= n")
+
+
 def test_render_truncation_warning(base):
     report = _report(SUM_SOURCE, base)
     report.budget_truncated = True

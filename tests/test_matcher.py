@@ -894,7 +894,7 @@ class _StageCheckedRecords(list):
         self.counts = [0, 0]  # records per stage
 
     def append(self, binding):
-        key = frozenset(binding.items())
+        key = frozenset(_pairs(self.search, binding))
         assert key not in self.first, (self.search.plan.name, self.search.stage, binding)
         if self.search.stage == 1:
             self.first.add(key)
@@ -1118,9 +1118,15 @@ def _compiled_from_the_start(plan: Plan) -> None:
         plan.tables.kernels.setdefault(pid, None)
 
 
+def _pairs(search, found) -> list[tuple[str, int]]:
+    """A recorded match as (pid, node) pairs: a full stage-one match, kept as
+    its nodes in pattern order, in pattern order; a binding in bound order."""
+    return list(zip(search.pid_order, found)) if isinstance(found, tuple) else list(found.items())
+
+
 def _state(search) -> tuple:
-    """Steps, recorded bindings in order (each in bound order) and deferred branches."""
-    return (search.steps, [list(b.items()) for b in search.recorded],
+    """Steps, recorded matches in order (as _pairs lists them) and deferred branches."""
+    return (search.steps, [_pairs(search, b) for b in search.recorded],
             [(list(b.items()), used, skipped) for b, used, skipped in search.deferred])
 
 
@@ -1132,7 +1138,7 @@ def _stages(search) -> list[tuple]:
     out = []
     for stage in (search.first_stage, search.resume):
         try:
-            found = [list(b.items()) for b in stage()]
+            found = [_pairs(search, b) for b in stage()]
         except BudgetExceeded:
             found = None
         out.append((found, found is None, _state(search)))
@@ -1276,6 +1282,33 @@ def test_kernels_agree_with_extend_at_every_budget(case, corpus_dir, base):
 
 # -- ranking full matches
 
+def test_stage_one_records_each_full_match_as_its_nodes_in_pattern_order(corpus_dir, base):
+    # the corpus against the shipped base, bottom-up, and the dense chain
+    def first_stage(g, plan, accepted=None, sub_plans=None):
+        search = matcher._Unifier(g, plan, SearchBudget(), accepted or {}, sub_plans or {})
+        ranked = search.first_stage()
+        full = [b for b in search.recorded if len(b) == search.size]
+        assert all(type(t) is tuple and all(type(nid) is int for nid in t) for t in full + ranked)
+        bindings = sorted((dict(zip(search.pid_order, t)) for t in full), key=search.rank)
+        assert [list(zip(search.pid_order, t)) for t in ranked] == [list(b.items()) for b in bindings]
+        random.Random(len(full)).shuffle(search.recorded)  # the ranking, whatever the record order
+        assert search.finish(full_only=True) == ranked
+        results = [search.result(t) for t in ranked]
+        assert all(list(r.binding) == list(search.pid_order) for r in results)
+        counts[bool(plan.tables.subplans)] += len(full)
+        return [r for r in results if r.accepted]
+
+    counts = [0, 0]  # full matches of plans without and with sub nodes
+    for path in sorted(corpus_dir.glob("*/*.c")):
+        g = graph_of(path.read_text(), path.name)
+        accepted: dict[str, list] = {}
+        for level in dependency_order(base, base.names()):
+            for name in level:
+                accepted[name] = first_stage(g, base.plans[name], accepted, base.plans)
+    assert all(counts)
+    assert len(first_stage(graph_of(dense_source()), parse_plan(CHAIN_PLAN))) == 288
+
+
 @pytest.fixture()
 def full_rankings(monkeypatch):
     """Checks each first stage's full bindings against sorted(key=rank), and
@@ -1285,7 +1318,9 @@ def full_rankings(monkeypatch):
 
     def checking(self):
         full = first_stage(self)
-        assert full == sorted((b for b in self.recorded if len(b) == self.size), key=self.rank), self.plan.name
+        bindings = [dict(_pairs(self, b)) for b in self.recorded if len(b) == self.size]
+        assert [_pairs(self, b) for b in full] == [list(b.items()) for b in sorted(bindings, key=self.rank)], \
+            self.plan.name
         checked.append((self.plan.name, len(full), bool(self.plan.tables.subplans)))
         return full
 
