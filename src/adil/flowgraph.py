@@ -541,8 +541,7 @@ _THREADED_PORTS = {NodeKind.JOIN: (0, 1), NodeKind.AWRITE: (0,)}
 def threaded_pairs(g: FlowGraph) -> list[tuple[int, int]]:
     """(node, producer) for each in-port whose producer holds the node's own
     variable, by node id and then port: a JOIN's initial/then and back/else
-    values, and the array an AWRITE updates. value_chains unites the same
-    pairs, and acquire turns them into samevar constraints in this order."""
+    values, and the array an AWRITE updates. value_chains unites the pairs."""
     producer_of = g.producer_of
     return [(nid, src) for nid in sorted(g.nodes)
             for port in _THREADED_PORTS.get(g.nodes[nid].kind, ())
@@ -550,10 +549,7 @@ def threaded_pairs(g: FlowGraph) -> list[tuple[int, int]]:
 
 
 def _thread_values(g: FlowGraph) -> dict[int, int]:
-    """Union-find over the pairs threaded_pairs lists, reached through
-    node_index, since only JOIN and AWRITE nodes thread a variable. The lower
-    root wins each union, so a class's representative is its lowest node
-    whatever order the pairs are united in."""
+    """Union-find over threaded_pairs."""
     parent = {nid: nid for nid in g.nodes}
 
     def find(x: int) -> int:
@@ -567,12 +563,8 @@ def _thread_values(g: FlowGraph) -> dict[int, int]:
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    producer_of = g.producer_of
-    for (kind, _), nids in g.node_index.items():
-        for port in _THREADED_PORTS.get(kind, ()):
-            for nid in nids:
-                if (src := producer_of.get((nid, port))) is not None:
-                    union(nid, src)
+    for nid, src in threaded_pairs(g):
+        union(nid, src)
     return {nid: find(nid) for nid in g.nodes}
 
 

@@ -470,7 +470,7 @@ class _Unifier:
         self.deferred: list[tuple[dict[str, int], set[int], frozenset]] = []  # for resume
         self.recorded: list[Recorded] = []  # matches at or above theta
         self.seen: set[frozenset] = set()
-        self.built: dict[frozenset, MatchResult] = {}  # results, by binding key
+        self.built: dict[tuple | frozenset, MatchResult] = {}  # results, by result()'s key
 
     # -- candidate enumeration
 
@@ -725,12 +725,18 @@ class _Unifier:
 
     def result(self, binding: Recorded) -> MatchResult:
         """The binding's MatchResult, built once, whether a full match reaches
-        it as a stage-one tuple or as a binding."""
+        it as a stage-one tuple or as a binding: a full match is keyed by its
+        nodes in pattern order, a partial one by its (pid, node) pairs."""
         if type(binding) is tuple:
-            binding = dict(zip(self.pid_order, binding))
-        key = frozenset(binding.items())
+            key = binding
+        elif len(binding) == self.size:
+            key = self.full_nodes(binding)
+        else:
+            key = frozenset(binding.items())
         found = self.built.get(key)
         if found is None:
+            if key is binding:
+                binding = dict(zip(self.pid_order, binding))
             found = self.built[key] = self.build_result(binding)
         return found
 
@@ -764,8 +770,9 @@ class _Unifier:
             bindings = [dict(zip(pid_order, b)) if type(b) is tuple else b for b in self.recorded]
             return sorted(maximal_bindings(bindings), key=self.rank)
         full = [b for b in self.recorded if type(b) is tuple]
-        full.sort()  # then a stable sort by lowest real node keeps tuple order on ties
-        full.sort(key=self.lowest if self.subplan_of else min)  # min: every node is real
+        if len(full) > 1:
+            full.sort()  # then a stable sort by lowest real node keeps tuple order on ties
+            full.sort(key=self.lowest if self.subplan_of else min)  # min: every node is real
         return full
 
     def lowest(self, nodes: Collection[int]) -> int:

@@ -21,7 +21,6 @@ from adil.flowgraph import (
     build_flow_graph,
     graph_of,
     node_index,
-    threaded_pairs,
     to_dot,
     to_json,
     value_chains,
@@ -157,30 +156,6 @@ def test_value_chains_follow_joins():
     assert chains[joins["s"]] == chains[adds["s"]]
     assert chains[joins["i"]] == chains[adds["i"]]
     assert chains[joins["s"]] != chains[joins["i"]]
-
-
-def _united_threaded_pairs(g) -> dict[int, int]:
-    """Reference value_chains: each node's class, by a plain union of every
-    pair threaded_pairs lists, represented by its lowest node."""
-    chains = {nid: {nid} for nid in g.nodes}
-    for nid, src in threaded_pairs(g):
-        if chains[nid] is not chains[src]:
-            merged = chains[nid] | chains[src]
-            for member in merged:
-                chains[member] = merged
-    return {nid: min(chains[nid]) for nid in g.nodes}
-
-
-def test_value_chains_unite_exactly_the_threaded_pairs(corpus_dir):
-    graphs = [graph_of(path.read_text(), path.name) for path in sorted(corpus_dir.glob("*/*.c"))]
-    graphs += [graph_of(random_program(random.Random(seed))) for seed in range(100)]
-    kinds = set()
-    for g in graphs:
-        chains = value_chains(g)
-        assert list(chains) == list(g.nodes)  # every node, in node order
-        assert chains == _united_threaded_pairs(g)
-        kinds |= {g.nodes[nid].kind for nid, _ in threaded_pairs(g)}
-    assert kinds == {NodeKind.JOIN, NodeKind.AWRITE}
 
 
 def _count_stmts_exprs(node) -> int:
