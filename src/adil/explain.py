@@ -77,7 +77,7 @@ def compose_meaning(goal_matches: list[tuple[str, MatchResult]], base: PlanBase,
 
 def render(report: "DiagnosticReport", source: str, base: PlanBase) -> Explanation:
     """One section per finding, plus meaning and truncation sections when due."""
-    source_lines = source.splitlines()
+    source_lines = _lines(source)
     sections: list[tuple[str, str]] = []
 
     for f in report.findings:
@@ -104,6 +104,19 @@ def render(report: "DiagnosticReport", source: str, base: PlanBase) -> Explanati
             "report may be incomplete. Re-run with a larger budget.",
         ))
     return Explanation(tuple(sections))
+
+
+def _lines(text: str) -> list[str]:
+    """text's lines as the lexer numbers them: broken at newlines only, with
+    one carriage return before a newline dropped, as str.splitlines() drops
+    it from a CRLF. Unlike splitlines(), no form feed, vertical tab or
+    Unicode line separator ends a line."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # text ends with a line break, or is empty
+    if "\r" in text:
+        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    return lines
 
 
 def _heading(f) -> str:
@@ -149,7 +162,7 @@ def render_text(e: Explanation, width: int = 80) -> str:
     for heading, body in e.sections:
         out.append(heading)
         out.append("-" * min(width, len(heading)))
-        for line in body.splitlines():
+        for line in _lines(body):
             if line.startswith(" ") or not line:
                 out.append(line)
             elif len(line) <= width and "\t" not in line and not line[-1].isspace():

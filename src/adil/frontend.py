@@ -75,11 +75,12 @@ MAX_NESTING = 100
 
 KEYWORDS = {"int", "if", "else", "while", "for", "return"}
 
-# Each match skips blanks and a line comment (`#` lines and `//`, which run
-# to the end of the line), then takes one lexical case, the common ones
-# first. Some case matches at every position (`.` any character but a
-# newline, `end` the end of input), so the skipped prefix never gives
-# anything back and no position is passed over. `punct` is the one
+# Each match skips blanks (C99 6.4's white space but the newline: space,
+# tab, carriage return, form feed, vertical tab) and a line comment (`#`
+# lines and `//`, which run to the end of the line), then takes one lexical
+# case, the common ones first. Some case matches at every position (`.` any
+# character but a newline, `end` the end of input), so the skipped prefix
+# never gives anything back and no position is passed over. `punct` is the one
 # definition of the subset's punctuators; `[<>=!]=?` and `&&?` take the
 # longer operator first, as C does. `\w` is exactly str.isalnum() or "_"
 # and `\d` is str.isdecimal(), so identifiers continue as the str methods
@@ -87,7 +88,7 @@ KEYWORDS = {"int", "if", "else", "while", "for", "return"}
 # ("²"), and an identifier that starts with a letter outside ASCII, are
 # finished in Python from the `other` case.
 _TOKEN_RE = re.compile(
-    r"[ \t\r]*(?:(?:#|//)[^\n]*)?"
+    r"[ \t\r\f\v]*(?:(?:#|//)[^\n]*)?"
     r"(?:(?P<word>[A-Za-z_]\w*)"
     r"|(?P<punct>[-+*%,;(){}\[\]]|[<>=!]=?|&&?|\|\||/(?!\*))"
     r"|(?P<newline>\n)"

@@ -1,19 +1,29 @@
-"""Generated stage-one kernels: one plan's matching order from one seed,
-written out as Python source and compiled.
+"""Generated seed-round kernels: one plan's matching order from one seed,
+with the seeds before it skipped, written out as Python source and compiled.
 
-`matcher._Unifier` runs stage one generically, through `extend`, the first
+`matcher._Unifier` runs a seed round generically, through `extend`, the first
 time it searches an order; the second time, `matcher._kernel` compiles the
 order here and keeps the function on `Plan.tables.kernels`. This module is
 imported only then, so a one-shot run neither loads it nor compiles one.
 
-A kernel does exactly what `extend` does on a branch that skips nothing, in
-the same order: the same candidates (a lone producer or `FlowGraph.successors`
-list as it stands, `sorted(set(...))` over anything else, reverse-sorted for
-a sub-match), one step charged per candidate before the injectivity test,
-the same leaf records and the same deferred branches. A full leaf records
-the tuple of its loop variables in pattern order (`PlanTables.pid_order`),
-as `extend` records a full match; a partial leaf, which only a disconnected
-plan reaches, records a `{pid: node}` binding, and only at theta.
+A kernel does exactly what `extend` does on its seed round, in the same
+order: the same candidates (a lone producer or `FlowGraph.successors` list
+as it stands, `sorted(set(...))` over anything else, reverse-sorted for a
+sub-match), one step charged per candidate before the injectivity test, and
+the same records. The two stages differ in two places only, the leaf and a
+position where no candidate passes:
+
+- stage one's round skips nothing. A full leaf records the tuple of its loop
+  variables in pattern order (`PlanTables.pid_order`), as `extend` records a
+  full match; a partial leaf, which only a disconnected plan reaches,
+  records a `{pid: node}` binding, and only at theta. A position where no
+  candidate passes defers its branch to the near-miss stage;
+- a near-miss round skips the seeds before its own. A leaf goes through
+  `_Unifier.record`, which keeps the seen-set and the theta test, and a
+  position where no candidate passes, while the round may skip one more
+  node, continues through `extend` from the branch's state, as `extend`
+  itself does. The kernel hands `extend` its step count and takes it back.
+
 What depends only on the plan is settled when the source is written: each
 edge's direction, ports and commutable() alternative, each node's kind,
 opcode and constant test, the ctrl labels, and which ends are sub-plan
@@ -24,8 +34,8 @@ nodes' kinds have (`flowgraph.SHAPES`), and a real node is its own value, so
 its successors are the candidates of every edge leaving it.
 
 The source holds no text from the plan: pattern node ids, kinds, opcodes,
-constants, labels and sub-plan names are bound to generated names in the
-exec namespace, and ports enter as int literals.
+constants, labels, sub-plan names and the skipped sets are bound to
+generated names in the exec namespace, and ports enter as int literals.
 
 An order becomes exactly one function, one nested `for` per position.
 CPython 3.10 to 3.12 refuse a 21st statically nested block, so
@@ -37,14 +47,15 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .matcher import BudgetExceeded, _ctrl_adjacent, _ctrl_linked, _Step
+from .matcher import BudgetExceeded, _ctrl_adjacent, _ctrl_linked, _order, _Step
 from .planlib import PlanTables
 
 
-def compile_kernel(tables: PlanTables, order: list[_Step | None]) -> Callable:
-    """The stage one of an order (`matcher._order`) as one function
-    `(search, seed_candidates)`, which leaves the search as extend() would."""
-    return _KernelWriter(tables, order).compile()
+def compile_kernel(tables: PlanTables, order: list[_Step | None], skipped: frozenset[str]) -> Callable:
+    """The seed round of an order (`matcher._order`), which starts from its
+    seed with `skipped` skipped, as one function `(search, seed_candidates)`
+    that leaves the search as extend() would."""
+    return _KernelWriter(tables, order, skipped).compile()
 
 
 def _indent(text: str) -> str:
@@ -52,8 +63,8 @@ def _indent(text: str) -> str:
 
 
 # The pieces of a kernel's source. The function binds the search's tables to
-# locals, read or not; each position is one loop that charges a step per
-# candidate and skips the candidate when a test fails.
+# locals, read or not, then what its stage reads; each position is one loop
+# that charges a step per candidate and skips the candidate when a test fails.
 _PROLOGUE = """\
 nodes = u.g.nodes
 producer_of = u.producer_of
@@ -69,11 +80,17 @@ _producers = u._producers
 _consumers = u._consumers
 _ctrl_nodes = u._ctrl_nodes
 max_steps = u.max_steps
+may_skip = u.max_skipped > %(skipped)d
+"""
+_STAGE_ONE = """\
 record = u.recorded.append
 defer = u.deferred.append
-may_defer = u.max_skipped > 0
-leaf_ok = %d * u.theta_den >= u.theta_num * u.size
-steps = u.steps
+leaf_ok = %(leaf)d * u.theta_den >= u.theta_num * u.size
+"""
+_NEAR_MISS = """\
+record = u.record
+extend = u.extend
+tables = u.tables
 """
 _LOOP = """\
 for n%(i)d in %(candidates)s:
@@ -87,46 +104,67 @@ for n%(i)d in %(candidates)s:
 # n<b>'s producer at an in-port, as a tuple of the one node or of none; q is
 # read at once, so every part of every position may reuse the name
 _LONE_PRODUCER = "((q,) if (q := producer_of.get((n%d, %d))) is not None else ())"
+# a position where no candidate passed: stage one defers the branch, skipping
+# the position's node; a near-miss round goes on at once, through extend()
 _EXTENSION = """\
 pr%(i)d = False
 %(loop)s    pr%(i)d = True
-%(inner)sif not pr%(i)d and may_defer:
+%(inner)sif not pr%(i)d and may_skip:
+%(skip)s"""
+_DEFER = """\
     defer(({%(binding)s}, {%(bound)s}, F%(i)d))
+"""
+_CONTINUE = """\
+    u.steps = steps
+    extend({%(binding)s}, {%(bound)s}, F%(i)d, _order(tables, B%(i)d, F%(i)d))
+    steps = u.steps
 """
 
 
 class _KernelWriter:
     """Position i of the order is one `for n<i>` loop, nested in position
     i-1's, over the candidates `candidates_via_edges` would list, with the
-    tests of `consistent` written out for the position's edges."""
+    tests of `consistent` written out for the position's edges. An order
+    that skips nothing is stage one's."""
 
-    def __init__(self, tables: PlanTables, order: list[_Step | None]):
+    def __init__(self, tables: PlanTables, order: list[_Step | None], skipped: frozenset[str] = frozenset()):
         self.steps = order[:-1]
+        self.skipped = skipped
         self.pid_order = tables.pid_order
         self.size = len(tables.pid_order)
         self.commutable = tables.commutable
         self.pos = {step.pid: i for i, step in enumerate(self.steps)}
-        self.ns: dict = {"BudgetExceeded": BudgetExceeded,
+        self.ns: dict = {"BudgetExceeded": BudgetExceeded, "_order": _order,
                          "_ctrl_linked": _ctrl_linked, "_ctrl_adjacent": _ctrl_adjacent}
         for i, step in enumerate(self.steps):
-            self.ns.update({f"P{i}": step.pid, f"F{i}": frozenset((step.pid,)), f"S{i}": step.subplan,
+            # F<i>: the skipped set of a branch that skips position i's node;
+            # B<i>: the pattern nodes such a branch has bound
+            self.ns.update({f"P{i}": step.pid, f"F{i}": skipped | {step.pid}, f"S{i}": step.subplan,
                             f"K{i}": step.kind, f"O{i}": step.opcode, f"C{i}": step.const})
+            if skipped:
+                self.ns[f"B{i}"] = frozenset([s.pid for s in self.steps[:i]])
 
     def source(self) -> str:
-        body = _PROLOGUE % len(self.steps) + self.position(0) + "u.steps = steps\n"
+        stage = _NEAR_MISS if self.skipped else _STAGE_ONE % {"leaf": len(self.steps)}
+        body = (_PROLOGUE % {"skipped": len(self.skipped)} + stage + "steps = u.steps\n"
+                + self.position(0) + "u.steps = steps\n")
         return "def kernel(u, cands):\n" + _indent(body)
 
     def compile(self) -> Callable:
-        exec(compile(self.source(), "<stage-one kernel>", "exec"), self.ns)
+        name = "<near-miss kernel>" if self.skipped else "<stage-one kernel>"
+        exec(compile(self.source(), name, "exec"), self.ns)
         return self.ns["kernel"]
 
     def position(self, i: int) -> str:
         """Position i's loop, with every later position inside it."""
         if i + 1 == len(self.steps):  # the leaf
-            if i + 1 == self.size:  # a full match: its nodes in pattern order
+            binding = "{%s}" % ", ".join(f"P{j}: n{j}" for j in range(i + 1))
+            if self.skipped:  # record() tests the seen-set and theta
+                inner = f"record({binding})\n"
+            elif i + 1 == self.size:  # a full match: its nodes in pattern order
                 inner = "record((%s,))\n" % ", ".join(f"n{self.pos[pid]}" for pid in self.pid_order)
             else:
-                inner = "if leaf_ok:\n    record({%s})\n" % ", ".join(f"P{j}: n{j}" for j in range(i + 1))
+                inner = f"if leaf_ok:\n    record({binding})\n"
         else:
             inner = self.position(i + 1)
         tests = self.tests(i)
@@ -135,9 +173,10 @@ class _KernelWriter:
             return loop + _indent(inner)
         tests.insert(0, " or ".join(f"n{i} == n{j}" for j in range(i)))  # injectivity
         loop = _LOOP % {"i": i, "candidates": self.candidates(i), "tests": " or ".join(tests)}
-        return _EXTENSION % {"i": i, "loop": loop, "inner": _indent(inner),
-                             "binding": ", ".join(f"P{j}: n{j}" for j in range(i)),
-                             "bound": ", ".join(f"n{j}" for j in range(i))}
+        branch = {"i": i, "binding": ", ".join(f"P{j}: n{j}" for j in range(i)),
+                  "bound": ", ".join(f"n{j}" for j in range(i))}
+        skip = (_CONTINUE if self.skipped else _DEFER) % branch
+        return _EXTENSION % {"i": i, "loop": loop, "inner": _indent(inner), "skip": skip}
 
     def real(self, i: int) -> bool:
         return self.steps[i].subplan is None

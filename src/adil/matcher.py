@@ -69,9 +69,9 @@ Stage one ranks its tuples as they are, by lowest real node, then tuple:
 that is `rank`'s order, since every full match has the plan's size. It
 sorts the tuples, then sorts them stably by lowest real node, which for a
 plan without sub nodes is `min`, so no Python code runs per match.
-A tuple becomes a binding in only two places: `result`, for a match that a
-reader reaches, and `finish` for a resumed or budget-cut search, whose
-maximality filter and `rank` read bindings.
+A tuple becomes a binding only in `result`, for a match that a reader
+reaches. `finish` lists the tuples first, ranked as stage one ranks them,
+and tests every other binding against them as (pid, node) pairs.
 
 The order in which a branch binds pattern nodes depends only on the plan
 and the branch's state: the nodes it has bound and the nodes it has
@@ -91,23 +91,29 @@ it. A step holds its pattern node's test and the incident edges whose
 other end is bound before it, so checking a candidate tests no edge for
 being bound, and `extend` reads each branch's next step from its order.
 
-Stage one runs in two tiers. The first time a plan searches from a seed,
-it runs `extend` over the compiled order. The second time, the order is
-compiled into one generated Python function (`kernel.compile_kernel`),
-kept on `Plan.tables.kernels` next to the order and dropped with the plan;
-every later search from that seed runs it. A one-shot run, or a plan built
-for one item, never pays for generating code; a plan that grades a class
-generates each order it uses once. The kernel is one nested loop per
-position of the order, with every plan-only fact (edge directions, ports,
-commutable() alternatives, node tests, ctrl labels, which ends are
-sub-matches) settled in its source. It takes the same candidates in the same
-order, charges the same steps and leaves the same records and deferred
-branches as `extend`, also when the budget runs out. No text from the plan
-enters the source: pattern node ids, labels, kinds and the like are names
-bound in its namespace, and ports are int literals. An order of more than
+Every seed round, stage one's and the near-miss ones, runs in two tiers.
+The first time a plan searches a seed order, it runs `extend` over the
+compiled order. The second time, the order is compiled into one generated
+Python function (`kernel.compile_kernel`), kept on `Plan.tables.kernels`
+under the order's key, ({seed}, skipped) as in `orders`, and dropped with
+the plan; every later search of that order runs it. Only an order that
+`orders` keeps is compiled, so a plan holds at most MAX_ORDERS kernels. A
+one-shot run, or a plan built for one item, never pays for generating code;
+a plan that grades a class generates each order it uses once. The kernel is
+one nested loop per position of the order, with every plan-only fact (edge
+directions, ports, commutable() alternatives, node tests, ctrl labels,
+which ends are sub-matches) settled in its source. It takes the same
+candidates in the same order, charges the same steps and leaves the same
+records and deferred branches as `extend`, also when the budget runs out:
+where no candidate passes at a position, stage one's kernel defers the
+branch, and a near-miss kernel goes on through `extend` from the branch's
+state with one more node skipped. No text from the plan enters the source:
+pattern node ids, skipped sets, labels, kinds and the like are names bound
+in its namespace, and ports are int literals. An order of more than
 MAX_POSITIONS positions is never compiled and always runs `extend`: CPython
 3.10 to 3.12 refuse a 21st statically nested block, and no shipped plan
-comes near that. Stage two always runs `extend`, over its compiled orders.
+comes near that. A branch that starts from a bound state, a deferred one or
+a skip inside a near-miss branch, always runs `extend`.
 
 Hierarchy is bottom-up: accepted matches of a sub-plan become bindable
 pseudo-nodes for the plans that contain it, and `recognize` orders plans so
@@ -124,7 +130,7 @@ in an order fixed by a total sort key, not by the order of exploration.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Iterator, Sequence, Set
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -385,21 +391,25 @@ def _order(tables: PlanTables, bound: frozenset[str], skipped: frozenset[str]) -
 MAX_POSITIONS = 20
 
 
-def _kernel(tables: PlanTables, seed: str, order: list[_Step | None]) -> Callable | None:
-    """The generated stage one for seed's order: None on the order's first
-    search, which runs extend(); compiled on its second, and kept. An order
-    longer than MAX_POSITIONS is never compiled."""
+def _kernel(tables: PlanTables, key: tuple[frozenset[str], frozenset[str]],
+            order: list[_Step | None]) -> Callable | None:
+    """The generated seed round for the order kept under key, ({seed},
+    skipped): None on the order's first search, which runs extend(); compiled
+    on its second, and kept. Only an order that tables.orders keeps is ever
+    compiled, so a plan holds at most MAX_ORDERS kernels, and an order longer
+    than MAX_POSITIONS never is."""
     kernels = tables.kernels
-    if seed not in kernels:
-        kernels[seed] = None
-        return None
-    kernel = kernels[seed]
+    kernel = kernels.get(key)
     if kernel is None:
+        if key not in kernels:
+            if key in tables.orders:
+                kernels[key] = None
+            return None
         if len(order) - 1 > MAX_POSITIONS:
             return None
         from .kernel import compile_kernel  # loaded only by a search that compiles
 
-        kernel = kernels[seed] = compile_kernel(tables, order)
+        kernel = kernels[key] = compile_kernel(tables, order, key[1])
     return kernel
 
 
@@ -641,9 +651,9 @@ class _Unifier:
         self.seed_rounds(0, 1)
         return self.finish(full_only=True)
 
-    def resume(self) -> list[dict[str, int]]:
+    def resume(self) -> list[Recorded]:
         """The near-miss stage: the deferred branches, then seed rounds
-        1..max_skipped. Returns every maximal binding, best first."""
+        1..max_skipped. Returns every maximal match, best first."""
         deferred, self.deferred = self.deferred, []
         for binding, used, skipped in deferred:
             self.extend(binding, used, skipped, _order(self.tables, frozenset(binding), skipped))
@@ -651,10 +661,12 @@ class _Unifier:
         return self.finish()
 
     def seed_rounds(self, start: int, stop: int) -> None:
+        tables = self.tables
         skipped = frozenset(self.seeds[:start])
         for seed in self.seeds[start:stop]:
-            order = _order(self.tables, frozenset((seed,)), skipped)
-            kernel = None if skipped else _kernel(self.tables, seed, order)
+            key = (frozenset((seed,)), skipped)
+            order = _order(tables, *key)
+            kernel = _kernel(tables, key, order)
             if kernel is not None:
                 kernel(self, self.node_candidates(seed))
             else:
@@ -756,24 +768,43 @@ class _Unifier:
     def finish(self, full_only: bool = False) -> list[Recorded]:
         """The recorded matches a result list shows, best first.
 
-        With full_only, stage one's full matches, the tuples of their nodes
-        in pattern order, ranked as they are by lowest real node, then tuple:
-        rank()'s order, since every full match has the plan's size. A full
-        match is never strictly contained, so they need no filter. Otherwise
-        every binding, tuples turned into dicts, less those that another one
-        strictly contains. Also runs on BudgetExceeded, so a truncated search
-        keeps its partial results. Results are built from these by result(),
-        each once over both stages, and only when someone reads them.
+        First stage one's full matches, the tuples of their nodes in pattern
+        order, ranked as they are by lowest real node, then tuple: rank()'s
+        order, since every full match has the plan's size. A full match is
+        never strictly contained, so they need no filter. With full_only,
+        only they; otherwise then every other binding that no recorded match
+        strictly contains, in rank() order. Fewer than two records need no
+        filter and no sort. Also runs on BudgetExceeded, so a truncated
+        search keeps its partial results. Results are built from these by
+        result(), each once over both stages, and only when someone reads
+        them.
         """
-        if not full_only:
-            pid_order = self.pid_order
-            bindings = [dict(zip(pid_order, b)) if type(b) is tuple else b for b in self.recorded]
-            return sorted(maximal_bindings(bindings), key=self.rank)
-        full = [b for b in self.recorded if type(b) is tuple]
+        recorded = self.recorded
+        full = [b for b in recorded if type(b) is tuple]
         if len(full) > 1:
             full.sort()  # then a stable sort by lowest real node keeps tuple order on ties
             full.sort(key=self.lowest if self.subplan_of else min)  # min: every node is real
-        return full
+        if full_only or len(full) == len(recorded):
+            return full
+        partial = [b for b in recorded if type(b) is not tuple]
+        if len(recorded) > 1:
+            partial = self.maximal(partial, full)
+            if len(partial) > 1:
+                partial.sort(key=self.rank)
+        return full + partial
+
+    def maximal(self, partial: list[dict[str, int]], full: list[tuple[int, ...]]) -> list[dict[str, int]]:
+        """The partial bindings that no recorded match strictly contains, in
+        order. Only a longer match can strictly contain a binding, and a full
+        match is tested as its (pid, node) pairs. Up to the plan's size in
+        records, each binding's item view is tested against the longer ones;
+        past it, maximal_bindings' postings cost less than every pair."""
+        pid_order = self.pid_order
+        if len(partial) + len(full) > self.size:
+            return maximal_bindings(partial, [zip(pid_order, t) for t in full])
+        views = [b.items() for b in partial] + [frozenset(zip(pid_order, t)) for t in full]
+        return [b for b, view in zip(partial, views)
+                if not any(view < other for other in views if len(other) > len(view))]
 
     def lowest(self, nodes: Collection[int]) -> int:
         """The lowest real node a match binds; a sub-match stands for its
@@ -799,8 +830,11 @@ class _Unifier:
         self.deferred.clear()
 
 
-def maximal_bindings(bindings: list[dict[str, int]]) -> list[dict[str, int]]:
-    """The bindings that no other binding strictly contains, in input order.
+def maximal_bindings(bindings: list[dict[str, int]],
+                     containers: Iterable[Iterable[tuple[str, int]]] = ()) -> list[dict[str, int]]:
+    """The bindings that no other binding strictly contains, nor any of
+    containers, in input order. A container is a match given as its
+    (pid, node) pairs, and is not itself tested.
 
     A strict superset of b holds every (pid, node) pair of b, so it appears
     in the posting list of each of those pairs. Testing b only against the
@@ -808,13 +842,14 @@ def maximal_bindings(bindings: list[dict[str, int]]) -> list[dict[str, int]]:
     comparing every pair of bindings.
     """
     keys = [frozenset(b.items()) for b in bindings]
+    every = keys + [frozenset(pairs) for pairs in containers]
     postings: dict[tuple[str, int], list[frozenset]] = {}
-    for key in keys:
+    for key in every:
         for pair in key:
             postings.setdefault(pair, []).append(key)
     kept = []
     for b, key in zip(bindings, keys):
-        pool = min((postings[pair] for pair in key), key=len, default=keys)
+        pool = min((postings[pair] for pair in key), key=len, default=every)
         if not any(key < other for other in pool):
             kept.append(b)
     return kept

@@ -170,9 +170,10 @@ class PlanTables:
         # at most 14 over the class-batch workload, and 30 when every plan's
         # near-miss stage runs on every corpus program
         self.orders: dict[tuple[frozenset, frozenset], list] = {}
-        # the matcher's generated stage-one kernels, by seed pid: None once an
-        # order has been searched generically, its kernel from the second search
-        self.kernels: dict[str, Callable | None] = {}
+        # the matcher's generated seed-round kernels, by the key of their order
+        # in `orders`, ({seed}, skipped): None once a kept order has been
+        # searched generically, its kernel from the second search
+        self.kernels: dict[tuple[frozenset, frozenset], Callable | None] = {}
 
 
 # ---------------------------------------------------------------------------

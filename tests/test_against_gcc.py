@@ -108,3 +108,15 @@ def test_gcc_and_adil_agree_that_an_initializer_sees_its_own_name(tmp_path):
     for name, source, code in (("rejected.c", rejected, 1), ("accepted.c", accepted, 0)):
         (tmp_path / name).write_text(source)
         assert _gcc([tmp_path / name]).returncode == code, name
+
+
+def test_gcc_and_adil_accept_a_form_feed_and_a_vertical_tab_between_tokens(tmp_path, corpus_dir):
+    # C99 6.4 lists both as white space: a form-feed line after the header
+    # comment (a page break), and each in place of a space between tokens
+    source = (corpus_dir / "correct/sum.c").read_text()
+    source = source.replace("*/\n", "*/\n\f\n", 1).replace("int s;", "int\vs;").replace("s = 0;", "s\f=\v0;")
+    assert source.count("\f") == 2 and source.count("\v") == 2
+    parse_c(source, filename="spaces.c")
+    (tmp_path / "spaces.c").write_text(source)
+    proc = _gcc([tmp_path / "spaces.c"])
+    assert proc.returncode == 0, proc.stderr

@@ -42,6 +42,27 @@ def test_exit_1_on_findings(work, capsys):
     assert "off-by-one-bound" in out
 
 
+def test_form_feed_and_vertical_tab_are_white_space(work, corpus_dir, capsys):
+    # C99 6.4 lists both as white space, as gcc reads them: a vertical tab in
+    # place of a space changes no output, and a form-feed line after the
+    # header comment (a page break) moves every later line down one
+    runs = {}
+    for program in ("correct/sum.c", "bugs/sum__off_by_one.c"):
+        source = (corpus_dir / program).read_text()
+        variants = {"plain": source, "vertical-tab": source.replace("int s;", "int\vs;"),
+                    "page-break": source.replace("*/\n", "*/\n\f\n", 1)}
+        for name, text in variants.items():
+            (work / "p.c").write_text(text)
+            code = _analyze(work, "p.c", "--report-json", str(work / "p.json"))
+            runs[program, name] = (code, capsys.readouterr(), (work / "p.json").read_text())
+        assert runs[program, "vertical-tab"] == runs[program, "plain"], program
+    assert runs["correct/sum.c", "page-break"] == runs["correct/sum.c", "plain"]
+    code, out, _ = runs["bugs/sum__off_by_one.c", "page-break"]
+    assert code == 1 and not out.err
+    assert out.out.startswith("Error: bug cliche 'off-by-one-bound' (line 8)\n")
+    assert "\n     8 |     while (i <= n) {\n" in out.out
+
+
 def test_files_that_start_with_a_utf8_bom_read_as_the_plain_files(work, monkeypatch, capsys):
     # gcc accepts a C file that starts with a byte order mark; so does adil,
     # for the program, the spec and every plan file, with the same exit

@@ -548,7 +548,7 @@ def _reference_tokenize(source: str, filename: str = "<source>") -> list[Token]:
             col = 1
             i += 1
             continue
-        if ch in " \t\r":
+        if ch in " \t\r\f\v":  # C99 6.4's white space, less the newline
             col += 1
             i += 1
             continue

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import collections
 import dataclasses
 import gc
 import json
@@ -8,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import traceback
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -1111,11 +1113,31 @@ def test_recognition_keeps_no_search_state(base):
 
 # -- generated stage-one kernels
 
-def _compiled_from_the_start(plan: Plan) -> None:
-    """Marks every order of plan as searched once, so that even its first
-    search runs a generated kernel."""
-    for pid in plan.tables.pid_order:
-        plan.tables.kernels.setdefault(pid, None)
+def _compiled_from_the_start(search) -> set:
+    """Marks every seed order that the search's plan keeps and the search
+    may take, in stage one and in every near-miss seed round, as searched
+    once, so that even its first search runs each on a generated kernel.
+    Returns the keys it marked: ({seed}, seeds before it), as first_stage
+    orders the seeds."""
+    tables = search.tables
+    seeds = sorted(search.pid_order, key=lambda pid: len(search.node_candidates(pid)))
+    marked = set()
+    for i, seed in enumerate(seeds[:search.max_skipped + 1]):
+        key = (frozenset((seed,)), frozenset(seeds[:i]))
+        matcher._order(tables, *key)
+        if key in tables.orders:
+            tables.kernels.setdefault(key, None)
+            marked.add(key)
+    return marked
+
+
+def _cut_site(err: BudgetExceeded) -> str:
+    """Where the budget ran out: "kernel" in a near-miss kernel's own loops,
+    "continuation" in the extend() that such a kernel calls, else "other"."""
+    files = [frame.f_code.co_filename for frame, _ in traceback.walk_tb(err.__traceback__)]
+    if "<near-miss kernel>" not in files:
+        return "other"
+    return "kernel" if files[-1] == "<near-miss kernel>" else "continuation"
 
 
 def _pairs(search, found) -> list[tuple[str, int]]:
@@ -1130,17 +1152,20 @@ def _state(search) -> tuple:
             [(list(b.items()), used, skipped) for b, used, skipped in search.deferred])
 
 
-def _stages(search) -> list[tuple]:
+def _stages(search, sites=None) -> list[tuple]:
     """Both stages, as recognize runs them: per stage, the bindings it
     returns (None when it is truncated, since what finish() keeps then
     follows from the recorded ones), whether it was truncated, and the
-    search's state after it. A truncated stage one is not resumed."""
+    search's state after it. A truncated stage one is not resumed. Counts
+    in sites, when given, where the budget ran out (_cut_site)."""
     out = []
     for stage in (search.first_stage, search.resume):
         try:
             found = [_pairs(search, b) for b in stage()]
-        except BudgetExceeded:
+        except BudgetExceeded as err:
             found = None
+            if sites is not None:
+                sites[_cut_site(err)] += 1
         out.append((found, found is None, _state(search)))
         if found is None:
             break
@@ -1149,30 +1174,39 @@ def _stages(search) -> list[tuple]:
 
 class _Tiers:
     """Two copies of a plan, each with its own tables: one searched through
-    extend() alone, the other through generated kernels, each compiled on
-    its first search and kept for every later one."""
+    extend() alone, the other through generated kernels in every seed round,
+    each compiled on its first search and kept for every later one."""
 
     def __init__(self, plan: Plan):
         self.generic, self.compiled = dataclasses.replace(plan), dataclasses.replace(plan)
 
-    def agree(self, g, budget=None, sub_matches=None, sub_plans=None):
+    def agree(self, g, budget=None, sub_matches=None, sub_plans=None, sites=None):
         """Searches both copies; they leave the same steps, records, deferred
         branches, results and truncation after either stage. Returns the
-        generic search's stages, and the search."""
+        generic search's stages, and the search. Counts in sites, when
+        given, where the compiled search's budget ran out."""
         runs = []
         for plan in (self.generic, self.compiled):
+            search = matcher._Unifier(g, plan, budget or SearchBudget(), sub_matches or {}, sub_plans or {})
             if plan is self.generic:
                 plan.tables.kernels.clear()
+                runs.append((_stages(search), search))
             else:
-                _compiled_from_the_start(plan)
-            search = matcher._Unifier(g, plan, budget or SearchBudget(), sub_matches or {}, sub_plans or {})
-            runs.append((_stages(search), search))
+                marked = _compiled_from_the_start(search)
+                runs.append((_stages(search, sites), search))
         (generic, search), (compiled, kernel_search) = runs
-        assert all(kernel is None for kernel in self.generic.tables.kernels.values())
-        # a kernel exactly when the order fits in one function
-        for seed in kernel_search.seeds[:1]:
-            fits = len(matcher._order(self.compiled.tables, frozenset((seed,)), frozenset())) - 1 <= matcher.MAX_POSITIONS
-            assert (self.compiled.tables.kernels[seed] is not None) is fits
+        # the generic copy marks each seed order it searched, and compiles none
+        searched = self.generic.tables.kernels
+        assert all(kernel is None for kernel in searched.values())
+        rounds = kernel_search.seeds[:kernel_search.max_skipped + 1]
+        assert marked <= {(frozenset((seed,)), frozenset(rounds[:i])) for i, seed in enumerate(rounds)}
+        # a kernel exactly for each marked order searched that fits in one function
+        for key in marked:
+            fits = len(self.compiled.tables.orders[key]) - 1 <= matcher.MAX_POSITIONS
+            kernel = self.compiled.tables.kernels[key]
+            assert kernel is None or fits
+            if key in searched:
+                assert (kernel is not None) is fits
         assert compiled == generic, self.generic.name
         return generic, search
 
@@ -1280,6 +1314,29 @@ def test_kernels_agree_with_extend_at_every_budget(case, corpus_dir, base):
     assert truncations > (1000 if case == "dense-chain" else 100)
 
 
+def test_near_miss_kernels_agree_with_extend_at_every_budget(corpus_dir, base):
+    # every budget from one past a plan's first stage to one past its whole
+    # search, on every corpus program, so the budget runs out at every step
+    # of the near-miss stage: inside near-miss kernels' own loops and inside
+    # the extend() they go on through, as well as in deferred branches
+    names = [name for level in dependency_order(base, base.names()) for name in level]
+    tiers: dict[Plan, _Tiers] = {}
+    sites: collections.Counter = collections.Counter()
+    for path in sorted(corpus_dir.glob("*/*.c")):
+        g = graph_of(path.read_text(), path.name)
+        accepted: dict[str, list] = {}
+        for name in names:
+            plan = base.plans[name]
+            tier = tiers.setdefault(plan, _Tiers(plan))
+            stages, search = tier.agree(g, None, accepted, base.plans)
+            accepted[name] = _accepted(stages, search)
+            first, steps = stages[0][2][0], stages[-1][2][0]
+            for budget in range(first + 1, steps + 2):
+                cut, _ = tier.agree(g, SearchBudget(max_extension_steps=budget), accepted, base.plans, sites)
+                assert cut[-1][1] is (budget < steps), (path.name, name, budget)
+    assert sites["kernel"] > 20 and sites["continuation"] > 20, sites
+
+
 # -- ranking full matches
 
 def test_stage_one_records_each_full_match_as_its_nodes_in_pattern_order(corpus_dir, base):
@@ -1358,6 +1415,33 @@ def test_full_matches_rank_as_rank_orders_them_on_every_workload_item(full_ranki
     assert {subs for _, n, subs in full_rankings if n > 1} == {False, True}
 
 
+def test_finish_returns_the_maximal_bindings_in_rank_order(monkeypatch, corpus_dir, base):
+    # each finish() that lists more than full matches returns, as (pid, node)
+    # pairs, what ranking every maximal recorded match as a binding returns:
+    # every plan on every corpus program, and the dense chain's by_plan
+    seen = []
+    finish = matcher._Unifier.finish
+
+    def checking(self, full_only=False):
+        got = finish(self, full_only)
+        if not full_only:
+            bindings = [dict(_pairs(self, b)) for b in self.recorded]
+            expected = sorted(maximal_bindings(bindings), key=self.rank)
+            assert [_pairs(self, b) for b in got] == [list(b.items()) for b in expected], self.plan.name
+            seen.append((len(bindings), len(got), self.size))
+        return got
+
+    monkeypatch.setattr(matcher._Unifier, "finish", checking)
+    for path in sorted(corpus_dir.glob("*/*.c")):
+        recognize(graph_of(path.read_text(), path.name), base).by_plan  # runs every near-miss stage
+    recognize(graph_of(_sum_loops_source(8)), base).by_plan
+    dense = recognize(graph_of(dense_source()), PlanBase({"add-chain": parse_plan(CHAIN_PLAN)})).by_plan
+    assert len(dense["add-chain"]) > 288
+    # a filter drops a binding by item views (at most size records) and by postings
+    assert any(1 < n <= size and kept < n for n, kept, size in seen)
+    assert any(n > size and kept < n for n, kept, size in seen)
+
+
 @pytest.mark.parametrize("theta", (0.3, 0.6))
 def test_a_kernel_records_a_partial_leaf_only_at_theta(theta):
     # The plan parser refuses a disconnected plan; built directly, the one
@@ -1404,7 +1488,7 @@ def test_an_order_too_long_for_one_function_is_never_compiled():
     g = _chain_graph(k)
     for _ in range(3):
         assert sum(r.score == 1 for r in matcher.unify(g, plan)) == k - n + 1
-    assert plan.tables.kernels == {"a0": None}
+    assert plan.tables.kernels[(frozenset({"a0"}), frozenset())] is None
     stages, _ = _tiers_agree(g, plan)
     assert len(stages[0][0]) == k - n + 1
     assert len(_same_search(g, plan, 1.0)) == k - n + 1
@@ -1438,25 +1522,35 @@ def test_generated_sources_hold_no_plan_text():
     assert stages[0][0] == [] and len(stages[0][2][2]) == 1
     assert [len(b) for b in stages[1][0]] == [4]
     texts = HOSTILE + [plan.name, "se'q"]
+    continued = 0
     for seed in plan.tables.pid_order:
-        source = kernel._KernelWriter(plan.tables, matcher._order(plan.tables, frozenset((seed,)), frozenset())).source()
-        assert not any(text in source for text in texts), seed
-        # the only constants are ports, step counts and None / False
-        constants = {type(node.value) for node in ast.walk(ast.parse(source))
-                     if isinstance(node, ast.Constant)}
-        assert constants <= {int, bool, type(None)}, (seed, constants)
+        # stage one's order, and the near-miss orders with one other node or
+        # every node before the seed skipped
+        before = plan.tables.pid_order[:plan.tables.pid_order.index(seed)]
+        skips = {frozenset(), frozenset(before)} | {frozenset((pid,)) for pid in plan.tables.pid_order if pid != seed}
+        for skipped in skips:
+            order = matcher._order(plan.tables, frozenset((seed,)), skipped)
+            source = kernel._KernelWriter(plan.tables, order, skipped).source()
+            assert not any(text in source for text in texts), (seed, skipped)
+            # the only constants are ports, step counts and None / False
+            constants = {type(node.value) for node in ast.walk(ast.parse(source))
+                         if isinstance(node, ast.Constant)}
+            assert constants <= {int, bool, type(None)}, (seed, skipped, constants)
+            continued += "extend(" in source
+    assert continued  # some near-miss order goes on through extend()
 
 
 def test_a_plan_compiles_each_order_it_searches_on_the_second_search(monkeypatch, plans_dir):
     compiled = []
     compile_kernel = kernel.compile_kernel
     monkeypatch.setattr(kernel, "compile_kernel",
-                        lambda tables, order: compiled.append((id(tables), order[0].pid))
-                        or compile_kernel(tables, order))
+                        lambda tables, order, skipped: compiled.append((id(tables), order[0].pid, sorted(skipped)))
+                        or compile_kernel(tables, order, skipped))
     base = load_plan_base(plans_dir)
     spec = parse_spec('spec "sum"\ngoal "running-total" required\nend\n')
     reports = [debugger.report_to_json(diagnose(graph_of(OFF_BY_ONE_SOURCE), spec, base))]
-    searched = [(id(plan.tables), seed) for plan in base.plans.values() for seed in plan.tables.kernels]
+    searched = [(id(plan.tables), *bound, sorted(skipped))
+                for plan in base.plans.values() for bound, skipped in plan.tables.kernels]
     assert searched and not compiled  # one diagnosis compiles nothing
     reports.append(debugger.report_to_json(diagnose(graph_of(OFF_BY_ONE_SOURCE), spec, base)))
     assert sorted(compiled) == sorted(searched)  # the second compiles each order it searches, once
