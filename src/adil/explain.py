@@ -131,20 +131,27 @@ def _heading(f) -> str:
     return f"{severity}: goal '{f.goal}' was not recognized"
 
 
+# Blanks that a terminal would act on rather than print: a form feed or a
+# vertical tab moves the cursor down, a lone carriage return back to column
+# 0. Each is one column to the lexer, so each is quoted as one space.
+_ONE_SPACE = str.maketrans("\f\v\r", "   ")
+
+
 def _excerpt(span: SourceSpan, source_lines: list[str]) -> str:
     """Quote the spanned lines with a caret under the span's columns.
 
     The caret line's prefix is as wide as the quoted line's, and it is
     padded with the quoted line's own tabs, every other character becoming
     a space, so the caret stays under its columns at any tab width and on
-    any line number."""
+    any line number. A form feed, vertical tab or carriage return is quoted
+    as a space, so the quoted line stays one line on a terminal."""
     if span.line_start > len(source_lines):
         return ""
     out: list[str] = []
     for lineno in range(span.line_start, min(span.line_end, len(source_lines)) + 1):
         text = source_lines[lineno - 1]
         prefix = f"  {lineno:>4} | "
-        out.append(prefix + text)
+        out.append(prefix + text.translate(_ONE_SPACE))
         if lineno == span.line_start:
             end = span.col_end if span.line_end == span.line_start else len(text)
             width = max(1, end - span.col_start + 1)

@@ -788,23 +788,10 @@ class _Unifier:
             return full
         partial = [b for b in recorded if type(b) is not tuple]
         if len(recorded) > 1:
-            partial = self.maximal(partial, full)
+            partial = maximal_bindings(partial, [zip(self.pid_order, t) for t in full])
             if len(partial) > 1:
                 partial.sort(key=self.rank)
         return full + partial
-
-    def maximal(self, partial: list[dict[str, int]], full: list[tuple[int, ...]]) -> list[dict[str, int]]:
-        """The partial bindings that no recorded match strictly contains, in
-        order. Only a longer match can strictly contain a binding, and a full
-        match is tested as its (pid, node) pairs. Up to the plan's size in
-        records, each binding's item view is tested against the longer ones;
-        past it, maximal_bindings' postings cost less than every pair."""
-        pid_order = self.pid_order
-        if len(partial) + len(full) > self.size:
-            return maximal_bindings(partial, [zip(pid_order, t) for t in full])
-        views = [b.items() for b in partial] + [frozenset(zip(pid_order, t)) for t in full]
-        return [b for b, view in zip(partial, views)
-                if not any(view < other for other in views if len(other) > len(view))]
 
     def lowest(self, nodes: Collection[int]) -> int:
         """The lowest real node a match binds; a sub-match stands for its

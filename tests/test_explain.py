@@ -210,17 +210,18 @@ def test_render_text_matches_wrapping_every_line_on_the_corpus(base, corpus_case
 
 def test_excerpts_number_lines_as_the_lexer_does(base, corpus_dir):
     # a comment line holding a Unicode line separator is one line to C, and a
-    # vertical tab in place of a space is white space; str.splitlines() breaks
-    # a line at either, so the excerpt would quote the wrong line, and
-    # render_text would split the quoted one
+    # vertical tab, form feed or lone carriage return in place of a space is
+    # white space; str.splitlines() breaks a line at each, so the excerpt
+    # would quote the wrong line, and render_text would split the quoted one.
+    # The excerpt quotes each as a space, which a terminal prints in place.
     source = (corpus_dir / "bugs/sum__off_by_one.c").read_text()
     source = source.replace("\n", "\n// one line\u2028still the same line\n", 1)
-    for space in (" ", "\v"):
+    for space in (" ", "\v", "\f", "\r"):
         text = source.replace("while (", f"while{space}(")
         e = render(_report(text, base), text, base)
         (heading, body), = e.sections
         assert heading.endswith("(line 8)")
         for lines in (body.split("\n"), render_text(e).split("\n")):
-            (at,) = [n for n, line in enumerate(lines) if f"while{space}(i <= n)" in line]
-            assert lines[at] == f"     8 |     while{space}(i <= n) {{", repr(space)
+            (at,) = [n for n, line in enumerate(lines) if "while (i <= n)" in line]
+            assert lines[at] == "     8 |     while (i <= n) {", repr(space)
             assert lines[at + 1].index("^") == lines[at].index("i <= n")

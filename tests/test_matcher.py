@@ -1194,12 +1194,13 @@ class _Tiers:
             else:
                 marked = _compiled_from_the_start(search)
                 runs.append((_stages(search, sites), search))
-        (generic, search), (compiled, kernel_search) = runs
+        (generic, search), (compiled, _) = runs
         # the generic copy marks each seed order it searched, and compiles none
         searched = self.generic.tables.kernels
         assert all(kernel is None for kernel in searched.values())
-        rounds = kernel_search.seeds[:kernel_search.max_skipped + 1]
-        assert marked <= {(frozenset((seed,)), frozenset(rounds[:i])) for i, seed in enumerate(rounds)}
+        # every seed order the generic search took was marked, so ran on a kernel
+        # wherever it fits
+        assert set(searched) <= marked, self.generic.name
         # a kernel exactly for each marked order searched that fits in one function
         for key in marked:
             fits = len(self.compiled.tables.orders[key]) - 1 <= matcher.MAX_POSITIONS
@@ -1437,7 +1438,7 @@ def test_finish_returns_the_maximal_bindings_in_rank_order(monkeypatch, corpus_d
     recognize(graph_of(_sum_loops_source(8)), base).by_plan
     dense = recognize(graph_of(dense_source()), PlanBase({"add-chain": parse_plan(CHAIN_PLAN)})).by_plan
     assert len(dense["add-chain"]) > 288
-    # a filter drops a binding by item views (at most size records) and by postings
+    # the filter drops a binding from a few records and from many
     assert any(1 < n <= size and kept < n for n, kept, size in seen)
     assert any(n > size and kept < n for n, kept, size in seen)
 
