@@ -15,6 +15,7 @@ from .flowgraph import NodeKind, OpCode, build_flow_graph, threaded_pairs
 from .frontend import Ast, desugar
 from .planlib import PatternNode, Plan, Predicate, check_plan, print_plan
 from .records import record
+from .source import split_lines
 
 
 class AcquireError(Exception):
@@ -90,7 +91,7 @@ def acquire_plan(exemplar: Ast, name: str, opts: AcquireOptions | None = None) -
 def review_stub(plan: Plan) -> str:
     """Canonical plan text with a REVIEW comment at every generalized slot and the doc stub."""
     out: list[str] = []
-    for line in print_plan(plan).splitlines():
+    for line in split_lines(print_plan(plan)):
         out.append(line)
         if line.startswith("doc "):
             out.append("; REVIEW: replace the doc stub with a student-facing description")

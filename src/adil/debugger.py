@@ -22,7 +22,7 @@ from .flowgraph import FlowGraph, UnboundVariable
 from .matcher import MatchResult, Recognition, SearchBudget, binding_values, recognize
 from .planlib import _STRING, Plan, PlanBase, _unescape, strip_comment, sub_closure
 from .records import record
-from .source import SourceSpan, span_hull
+from .source import SourceSpan, span_hull, split_lines
 
 
 class SpecSyntaxError(Exception):
@@ -56,7 +56,8 @@ def parse_spec(text: str, filename: str = "<spec>") -> ProgramSpec:
     goals: list[Goal] = []
     notes: list[str] = []
     ended = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = split_lines(text)
+    for lineno, raw in enumerate(lines, start=1):
         line = strip_comment(raw).strip()
         span = SourceSpan(filename, lineno, 1, lineno, max(1, len(raw)))
         if not line:
@@ -78,7 +79,7 @@ def parse_spec(text: str, filename: str = "<spec>") -> ProgramSpec:
             ended = True
         else:
             raise SpecSyntaxError(span, f"unrecognized spec line: {line!r}")
-    tail = SourceSpan(filename, max(1, len(text.splitlines())), 1, max(1, len(text.splitlines())), 1)
+    tail = SourceSpan(filename, max(1, len(lines)), 1, max(1, len(lines)), 1)
     if title is None:
         raise SpecSyntaxError(tail, "missing spec title line")
     if not ended:

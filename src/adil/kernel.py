@@ -10,16 +10,17 @@ A kernel does exactly what `extend` does on its seed round, in the same
 order: the same candidates (a lone producer or `FlowGraph.successors` list
 as it stands, `sorted(set(...))` over anything else, reverse-sorted for a
 sub-match), one step charged per candidate before the injectivity test, and
-the same records. The two stages differ in two places only, the leaf and a
-position where no candidate passes:
+the same records. Every leaf records the tuple of its loop variables in
+pattern order (`PlanTables.pid_order`), with `matcher.UNBOUND` at each
+pattern node the order does not bind, as `extend` records a match. The two
+stages differ in where a leaf's tuple goes, and at a position where no
+candidate passes:
 
-- stage one's round skips nothing. A full leaf records the tuple of its loop
-  variables in pattern order (`PlanTables.pid_order`), as `extend` records a
-  full match; a partial leaf, which only a disconnected plan reaches,
-  records a `{pid: node}` binding, and only at theta. A position where no
-  candidate passes defers its branch to the near-miss stage;
+- stage one's round skips nothing, and its leaf, a full match, is appended
+  to `_Unifier.full`. A position where no candidate passes defers its
+  branch to the near-miss stage;
 - a near-miss round skips the seeds before its own. A leaf goes through
-  `_Unifier.record`, which keeps the seen-set and the theta test, and a
+  `_Unifier.record`, which tests theta and keeps each match once, and a
   position where no candidate passes, while the round may skip one more
   node, continues through `extend` from the branch's state, as `extend`
   itself does. The kernel hands `extend` its step count and takes it back.
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .matcher import BudgetExceeded, _ctrl_adjacent, _ctrl_linked, _order, _Step
+from .matcher import UNBOUND, BudgetExceeded, _ctrl_adjacent, _ctrl_linked, _order, _Step
 from .planlib import PlanTables
 
 
@@ -83,9 +84,8 @@ max_steps = u.max_steps
 may_skip = u.max_skipped > %(skipped)d
 """
 _STAGE_ONE = """\
-record = u.recorded.append
+record = u.full.append
 defer = u.deferred.append
-leaf_ok = %(leaf)d * u.theta_den >= u.theta_num * u.size
 """
 _NEAR_MISS = """\
 record = u.record
@@ -131,10 +131,9 @@ class _KernelWriter:
         self.steps = order[:-1]
         self.skipped = skipped
         self.pid_order = tables.pid_order
-        self.size = len(tables.pid_order)
         self.commutable = tables.commutable
         self.pos = {step.pid: i for i, step in enumerate(self.steps)}
-        self.ns: dict = {"BudgetExceeded": BudgetExceeded, "_order": _order,
+        self.ns: dict = {"U": UNBOUND, "BudgetExceeded": BudgetExceeded, "_order": _order,
                          "_ctrl_linked": _ctrl_linked, "_ctrl_adjacent": _ctrl_adjacent}
         for i, step in enumerate(self.steps):
             # F<i>: the skipped set of a branch that skips position i's node;
@@ -145,7 +144,7 @@ class _KernelWriter:
                 self.ns[f"B{i}"] = frozenset([s.pid for s in self.steps[:i]])
 
     def source(self) -> str:
-        stage = _NEAR_MISS if self.skipped else _STAGE_ONE % {"leaf": len(self.steps)}
+        stage = _NEAR_MISS if self.skipped else _STAGE_ONE
         body = (_PROLOGUE % {"skipped": len(self.skipped)} + stage + "steps = u.steps\n"
                 + self.position(0) + "u.steps = steps\n")
         return "def kernel(u, cands):\n" + _indent(body)
@@ -157,14 +156,9 @@ class _KernelWriter:
 
     def position(self, i: int) -> str:
         """Position i's loop, with every later position inside it."""
-        if i + 1 == len(self.steps):  # the leaf
-            binding = "{%s}" % ", ".join(f"P{j}: n{j}" for j in range(i + 1))
-            if self.skipped:  # record() tests the seen-set and theta
-                inner = f"record({binding})\n"
-            elif i + 1 == self.size:  # a full match: its nodes in pattern order
-                inner = "record((%s,))\n" % ", ".join(f"n{self.pos[pid]}" for pid in self.pid_order)
-            else:
-                inner = f"if leaf_ok:\n    record({binding})\n"
+        if i + 1 == len(self.steps):  # the leaf: its match, U where the order binds no node
+            inner = "record((%s,))\n" % ", ".join(f"n{self.pos[pid]}" if pid in self.pos else "U"
+                                                  for pid in self.pid_order)
         else:
             inner = self.position(i + 1)
         tests = self.tests(i)

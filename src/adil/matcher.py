@@ -9,15 +9,15 @@ BudgetExceeded with the results found so far attached.
 
 The search records bare matches, and scores them as integer pairs (bound
 nodes over plan size, against theta as a rational converted once per theta
-value). A full match that stage one finds is recorded as the tuple of its
-graph nodes in pattern order, the pattern-indexed mapping VF2 keeps; every
-other match as a {pid: node} binding. Only when the search ends (or the
-budget runs out) does an exact maximality filter drop every binding that
-another one strictly contains. The survivors are put in result order by a
-key computed from the match alone, and a MatchResult, with its {pid: node}
-binding, constraint checks and Fraction score, is built only when a reader
-reaches it: `Recognition.best_accepted` on a plan with 200 full matches
-builds one binding and one result.
+value). Every match is recorded as the tuple of its graph nodes in pattern
+order, the pattern-indexed mapping VF2 keeps, with UNBOUND at each pattern
+node it leaves unbound. Only when the search ends (or the budget runs out)
+does an exact maximality filter drop every match that another one strictly
+contains. The survivors are put in result order by a key computed from the
+match alone, and a MatchResult, with its {pid: node} binding, constraint
+checks and Fraction score, is built only when a reader reaches it:
+`Recognition.best_accepted` on a plan with 200 full matches builds one
+binding and one result.
 
 Each candidate assignment is checked only against the pattern edges
 incident to its pattern node. An edge whose two ends are real graph nodes
@@ -54,24 +54,22 @@ charge one step counter, and a result is built once whichever stage needs it
 first. Both `recognize` and `unify` hand each search to `Recognition.add`,
 which runs stage one and keeps the search for its second.
 
-Stage one records its matches without a seen-set. Its branches skip
+Stage one appends its matches to `full` with no test. Its branches skip
 nothing, so each follows its seed's compiled order, and at each position
 `candidates_via_edges` offers every node once: two stage-one leaves differ
 at the first position where their branches part, so none is recorded twice.
+Each is a full match, since `_order` refuses a plan that is not connected.
 Every stage-two branch leaves unbound a pattern node that every stage-one
 match holds, a deferred branch its skipped node and seed rounds 1 and up
 the first seed, so stage two never reaches a stage-one match either; its
-own branches, which can meet again through different skips, keep the
-seen-set (`record`), and each binding they record skips a node, so none is
-full. Every tuple recorded is therefore a full match, and the only bindings
-stage one records are the partial leaves of a disconnected plan, at theta.
+own branches can meet again through different skips, so `record` keeps
+their matches as the keys of a dict (`near`), in the order first recorded.
 Stage one ranks its tuples as they are, by lowest real node, then tuple:
 that is `rank`'s order, since every full match has the plan's size. It
 sorts the tuples, then sorts them stably by lowest real node, which for a
 plan without sub nodes is `min`, so no Python code runs per match.
-A tuple becomes a binding only in `result`, for a match that a reader
-reaches. `finish` lists the tuples first, ranked as stage one ranks them,
-and tests every other binding against them as (pid, node) pairs.
+`finish` lists the full matches first, ranked as stage one ranks them, and
+tests every near-miss against them.
 
 The order in which a branch binds pattern nodes depends only on the plan
 and the branch's state: the nodes it has bound and the nodes it has
@@ -134,7 +132,7 @@ from collections.abc import Callable, Collection, Iterable, Iterator, Sequence, 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
+from itertools import compress, repeat
 
 from .flowgraph import FlowGraph, NodeKind, node_index, value_chains
 from .planlib import Plan, PlanBase, PlanTables, Predicate, closure, dependency_order
@@ -160,10 +158,10 @@ def theta_fraction(theta: float) -> Fraction:
     return Fraction(theta).limit_denominator(10**6)
 
 
-# A match as the search records it: a full stage-one match as the tuple of its
-# graph nodes in pattern order (PlanTables.pid_order), any other as a
-# {pid: node} binding.
-Recorded = dict[str, int] | tuple[int, ...]
+# A match as the search records it is the tuple of its graph nodes in pattern
+# order (PlanTables.pid_order), with UNBOUND, never a node or sub-match id, at
+# each pattern node it leaves unbound.
+UNBOUND = -10**9
 
 
 @record
@@ -231,7 +229,7 @@ class Recognition:
     resumed, and a truncated plan lists what its search found before the
     budget ran out.
 
-    Each plan keeps its bindings in result order, and a MatchResult (with its
+    Each plan keeps its matches in result order, and a MatchResult (with its
     constraint checks) is built only when a reader reaches it, and once.
     `best`, `best_accepted` and `best_near_miss` stop at their answer;
     `accepted` builds a plan's full matches and `by_plan` every result of
@@ -240,7 +238,7 @@ class Recognition:
 
     def __init__(self) -> None:
         # plan -> (its search, its recorded matches best first)
-        self._ranked: dict[str, tuple[_Unifier, list[Recorded]]] = {}
+        self._ranked: dict[str, tuple[_Unifier, list[tuple[int, ...]]]] = {}
         self._pending: dict[str, _Unifier] = {}  # plan -> its search, before its near-miss stage
         self.truncated: set[str] = set()
         self._by_plan: dict[str, list[MatchResult]] | None = None
@@ -254,7 +252,7 @@ class Recognition:
         else:
             self._pending[name] = search
 
-    def run_stage(self, name: str, search: _Unifier, stage: Callable[[], list[Recorded]]) -> None:
+    def run_stage(self, name: str, search: _Unifier, stage: Callable[[], list[tuple[int, ...]]]) -> None:
         """Runs one stage of name's search and keeps its matches; a stage the
         budget cuts short keeps what it found, and marks the plan truncated."""
         try:
@@ -274,11 +272,11 @@ class Recognition:
             search = self._pending.pop(plan)
             self.run_stage(plan, search, search.resume)
             search.end_search()
-        search, bindings = self._ranked.get(plan, (None, ()))
-        for binding in bindings:
-            if full_only and len(binding) < search.size:
-                return  # full bindings sort first, and only they can be accepted
-            yield search.result(binding)
+        search, matches = self._ranked.get(plan, (None, ()))
+        for match in matches:
+            if full_only and UNBOUND in match:
+                return  # full matches sort first, and only they can be accepted
+            yield search.result(match)
 
     def accepted(self, plan: str) -> list[MatchResult]:
         return [m for m in self._results(plan, True) if m.accepted]
@@ -369,7 +367,9 @@ def _order(tables: PlanTables, bound: frozenset[str], skipped: frozenset[str]) -
     nodes bound. Positions below len(bound) hold None and are never read,
     except position 0 of a lone seed's order: the seed's own step, where its
     seed round starts. A seed's order, which skips nothing, is the one for
-    ({seed}, {}). Kept on the plan's tables, up to MAX_ORDERS per plan."""
+    ({seed}, {}). An order that skips nothing must bind every pattern node:
+    a ValueError names a plan whose pattern is not connected. Kept on the
+    plan's tables, up to MAX_ORDERS per plan."""
     key = (bound, skipped)
     order = tables.orders.get(key)
     if order is None:
@@ -381,6 +381,9 @@ def _order(tables: PlanTables, bound: frozenset[str], skipped: frozenset[str]) -
             order.append(step)
             now.add(step.pid)
         order.append(None)
+        if not skipped and len(order) <= len(tables.pid_order):
+            # stage one records each leaf of such an order as a full match
+            raise ValueError(f"plan {tables.name!r}: pattern graph is not connected")
         if len(tables.orders) < MAX_ORDERS:
             tables.orders[key] = order
     return order
@@ -447,11 +450,6 @@ class _Unifier:
         self.max_skipped = self.size + (-self.theta_num * self.size // self.theta_den)
         self.tables = tables
         self.pid_order = tables.pid_order
-        # a full binding's node per pattern node: how stage one records a
-        # full match, and how rank() orders it
-        nodes_of = itemgetter(*self.pid_order)
-        self.full_nodes = nodes_of if self.size > 1 else lambda binding: (nodes_of(binding),)
-        self.pnodes = tables.pnodes
         self.commutable = tables.commutable
         self.subplan_of = tables.subplan_of
 
@@ -478,19 +476,21 @@ class _Unifier:
         self.candidates: dict[str, list[int]] = {}  # node_candidates, per pid
         self.seeds: list[str] = []  # pids by rarity, set by first_stage
         self.deferred: list[tuple[dict[str, int], set[int], frozenset]] = []  # for resume
-        self.recorded: list[Recorded] = []  # matches at or above theta
-        self.seen: set[frozenset] = set()
-        self.built: dict[tuple | frozenset, MatchResult] = {}  # results, by result()'s key
+        # stage one's matches; stage two's at or above theta, as a dict's keys.
+        # A search sets 27 attributes: at 30, CPython 3.11 to 3.13 stop sharing
+        # instance dict keys, and every attribute read slows
+        self.full: list[tuple[int, ...]] = []
+        self.near: dict[tuple[int, ...], None] = {}
+        self.built: dict[tuple[int, ...], MatchResult] = {}  # results, by match
 
     # -- candidate enumeration
 
     def node_candidates(self, pid: str) -> list[int]:
         found = self.candidates.get(pid)
         if found is None:
-            pn = self.pnodes[pid]
-            subplan = self.subplan_of.get(pid)
-            if subplan is not None:
-                found = [p.pseudo_id for p in self.pseudos[subplan]]
+            pn = self.tables.pnodes[pid]
+            if pn.subplan is not None:
+                found = [p.pseudo_id for p in self.pseudos[pn.subplan]]
             elif pn.kind is NodeKind.OP and pn.opcode is None:
                 found = sorted(nid for (kind, _), nids in self.index.items() if kind is NodeKind.OP
                                for nid in nids)
@@ -631,8 +631,7 @@ class _Unifier:
     #
     # One binding dict and one set of its bound nodes are shared by the whole
     # search: each level adds its pattern node before recursing and removes
-    # it after, so the dict always lists pattern nodes in the order they were
-    # bound. record() keeps copies, and stage one's leaf a full match's nodes.
+    # it after. A leaf records its match as a tuple of nodes in pattern order.
 
     def first_stage(self) -> list[tuple[int, ...]]:
         """Round 0 from the rarest seed, with every fallback skip deferred.
@@ -651,7 +650,7 @@ class _Unifier:
         self.seed_rounds(0, 1)
         return self.finish(full_only=True)
 
-    def resume(self) -> list[Recorded]:
+    def resume(self) -> list[tuple[int, ...]]:
         """The near-miss stage: the deferred branches, then seed rounds
         1..max_skipped. Returns every maximal match, best first."""
         deferred, self.deferred = self.deferred, []
@@ -688,16 +687,12 @@ class _Unifier:
                order: list[_Step | None]) -> None:
         step = order[len(binding)]
         if step is None:
+            # a tuple from a list, whose size tuple() knows (see PlanTables)
+            match = tuple(list(map(binding.get, self.pid_order, repeat(UNBOUND))))
             if skipped:
-                self.record(binding)
-            # a stage-one leaf is reached once and never by stage two (see the
-            # module docstring), so it needs no seen-set. A full match is kept
-            # as its nodes in pattern order; a partial leaf (only a disconnected
-            # plan has one) as a binding, and only at theta, as record() would
-            elif len(binding) == self.size:
-                self.recorded.append(self.full_nodes(binding))
-            elif len(binding) * self.theta_den >= self.theta_num * self.size:
-                self.recorded.append(binding.copy())
+                self.record(match)
+            else:  # full, reached once and never by stage two (see the module docstring)
+                self.full.append(match)
             return
         pid = step.pid
         progressed = False
@@ -724,32 +719,18 @@ class _Unifier:
             else:
                 self.deferred.append((dict(binding), set(used), frozenset((pid,))))
 
-    def record(self, binding: dict[str, int]) -> None:
-        key = frozenset(binding.items())
-        if key in self.seen:
-            return
-        self.seen.add(key)
-        # score len/size below 1 and below theta, in integers
-        n = len(binding)
-        if n < self.size and n * self.theta_den < self.theta_num * self.size:
-            return
-        self.recorded.append(dict(binding))
+    def record(self, match: tuple[int, ...]) -> None:
+        """Keeps a near-miss leaf's match, once, if it scores at least theta
+        (bound nodes over size, in integers)."""
+        if (self.size - match.count(UNBOUND)) * self.theta_den >= self.theta_num * self.size:
+            self.near[match] = None
 
-    def result(self, binding: Recorded) -> MatchResult:
-        """The binding's MatchResult, built once, whether a full match reaches
-        it as a stage-one tuple or as a binding: a full match is keyed by its
-        nodes in pattern order, a partial one by its (pid, node) pairs."""
-        if type(binding) is tuple:
-            key = binding
-        elif len(binding) == self.size:
-            key = self.full_nodes(binding)
-        else:
-            key = frozenset(binding.items())
-        found = self.built.get(key)
+    def result(self, match: tuple[int, ...]) -> MatchResult:
+        """The match's MatchResult, built once over both stages."""
+        found = self.built.get(match)
         if found is None:
-            if key is binding:
-                binding = dict(zip(self.pid_order, binding))
-            found = self.built[key] = self.build_result(binding)
+            binding = dict(compress(zip(self.pid_order, match), map(UNBOUND.__ne__, match)))
+            found = self.built[match] = self.build_result(binding)
         return found
 
     def build_result(self, binding: dict[str, int]) -> MatchResult:
@@ -765,80 +746,75 @@ class _Unifier:
         )
         return check_constraints(result, self.plan, self.g)
 
-    def finish(self, full_only: bool = False) -> list[Recorded]:
+    def finish(self, full_only: bool = False) -> list[tuple[int, ...]]:
         """The recorded matches a result list shows, best first.
 
-        First stage one's full matches, the tuples of their nodes in pattern
-        order, ranked as they are by lowest real node, then tuple: rank()'s
-        order, since every full match has the plan's size. A full match is
-        never strictly contained, so they need no filter. With full_only,
-        only they; otherwise then every other binding that no recorded match
-        strictly contains, in rank() order. Fewer than two records need no
-        filter and no sort. Also runs on BudgetExceeded, so a truncated
-        search keeps its partial results. Results are built from these by
-        result(), each once over both stages, and only when someone reads
-        them.
+        First stage one's full matches, ranked as they are by lowest real
+        node, then tuple: rank()'s order, since every full match has the
+        plan's size. A full match is never strictly contained, so they need
+        no filter. With full_only, only they; otherwise then every near-miss
+        that no recorded match strictly contains, in rank() order. Fewer
+        than two records need no filter and no sort. Also runs on
+        BudgetExceeded, so a truncated search keeps its partial results.
+        Results are built from these by result(), each once over both
+        stages, and only when someone reads them.
         """
-        recorded = self.recorded
-        full = [b for b in recorded if type(b) is tuple]
+        full = sorted(self.full)  # then a stable sort by lowest real node keeps tuple order on ties
         if len(full) > 1:
-            full.sort()  # then a stable sort by lowest real node keeps tuple order on ties
             full.sort(key=self.lowest if self.subplan_of else min)  # min: every node is real
-        if full_only or len(full) == len(recorded):
+        if full_only or not self.near:
             return full
-        partial = [b for b in recorded if type(b) is not tuple]
-        if len(recorded) > 1:
-            partial = maximal_bindings(partial, [zip(self.pid_order, t) for t in full])
-            if len(partial) > 1:
-                partial.sort(key=self.rank)
-        return full + partial
+        near = list(self.near)
+        if len(full) + len(near) > 1:
+            near = maximal_bindings(near, full)
+            if len(near) > 1:
+                near.sort(key=self.rank)
+        return full + near
 
-    def lowest(self, nodes: Collection[int]) -> int:
+    def lowest(self, match: tuple[int, ...]) -> int:
         """The lowest real node a match binds; a sub-match stands for its
         real nodes, never empty."""
-        lowest = min(nodes, default=0)
+        lowest = min(match)
         if lowest < 0:
-            lowest = min(nid if nid >= 0 else min(self.pseudo_by_id[nid].all_nodes) for nid in nodes)
+            lowest = min(nid if nid >= 0 else min(self.pseudo_by_id[nid].all_nodes)
+                         for nid in match if nid != UNBOUND)
         return lowest
 
-    def rank(self, binding: dict[str, int]) -> tuple:
-        """Result order, from the binding alone: score (size is fixed, so the
-        bound count), lowest real node, then node per pattern node. A total
-        order: distinct bindings differ at some pid."""
-        lowest = self.lowest(binding.values())
-        if len(binding) == self.size:
-            return (-self.size, lowest, self.full_nodes(binding))
-        return (-len(binding), lowest, tuple([binding.get(pid, -10**9) for pid in self.pid_order]))
+    def rank(self, match: tuple[int, ...]) -> tuple:
+        """Result order, from the match alone: score (size is fixed, so the
+        unbound count), lowest real node, then the match itself. A total
+        order: distinct matches differ as tuples."""
+        return (match.count(UNBOUND), self.lowest(match), match)
 
     def end_search(self) -> None:
         """Drop what only the search needs; result() keeps working."""
-        self.seen.clear()
-        self.recorded.clear()
+        self.full.clear()
+        self.near.clear()
         self.deferred.clear()
 
 
-def maximal_bindings(bindings: list[dict[str, int]],
-                     containers: Iterable[Iterable[tuple[str, int]]] = ()) -> list[dict[str, int]]:
-    """The bindings that no other binding strictly contains, nor any of
-    containers, in input order. A container is a match given as its
-    (pid, node) pairs, and is not itself tested.
+def maximal_bindings(matches: list[tuple[int, ...]],
+                     containers: Iterable[tuple[int, ...]] = ()) -> list[tuple[int, ...]]:
+    """The matches that no other match strictly contains, nor any of
+    containers, in input order. A match is taken as its (position, node)
+    pairs, UNBOUND left out; a container is a full match, not itself tested.
 
-    A strict superset of b holds every (pid, node) pair of b, so it appears
-    in the posting list of each of those pairs. Testing b only against the
-    shortest of its lists is therefore exact, and costs far less than
-    comparing every pair of bindings.
+    A strict superset of m holds every pair of m, so it appears in the
+    posting list of each of those pairs. Testing m only against the shortest
+    of its lists is therefore exact, and costs far less than comparing every
+    pair of matches.
     """
-    keys = [frozenset(b.items()) for b in bindings]
-    every = keys + [frozenset(pairs) for pairs in containers]
-    postings: dict[tuple[str, int], list[frozenset]] = {}
+    keys = [frozenset(compress(enumerate(m), map(UNBOUND.__ne__, m))) for m in matches]
+    every = keys + [frozenset(enumerate(c)) for c in containers]
+    postings: dict[tuple[int, int], list[frozenset]] = {}
     for key in every:
         for pair in key:
             postings.setdefault(pair, []).append(key)
     kept = []
-    for b, key in zip(bindings, keys):
+    for m, key in zip(matches, keys):
         pool = min((postings[pair] for pair in key), key=len, default=every)
         if not any(key < other for other in pool):
-            kept.append(b)
+            kept.append(m)
     return kept
 
 

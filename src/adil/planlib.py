@@ -50,7 +50,7 @@ from pathlib import Path
 
 from .flowgraph import LABEL_ENDS, NodeKind, OpCode, label_fault, shape
 from .records import record
-from .source import SourceSpan
+from .source import SourceSpan, split_lines
 
 
 class PlanSyntaxError(Exception):
@@ -138,6 +138,7 @@ class PlanTables:
     step; closure, sub_closure and dependency_order read subplan_of too."""
 
     def __init__(self, plan: Plan):
+        self.name = plan.name  # for the matcher's errors
         # tuples from lists, not generators: tuple() resizes to fit a generator, and
         # resized tuples, once freed, fill free lists only a full collection empties
         self.pid_order = tuple([pn.pid for pn in plan.pnodes])
@@ -234,7 +235,7 @@ def _escape(s: str) -> str:
 
 class _PlanFileParser:
     def __init__(self, text: str, filename: str):
-        self.lines = text.splitlines()
+        self.lines = split_lines(text)
         self.filename = filename
         self.extents: list[tuple[int, int]] = []  # per parsed plan: header and end line
 
@@ -448,7 +449,7 @@ def remove_plan_text(text: str, name: str, filename: str = "<plan>") -> str:
     parser = _PlanFileParser(text, filename)
     for plan, (first, last) in zip(parser.parse(), parser.extents):
         if plan.name == name:
-            lines = text.splitlines(keepends=True)
+            lines = split_lines(text, keepends=True)
             return "".join(lines[:first - 1] + lines[last:])
     raise UnknownPlan(name)
 

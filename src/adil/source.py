@@ -44,6 +44,23 @@ class SourceSpan(_SpanFields):
         return f"{self.file}:{self.line_start}:{self.col_start}"
 
 
+def split_lines(text: str, keepends: bool = False) -> list[str]:
+    """text's lines as the lexer numbers them: broken at newlines only. Unlike
+    str.splitlines(), no form feed, vertical tab, file, group or record
+    separator, U+0085, U+2028 or U+2029 ends a line. Without keepends, a line
+    loses its newline and one carriage return before it, as splitlines()
+    drops a CRLF; with keepends, it keeps both, so the lines join back into
+    text."""
+    lines = text.split("\n")
+    if keepends:
+        lines = [line + "\n" for line in lines[:-1]] + lines[-1:]
+    if not lines[-1]:
+        lines.pop()  # text ends with a line break, or is empty
+    if "\r" in text and not keepends:
+        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    return lines
+
+
 def span_hull(spans: list[SourceSpan]) -> SourceSpan:
     """Smallest span covering every span in the list (all from one file).
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from adil.acquire import AcquireError, AcquireOptions, acquire_plan, review_stub
@@ -82,12 +84,14 @@ def test_oversized_exemplar_rejected():
 
 def test_review_stub_flags_every_slot_plus_doc():
     plan = _draft("int f(int u){int x;int y;x=u+7;y=x*9;return y;}", "two-slots")
-    stub = review_stub(plan)
-    reviews = [l for l in stub.splitlines() if l.startswith("; REVIEW:")]
-    assert len(reviews) == len(plan.slots()) + 1
-    assert len(plan.slots()) == 2
-    # stripping the comments parses back to the same plan
-    assert parse_plan(stub) == plan
+    # a U+2028 in the doc is one of its characters, not a line break
+    for plan in (plan, dataclasses.replace(plan, doc_template="first line\u2028second")):
+        stub = review_stub(plan)
+        reviews = [l for l in stub.splitlines() if l.startswith("; REVIEW:")]
+        assert len(reviews) == len(plan.slots()) + 1
+        assert len(plan.slots()) == 2
+        # stripping the comments parses back to the same plan
+        assert parse_plan(stub) == plan
 
 
 def test_corpus_drafts_self_recognize(corpus_dir):

@@ -63,6 +63,47 @@ def test_form_feed_and_vertical_tab_are_white_space(work, corpus_dir, capsys):
     assert "\n     8 |     while (i <= n) {\n" in out.out
 
 
+def test_spec_lines_break_at_newlines_only(work, capsys):
+    # as the lexer's lines do: a U+0085 in a note and a form feed in the title
+    # are characters of their strings, and a vertical tab ending line 2 ends
+    # no line, so the bad line after it is reported as line 3
+    spec = (work / "sum.spec").read_text()
+    for old, new, title, note in (
+            ("classic", "page\x85classic", "sum of the array elements", "page\x85classic accumulation exercise"),
+            ("sum of", "sum\fof", "sum\fof the array elements", "classic accumulation exercise")):
+        (work / "sum.spec").write_text(spec.replace(old, new), encoding="utf-8")
+        assert _analyze(work, "sum.c") == 0, new
+        assert capsys.readouterr().err == ""
+        parsed = debugger.parse_spec((work / "sum.spec").read_text(encoding="utf-8"))
+        assert (parsed.title, parsed.notes) == (title, (note,))
+    (work / "sum.spec").write_text(spec.replace("required\n", "required\v\nbogus\n"), encoding="utf-8")
+    assert _analyze(work, "sum.c") == 2
+    assert capsys.readouterr().err == f"adil: {work / 'sum.spec'}:3:1: unrecognized spec line: 'bogus'\n"
+
+
+def test_plan_files_break_lines_at_newlines_only(work, plans_dir, tmp_path, capsys):
+    # as the lexer's lines do: a U+2028 in a doc string is one of its
+    # characters, so `plan add` takes the plan, and `plan rm` of another plan
+    # in the same file keeps every other byte
+    doc = "adds each element @src into @acc, which starts at $init"
+    copy = (plans_dir / "running-total.plan").read_text().replace(
+        'plan "running-total"', 'plan "running-total-copy"').replace(doc, doc.replace(", ", ",\u2028"))
+    assert "\u2028" in copy
+    (tmp_path / "copy.plan").write_text(copy, encoding="utf-8")
+    plans = str(work / "plans")
+    assert main(["plan", "add", str(tmp_path / "copy.plan"), "--plans", plans]) == 0
+    assert capsys.readouterr() == ("added running-total-copy\n", "")
+    added = planlib.load_plan_base(work / "plans").plans["running-total-copy"]
+    assert added.doc_template == doc.replace(", ", ",\u2028")
+    assert main(["plan", "rm", "running-total-copy", "--plans", plans]) == 0
+    shared = work / "plans" / "shared.plan"
+    shared.write_text(copy + 'plan "spare" kind=cliche category=pe\nnode n1 kind=TEST\nend\n', encoding="utf-8")
+    assert main(["plan", "rm", "spare", "--plans", plans]) == 0
+    assert shared.read_text(encoding="utf-8") == copy
+    assert main(["plan", "check", "--plans", plans]) == 0
+    capsys.readouterr()
+
+
 def test_files_that_start_with_a_utf8_bom_read_as_the_plain_files(work, monkeypatch, capsys):
     # gcc accepts a C file that starts with a byte order mark; so does adil,
     # for the program, the spec and every plan file, with the same exit
