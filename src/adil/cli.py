@@ -242,14 +242,19 @@ def _refused(base: planlib.PlanBase, edit: str) -> bool:
     return bool(problems)
 
 
-def _install(plans_dir: str, new_plans: list[planlib.Plan]) -> bool:
-    """Write each new plan to <plans_dir>/<name>.plan, but only if the base
-    they make is valid and no file is overwritten; else say why and write nothing."""
-    unsafe = [plan.name for plan in new_plans
-              if plan.name in ("", ".", "..") or "/" in plan.name or "\\" in plan.name]
+def _unusable_names(names: list[str]) -> bool:
+    """Whether some plan name is not one file name in the plan directory; if so, say which."""
+    unsafe = [name for name in names if name in ("", ".", "..") or "/" in name or "\\" in name]
     if unsafe:
         print(f"adil: refusing to add {', '.join(map(repr, unsafe))}: a plan name must be"
               " usable as one file name in the plan directory", file=sys.stderr)
+    return bool(unsafe)
+
+
+def _install(plans_dir: str, new_plans: list[planlib.Plan]) -> bool:
+    """Write each new plan to <plans_dir>/<name>.plan, but only if the base
+    they make is valid and no file is overwritten; else say why and write nothing."""
+    if _unusable_names([plan.name for plan in new_plans]):
         return False
     base = planlib.load_plan_base(plans_dir)
     try:
@@ -292,6 +297,8 @@ def cmd_acquire(args: argparse.Namespace) -> int:
             print(f"installed {plan.name} into {args.plans}")
         return 0
 
+    if _unusable_names([args.name]):  # --accept could never install it
+        return 1
     ast = frontend.parse_c(Path(args.program).read_text(encoding="utf-8-sig"), filename=args.program)
     try:
         draft = acq.acquire_plan(ast, args.name)

@@ -304,8 +304,7 @@ def _violation_finding(goal: str, plan: Plan, near: MatchResult, outcome, g: Flo
             witness_pids.extend(pn.pid for pn in plan.pnodes if pn.slot == slot_name)
         else:
             witness_pids.append(arg)
-    witness_nodes = {near.binding[pid] for pid in witness_pids
-                     if pid in near.binding and near.binding[pid] >= 0}
+    witness_nodes = {near.binding[pid] for pid in witness_pids if pid in near.binding}
     span = pinpoint(witness_nodes, g) if witness_nodes else span_hull(list(near.spans))
     # smoothed passing fraction: the structural match itself counts for one,
     # keeping confidence strictly positive even when every predicate fails

@@ -1,10 +1,11 @@
 """Generated seed-round kernels: one plan's matching order from one seed,
 with the seeds before it skipped, written out as Python source and compiled.
 
-`matcher._Unifier` runs a seed round generically, through `extend`, the first
-time it searches an order; the second time, `matcher._kernel` compiles the
-order here and keeps the function on `Plan.tables.kernels`. This module is
-imported only then, so a one-shot run neither loads it nor compiles one.
+`matcher._Unifier` runs a seed round generically, as one `extend` call from
+an empty binding, the first time it searches an order; the second time,
+`matcher._kernel` compiles the order here and keeps the function on
+`Plan.tables.kernels`. This module is imported only then, so a one-shot run
+neither loads it nor compiles one.
 
 A kernel does exactly what `extend` does on its seed round, in the same
 order: the same candidates (a lone producer or `FlowGraph.successors` list
@@ -27,12 +28,13 @@ candidate passes:
 
 What depends only on the plan is settled when the source is written: each
 edge's direction, ports and commutable() alternative, each node's kind,
-opcode and constant test, the ctrl labels, and which ends are sub-plan
-nodes (those ends go through `_source`, `_sink`, `_producers`,
-`_consumers` and `_ctrl_nodes`, as in `extend`). As in `consistent`, no
-graph node's ports are tested: a checked plan names only ports that its
-nodes' kinds have (`flowgraph.SHAPES`), and a real node is its own value, so
-its successors are the candidates of every edge leaving it.
+opcode and constant test, the ctrl labels (of `_Step.ctrl_gen`, since a
+checked plan has no ctrl self-loop), and which ends are sub-plan nodes
+(those ends go through `_source`, `_sink`, `_producers`, `_consumers` and
+`_ctrl_nodes`, as in `extend`). As in `consistent`, no graph node's ports
+are tested: a checked plan names only ports that its nodes' kinds have
+(`flowgraph.SHAPES`), and a real node is its own value, so its successors
+are the candidates of every edge leaving it.
 
 The source holds no text from the plan: pattern node ids, kinds, opcodes,
 constants, labels, sub-plan names and the skipped sets are bound to
@@ -206,7 +208,7 @@ class _KernelWriter:
             else:
                 tests.append(f"(s := _source(n{a}, {po})) is None"
                              f" or s not in _producers(*_sink(P{b}, n{b}, {pi}))")
-        for a, b, label in step.ctrl_checks:
+        for a, b, label in step.ctrl_gen:
             tests.append(f"not _ctrl_linked(ctrl_out, {self.ctrl_nodes(self.pos[a])}, "
                          f"{self.ctrl_nodes(self.pos[b])}, {self.label(label)})")
         return tests

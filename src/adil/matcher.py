@@ -7,12 +7,12 @@ Subgraph matching is NP-hard in general, so every attempted assignment
 burns one step of an explicit budget; hitting the ceiling raises
 BudgetExceeded with the results found so far attached.
 
-The search records bare matches, and scores them as integer pairs (bound
-nodes over plan size, against theta as a rational converted once per theta
-value). Every match is recorded as the tuple of its graph nodes in pattern
-order, the pattern-indexed mapping VF2 keeps, with UNBOUND at each pattern
-node it leaves unbound. Only when the search ends (or the budget runs out)
-does an exact maximality filter drop every match that another one strictly
+The search records bare matches, and tests theta as one integer, the most
+pattern nodes a match may leave unbound (`max_skipped`). Every match is
+recorded as the tuple of its graph nodes in pattern order, the
+pattern-indexed mapping VF2 keeps, with UNBOUND at each pattern node it
+leaves unbound. Only when the search ends (or the budget runs out) does an
+exact maximality filter drop every match that another one strictly
 contains. The survivors are put in result order by a key computed from the
 match alone, and a MatchResult, with its {pid: node} binding, constraint
 checks and Fraction score, is built only when a reader reaches it:
@@ -40,10 +40,9 @@ tables (`Plan.tables`) are built once per Plan and live on it, so they are
 shared by every graph the plan is matched against and die with the plan.
 
 The search attempts nothing that could only record a binding below theta.
-A pattern node it skipped is never bound, so once the skipped nodes leave
-fewer than theta * size nodes to bind, the seed rounds stop and a branch
-skips no further node. The results are exactly those of the unpruned
-search; only the steps are fewer.
+A pattern node it skipped is never bound, so once max_skipped nodes are
+skipped, the seed rounds stop and a branch skips no further node. The
+results are exactly those of the unpruned search; only the steps are fewer.
 
 The search runs in two stages over exactly the same branches. The first
 stage seeds round 0 only, and defers every branch that would skip a pattern
@@ -55,21 +54,22 @@ first. Both `recognize` and `unify` hand each search to `Recognition.add`,
 which runs stage one and keeps the search for its second.
 
 Stage one appends its matches to `full` with no test. Its branches skip
-nothing, so each follows its seed's compiled order, and at each position
-`candidates_via_edges` offers every node once: two stage-one leaves differ
-at the first position where their branches part, so none is recorded twice.
-Each is a full match, since `_order` refuses a plan that is not connected.
-Every stage-two branch leaves unbound a pattern node that every stage-one
-match holds, a deferred branch its skipped node and seed rounds 1 and up
-the first seed, so stage two never reaches a stage-one match either; its
-own branches can meet again through different skips, so `record` keeps
-their matches as the keys of a dict (`near`), in the order first recorded.
-Stage one ranks its tuples as they are, by lowest real node, then tuple:
-that is `rank`'s order, since every full match has the plan's size. It
-sorts the tuples, then sorts them stably by lowest real node, which for a
-plan without sub nodes is `min`, so no Python code runs per match.
-`finish` lists the full matches first, ranked as stage one ranks them, and
-tests every near-miss against them.
+nothing, so each follows its seed's compiled order, and at each position its
+candidates (`node_candidates` for the seed, `candidates_via_edges` after it)
+offer every node once: two stage-one leaves differ at the first position
+where their branches part, so none is recorded twice. Each is a full match,
+since `_order` refuses a plan that is not connected. Every stage-two branch
+leaves unbound a pattern node that every stage-one match holds, a deferred
+branch its skipped node and seed rounds 1 and up the first seed, so stage
+two never reaches a stage-one match either; its own branches can meet again
+through different skips, so `record` keeps their matches as the keys of a
+dict (`near`), in the order first recorded. Stage one ranks its tuples as
+they are, by lowest real node, then tuple: that is `rank`'s order, since
+every full match has the plan's size. It sorts the tuples, then sorts them
+stably by lowest real node, which for a plan without sub nodes is `min`, so
+no Python code runs per match. `finish` lists the full matches first, ranked
+as stage one ranks them, and tests every near-miss (none after stage one)
+against them.
 
 The order in which a branch binds pattern nodes depends only on the plan
 and the branch's state: the nodes it has bound and the nodes it has
@@ -90,28 +90,29 @@ other end is bound before it, so checking a candidate tests no edge for
 being bound, and `extend` reads each branch's next step from its order.
 
 Every seed round, stage one's and the near-miss ones, runs in two tiers.
-The first time a plan searches a seed order, it runs `extend` over the
-compiled order. The second time, the order is compiled into one generated
-Python function (`kernel.compile_kernel`), kept on `Plan.tables.kernels`
-under the order's key, ({seed}, skipped) as in `orders`, and dropped with
-the plan; every later search of that order runs it. Only an order that
-`orders` keeps is compiled, so a plan holds at most MAX_ORDERS kernels. A
-one-shot run, or a plan built for one item, never pays for generating code;
-a plan that grades a class generates each order it uses once. The kernel is
-one nested loop per position of the order, with every plan-only fact (edge
-directions, ports, commutable() alternatives, node tests, ctrl labels,
-which ends are sub-matches) settled in its source. It takes the same
-candidates in the same order, charges the same steps and leaves the same
-records and deferred branches as `extend`, also when the budget runs out:
-where no candidate passes at a position, stage one's kernel defers the
-branch, and a near-miss kernel goes on through `extend` from the branch's
-state with one more node skipped. No text from the plan enters the source:
-pattern node ids, skipped sets, labels, kinds and the like are names bound
-in its namespace, and ports are int literals. An order of more than
-MAX_POSITIONS positions is never compiled and always runs `extend`: CPython
-3.10 to 3.12 refuse a 21st statically nested block, and no shipped plan
-comes near that. A branch that starts from a bound state, a deferred one or
-a skip inside a near-miss branch, always runs `extend`.
+The first time a plan searches a seed order, it runs `extend`, the search's
+one generic loop, over the compiled order from an empty binding. The second
+time, the order is compiled into one generated Python function
+(`kernel.compile_kernel`), kept on `Plan.tables.kernels` under the order's
+key, ({seed}, skipped) as in `orders`, and dropped with the plan; every
+later search of that order runs it. Only an order that `orders` keeps is
+compiled, so a plan holds at most MAX_ORDERS kernels. A one-shot run, or a
+plan built for one item, never pays for generating code; a plan that grades
+a class generates each order it uses once. The kernel is one nested loop
+per position of the order, with every plan-only fact (edge directions,
+ports, commutable() alternatives, node tests, ctrl labels, which ends are
+sub-matches) settled in its source. It takes the same candidates in the
+same order, charges the same steps and leaves the same records and deferred
+branches as `extend`, also when the budget runs out: where no candidate
+passes at a position, stage one's kernel defers the branch, and a near-miss
+kernel goes on through `extend` from the branch's state with one more node
+skipped. No text from the plan enters the source: pattern node ids, skipped
+sets, labels, kinds and the like are names bound in its namespace, and
+ports are int literals. An order of more than MAX_POSITIONS positions is
+never compiled and always runs `extend`: CPython 3.10 to 3.12 refuse a 21st
+statically nested block, and no shipped plan comes near that. A branch that
+starts from a bound state, a deferred one or a skip inside a near-miss
+branch, always runs `extend`.
 
 Hierarchy is bottom-up: accepted matches of a sub-plan become bindable
 pseudo-nodes for the plans that contain it, and `recognize` orders plans so
@@ -154,8 +155,8 @@ class SearchBudget:
 
 @lru_cache(maxsize=64)
 def theta_fraction(theta: float) -> Fraction:
-    """theta as the exact rational that match scores are compared with."""
-    return Fraction(theta).limit_denominator(10**6)
+    """theta as the exact decimal it is written as (0.8000001 > 4/5)."""
+    return Fraction(str(theta))
 
 
 # A match as the search records it is the tuple of its graph nodes in pattern
@@ -314,18 +315,16 @@ class _Step:
     """One place in a matching order: the pattern node bound there, its node
     test, and its incident edges as seen from the nodes bound before it.
 
-    `data_checks` and `ctrl_checks` are the edges `consistent` tests: those
-    whose other end is bound, and self-loops. `data_gen` and `ctrl_gen`, the
-    edges whose other end is bound, are where candidates come from."""
+    `data_gen` and `ctrl_gen`, the edges whose other end is bound, are where
+    candidates come from and what `consistent` tests, with the data
+    self-loops added in `data_checks`: `check_plan` refuses a ctrl one."""
 
-    __slots__ = ("pid", "subplan", "kind", "opcode", "const",
-                 "data_checks", "ctrl_checks", "data_gen", "ctrl_gen")
+    __slots__ = ("pid", "subplan", "kind", "opcode", "const", "data_checks", "data_gen", "ctrl_gen")
 
     def __init__(self, tables: PlanTables, pid: str, bound: Collection[str]):
         pn = tables.pnodes[pid]
         self.pid, self.subplan = pid, pn.subplan
         self.kind, self.opcode, self.const = pn.kind, pn.opcode, pn.const
-        # one pass per edge list
         self.data_gen, self.data_checks = data_gen, data_checks = [], []
         for other, edge in tables.data_at[pid]:
             if other in bound:
@@ -333,13 +332,7 @@ class _Step:
                 data_checks.append(edge)
             elif other == pid:
                 data_checks.append(edge)
-        self.ctrl_gen, self.ctrl_checks = ctrl_gen, ctrl_checks = [], []
-        for other, edge in tables.ctrl_at[pid]:
-            if other in bound:
-                ctrl_gen.append(edge)
-                ctrl_checks.append(edge)
-            elif other == pid:
-                ctrl_checks.append(edge)
+        self.ctrl_gen = [edge for other, edge in tables.ctrl_at[pid] if other in bound]
 
 
 def _step(tables: PlanTables, bound: Set[str], skipped: Collection[str]) -> _Step | None:
@@ -435,23 +428,21 @@ class _Unifier:
         self.g = g
         self.plan = plan
         self.max_steps = budget.max_extension_steps
-        theta = theta_fraction(budget.theta)
-        self.theta_num, self.theta_den = theta.numerator, theta.denominator
         self.steps = 0
         self.index = node_index(g)
         self.commutative = g.commutative_nodes
         self.producer_of, self.successors = g.producer_of, g.successors
         self.ctrl_out, self.ctrl_in = g.ctrl_out, g.ctrl_in
         tables = plan.tables
-        self.size = len(tables.pid_order)
-        # Skipped pattern nodes are never bound, so a branch that skips k of
-        # them records nothing above size - k nodes. Past this many skips the
-        # score is below theta: (size - k) * den < num * size.
-        self.max_skipped = self.size + (-self.theta_num * self.size // self.theta_den)
+        # theta as the most pattern nodes a match may leave unbound (or a branch
+        # skip): with u unbound, (size - u) * den >= num * size iff
+        # u <= size - ceil(num * size / den), since size - u is an integer
+        theta = theta_fraction(budget.theta)
+        size = len(tables.pid_order)
+        self.max_skipped = size + (-theta.numerator * size // theta.denominator)
         self.tables = tables
         self.pid_order = tables.pid_order
         self.commutable = tables.commutable
-        self.subplan_of = tables.subplan_of
 
         # pseudo-node table for sub-plan pattern nodes, and each sub-plan's
         # pseudo-nodes by (export port, export node), in table order
@@ -477,7 +468,7 @@ class _Unifier:
         self.seeds: list[str] = []  # pids by rarity, set by first_stage
         self.deferred: list[tuple[dict[str, int], set[int], frozenset]] = []  # for resume
         # stage one's matches; stage two's at or above theta, as a dict's keys.
-        # A search sets 27 attributes: at 30, CPython 3.11 to 3.13 stop sharing
+        # A search sets 23 attributes: at 30, CPython 3.11 to 3.13 stop sharing
         # instance dict keys, and every attribute read slows
         self.full: list[tuple[int, ...]] = []
         self.near: dict[tuple[int, ...], None] = {}
@@ -565,7 +556,7 @@ class _Unifier:
                 source = self._source(na, po)
                 if source is None or source not in self._producers(*self._sink(b, nb, pi)):
                     return False
-        for edge in step.ctrl_checks:
+        for edge in step.ctrl_gen:
             if not self.ctrl_edge_ok(edge, binding):
                 return False
         return True
@@ -648,7 +639,7 @@ class _Unifier:
         # max_skipped can record nothing.
         self.seeds = sorted(self.pid_order, key=lambda pid: len(self.node_candidates(pid)))
         self.seed_rounds(0, 1)
-        return self.finish(full_only=True)
+        return self.finish()
 
     def resume(self) -> list[tuple[int, ...]]:
         """The near-miss stage: the deferred branches, then seed rounds
@@ -669,22 +660,13 @@ class _Unifier:
             if kernel is not None:
                 kernel(self, self.node_candidates(seed))
             else:
-                step = order[0]
-                for nid in self.node_candidates(seed):
-                    self.charge()
-                    binding = {seed: nid}
-                    if self.consistent(step, nid, binding):
-                        self.extend(binding, {nid}, skipped, order)
+                self.extend({}, set(), skipped, order)
             skipped = skipped | {seed}
-
-    def charge(self) -> None:
-        self.steps += 1
-        if self.steps > self.max_steps:
-            # what was found so far is finish(); Recognition keeps it
-            raise BudgetExceeded(self.plan.name, [])
 
     def extend(self, binding: dict[str, int], used: set[int], skipped: frozenset,
                order: list[_Step | None]) -> None:
+        """Grows the branch at order[len(binding)]; from an empty binding, a
+        seed round over the seed's node_candidates, which skips no seed."""
         step = order[len(binding)]
         if step is None:
             # a tuple from a list, whose size tuple() knows (see PlanTables)
@@ -696,9 +678,9 @@ class _Unifier:
             return
         pid = step.pid
         progressed = False
-        for nid in self.candidates_via_edges(step, binding):
-            self.steps += 1  # charge(), inline
-            if self.steps > self.max_steps:
+        for nid in self.candidates_via_edges(step, binding) if binding else self.node_candidates(pid):
+            self.steps += 1
+            if self.steps > self.max_steps:  # what was found so far is finish(); Recognition keeps it
                 raise BudgetExceeded(self.plan.name, [])
             if nid in used:
                 continue  # injectivity
@@ -709,7 +691,7 @@ class _Unifier:
                 self.extend(binding, used, skipped, order)
                 used.remove(nid)
             del binding[pid]
-        if not progressed and len(skipped) < self.max_skipped:
+        if not progressed and binding and len(skipped) < self.max_skipped:
             # pid is unbindable here; keep growing elsewhere so near-misses
             # report the largest structure that does exist. Only stage one
             # has branches that skipped nothing, and it leaves this to resume().
@@ -720,9 +702,9 @@ class _Unifier:
                 self.deferred.append((dict(binding), set(used), frozenset((pid,))))
 
     def record(self, match: tuple[int, ...]) -> None:
-        """Keeps a near-miss leaf's match, once, if it scores at least theta
-        (bound nodes over size, in integers)."""
-        if (self.size - match.count(UNBOUND)) * self.theta_den >= self.theta_num * self.size:
+        """Keeps a near-miss leaf's match, once, if it scores at least theta:
+        if it leaves at most max_skipped pattern nodes unbound."""
+        if match.count(UNBOUND) <= self.max_skipped:
             self.near[match] = None
 
     def result(self, match: tuple[int, ...]) -> MatchResult:
@@ -740,29 +722,29 @@ class _Unifier:
             binding=binding,
             sub_matches=subs,
             slots={},
-            score=Fraction(len(binding), self.size),
+            score=Fraction(len(binding), len(self.pid_order)),
             constraint_outcomes=(),
             spans=(),
         )
         return check_constraints(result, self.plan, self.g)
 
-    def finish(self, full_only: bool = False) -> list[tuple[int, ...]]:
+    def finish(self) -> list[tuple[int, ...]]:
         """The recorded matches a result list shows, best first.
 
         First stage one's full matches, ranked as they are by lowest real
         node, then tuple: rank()'s order, since every full match has the
         plan's size. A full match is never strictly contained, so they need
-        no filter. With full_only, only they; otherwise then every near-miss
-        that no recorded match strictly contains, in rank() order. Fewer
-        than two records need no filter and no sort. Also runs on
-        BudgetExceeded, so a truncated search keeps its partial results.
-        Results are built from these by result(), each once over both
-        stages, and only when someone reads them.
+        no filter. Then every near-miss that no recorded match strictly
+        contains, in rank() order (stage one records none). Fewer than two
+        records need no filter and no sort. Also runs on BudgetExceeded, so a
+        truncated search keeps its partial results. Results are built from
+        these by result(), each once over both stages, and only when someone
+        reads them.
         """
         full = sorted(self.full)  # then a stable sort by lowest real node keeps tuple order on ties
         if len(full) > 1:
-            full.sort(key=self.lowest if self.subplan_of else min)  # min: every node is real
-        if full_only or not self.near:
+            full.sort(key=self.lowest if self.tables.subplan_of else min)  # min: every node is real
+        if not self.near:
             return full
         near = list(self.near)
         if len(full) + len(near) > 1:
@@ -876,7 +858,7 @@ def _evaluate(pred: Predicate, m: MatchResult, slots: dict, chains: dict[int, in
         return ConstraintOutcome(pred, True, True, "matcher directive")
     if pred.op in ("samevar", "distinctvar"):
         pids = [str(a) for a in pred.args]
-        if any(pid not in m.binding or m.binding[pid] < 0 for pid in pids):
+        if any(pid not in m.binding for pid in pids):
             return ConstraintOutcome(pred, False, False, "not evaluable: pattern node unbound")
         reps = [chains[m.binding[pid]] for pid in pids]
         same = reps[0] == reps[1]

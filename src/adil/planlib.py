@@ -34,8 +34,10 @@ Every edge must fit the node shapes the flow graph builder makes
 has (port 0, the node's value, for a kind that makes one) and enters an
 in-port that its target's kind has (a JOIN has ports 0 and 1, an OP one per
 operand of its opcode, and a CALL, OUTPUT or EXIT any); a `true` or `false`
-ctrl edge leaves a TEST, and a `back` one enters a LOOPHEAD. The parser
-refuses a plan that breaks one of these, since no graph could match it;
+ctrl edge leaves a TEST, a `back` one enters a LOOPHEAD, and none leads from
+a node to itself. Predicates and exports name `node` lines, not `sub` ones,
+and a plan has one `doc` line at most. The parser refuses a plan that breaks
+one of these, since no graph could match it or no match pass;
 `base_validate` refuses a port on a sub node at or beyond its sub-plan's
 export count.
 """
@@ -284,6 +286,8 @@ class _PlanFileParser:
         if m is None:
             raise PlanSyntaxError(self.span(lineno), f"unrecognized directive: {line!r}")
         if keyword == "doc":
+            if cur["doc"] is not None:
+                raise PlanSyntaxError(self.span(lineno), "duplicate doc line")
             cur["doc"] = _unescape(m.group(1))
         elif keyword == "node":
             pid, kind_s, op_s, const_s, slot = m.groups()
@@ -384,6 +388,8 @@ def check_plan(plan: Plan) -> None:
         if a not in nodes or b not in nodes:
             unknown = a if a not in nodes else b
             raise PlanSemanticError(f"ctrl edge references unknown pattern node {unknown!r}")
+        if a == b:
+            raise PlanSemanticError(f"ctrl edge {a} -> {b}: no flow-graph node has a ctrl edge to itself")
         if label in LABEL_ENDS:  # the labels that fix an end's kind
             fault = label_fault(label, nodes[a].kind, nodes[b].kind)
             if fault:
@@ -406,6 +412,8 @@ def check_plan(plan: Plan) -> None:
                     raise PlanSemanticError(f"constraint references unbound slot {arg}")
             elif arg not in nodes:
                 raise PlanSemanticError(f"constraint references unknown pattern node {arg!r}")
+            elif nodes[arg].subplan is not None:
+                raise PlanSemanticError(f"constraint {pred} must reference a node, not sub node {arg!r}")
 
     for marker in MARKER_RE.finditer(plan.doc_template):
         sigil, name = marker.groups()

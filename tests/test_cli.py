@@ -528,13 +528,35 @@ def test_plan_add_refuses_a_name_that_is_no_file_name(work, tmp_path, capsys, na
 def test_acquire_accept_refuses_a_name_that_is_no_file_name(work, tmp_path, capsys):
     before = _plan_dir_bytes(work)
     draft = tmp_path / "draft.plan"
-    assert main(["acquire", str(work / "sum.c"), "--name", "../escaped", "-o", str(draft)]) == 0
+    outside = sorted(tmp_path.iterdir())
+    # drafting refuses the name before it writes anything
+    assert main(["acquire", str(work / "sum.c"), "--name", "../escaped", "-o", str(draft)]) == 1
+    assert "refusing to add '../escaped'" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == outside
+    # a draft that names it anyway, written by hand
+    assert main(["acquire", str(work / "sum.c"), "--name", "escaped", "-o", str(draft)]) == 0
+    draft.write_text(draft.read_text().replace('plan "escaped"', 'plan "../escaped"'))
+    capsys.readouterr()
     outside = sorted(tmp_path.iterdir())
     code = main(["acquire", str(work / "sum.c"), "--name", "../escaped", "-o", str(draft),
                  "--accept", "--plans", str(work / "plans")])
     assert code == 1
     assert "refusing to add '../escaped'" in capsys.readouterr().err
     assert _plan_dir_bytes(work) == before and sorted(tmp_path.iterdir()) == outside
+
+
+@pytest.mark.parametrize("output", (False, True))
+@pytest.mark.parametrize("name", ("../escaped", "", ".", "..", "sub/name", "back\\slash"))
+def test_acquire_refuses_a_name_that_is_no_file_name_before_drafting(work, monkeypatch, capsys, name, output):
+    cwd = work / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    files = sorted(work.rglob("*"))
+    argv = ["acquire", str(work / "sum.c"), "--name", name] + (["-o", str(cwd / "draft.plan")] if output else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (f"adil: refusing to add {name!r}: a plan name must be"
+                                       " usable as one file name in the plan directory\n")
+    assert sorted(work.rglob("*")) == files
 
 
 def test_acquire_accept_refuses_an_invalid_base(work, tmp_path, capsys):
@@ -597,6 +619,10 @@ _IMPOSSIBLE_EDITS = {
                              "ctrl edge ar -> add label=back does not target a LOOPHEAD"),
     "test-as-a-data-source": (("data ar:0 -> add:1", "node t kind=TEST\ndata t:0 -> add:1"), 2,
                               "t (kind=TEST) has no out-port 0"),
+    "ctrl-self-loop": (("data cl:0 -> ar:1", "data cl:0 -> ar:1\nctrl ar -> ar"), 2,
+                       "ctrl edge ar -> ar: no flow-graph node has a ctrl edge to itself"),
+    "predicate-on-a-sub-node": (("constraint commutable(add)", "constraint commutable(add)\nconstraint samevar(cl, add)"),
+                                2, "constraint samevar(cl, add) must reference a node, not sub node 'cl'"),
 }
 
 

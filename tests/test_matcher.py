@@ -269,6 +269,16 @@ end
 """
 
 
+def test_theta_is_compared_as_the_decimal_it_is_written_as():
+    # four additions in a chain: the five-addition chain binds at most 4 of 5
+    g = graph_of("int f(int u, int v) { int x0; int x1; int x2; int x3;"
+                 " x0 = u + v; x1 = x0 + u; x2 = x1 + u; x3 = x2 + u; return x3; }")
+    plan = parse_plan(CHAIN_PLAN)
+    assert max(r.score for r in unify(g, plan, SearchBudget(theta=0.8))) == Fraction(4, 5)
+    assert unify(g, plan, SearchBudget(theta=0.8000001)) == []
+    assert matcher.theta_fraction(0.8000001) == Fraction(8000001, 10**7)
+
+
 def test_budget_exceeded_carries_partials():
     g = graph_of(dense_source())
     plan = parse_plan(CHAIN_PLAN)
@@ -760,6 +770,11 @@ class _ReferenceUnifier(matcher._Unifier):
                     out += [dst for s in self.ctrl_nodes(binding[a])
                             for dst, lab in self.g.ctrl_out.get(s, ()) if label is None or lab == label]
         return sorted(set(out))
+
+    def charge(self):
+        self.steps += 1
+        if self.steps > self.max_steps:
+            raise matcher.BudgetExceeded(self.plan.name, [])
 
     def run(self):
         by_rarity = sorted(self.pid_order, key=lambda pid: len(self.node_candidates(pid)))
@@ -1376,7 +1391,7 @@ def test_stage_one_records_each_full_match_as_its_nodes_in_pattern_order(corpus_
         assert all(type(t) is tuple and all(type(nid) is int and nid != U for nid in t) for t in full + ranked)
         assert ranked == sorted(full, key=search.rank)
         random.Random(len(full)).shuffle(search.full)  # the ranking, whatever the record order
-        assert search.finish(full_only=True) == ranked
+        assert search.finish() == ranked
         results = [search.result(t) for t in ranked]
         assert all(list(r.binding) == list(search.pid_order) for r in results)
         counts[bool(plan.tables.subplans)] += len(full)
@@ -1441,19 +1456,18 @@ def test_full_matches_rank_as_rank_orders_them_on_every_workload_item(full_ranki
 
 
 def test_finish_returns_the_maximal_bindings_in_rank_order(monkeypatch, corpus_dir, base):
-    # each finish() that lists more than full matches returns what ranking
-    # every maximal recorded match returns: every plan on every corpus
-    # program, and the dense chain's by_plan
+    # each finish(), stage one's too, returns what ranking every maximal
+    # recorded match returns: every plan on every corpus program, and the
+    # dense chain's by_plan
     seen = []
     finish = matcher._Unifier.finish
 
-    def checking(self, full_only=False):
-        got = finish(self, full_only)
-        if not full_only:
-            records = self.full + list(self.near)
-            expected = sorted(maximal_bindings(records), key=self.rank)
-            assert got == expected, self.plan.name
-            seen.append((len(records), len(got), self.size))
+    def checking(self):
+        got = finish(self)
+        records = self.full + list(self.near)
+        expected = sorted(maximal_bindings(records), key=self.rank)
+        assert got == expected, self.plan.name
+        seen.append((len(records), len(got), len(self.pid_order)))
         return got
 
     monkeypatch.setattr(matcher._Unifier, "finish", checking)

@@ -82,6 +82,15 @@ def test_a_plan_error_names_its_file_and_header_line():
         parse_plans(text, "base/x.plan")
     assert str(err.value) == f"base/x.plan:{header}:1: plan 'x': pattern graph is not connected"
 
+
+def test_parse_rejects_a_second_doc_line():
+    text = ('plan "x" kind=cliche category=pe\ndoc "first"\nnode n1 kind=TEST\n'
+            'doc "second"\nend\n')
+    with pytest.raises(PlanSyntaxError) as err:
+        parse_plans(text, "x.plan")
+    assert str(err.value) == "x.plan:4:1: duplicate doc line"
+
+
 def test_parse_corrupts_only_on_bug_plans():
     with pytest.raises(PlanSyntaxError):
         parse_plan('plan "x" kind=cliche corrupts="y" category=pe\nnode n1 kind=TEST\nend\n')

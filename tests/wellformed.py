@@ -4,8 +4,9 @@
 whose in-ports do not fit its shape or lack a producer, a data edge out of
 port range or from a kind that makes no value, a data cycle that avoids
 every JOIN's back input, a node unreachable from entry or unable to reach
-exit, a LOOPHEAD without exactly one back edge, and a ctrl label on the
-wrong kind of node. An empty list means the graph is well formed.
+exit, a LOOPHEAD without exactly one back edge, a ctrl edge from a node to
+itself, and a ctrl label on the wrong kind of node. An empty list means the
+graph is well formed.
 """
 
 from __future__ import annotations
@@ -89,6 +90,8 @@ def validate(g: FlowGraph) -> list[str]:
             if backs != 1:
                 problems.append(f"loophead {nid} has {backs} back edges")
     for src, dst, label in g.ctrl_edges:
+        if src == dst:  # planlib.check_plan refuses a plan with one
+            problems.append(f"ctrl edge {src}->{dst} leads to its own node")
         fault = label_fault(label, g.nodes[src].kind, g.nodes[dst].kind)
         if fault:
             problems.append(f"{label} edge {src}->{dst} {fault}")
