@@ -33,8 +33,8 @@ print("--- the program ---")
 print(SOURCE)
 
 print("--- first few tokens ---")
-for tok in tokenize(SOURCE)[:12]:
-    print(f"  {tok.kind:8} {tok.text!r:10} line {tok.span.line_start} col {tok.span.col_start}")
+for kind, text, line, col, _ in tokenize(SOURCE)[:12]:
+    print(f"  {kind:8} {text!r:10} line {line} col {col}")
 
 # Parsing checks declarations and the subset grammar; desugaring rewrites the
 # for-loop into init; while(cond){body; step} so the graph builder only ever

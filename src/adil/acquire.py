@@ -1,8 +1,8 @@
 """Semi-automatic plan acquisition: generalize an instructor's exemplar.
 
 The draft mirrors the exemplar's flow graph as a pattern. Constants other
-than 0 and 1 become free slots (the keep-list is configurable): initializers
-and unit steps carry meaning in loop cliches, other literals are usually
+than those in KEEP_LITERALS, 0 and 1, become free slots: initializers and
+unit steps carry meaning in loop cliches, other literals are usually
 incidental. Reused value chains turn into explicit samevar constraints and
 ADD/MUL nodes are marked commutable. The draft never enters a base by
 itself: a human reviews the stub first, which is the point of the REVIEW
@@ -14,7 +14,6 @@ from __future__ import annotations
 from .flowgraph import NodeKind, OpCode, build_flow_graph, threaded_pairs
 from .frontend import Ast, desugar
 from .planlib import PatternNode, Plan, Predicate, check_plan, print_plan
-from .records import record
 from .source import split_lines
 
 
@@ -22,20 +21,17 @@ class AcquireError(Exception):
     pass
 
 
-@record
-class AcquireOptions:
-    keep_literals: frozenset[int] = frozenset({0, 1})
-    max_nodes: int = 64
-    category: str = "pe"
+KEEP_LITERALS = frozenset({0, 1})  # constants a draft keeps as written
+MAX_NODES = 64  # the largest exemplar graph a draft mirrors
+CATEGORY = "pe"  # a draft's knowledge category
 
 
-def acquire_plan(exemplar: Ast, name: str, opts: AcquireOptions | None = None) -> Plan:
+def acquire_plan(exemplar: Ast, name: str) -> Plan:
     """Draft a cliche plan that accepts the exemplar (and consistent variants)."""
-    opts = opts or AcquireOptions()
     g = build_flow_graph(desugar(exemplar))
-    if len(g.nodes) > opts.max_nodes:
+    if len(g.nodes) > MAX_NODES:
         raise AcquireError(
-            f"exemplar graph has {len(g.nodes)} nodes; drafts beyond {opts.max_nodes} "
+            f"exemplar graph has {len(g.nodes)} nodes; drafts beyond {MAX_NODES} "
             "are not reviewable")
 
     def pid(nid: int) -> str:
@@ -48,7 +44,7 @@ def acquire_plan(exemplar: Ast, name: str, opts: AcquireOptions | None = None) -
         const: int | None = None
         slot: str | None = None
         if node.kind is NodeKind.CONST:
-            if node.value in opts.keep_literals:
+            if node.value in KEEP_LITERALS:
                 const = node.value
             else:
                 slot_count += 1
@@ -75,7 +71,7 @@ def acquire_plan(exemplar: Ast, name: str, opts: AcquireOptions | None = None) -
     plan = Plan(
         name=name,
         kind="cliche",
-        category=opts.category,
+        category=CATEGORY,
         corrupts=None,
         doc_template=f"TODO: describe {name}",
         pnodes=tuple(sorted(pnodes, key=lambda pn: pn.pid)),

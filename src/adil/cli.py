@@ -23,12 +23,10 @@ from pathlib import Path
 from . import acquire as acq
 from . import debugger, explain, flowgraph, frontend, planlib
 from .matcher import SearchBudget
+from .source import SourceError
 
 _USAGE_ERRORS = (
-    frontend.LexError,
-    frontend.CSyntaxError,
-    debugger.SpecSyntaxError,
-    planlib.PlanSyntaxError,
+    SourceError,  # a program, plan file or spec the parsers refuse
     planlib.PlanSemanticError,
     planlib.DuplicatePlan,  # two plan files define one name
     planlib.UnknownPlan,

@@ -22,14 +22,11 @@ from .flowgraph import FlowGraph, UnboundVariable
 from .matcher import MatchResult, Recognition, SearchBudget, binding_values, recognize
 from .planlib import _STRING, Plan, PlanBase, _unescape, strip_comment, sub_closure
 from .records import record
-from .source import SourceSpan, span_hull, split_lines
+from .source import SourceError, SourceSpan, span_hull, split_lines
 
 
-class SpecSyntaxError(Exception):
-    def __init__(self, span: SourceSpan, message: str):
-        super().__init__(f"{span}: {message}")
-        self.span = span
-        self.message = message
+class SpecSyntaxError(SourceError):
+    """A spec file line the parser refuses, or a spec that lacks a line."""
 
 
 @record

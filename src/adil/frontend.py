@@ -13,10 +13,9 @@ pipeline's contract is that input programs are already syntactically
 valid, so anything else is out-of-scope input, not something to recover
 from.
 
-Inside the parser a token is a plain tuple (kind, text, line, col_start,
-col_end), as `_lex` makes it, and a SourceSpan is built only where an Ast
-node or an error keeps one. `tokenize()` returns the same tokens as `Token`
-records, each with its SourceSpan, for callers outside the parser.
+A token is a plain tuple (kind, text, line, col_start, col_end), as
+`tokenize` makes it and the parser reads it, and a SourceSpan is built only
+where an Ast node or an error keeps one.
 
 The parser resolves every name, once: each declaration gets a slot, a
 number that is unique within its function, and every VarRef, ArrayRef and
@@ -34,25 +33,21 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import field, replace
-from typing import ClassVar, NamedTuple
+from typing import ClassVar
 
 from .records import record
-from .source import SourceSpan, span_hull, span_join
+from .source import SourceError, SourceSpan, span_hull, span_join
 
 
-class LexError(Exception):
-    def __init__(self, span: SourceSpan, message: str):
-        super().__init__(f"{span}: {message}")
-        self.span = span
-        self.message = message
+class LexError(SourceError):
+    """Source text that is no token: an unknown character, an unterminated comment or string."""
 
 
-class CSyntaxError(Exception):
+class CSyntaxError(SourceError):
     """Parse failure: `expected` describes the grammar point, `found` the token."""
 
     def __init__(self, span: SourceSpan, expected: str, found: str):
-        super().__init__(f"{span}: expected {expected}, found {found}")
-        self.span = span
+        super().__init__(span, f"expected {expected}, found {found}")
         self.expected = expected
         self.found = found
 
@@ -101,18 +96,12 @@ _TOKEN_RE = re.compile(
 _WORD_TAIL = re.compile(r"\w*")
 
 
-class Token(NamedTuple):
-    kind: str  # keyword text, punct text, or one of: ident, num, string
-    text: str
-    span: SourceSpan
-
-
-# A lexed token as the parser reads it: (kind, text, line, col_start,
-# col_end), a plain tuple, on one line (see _lex).
+# A token: (kind, text, line, col_start, col_end), a plain tuple, on one
+# line. kind is the keyword or punctuator text, or one of ident, num, string.
 _Tok = tuple[str, str, int, int, int]
 
 
-def _lex(source: str, filename: str = "<source>") -> list[_Tok]:
+def tokenize(source: str, filename: str = "<source>") -> list[_Tok]:
     """Split source into (kind, text, line, col_start, col_end) tuples,
     skipping whitespace, comments and #include lines. Raises LexError."""
     tokens: list[_Tok] = []
@@ -165,12 +154,6 @@ def _lex(source: str, filename: str = "<source>") -> list[_Tok]:
             append((kind, text, line, col_end - len(text) + 1, col_end))
         else:
             return tokens
-
-
-def tokenize(source: str, filename: str = "<source>") -> list[Token]:
-    """Split source into Tokens, skipping whitespace, comments and #include lines."""
-    return [Token(kind, text, SourceSpan(filename, line, col_start, line, col_end))
-            for kind, text, line, col_start, col_end in _lex(source, filename)]
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +340,7 @@ def _found(tok: _Tok) -> str:
 
 
 class _Parser:
-    """Reads _lex's tuples by index (tok[0] the kind, tok[1] the text) and
+    """Reads tokenize's tuples by index (tok[0] the kind, tok[1] the text) and
     builds a SourceSpan only where an Ast node or an error keeps one."""
 
     def __init__(self, tokens: list[_Tok], filename: str):
@@ -774,7 +757,7 @@ class _Parser:
 
 def parse_c(source: str, filename: str = "<source>") -> Ast:
     """Parse C-subset source into an Ast. Raises LexError / CSyntaxError."""
-    return _Parser(_lex(source, filename), filename).parse_program()
+    return _Parser(tokenize(source, filename), filename).parse_program()
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,7 @@ in an order fixed by a total sort key, not by the order of exploration.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
@@ -166,16 +167,6 @@ UNBOUND = -10**9
 
 
 @record
-class VarIdentity:
-    """A slot bound to a value chain rather than a constant."""
-    chain: int  # representative node id of the variable-threading class
-    name: str | None
-
-    def __str__(self) -> str:
-        return self.name if self.name else f"<value #{self.chain}>"
-
-
-@record
 class ConstraintOutcome:
     predicate: Predicate
     passed: bool
@@ -188,7 +179,7 @@ class MatchResult:
     plan: str
     binding: dict[str, int]  # pid -> node id (negative ids denote sub-matches)
     sub_matches: dict[str, "MatchResult"]  # pid -> accepted sub-match
-    slots: dict[str, int | VarIdentity]
+    slots: dict[str, int]  # slot -> the value of the CONST node bound to its pattern node
     score: Fraction
     constraint_outcomes: tuple[ConstraintOutcome, ...]
     spans: tuple[SourceSpan, ...]
@@ -829,31 +820,26 @@ def unify(g: FlowGraph, plan: Plan, budget: SearchBudget | None = None,
 def check_constraints(m: MatchResult, plan: Plan, g: FlowGraph) -> MatchResult:
     """Evaluate every predicate against the binding; failures are data, not errors."""
     chains = value_chains(g)
-    slots: dict[str, int | VarIdentity] = {}
-    for pn in plan.pnodes:
-        if pn.slot is None or pn.pid not in m.binding:
-            continue
-        nid = m.binding[pn.pid]
-        if nid < 0:
-            continue
-        node = g.nodes[nid]
-        if node.kind is NodeKind.CONST:
-            slots[pn.slot] = node.value
-        else:
-            rep = chains[nid]
-            name = node.var_name or g.nodes[rep].var_name
-            slots[pn.slot] = VarIdentity(rep, name)
-
-    outcomes: list[ConstraintOutcome] = []
-    for pred in plan.constraints:
-        outcomes.append(_evaluate(pred, m, slots, chains, g))
-
+    # the parser puts a slot on a CONST pattern node only, which binds a CONST node
+    slots = {pn.slot: g.nodes[m.binding[pn.pid]].value for pn in plan.pnodes
+             if pn.slot is not None and pn.pid in m.binding}
+    outcomes = tuple([_evaluate(pred, m, slots, chains, g) for pred in plan.constraints])
     spans = tuple(sorted(g.nodes[nid].span for nid in m.real_nodes()))
-    return MatchResult(m.plan, m.binding, m.sub_matches, slots, m.score, tuple(outcomes), spans)
+    return MatchResult(m.plan, m.binding, m.sub_matches, slots, m.score, outcomes, spans)
 
 
-def _evaluate(pred: Predicate, m: MatchResult, slots: dict, chains: dict[int, int],
+# A comparison's test, and what a failed one says it expected, before the right operand
+_COMPARISONS = {
+    "eq": (operator.eq, "expected "), "ne": (operator.ne, "expected anything but "),
+    "lt": (operator.lt, "expected < "), "le": (operator.le, "expected <= "),
+    "gt": (operator.gt, "expected > "), "ge": (operator.ge, "expected >= "),
+}
+
+
+def _evaluate(pred: Predicate, m: MatchResult, slots: dict[str, int], chains: dict[int, int],
               g: FlowGraph) -> ConstraintOutcome:
+    """One predicate's outcome on the match. A comparison reads its slots' constants:
+    its left operand is a $slot, its right an int or a $slot (the parser's rule)."""
     if pred.op == "commutable":
         return ConstraintOutcome(pred, True, True, "matcher directive")
     if pred.op in ("samevar", "distinctvar"):
@@ -867,30 +853,19 @@ def _evaluate(pred: Predicate, m: MatchResult, slots: dict, chains: dict[int, in
         relation = "the same variable" if same else "different variables"
         return ConstraintOutcome(pred, passed, True, f"{names[0]} and {names[1]} are {relation}")
 
-    # value comparisons over slots
     values: list[int] = []
     for arg in pred.args:
         if isinstance(arg, int):
             values.append(arg)
+        elif (value := slots.get(arg[1:])) is None:
+            return ConstraintOutcome(pred, False, False, f"not evaluable: slot {arg} unbound")
         else:
-            slot_name = arg[1:]
-            value = slots.get(slot_name)
-            if value is None:
-                return ConstraintOutcome(pred, False, False, f"not evaluable: slot {arg} unbound")
-            if isinstance(value, VarIdentity):
-                return ConstraintOutcome(pred, False, True,
-                                         f"{arg} is bound to variable {value}, not a constant")
             values.append(value)
     lhs, rhs = values
-    ops = {"eq": lhs == rhs, "ne": lhs != rhs, "lt": lhs < rhs,
-           "le": lhs <= rhs, "gt": lhs > rhs, "ge": lhs >= rhs}
-    passed = ops[pred.op]
-    label = str(pred.args[0])[1:] if isinstance(pred.args[0], str) else str(pred.args[0])
-    wanted = {"eq": f"expected {rhs}", "ne": f"expected anything but {rhs}",
-              "lt": f"expected < {rhs}", "le": f"expected <= {rhs}",
-              "gt": f"expected > {rhs}", "ge": f"expected >= {rhs}"}[pred.op]
-    detail = f"{label}={lhs}" + ("" if passed else f", {wanted}")
-    return ConstraintOutcome(pred, passed, True, detail)
+    test, wanted = _COMPARISONS[pred.op]
+    if test(lhs, rhs):
+        return ConstraintOutcome(pred, True, True, f"{pred.args[0][1:]}={lhs}")
+    return ConstraintOutcome(pred, False, True, f"{pred.args[0][1:]}={lhs}, {wanted}{rhs}")
 
 
 # ---------------------------------------------------------------------------
@@ -932,9 +907,6 @@ def binding_values(plan: Plan, m: MatchResult, g: FlowGraph) -> tuple[dict[str, 
     for role, pid in plan.exports:
         nid = m.binding.get(pid)
         if nid is None:
-            continue
-        if nid < 0:
-            role_strs[role] = m.sub_matches[pid].plan
             continue
         node = g.nodes[nid]
         if node.var_name:

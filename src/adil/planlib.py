@@ -20,9 +20,10 @@ Plan text grammar, one directive per line, `;` starts a comment:
     end
 
 Predicates: eq/ne/lt/le/gt/ge($slot, int-or-$slot), samevar(pid, pid),
-distinctvar(pid, pid), commutable(pid). A `.plan` file holds one or more
-plans; a plan base is a directory of such files loaded in lexicographic
-filename order.
+distinctvar(pid, pid), commutable(pid). Only a CONST node takes `const=` or
+`slot=`: a slot holds a constant, and `export` names a variable. A `.plan`
+file holds one or more plans; a plan base is a directory of such files
+loaded in lexicographic filename order.
 
 Edges to a `sub` pattern node address the sub-plan's exported nodes: port k
 of a sub node is the node bound to the k-th export role in lexicographic
@@ -52,14 +53,11 @@ from pathlib import Path
 
 from .flowgraph import LABEL_ENDS, NodeKind, OpCode, label_fault, shape
 from .records import record
-from .source import SourceSpan, split_lines
+from .source import SourceError, SourceSpan, split_lines
 
 
-class PlanSyntaxError(Exception):
-    def __init__(self, span: SourceSpan, message: str):
-        super().__init__(f"{span}: {message}")
-        self.span = span
-        self.message = message
+class PlanSyntaxError(SourceError):
+    """A plan file line the parser refuses, or a plan without its end line."""
 
 
 class PlanSemanticError(Exception):
@@ -305,6 +303,8 @@ class _PlanFileParser:
                     raise PlanSyntaxError(self.span(lineno), "op= is only meaningful on kind=OP nodes")
             if const_s is not None and kind is not NodeKind.CONST:
                 raise PlanSyntaxError(self.span(lineno), "const= is only meaningful on kind=CONST nodes")
+            if slot is not None and kind is not NodeKind.CONST:
+                raise PlanSyntaxError(self.span(lineno), "slot= is only meaningful on kind=CONST nodes")
             cur["nodes"].append(PatternNode(pid, kind, opcode,
                                             int(const_s) if const_s is not None else None, slot))
         elif keyword == "sub":

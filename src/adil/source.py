@@ -44,6 +44,15 @@ class SourceSpan(_SpanFields):
         return f"{self.file}:{self.line_start}:{self.col_start}"
 
 
+class SourceError(Exception):
+    """A program, plan file or spec refused at span; str() is f"{span}: {message}"."""
+
+    def __init__(self, span: SourceSpan, message: str):
+        super().__init__(f"{span}: {message}")
+        self.span = span
+        self.message = message
+
+
 def split_lines(text: str, keepends: bool = False) -> list[str]:
     """text's lines as the lexer numbers them: broken at newlines only. Unlike
     str.splitlines(), no form feed, vertical tab, file, group or record

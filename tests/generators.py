@@ -160,15 +160,15 @@ def rename_variant(source: str) -> str:
 
     mapping: dict[str, str] = {}
     out: list[str] = []
-    for tok in tokenize(source):
-        if tok.kind == "ident" and tok.text not in ("main", "scanf", "printf"):
-            if tok.text not in mapping:
-                mapping[tok.text] = f"v{len(mapping)}"
-            out.append(mapping[tok.text])
-        elif tok.kind == "string":
-            out.append(f'"{tok.text}"')
+    for kind, text, *_ in tokenize(source):
+        if kind == "ident" and text not in ("main", "scanf", "printf"):
+            if text not in mapping:
+                mapping[text] = f"v{len(mapping)}"
+            out.append(mapping[text])
+        elif kind == "string":
+            out.append(f'"{text}"')
         else:
-            out.append(tok.text)
+            out.append(text)
     return _reflow_tokens(out, random.Random(0))
 
 
@@ -177,8 +177,8 @@ def reflow_variant(source: str, seed: int = 1) -> str:
     from adil.frontend import tokenize
 
     out: list[str] = []
-    for tok in tokenize(source):
-        out.append(f'"{tok.text}"' if tok.kind == "string" else tok.text)
+    for kind, text, *_ in tokenize(source):
+        out.append(f'"{text}"' if kind == "string" else text)
     return _reflow_tokens(out, random.Random(seed))
 
 

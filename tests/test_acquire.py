@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from adil.acquire import AcquireError, AcquireOptions, acquire_plan, review_stub
+from adil.acquire import AcquireError, acquire_plan, review_stub
 from adil.flowgraph import NodeKind, graph_of
 from adil.frontend import parse_c
 from adil.matcher import SearchBudget, unify
@@ -14,8 +14,8 @@ from conftest import SUM_SOURCE
 from generators import rename_variant
 
 
-def _draft(source: str, name: str = "draft", opts: AcquireOptions | None = None):
-    return acquire_plan(parse_c(source, filename="exemplar.c"), name, opts)
+def _draft(source: str, name: str = "draft"):
+    return acquire_plan(parse_c(source, filename="exemplar.c"), name)
 
 
 def test_keep_list_constant_stays_literal():
@@ -36,10 +36,10 @@ def test_other_constants_become_free_slots():
                    for p in plan.constraints)
 
 
-def test_keep_list_is_configurable():
-    plan = _draft("int main(){int x;x=7;}", opts=AcquireOptions(keep_literals=frozenset({7})))
+def test_keep_list_is_zero_and_one():
+    plan = _draft("int main(){int x;int y;int z;x=0;y=1;z=7;}")
     consts = [pn for pn in plan.pnodes if pn.kind is NodeKind.CONST]
-    assert consts[0].const == 7
+    assert [(pn.const, pn.slot) for pn in consts] == [(0, None), (1, None), (None, "c1")]
 
 
 def test_draft_self_recognizes_sum():

@@ -439,6 +439,15 @@ def test_plan_check_ok(work, capsys):
     assert "0 problem(s)" in capsys.readouterr().out
 
 
+def test_analyze_on_an_invalid_base_exits_2_before_any_report(work, capsys):
+    (work / "plans" / "zz-broken.plan").write_text(
+        'plan "broken" kind=bug corrupts="ghost" category=cbt\nnode n1 kind=TEST\nend\n')
+    assert _analyze(work, "sum.c", "--report-json", str(work / "r.json")) == 2
+    assert capsys.readouterr() == ("", f"adil: plan base {str(work / 'plans')!r} is invalid:"
+                                       " broken: corrupts unknown plan 'ghost'\n")
+    assert not (work / "r.json").exists()
+
+
 def test_plan_check_reports_problems(work, capsys):
     (work / "plans" / "zz-broken.plan").write_text(
         'plan "broken" kind=bug corrupts="ghost" category=cbt\nnode n1 kind=TEST\nend\n')
@@ -602,10 +611,10 @@ def test_acquire_oversized_exemplar(work, tmp_path, capsys):
     capsys.readouterr()
 
 
-# Single edits to running-total that no graph the builder makes could match:
-# (replaced line, its replacement), the exit code of `plan check` and
-# `plan add`, and what the message says. Port and label errors are the
-# plan's own (exit 2, as a parse error); a sub-plan port needs the base.
+# Single edits to running-total that no graph the builder makes could match,
+# or no match pass: (replaced line, its replacement), the exit code of `plan
+# check` and `plan add`, and what the message says. Port and label errors are
+# the plan's own (exit 2, as a parse error); a sub-plan port needs the base.
 _IMPOSSIBLE_EDITS = {
     "in-port-beyond-a-join": (("data c0:0 -> js:0", "data c0:0 -> js:2"), 2,
                               "js (kind=JOIN) has no in-port 2"),
@@ -623,7 +632,13 @@ _IMPOSSIBLE_EDITS = {
                        "ctrl edge ar -> ar: no flow-graph node has a ctrl edge to itself"),
     "predicate-on-a-sub-node": (("constraint commutable(add)", "constraint commutable(add)\nconstraint samevar(cl, add)"),
                                 2, "constraint samevar(cl, add) must reference a node, not sub node 'cl'"),
+    # a slot on a JOIN binds a variable, which eq() could never compare
+    "slot-on-a-join": (("node js kind=JOIN", "node js kind=JOIN slot=$acc\nconstraint eq($acc, 0)"), 2,
+                       "slot= is only meaningful on kind=CONST nodes"),
 }
+# The line a refusal names, for one refused at a line of its own; any other
+# plan error names the plan's header, line 4
+_REFUSED_AT = {"slot-on-a-join": 7}
 
 
 @pytest.mark.parametrize("case", sorted(_IMPOSSIBLE_EDITS))
@@ -640,14 +655,15 @@ def test_an_impossible_edit_of_a_shipped_plan_is_refused(work, tmp_path, capsys,
     assert main(["plan", "add", str(new_plan), "--plans", str(work / "plans")]) == code
     err = capsys.readouterr().err
     assert message in err
-    assert err.startswith(f"adil: {new_plan}:4:1: plan 'running-total-edited': " if code == 2 else
+    where = f"{_REFUSED_AT[case]}:1: " if case in _REFUSED_AT else "4:1: plan '{}': "
+    assert err.startswith(f"adil: {new_plan}:{where.format('running-total-edited')}" if code == 2 else
                           "adil: refusing to add running-total-edited")
     assert _plan_dir_bytes(work) == before
     shipped.write_text(edited)
     assert main(["plan", "check", "--plans", str(work / "plans")]) == code
     out, err = capsys.readouterr()
     if code == 2:
-        assert err.startswith(f"adil: {shipped}:4:1: plan 'running-total': ") and message in err
+        assert err.startswith(f"adil: {shipped}:{where.format('running-total')}") and message in err
     else:
         assert message in out and out.endswith("16 plan(s), 1 problem(s)\n")
 

@@ -24,6 +24,7 @@ from adil.explain import render, render_text
 from adil.flowgraph import NodeKind, build_flow_graph, graph_of
 from adil.frontend import desugar, parse_c
 from adil.matcher import SearchBudget
+from adil.source import SourceSpan
 
 from conftest import GOAL_AND_BUG_PROGRAMS, ROOT, SUM_SOURCE
 
@@ -46,6 +47,33 @@ def test_parse_spec_single_goal():
 def test_parse_spec_zero_goals_rejected():
     with pytest.raises(SpecSyntaxError):
         parse_spec('spec "empty"\nend\n')
+
+
+# Every refusal of the spec parser, as (spec text, span, message). A line's
+# refusal spans the line as written; a missing line is named at the last line.
+_SPEC_REFUSALS = {
+    "content-after-end": ('spec "t"\ngoal "g" required\nend\nnote "late"\n', (4, 1, 4, 11), "content after end"),
+    "duplicate-spec-line": ('spec "t"\nspec "u" ; again\ngoal "g" required\nend\n', (2, 1, 2, 16),
+                            "duplicate spec line"),
+    "duplicate-goal": ('spec "t"\ngoal "g" required\n  goal "g" optional\nend\n', (3, 1, 3, 19),
+                       "duplicate goal 'g'"),
+    "unrecognized-line": ('spec "t"\ngoal "g" maybe\nend\n', (2, 1, 2, 14),
+                          "unrecognized spec line: 'goal \"g\" maybe'"),
+    "missing-title": ('goal "g" required\nend\n', (2, 1, 2, 1), "missing spec title line"),
+    "missing-end": ('spec "t"\ngoal "g" required\n', (2, 1, 2, 1), "missing end line"),
+    "no-goal": ('spec "t"\nend\n', (2, 1, 2, 1), "a specification needs at least one goal"),
+    "empty": ("", (1, 1, 1, 1), "missing spec title line"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPEC_REFUSALS))
+def test_each_spec_refusal_pins_its_message_and_span(case):
+    text, span, message = _SPEC_REFUSALS[case]
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_spec(text, "t.spec")
+    assert err.value.span == SourceSpan("t.spec", *span)
+    assert err.value.message == message
+    assert str(err.value) == f"t.spec:{span[0]}:{span[1]}: {message}"
 
 
 def test_parse_spec_two_goals_ordered():
@@ -149,6 +177,21 @@ def test_a_goal_naming_a_bug_cliche_is_refused(base):
                     lambda: diagnose(graph_of(source), spec, base)):
             with pytest.raises(ValueError, match="goal 'off-by-one-bound' names a bug cliche"):
                 run()
+
+
+def test_a_failing_node_predicate_pinpoints_its_nodes():
+    source = "int main() { int i; i = 0;\nwhile (i < 3) {\ni = i + 1; }\nreturn i; }\n"
+    base = planlib.PlanBase()
+    planlib.base_add(base, planlib.parse_plan(
+        'plan "step-other" kind=cliche category=pe\ndoc "steps @src into a new variable"\n'
+        "node zero kind=CONST const=0\nnode j kind=JOIN\nnode add kind=OP op=ADD\nnode one kind=CONST const=1\n"
+        "data zero:0 -> j:0\ndata j:0 -> add:0\ndata one:0 -> add:1\ndata add:0 -> j:1\n"
+        "constraint distinctvar(j, add)\nexport src = j\nend\n"))
+    report = analyze(source, "p.c", parse_spec('spec "t"\ngoal "step-other" required\nend\n'), base)
+    (finding,) = report.findings
+    assert (finding.kind, finding.evidence) == (FindingKind.CONSTRAINT_VIOLATION, "i and i are the same variable")
+    # the loop's JOIN and the ADD, not the hull of the match, which starts at `i = 0`
+    assert finding.span == SourceSpan("p.c", 2, 1, 3, 12)
 
 
 def test_diagnose_optional_goal_missing_is_quiet(base):

@@ -216,6 +216,20 @@ def test_renaming_yields_isomorphic_graph():
     assert strip(g1) == strip(g2)
 
 
+def _unspanned(g) -> tuple:
+    """The graph as its nodes without their spans, and its edges."""
+    nodes = {nid: dataclasses.replace(n, span=None) for nid, n in g.nodes.items()}
+    return nodes, sorted(g.data_edges), sorted(g.ctrl_edges), g.entry, g.exit
+
+
+def test_a_declaration_with_an_initializer_is_its_assignment():
+    loop = "while (i < 3) { s = s + a[i]; i = i + 1; } return s; }"
+    initialized = graph_of("int main() { int a[3]; int s = 0; int i = 0; " + loop)
+    assigned = graph_of("int main() { int a[3]; int s; int i; s = 0; i = 0; " + loop)
+    assert _unspanned(initialized) == _unspanned(assigned)
+    assert initialized.nodes != assigned.nodes  # the initializers are read where they are written
+
+
 def test_build_requires_desugared_ast():
     ast = fe.parse_c("int main(){int i;for(i=0;i<3;i=i+1){}}")
     with pytest.raises(ValueError):

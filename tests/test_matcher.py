@@ -279,6 +279,22 @@ def test_theta_is_compared_as_the_decimal_it_is_written_as():
     assert matcher.theta_fraction(0.8000001) == Fraction(8000001, 10**7)
 
 
+def test_unify_refuses_a_plan_without_its_sub_plan_definitions(base, sum_graph):
+    with pytest.raises(ValueError) as err:
+        unify(sum_graph, base.plans["running-total"])
+    assert str(err.value) == "plan 'running-total' needs sub-plan definitions for ['counted-loop']"
+
+
+def test_binding_values_name_a_role_by_its_node():
+    g = graph_of("int main() { int x; scanf(\"%d\", &x); if (x < 5) x = 1; return x; }")
+    plan = parse_plan('plan "bound" kind=cliche category=pe\nnode c kind=CONST\nnode lt kind=OP op=LT\n'
+                      'node in kind=INPUT\ndata in:0 -> lt:0\ndata c:0 -> lt:1\n'
+                      'export bound = c\nexport cmp = lt\nexport src = in\nend\n')
+    (m,) = unify(g, plan)
+    # a variable's name, else the constant's value, else the node's kind
+    assert matcher.binding_values(plan, m, g) == ({}, {"bound": "5", "cmp": "op", "src": "x"})
+
+
 def test_budget_exceeded_carries_partials():
     g = graph_of(dense_source())
     plan = parse_plan(CHAIN_PLAN)
@@ -1355,6 +1371,54 @@ def test_kernels_agree_with_extend_at_every_budget(case, corpus_dir, base):
             truncations += cut[-1][1]
             assert cut[-1][1] is (budget < steps)
     assert truncations > (1000 if case == "dense-chain" else 100)
+
+
+# Two summing loops over one local array, declared just before the first
+# loop: counted-loop and running-total each match twice
+TWO_SUMS = """\
+int main() {
+    int s; int t; int i;
+    s = 0;
+    t = 0;
+    int a[4];
+    for (i = 0; i < 4; i = i + 1) s = s + a[i];
+    for (i = 0; i < 4; i = i + 1) t = t + a[i];
+    return s + t;
+}
+"""
+
+# Plans that reach a sub node in the ways no shipped plan does, each with its
+# number of accepted matches on TWO_SUMS: a data edge into the sub node from
+# a real node seeded first (one PARAM against two running totals), a data
+# edge into it from a real node found after it (many CONSTs against two
+# counted loops), and a ctrl edge alone (from the array's declaration into
+# the first loop's counter initialization)
+SUB_NODE_EDGES = {
+    "data-edge-real-end-first": ('plan "array-summed" kind=cliche category=pe\nnode p kind=PARAM\n'
+                                 'sub rt plan="running-total"\ndata p:0 -> rt:2\nend\n', 2),
+    "data-edge-sub-node-first": ('plan "counter-start" kind=cliche category=pe\nnode k kind=CONST\n'
+                                 'sub cl plan="counted-loop"\ndata k:0 -> cl:0\nend\n', 2),
+    "ctrl-edge-only": ('plan "after-the-array" kind=cliche category=pe\nnode h kind=PARAM\n'
+                       'sub cl plan="counted-loop"\nctrl h -> cl\nend\n', 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUB_NODE_EDGES))
+def test_kernels_agree_with_extend_on_sub_nodes_at_every_budget(case, base):
+    g = graph_of(TWO_SUMS, "two.c")
+    accepted: dict[str, list] = {}
+    for name in ("counted-loop", "running-total"):
+        stages, search = _Tiers(base.plans[name]).agree(g, None, accepted, base.plans)
+        accepted[name] = _accepted(stages, search)
+        assert len(accepted[name]) == 2, name
+    text, matches = SUB_NODE_EDGES[case]
+    tiers = _Tiers(parse_plan(text))
+    stages, search = tiers.agree(g, None, accepted, base.plans)
+    assert len(_accepted(stages, search)) == matches
+    steps = stages[-1][2][0]
+    for budget in range(1, steps + 2):
+        cut, _ = tiers.agree(g, SearchBudget(max_extension_steps=budget), accepted, base.plans)
+        assert cut[-1][1] is (budget < steps)
 
 
 def test_near_miss_kernels_agree_with_extend_at_every_budget(corpus_dir, base):

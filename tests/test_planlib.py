@@ -23,8 +23,10 @@ from adil.planlib import (
     parse_plan,
     parse_plans,
     print_plan,
+    remove_plan_text,
     sub_closure,
 )
+from adil.source import SourceSpan
 
 from conftest import FLAT_RUNNING_TOTAL
 from generators import random_graph, random_plan
@@ -89,6 +91,92 @@ def test_parse_rejects_a_second_doc_line():
     with pytest.raises(PlanSyntaxError) as err:
         parse_plans(text, "x.plan")
     assert str(err.value) == "x.plan:4:1: duplicate doc line"
+
+
+_HEADER = 'plan "x" kind=cliche category=pe\n'
+_TEST_NODE = "node n1 kind=TEST\n"
+
+# Every refusal of the plan parser, as (plan text, error class, error text).
+# A syntax error names the line it was read at; a plan that parsed line by
+# line but cannot stand names its header line and the plan.
+_PLAN_REFUSALS = {
+    "not-a-header": (_TEST_NODE, PlanSyntaxError,
+                     "t.plan:1:1: expected a plan header, got 'node n1 kind=TEST'"),
+    "corrupts-on-a-cliche": ('plan "x" kind=cliche corrupts="y" category=pe\n' + _TEST_NODE + "end\n",
+                             PlanSyntaxError,
+                             "t.plan:1:1: corrupts= is required on bug plans and forbidden otherwise"),
+    "missing-end": (_HEADER + _TEST_NODE, PlanSyntaxError, "t.plan:3:1: plan 'x' is missing its end line"),
+    "unrecognized-directive": (_HEADER + _TEST_NODE + "edge n1 -> n1\nend\n", PlanSyntaxError,
+                               "t.plan:3:1: unrecognized directive: 'edge n1 -> n1'"),
+    "second-doc": (_HEADER + 'doc "a"\n' + _TEST_NODE + 'doc "b"\nend\n', PlanSyntaxError,
+                   "t.plan:4:1: duplicate doc line"),
+    "unknown-node-kind": (_HEADER + "node n1 kind=LOOP\nend\n", PlanSyntaxError,
+                          "t.plan:2:1: unknown node kind 'LOOP'"),
+    "unknown-opcode": (_HEADER + "node n1 kind=OP op=POW\nend\n", PlanSyntaxError,
+                       "t.plan:2:1: unknown opcode 'POW'"),
+    "op-on-a-test": (_HEADER + "node n1 kind=TEST op=ADD\nend\n", PlanSyntaxError,
+                     "t.plan:2:1: op= is only meaningful on kind=OP nodes"),
+    "const-on-a-join": (_HEADER + "node n1 kind=JOIN const=0\nend\n", PlanSyntaxError,
+                        "t.plan:2:1: const= is only meaningful on kind=CONST nodes"),
+    "unknown-predicate": (_HEADER + _TEST_NODE + "constraint same(n1, n1)\nend\n", PlanSyntaxError,
+                          "t.plan:3:1: unknown predicate 'same'"),
+    "bad-argument": (_HEADER + _TEST_NODE + "constraint samevar(n1, 1x)\nend\n", PlanSyntaxError,
+                     "t.plan:3:1: bad predicate argument '1x'"),
+    "arity": (_HEADER + _TEST_NODE + "constraint commutable(n1, n1)\nend\n", PlanSyntaxError,
+              "t.plan:3:1: commutable takes 1 argument(s)"),
+    "comparison-of-an-int": (_HEADER + "node c kind=CONST slot=$s\nconstraint eq(0, $s)\nend\n",
+                             PlanSyntaxError, "t.plan:3:1: eq compares a $slot to an int or $slot"),
+    "node-ids-given-a-slot": (_HEADER + "node c kind=CONST slot=$s\nconstraint samevar($s, c)\nend\n",
+                              PlanSyntaxError, "t.plan:3:1: samevar takes pattern-node ids"),
+    "duplicate-node-id": (_HEADER + _TEST_NODE + _TEST_NODE + "end\n", PlanSemanticError,
+                          "t.plan:1:1: plan 'x': duplicate pattern-node id"),
+    "no-pattern-node": (_HEADER + 'doc "nothing"\nend\n', PlanSemanticError,
+                        "t.plan:1:1: plan 'x': a plan needs at least one pattern node"),
+    "duplicate-slot": (_HEADER + "node a kind=CONST slot=$s\nnode b kind=CONST slot=$s\nend\n",
+                       PlanSemanticError, "t.plan:1:1: plan 'x': a slot may be bound by only one pattern node"),
+    "unbound-slot-in-a-constraint": (_HEADER + _TEST_NODE + "constraint eq($ghost, 0)\nend\n",
+                                     PlanSemanticError,
+                                     "t.plan:1:1: plan 'x': constraint references unbound slot $ghost"),
+    "unknown-node-in-a-data-edge": (_HEADER + "node c kind=CONST\ndata c:0 -> j:0\nend\n", PlanSemanticError,
+                                    "t.plan:1:1: plan 'x': data edge references unknown pattern node 'j'"),
+    "unknown-node-in-a-ctrl-edge": (_HEADER + _TEST_NODE + "ctrl n1 -> n9\nend\n", PlanSemanticError,
+                                    "t.plan:1:1: plan 'x': ctrl edge references unknown pattern node 'n9'"),
+    "unknown-node-in-an-export": (_HEADER + _TEST_NODE + "export r = n9\nend\n", PlanSemanticError,
+                                  "t.plan:1:1: plan 'x': export 'r' references unknown pattern node 'n9'"),
+    "unknown-node-in-a-constraint": (_HEADER + _TEST_NODE + "constraint commutable(n9)\nend\n",
+                                     PlanSemanticError,
+                                     "t.plan:1:1: plan 'x': constraint references unknown pattern node 'n9'"),
+    "export-of-a-sub-node": (_HEADER + 'sub s plan="y"\nexport r = s\nend\n', PlanSemanticError,
+                             "t.plan:1:1: plan 'x': export 'r' must reference a node, not a sub-plan"),
+    "duplicate-role": (_HEADER + _TEST_NODE + "export r = n1\nexport r = n1\nend\n", PlanSemanticError,
+                       "t.plan:1:1: plan 'x': duplicate export role"),
+    "doc-with-an-unbound-slot": (_HEADER + 'doc "from $ghost"\n' + _TEST_NODE + "end\n", PlanSemanticError,
+                                 "t.plan:1:1: plan 'x': doc template references unbound slot $ghost"),
+    "doc-with-an-unexported-role": (_HEADER + 'doc "into @ghost"\n' + _TEST_NODE + "end\n",
+                                    PlanSemanticError,
+                                    "t.plan:1:1: plan 'x': doc template references unexported role @ghost"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PLAN_REFUSALS))
+def test_each_plan_refusal_pins_its_message_and_span(case):
+    text, error, message = _PLAN_REFUSALS[case]
+    with pytest.raises(error) as err:
+        parse_plans(text, "t.plan")
+    assert type(err.value) is error and str(err.value) == message
+    if error is PlanSyntaxError:
+        line = int(message.split(":")[1])
+        assert err.value.span == SourceSpan("t.plan", line, 1, line, 1)
+        assert err.value.message == message.split(": ", 1)[1]
+
+
+def test_plan_text_refusals_outside_the_parser():
+    with pytest.raises(UnknownPlan) as err:
+        remove_plan_text(MINIMAL, "ghost")
+    assert str(err.value) == "no plan named 'ghost' in base"
+    with pytest.raises(PlanSemanticError) as err:
+        parse_plan(MINIMAL + MINIMAL.replace("zero-init", "one-init"))
+    assert str(err.value) == "expected exactly one plan, found 2"
 
 
 def test_parse_corrupts_only_on_bug_plans():
@@ -163,6 +251,33 @@ def test_validate_subplan_cycle():
     b = 'plan "b" kind=cliche category=pe\nsub s1 plan="a"\nend\n'
     diagnostics = base_validate(_mini_base(a, b))
     assert any("cycle" in d for d in diagnostics)
+
+
+# base_validate's diagnostics, each from a base of MINIMAL and the plans given
+_BASE_REFUSALS = {
+    "corrupts-an-unknown-plan": (['plan "b" kind=bug corrupts="ghost" category=cbt\nnode n1 kind=TEST\nend\n'],
+                                 ["b: corrupts unknown plan 'ghost'"]),
+    "corrupts-a-bug-plan": (['plan "b1" kind=bug corrupts="zero-init" category=cbt\nnode n1 kind=TEST\nend\n',
+                             'plan "b2" kind=bug corrupts="b1" category=cbt\nnode n1 kind=TEST\nend\n'],
+                            ["b2: corrupts 'b1', which is not a cliche"]),
+    "sub-of-an-unknown-plan": (['plan "a" kind=cliche category=pe\nsub s1 plan="ghost"\nend\n'],
+                               ["a: sub s1 references unknown plan 'ghost'"]),
+    "sub-of-a-bug-plan": (['plan "b" kind=bug corrupts="zero-init" category=cbt\nnode n1 kind=TEST\nend\n',
+                           'plan "a" kind=cliche category=pe\nsub s1 plan="b"\nend\n'],
+                          ["a: sub s1 references bug plan 'b'"]),
+    "port-beyond-the-exports": (['plan "a" kind=cliche category=pe\nsub s1 plan="zero-init"\n'
+                                 'node j kind=JOIN\ndata s1:0 -> j:0\nend\n'],
+                                ["a: data edge s1:0 -> j:0: sub s1 has 0 port(s), one per role 'zero-init' exports"]),
+    "sub-plan-cycle": (['plan "a" kind=cliche category=pe\nsub s1 plan="b"\nend\n',
+                        'plan "b" kind=cliche category=pe\nsub s1 plan="a"\nend\n'],
+                       ["sub-plan cycle: a -> b -> a"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BASE_REFUSALS))
+def test_each_base_diagnostic_pins_its_message(case):
+    texts, diagnostics = _BASE_REFUSALS[case]
+    assert base_validate(_mini_base(MINIMAL, *texts)) == diagnostics
 
 
 def _closure_base() -> PlanBase:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from adil.frontend import While, desugar, parse_c, tokenize
+from adil.frontend import While, desugar, parse_c
 from adil.source import SourceSpan, span_hull, span_join
 
 
@@ -64,15 +64,6 @@ def test_span_value_semantics():
     assert sorted(spans) == [spans[3], spans[2], spans[1], spans[0]]
     assert SourceSpan("f.c", 1, 3, 1, 3) < SourceSpan("f.c", 1, 3, 1, 4)
     assert len({a, SourceSpan("f.c", 1, 2, 3, 4)}) == 1
-
-
-def test_token_value_semantics():
-    (tok,) = tokenize("x", "f.c")
-    assert repr(tok) == ("Token(kind='ident', text='x', span=SourceSpan(file='f.c', line_start=1,"
-                         " col_start=1, line_end=1, col_end=1))")
-    assert tok == tokenize("x", "f.c")[0]
-    assert tok != tokenize("y", "f.c")[0]
-    assert hash(tok) == hash(("ident", "x", SourceSpan("f.c", 1, 1, 1, 1)))
 
 
 @st.composite
